@@ -15,11 +15,14 @@ use ftbar_service::proto::ScheduleRequest;
 use ftbar_service::server::direct_response;
 use ftbar_service::SchedulerKind;
 
-use crate::stats::{median, Class};
+use crate::stats::{median, Chunk, Class};
 use crate::stream::{cli_specs, EditStream, Kind, Rng, SmallStream, Step};
 
-/// Set-up repetitions per run; `setup_s` is their median.
-const SETUP_REPS: usize = 9;
+/// Set-up repetitions per run; `setup_s` is their median. The set-ups
+/// of a few milliseconds (`cli-large`, `daemon-small`) repeat more often
+/// than the snapshot restore of `daemon-edit`.
+const SETUP_REPS: usize = 45;
+const RESTORE_SETUP_REPS: usize = 15;
 /// Edit and cold answers checked against `server::direct_response` per
 /// class, chosen by the seed, after the timed pass.
 const CHECK_SAMPLES: usize = 16;
@@ -49,8 +52,9 @@ pub struct Pass {
     pub setup_s: Vec<f64>,
     /// Timed-pass wall time up to the last completion, seconds.
     pub timed_s: f64,
-    /// CPU time the program spent in the timed pass, seconds.
-    pub cpu_s: f64,
+    /// The timed pass in chunks (one CLI invocation, or [`CHUNK`] daemon
+    /// requests), each with the host's steal share over it.
+    pub chunks: Vec<Chunk>,
     pub peak_rss_mb: f64,
     /// The daemon's `status` answer after the timed pass.
     pub status: Option<String>,
@@ -64,7 +68,7 @@ impl Pass {
             classes: kinds.iter().map(|k| Class::new(k.name())).collect(),
             setup_s: Vec::new(),
             timed_s: 0.0,
-            cpu_s: 0.0,
+            chunks: Vec::new(),
             peak_rss_mb: 0.0,
             status: None,
             problems: Vec::new(),
@@ -100,6 +104,40 @@ impl Pass {
     pub fn setup_median_s(&self) -> f64 {
         median(&self.setup_s)
     }
+
+    /// The program's CPU time per completed operation over the chunks
+    /// marked in `quiet` (idle daemon threads included), ms.
+    pub fn cpu_ms_per_op(&self, quiet: &[bool]) -> f64 {
+        let (cpu_s, ops) = self
+            .chunks
+            .iter()
+            .zip(quiet)
+            .filter(|(_, q)| **q)
+            .fold((0.0, 0), |(s, n), (c, _)| (s + c.cpu_s, n + c.ops));
+        cpu_s * 1e3 / ops as f64
+    }
+}
+
+/// `(steal, total)` CPU ticks of the host so far (`/proc/stat`).
+pub fn host_cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: Vec<u64> = stat
+        .lines()
+        .next()?
+        .split_whitespace()
+        .skip(1)
+        .filter_map(|v| v.parse().ok())
+        .collect();
+    Some((*ticks.get(7)?, ticks.iter().sum()))
+}
+
+/// Share of the host's CPU time the hypervisor stole between two
+/// [`host_cpu_ticks`] readings; 0 when they are missing.
+pub fn steal_share(before: Option<(u64, u64)>, after: Option<(u64, u64)>) -> f64 {
+    match (before, after) {
+        (Some((s0, t0)), Some((s1, t1))) => (s1 - s0) as f64 / (t1 - t0).max(1) as f64,
+        _ => 0.0,
+    }
 }
 
 fn secs(t: Instant) -> f64 {
@@ -110,29 +148,44 @@ fn secs(t: Instant) -> f64 {
 // cli-large
 // ---------------------------------------------------------------------------
 
+/// The tiny fixed spec `cli-large` times its set-up on: the paper's
+/// example, as `ftbar-cli example` prints it.
+const SETUP_SPEC: &str = "paper.spec";
+
+/// Writes what `ftbar-cli ARGS` prints to `path`.
+fn write_cli_output(cli: &Path, args: &[String], path: &Path) -> io::Result<()> {
+    let out = Command::new(cli).args(args).output()?;
+    if !out.status.success() {
+        return Err(io::Error::other(format!(
+            "ftbar-cli {} failed: {:?}",
+            args[0], out.status
+        )));
+    }
+    std::fs::write(path, &out.stdout)
+}
+
 /// `cli-large`: alternating `ftbar-cli schedule SPEC --validate` runs on
 /// the two fixed large specs, in whole pairs, for `seconds`.
 pub fn cli_large(o: &Opts) -> io::Result<Pass> {
     let specs = cli_specs(o.tiny);
     let mut pass = Pass::new(&[Kind::Full, Kind::Mesh]);
-    // Set-up: write both inputs with `ftbar-cli gen`.
+    // Inputs, untimed: both large specs and the tiny set-up spec.
+    for (kind, args) in &specs {
+        write_cli_output(&o.cli, args, &spec_file(*kind))?;
+    }
+    write_cli_output(&o.cli, &["example".to_owned()], Path::new(SETUP_SPEC))?;
+    // Set-up: what every invocation pays before it does real work (process
+    // start-up and fixed costs), timed as a checked `schedule --validate`
+    // of the tiny spec.
     for _ in 0..SETUP_REPS {
         let t = Instant::now();
-        for (kind, args) in &specs {
-            let out = Command::new(&o.cli).args(args).output()?;
-            if !out.status.success() {
-                return Err(io::Error::other(format!(
-                    "ftbar-cli gen failed: {:?}",
-                    out.status
-                )));
-            }
-            std::fs::write(spec_file(*kind), &out.stdout)?;
-        }
+        run_cli_schedule(&o.cli, Path::new(SETUP_SPEC))
+            .map_err(|e| io::Error::other(format!("set-up: {e}")))?;
         pass.setup_s.push(secs(t));
     }
     // Untimed warm-up: one run of the heavier class (checked, not
     // recorded).
-    if let Err(e) = run_cli_schedule(&o.cli, Kind::Full) {
+    if let Err(e) = run_cli_schedule(&o.cli, &spec_file(Kind::Full)) {
         pass.problems.push(format!("warm-up: {e}"));
     }
     let order = if o.seed.is_multiple_of(2) {
@@ -140,13 +193,21 @@ pub fn cli_large(o: &Opts) -> io::Result<Pass> {
     } else {
         [1, 0]
     };
-    let cpu0 = children_usage().1;
     let t = Instant::now();
     while secs(t) < o.seconds {
         for &i in &order {
             let kind = specs[i].0;
-            match cli_schedule_ms(&o.cli, kind) {
-                Ok(ms) => pass.class_mut(kind).ok(ms),
+            let ticks = host_cpu_ticks();
+            match cli_schedule(&o.cli, kind) {
+                Ok((ms, cpu_ms)) => {
+                    let chunk = pass.chunks.len();
+                    pass.class_mut(kind).ok(ms, cpu_ms, chunk);
+                    pass.chunks.push(Chunk {
+                        steal: steal_share(ticks, host_cpu_ticks()),
+                        cpu_s: cpu_ms / 1e3,
+                        ops: 1,
+                    });
+                }
                 Err(e) => {
                     pass.class_mut(kind).fail();
                     pass.problems.push(format!("{}: {e}", kind.name()));
@@ -155,9 +216,7 @@ pub fn cli_large(o: &Opts) -> io::Result<Pass> {
         }
     }
     pass.timed_s = secs(t);
-    let (max_rss_kb, cpu) = children_usage();
-    pass.cpu_s = cpu - cpu0;
-    pass.peak_rss_mb = max_rss_kb as f64 / 1024.0;
+    pass.peak_rss_mb = children_usage().0 as f64 / 1024.0;
     Ok(pass)
 }
 
@@ -165,18 +224,21 @@ pub fn spec_file(kind: Kind) -> PathBuf {
     PathBuf::from(format!("{}.spec", kind.name()))
 }
 
-/// Wall time of one checked `schedule --validate` invocation, ms.
-pub fn cli_schedule_ms(cli: &Path, kind: Kind) -> Result<f64, String> {
+/// Wall time and the child's CPU time of one checked `schedule
+/// --validate` invocation on the spec of `kind`, ms.
+pub fn cli_schedule(cli: &Path, kind: Kind) -> Result<(f64, f64), String> {
+    let cpu0 = children_usage().1;
     let start = Instant::now();
-    run_cli_schedule(cli, kind)?;
-    Ok(start.elapsed().as_secs_f64() * 1e3)
+    run_cli_schedule(cli, &spec_file(kind))?;
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    Ok((ms, (children_usage().1 - cpu0) * 1e3))
 }
 
 /// One `schedule --validate` invocation: exit 0 and `validation: ok`.
-fn run_cli_schedule(cli: &Path, kind: Kind) -> Result<(), String> {
+fn run_cli_schedule(cli: &Path, spec: &Path) -> Result<(), String> {
     let out = Command::new(cli)
         .arg("schedule")
-        .arg(spec_file(kind))
+        .arg(spec)
         .arg("--validate")
         .stderr(Stdio::null())
         .output()
@@ -260,9 +322,11 @@ impl Conn {
 
 /// A running `ftbar-cli serve` with its connection. Dropped without
 /// [`Daemon::stop`] (an error path), it kills the process.
-struct Daemon {
+pub struct Daemon {
     child: Child,
     conn: Conn,
+    /// The daemon's POSIX process CPU clock.
+    clock: i32,
 }
 
 impl Drop for Daemon {
@@ -277,7 +341,7 @@ impl Drop for Daemon {
 impl Daemon {
     /// Spawns the daemon with its default config and returns it with the
     /// time from spawn to the first answered `status`, seconds.
-    fn start(cli: &Path, snapshot: Option<&str>) -> io::Result<(Daemon, f64)> {
+    pub fn start(cli: &Path, snapshot: Option<&str>) -> io::Result<(Daemon, f64)> {
         let _ = std::fs::remove_file(SOCKET);
         let t = Instant::now();
         let mut cmd = Command::new(cli);
@@ -297,7 +361,8 @@ impl Daemon {
                 Err(_) => std::thread::sleep(Duration::from_micros(200)),
             }
         };
-        let mut d = Daemon { child, conn };
+        let clock = cpu_clock(child.id());
+        let mut d = Daemon { child, conn, clock };
         let status = d.conn.call("{\"op\": \"status\"}\n")?;
         let setup = secs(t);
         if !status.starts_with("{\"status\": \"ok\"") {
@@ -306,17 +371,19 @@ impl Daemon {
         Ok((d, setup))
     }
 
-    /// Run time of all the daemon's threads so far (`schedstat`), seconds.
+    /// CPU time of all the daemon's threads so far, seconds.
     fn cpu_s(&self) -> f64 {
-        let dir = format!("/proc/{}/task", self.child.id());
-        let Ok(tasks) = std::fs::read_dir(dir) else {
-            return 0.0;
-        };
-        tasks
-            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("schedstat")).ok())
-            .filter_map(|s| s.split_whitespace().next()?.parse::<u64>().ok())
-            .sum::<u64>() as f64
-            / 1e9
+        clock_s(self.clock)
+    }
+
+    /// Sends one frame; returns the answer with the wall time and the
+    /// daemon's CPU time it took, ms.
+    pub fn call_timed(&mut self, line: &str) -> io::Result<(String, f64, f64)> {
+        let cpu0 = self.cpu_s();
+        let start = Instant::now();
+        let answer = self.conn.call(line)?;
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        Ok((answer, ms, (self.cpu_s() - cpu0) * 1e3))
     }
 
     /// The daemon's peak resident set (`VmHWM`), MiB.
@@ -332,7 +399,7 @@ impl Daemon {
 
     /// Drains the daemon and waits for it to exit (killing it if it
     /// does not within a minute).
-    fn stop(mut self) -> io::Result<()> {
+    pub fn stop(mut self) -> io::Result<()> {
         let _ = self.conn.call("{\"op\": \"shutdown\"}\n");
         let _ = self.conn.writer.shutdown(std::net::Shutdown::Both);
         let t = Instant::now();
@@ -348,7 +415,44 @@ impl Daemon {
     }
 }
 
-fn is_ok(answer: &str) -> bool {
+/// `struct timespec` of 64-bit Linux.
+#[repr(C)]
+struct Timespec {
+    sec: i64,
+    nsec: i64,
+}
+
+extern "C" {
+    fn clock_getcpuclockid(pid: i32, clock: *mut i32) -> i32;
+    fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+}
+
+/// The POSIX CPU clock of process `pid`: the run time of all its threads,
+/// brought up to date for threads still running when read, and without
+/// time the hypervisor stole. `-1` (which reads as 0) when unavailable.
+fn cpu_clock(pid: u32) -> i32 {
+    let mut clock = -1;
+    // SAFETY: `clock` is a live, exclusively borrowed `clockid_t`.
+    let rc = unsafe { clock_getcpuclockid(pid as i32, &mut clock) };
+    if rc == 0 {
+        clock
+    } else {
+        -1
+    }
+}
+
+/// Reads a clock, seconds; 0 if it cannot be read.
+fn clock_s(clock: i32) -> f64 {
+    let mut t = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `t` is a live, exclusively borrowed buffer laid out as the C
+    // `struct timespec` on 64-bit Linux, which `clock_gettime` fills in.
+    if clock == -1 || unsafe { clock_gettime(clock, &mut t) } != 0 {
+        return 0.0;
+    }
+    t.sec as f64 + t.nsec as f64 / 1e9
+}
+
+pub fn is_ok(answer: &str) -> bool {
     answer.starts_with("{\"status\": \"ok\"")
 }
 
@@ -440,8 +544,8 @@ fn truncate(s: &str) -> &str {
     &s[..s.len().min(160)]
 }
 
-/// Sends `steps`, recording each latency under its class when `record`.
-/// Returns the loop's wall time, seconds.
+/// Sends `steps`, recording each latency and the daemon's CPU time for it
+/// under its class when `record`. Returns the loop's wall time, seconds.
 fn send_all(
     d: &mut Daemon,
     steps: &[Step],
@@ -451,9 +555,8 @@ fn send_all(
 ) -> io::Result<f64> {
     let t = Instant::now();
     for step in steps {
-        let start = Instant::now();
-        let answer = match d.conn.call(&step.line) {
-            Ok(answer) => answer,
+        let (answer, ms, cpu_ms) = match d.call_timed(&step.line) {
+            Ok(timed) => timed,
             Err(e) => {
                 // A timeout or a dropped connection: this operation failed
                 // and the stream cannot go on.
@@ -463,14 +566,14 @@ fn send_all(
                 return Err(e);
             }
         };
-        let ms = start.elapsed().as_secs_f64() * 1e3;
         let verdict = checker.on_answer(step, answer, record);
         if let Err(e) = &verdict {
             pass.problems.push(e.clone());
         }
         if record {
+            let chunk = pass.chunks.len();
             match verdict {
-                Ok(()) => pass.class_mut(step.kind).ok(ms),
+                Ok(()) => pass.class_mut(step.kind).ok(ms, cpu_ms, chunk),
                 Err(_) => pass.class_mut(step.kind).fail(),
             }
         }
@@ -479,7 +582,8 @@ fn send_all(
 }
 
 /// Timed pass: chunks generated untimed, sent timed, until `seconds` of
-/// sending have accumulated.
+/// sending have accumulated. Each chunk's requests are recorded under the
+/// chunk's index, then the chunk itself.
 fn timed(
     d: &mut Daemon,
     mut next: impl FnMut() -> Step,
@@ -489,17 +593,26 @@ fn timed(
 ) -> io::Result<()> {
     while pass.timed_s < seconds {
         let steps: Vec<Step> = (0..CHUNK).map(|_| next()).collect();
-        let cpu0 = d.cpu_s();
+        let (ticks, cpu0, done) = (host_cpu_ticks(), d.cpu_s(), pass.completed());
         pass.timed_s += send_all(d, &steps, checker, pass, true)?;
-        pass.cpu_s += d.cpu_s() - cpu0;
+        pass.chunks.push(Chunk {
+            steal: steal_share(ticks, host_cpu_ticks()),
+            cpu_s: d.cpu_s() - cpu0,
+            ops: pass.completed() - done,
+        });
     }
     Ok(())
 }
 
-/// Starts the daemon [`SETUP_REPS`] times, each from a fresh copy of
-/// `snapshot` when given, recording every set-up time; the last one stays
-/// up and is returned.
-fn setup_daemon(cli: &Path, snapshot: Option<&str>, pass: &mut Pass) -> io::Result<Daemon> {
+/// Starts the daemon `reps` times, each from a fresh copy of `snapshot`
+/// when given, recording every set-up time; the last one stays up and is
+/// returned.
+fn setup_daemon(
+    cli: &Path,
+    snapshot: Option<&str>,
+    reps: usize,
+    pass: &mut Pass,
+) -> io::Result<Daemon> {
     let mut start = |rep: usize| -> io::Result<Daemon> {
         let copy = match snapshot {
             Some(src) => {
@@ -513,10 +626,10 @@ fn setup_daemon(cli: &Path, snapshot: Option<&str>, pass: &mut Pass) -> io::Resu
         pass.setup_s.push(s);
         Ok(d)
     };
-    for rep in 1..SETUP_REPS {
+    for rep in 1..reps {
         start(rep)?.stop()?;
     }
-    start(SETUP_REPS)
+    start(reps)
 }
 
 /// Runs the timed pass, then stops the daemon keeping its status and
@@ -577,7 +690,7 @@ pub fn daemon_edit(o: &Opts) -> io::Result<Pass> {
     d.stop()?;
 
     // Generation 2 restores that snapshot; its last set-up stays up.
-    let mut d = setup_daemon(&o.cli, Some(EDIT_SNAPSHOT), &mut pass)?;
+    let mut d = setup_daemon(&o.cli, Some(EDIT_SNAPSHOT), RESTORE_SETUP_REPS, &mut pass)?;
 
     let warm: Vec<Step> = (0..edit_warmup(o.tiny))
         .map(|_| stream.next_step())
@@ -608,7 +721,7 @@ pub fn daemon_small(o: &Opts) -> io::Result<Pass> {
     let mut stream = SmallStream::new(o.seed);
     let mut pass = Pass::new(&[Kind::Small, Kind::Tiny]);
     let mut checker = Checker::new(o.seed, true, false);
-    let mut d = setup_daemon(&o.cli, None, &mut pass)?;
+    let mut d = setup_daemon(&o.cli, None, SETUP_REPS, &mut pass)?;
     let warm: Vec<Step> = (0..small_warmup(o.tiny))
         .map(|_| stream.next_step())
         .collect();

@@ -29,7 +29,7 @@ use ftbar_service::persist::{read_snapshot, write_snapshot, SnapshotData};
 use ftbar_service::proto::{parse_request, render_ok, Request};
 use ftbar_service::{JobResult, SchedulerKind};
 
-use crate::drive::{self, Opts, Pass, EDIT_SNAPSHOT};
+use crate::drive::{self, Daemon, Opts, Pass, EDIT_SNAPSHOT};
 use crate::stats::{json_u64, median};
 use crate::stream::{
     cli_specs, make_edit, schedule_line, EditStream, Kind, Rng, SmallStream, Step,
@@ -171,9 +171,11 @@ struct Op {
     /// recording, ms.
     untraced_ms: f64,
     traced_ms: f64,
-    /// `cli-large`: the CLI invocation run right before the replay, ms.
-    /// Adjacent in time, it is compared with this replay's layers.
-    e2e_ms: Option<f64>,
+    /// The same request sent to the real program (a CLI invocation, or a
+    /// frame to a live daemon in the replay's state) right before the
+    /// replay, ms. Adjacent in time, it is compared with this replay's
+    /// layers.
+    e2e_ms: f64,
 }
 
 /// The daemon's state as the replay sees it: a real response cache with
@@ -388,7 +390,7 @@ impl Replay {
             kind,
             untraced_ms: 0.0,
             traced_ms: 0.0,
-            e2e_ms: None,
+            e2e_ms: f64::NAN,
         });
     }
 
@@ -396,10 +398,24 @@ impl Replay {
         self.replayed.push((report.steps_replayed(), parent_steps));
     }
 
-    /// One daemon frame: untraced without mutation, then traced, then
-    /// the child and off-path replays.
-    fn daemon_op(&mut self, m: &mut Mirror, step: &Step, rng: &mut Rng, with_repair: bool) {
+    /// One daemon frame: sent to the live daemon, replayed untraced
+    /// without mutation, then traced, then the child and off-path replays.
+    fn daemon_op(
+        &mut self,
+        live: &mut Daemon,
+        m: &mut Mirror,
+        step: &Step,
+        rng: &mut Rng,
+        with_repair: bool,
+    ) -> io::Result<()> {
         self.begin(step.kind);
+        let (answer, e2e, _) = live.call_timed(&step.line)?;
+        if !drive::is_ok(&answer) {
+            return Err(io::Error::other(format!(
+                "live daemon answered {}: {answer:.160}",
+                step.kind.name()
+            )));
+        }
         self.tracer.enabled = false;
         let t0 = Instant::now();
         black_box(daemon_chain(&mut self.tracer, m, &step.line, false).is_some());
@@ -411,7 +427,8 @@ impl Replay {
         let op = self.ops.last_mut().expect("begun");
         op.untraced_ms = untraced;
         op.traced_ms = traced;
-        let Some(s) = scheduled else { return };
+        op.e2e_ms = e2e;
+        let Some(s) = scheduled else { return Ok(()) };
         replay_children(
             &mut self.tracer,
             &s.parsed,
@@ -431,6 +448,7 @@ impl Replay {
         }
         self.sweeps
             .push((step.kind, ftbar::sweep_stats_for(s.artifacts.problem())));
+        Ok(())
     }
 
     /// Times reading a snapshot file, [`RESTORE_REPS`] times.
@@ -492,7 +510,7 @@ fn replay_cli(o: &Opts) -> io::Result<Replay> {
         let which = order[i % 2];
         let (kind, text) = (specs[which].0, &texts[which]);
         r.begin(kind);
-        let e2e = drive::cli_schedule_ms(&o.cli, kind).map_err(io::Error::other)?;
+        let (e2e, _) = drive::cli_schedule(&o.cli, kind).map_err(io::Error::other)?;
         let chain = |t: &mut Tracer| {
             let (p, parse_span) = t.span("spec.parse", || spec::parse_problem(text));
             let p = p.expect("cli specs parse");
@@ -516,7 +534,7 @@ fn replay_cli(o: &Opts) -> io::Result<Replay> {
         let op = r.ops.last_mut().expect("begun");
         op.untraced_ms = untraced;
         op.traced_ms = traced;
-        op.e2e_ms = Some(e2e);
+        op.e2e_ms = e2e;
         let stats = out
             .sweep_stats
             .expect("large specs use the incremental sweep");
@@ -561,20 +579,24 @@ fn replay_edit(o: &Opts) -> io::Result<Replay> {
     let mut m = Mirror::new();
     let mut rng = Rng::new(o.seed ^ 0x7EAC_E000);
     let mut stream = EditStream::new(o.seed, drive::edit_sizes(o.tiny));
-    // The state the timed daemon generation starts from, untraced.
+    // The state the timed daemon generation starts from, untraced, in the
+    // mirror and in a live daemon restored from the same snapshot.
     let mut quiet = Tracer::new();
-    let warm: Vec<Step> = stream.opens().to_vec();
-    for step in warm
-        .iter()
-        .cloned()
-        .chain((0..drive::edit_warmup(o.tiny)).map(|_| stream.next_step()))
-    {
+    for step in stream.opens() {
+        daemon_chain(&mut quiet, &mut m, &step.line, true);
+    }
+    std::fs::copy(EDIT_SNAPSHOT, "live.snap")?;
+    let (mut live, _) = Daemon::start(&o.cli, Some("live.snap"))?;
+    for _ in 0..drive::edit_warmup(o.tiny) {
+        let step = stream.next_step();
+        live.call_timed(&step.line)?;
         daemon_chain(&mut quiet, &mut m, &step.line, true);
     }
     for _ in 0..replay_len(Workload::DaemonEdit, o.tiny) {
         let step = stream.next_step();
-        r.daemon_op(&mut m, &step, &mut rng, false);
+        r.daemon_op(&mut live, &mut m, &step, &mut rng, false)?;
     }
+    live.stop()?;
     r.restore(EDIT_SNAPSHOT, true)?;
     Ok(r)
 }
@@ -585,13 +607,17 @@ fn replay_small(o: &Opts) -> io::Result<Replay> {
     let mut rng = Rng::new(o.seed ^ 0x7EAC_E000);
     let mut stream = SmallStream::new(o.seed);
     let mut quiet = Tracer::new();
+    let (mut live, _) = Daemon::start(&o.cli, None)?;
     for _ in 0..drive::small_warmup(o.tiny) {
-        daemon_chain(&mut quiet, &mut m, &stream.next_step().line, true);
+        let step = stream.next_step();
+        live.call_timed(&step.line)?;
+        daemon_chain(&mut quiet, &mut m, &step.line, true);
     }
     for i in 0..replay_len(Workload::DaemonSmall, o.tiny) {
         let step = stream.next_step();
-        r.daemon_op(&mut m, &step, &mut rng, i < OFFPATH_REPAIRS);
+        r.daemon_op(&mut live, &mut m, &step, &mut rng, i < OFFPATH_REPAIRS)?;
     }
+    live.stop()?;
     r.offpath_restore(&m)?;
     Ok(r)
 }
@@ -736,12 +762,13 @@ pub fn report(w: Workload, pass: &Pass, r: &Replay) -> LayerReport {
             .ops
             .iter()
             .filter(|op| op.kind == kind)
-            .filter_map(|op| op.e2e_ms)
+            .map(|op| op.e2e_ms)
             .collect();
-        let (e2e, source) = if adjacent.is_empty() {
-            (class.p50(), "untraced pass")
+        let e2e = median(&adjacent);
+        let source = if w == Workload::CliLarge {
+            "CLI runs adjacent to the replays"
         } else {
-            (median(&adjacent), "CLI runs adjacent to the replays")
+            "live daemon, each frame sent right before its replay"
         };
         let _ = writeln!(
             table,
