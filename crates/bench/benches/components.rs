@@ -1,10 +1,12 @@
 //! Micro-benchmarks of the substrate components: timelines, graph
-//! algorithms, the spec parser.
+//! algorithms, the spec front end and the daemon's canonical keys.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ftbar_core::Timeline;
-use ftbar_model::{paper_example, spec, Time};
-use ftbar_workload::{layered, LayeredConfig};
+use ftbar_model::{paper_example, spec, Arch, Problem, Time};
+use ftbar_service::cache::canonical_key;
+use ftbar_service::SchedulerKind;
+use ftbar_workload::{arch, layered, timing, LayeredConfig, TimingConfig};
 
 fn bench_timeline(c: &mut Criterion) {
     c.bench_function("timeline/insert_1000_with_gaps", |b| {
@@ -60,11 +62,45 @@ fn bench_spec(c: &mut Criterion) {
     c.bench_function("spec/print_paper_example", |b| {
         b.iter(|| spec::print_problem(&p));
     });
+    // Generated specs, printed once outside the timed loops: a daemon-sized
+    // ring (~100 KB) and a CLI-sized fully connected machine (~3 MB).
+    let ring = spec::print_problem(&generated(arch::ring(6), 155, 5.0, 3));
+    c.bench_function("spec/parse_gen_ring6_155", |b| {
+        b.iter(|| spec::parse_problem(&ring).expect("parses"));
+    });
+    let full = spec::print_problem(&generated(arch::fully_connected(6), 2000, 5.0, 1));
+    c.bench_function("spec/parse_gen_full6_2000", |b| {
+        b.iter(|| spec::parse_problem(&full).expect("parses"));
+    });
+}
+
+fn bench_service(c: &mut Criterion) {
+    let p = generated(arch::ring(6), 155, 5.0, 3);
+    c.bench_function("service/canonical_key_ring6_155", |b| {
+        b.iter(|| canonical_key(&p, SchedulerKind::Ftbar, "adaptive", false));
+    });
+}
+
+/// The problem `ftbar gen --n N --ccr CCR --npf 1 --seed S` builds on
+/// `machine`.
+fn generated(machine: Arch, n_ops: usize, ccr: f64, seed: u64) -> Problem {
+    let alg = layered(&LayeredConfig {
+        n_ops,
+        seed,
+        ..Default::default()
+    });
+    let config = TimingConfig {
+        ccr,
+        npf: 1,
+        seed,
+        ..Default::default()
+    };
+    timing(alg, machine, &config).expect("generated problems are valid")
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_timeline, bench_graph, bench_spec
+    targets = bench_timeline, bench_graph, bench_spec, bench_service
 }
 criterion_main!(benches);

@@ -1155,8 +1155,12 @@ mod tests {
         dir
     }
 
+    /// Writes the paper example to a file no other test touches: tests
+    /// run concurrently, and a shared path could be read mid-rewrite.
     fn example_file() -> std::path::PathBuf {
-        let path = test_dir().join("example.ftbar");
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = test_dir().join(format!("example-{n}.ftbar"));
         std::fs::write(&path, run_strs(&["example"]).unwrap()).unwrap();
         path
     }

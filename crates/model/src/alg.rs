@@ -143,20 +143,22 @@ impl AlgBuilder {
         }
         let mut seen = std::collections::HashSet::new();
         for v in self.graph.node_ids() {
-            let name = self.graph.node(v).name.clone();
+            let name = self.graph.node(v).name.as_str();
             if name.is_empty() || name.chars().any(|c| c.is_whitespace()) {
-                return Err(ModelError::InvalidName { name });
+                return Err(ModelError::InvalidName {
+                    name: name.to_owned(),
+                });
             }
-            if !seen.insert(name.clone()) {
+            if !seen.insert(name) {
                 return Err(ModelError::DuplicateName {
-                    name,
+                    name: name.to_owned(),
                     kind: "operation",
                 });
             }
         }
         // Build the intra-iteration precedence graph and check acyclicity.
         let sched = sched_graph(&self.graph);
-        topo_order(&sched)?;
+        let order = topo_order(&sched)?;
         for v in self.graph.node_ids() {
             let op = self.graph.node(v);
             if op.kind == OpKind::Extio
@@ -168,7 +170,6 @@ impl AlgBuilder {
                 });
             }
         }
-        let order = topo_order(&sched).expect("checked above");
         Ok(Alg {
             name: self.name,
             topo: order.into_iter().map(|n| OpId(n.0)).collect(),

@@ -118,7 +118,7 @@ impl ArchBuilder {
                     name: p.name.clone(),
                 });
             }
-            if !seen.insert(p.name.clone()) {
+            if !seen.insert(p.name.as_str()) {
                 return Err(ModelError::DuplicateName {
                     name: p.name.clone(),
                     kind: "processor",
@@ -132,7 +132,7 @@ impl ArchBuilder {
                     name: l.name.clone(),
                 });
             }
-            if !seen.insert(l.name.clone()) {
+            if !seen.insert(l.name.as_str()) {
                 return Err(ModelError::DuplicateName {
                     name: l.name.clone(),
                     kind: "link",

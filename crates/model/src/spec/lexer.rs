@@ -1,16 +1,22 @@
 //! Tokenizer for the spec language.
+//!
+//! The lexer scans bytes and hands out [`Copy`] tokens whose identifiers
+//! and numbers borrow from the input, so lexing allocates nothing. Outside
+//! comments the grammar is pure ASCII, so a byte offset within a line is
+//! also its character column; only the end-of-input position after a
+//! non-ASCII comment needs a character count.
 
 use core::fmt;
 
-/// A token kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+/// A token kind; `Ident` and `Number` borrow their text from the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TokenKind<'a> {
     /// Identifier or keyword (`algorithm`, `P1`, `L1.2`, …). Identifiers may
     /// contain dots after the first character, so the paper's `L1.2` link
     /// names lex as single tokens.
-    Ident(String),
+    Ident(&'a str),
     /// Decimal number literal (`16`, `1.75`).
-    Number(String),
+    Number(&'a str),
     /// `{`
     LBrace,
     /// `}`
@@ -29,7 +35,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
@@ -47,13 +53,13 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source position (1-based line and column).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Token<'a> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based line.
     pub line: u32,
-    /// 1-based column.
+    /// 1-based column (in characters).
     pub col: u32,
 }
 
@@ -80,161 +86,104 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenizes `input`; `#` comments run to end of line.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
-    let mut tokens = Vec::new();
-    let mut chars = input.chars().peekable();
-    let mut line: u32 = 1;
-    let mut col: u32 = 1;
+/// A streaming tokenizer over `input`; `#` comments run to end of line.
+/// After the end of input it keeps returning [`TokenKind::Eof`].
+pub(crate) struct Lexer<'a> {
+    input: &'a str,
+    pos: usize,
+    line: u32,
+    line_start: usize,
+}
 
-    macro_rules! bump {
-        () => {{
-            let c = chars.next();
-            if c == Some('\n') {
-                line += 1;
-                col = 1;
-            } else if c.is_some() {
-                col += 1;
-            }
-            c
-        }};
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(input: &'a str) -> Self {
+        Lexer {
+            input,
+            pos: 0,
+            line: 1,
+            line_start: 0,
+        }
     }
 
-    loop {
-        let (tl, tc) = (line, col);
-        let Some(&c) = chars.peek() else {
-            tokens.push(Token {
-                kind: TokenKind::Eof,
-                line: tl,
-                col: tc,
-            });
-            return Ok(tokens);
-        };
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                bump!();
-            }
-            '#' => {
-                while let Some(&c) = chars.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    bump!();
+    /// Lexes the next token.
+    pub(crate) fn next_token(&mut self) -> Result<Token<'a>, LexError> {
+        let bytes = self.input.as_bytes();
+        let mut pos = self.pos;
+        // Skip whitespace and comments.
+        loop {
+            match bytes.get(pos) {
+                Some(b' ' | b'\t' | b'\r') => pos += 1,
+                Some(b'\n') => {
+                    pos += 1;
+                    self.line += 1;
+                    self.line_start = pos;
                 }
-            }
-            '{' => {
-                bump!();
-                tokens.push(Token {
-                    kind: TokenKind::LBrace,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            '}' => {
-                bump!();
-                tokens.push(Token {
-                    kind: TokenKind::RBrace,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            ';' => {
-                bump!();
-                tokens.push(Token {
-                    kind: TokenKind::Semi,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            ':' => {
-                bump!();
-                tokens.push(Token {
-                    kind: TokenKind::Colon,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            '=' => {
-                bump!();
-                tokens.push(Token {
-                    kind: TokenKind::Eq,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            '-' => {
-                bump!();
-                match chars.peek() {
-                    Some('>') => {
-                        bump!();
-                        tokens.push(Token {
-                            kind: TokenKind::Arrow,
-                            line: tl,
-                            col: tc,
-                        });
-                    }
-                    Some('-') => {
-                        bump!();
-                        tokens.push(Token {
-                            kind: TokenKind::DashDash,
-                            line: tl,
-                            col: tc,
-                        });
-                    }
-                    _ => {
-                        return Err(LexError {
-                            ch: '-',
-                            line: tl,
-                            col: tc,
-                        })
-                    }
+                Some(b'#') => {
+                    pos += bytes[pos..]
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .unwrap_or(bytes.len() - pos);
                 }
-            }
-            c if c.is_ascii_digit() => {
-                let mut s = String::new();
-                let mut seen_dot = false;
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() {
-                        s.push(c);
-                        bump!();
-                    } else if c == '.' && !seen_dot {
-                        seen_dot = true;
-                        s.push(c);
-                        bump!();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Number(s),
-                    line: tl,
-                    col: tc,
-                });
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
-                        s.push(c);
-                        bump!();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(s),
-                    line: tl,
-                    col: tc,
-                });
-            }
-            other => {
-                return Err(LexError {
-                    ch: other,
-                    line: tl,
-                    col: tc,
-                })
+                _ => break,
             }
         }
+        let start = pos;
+        let line = self.line;
+        let Some(&b) = bytes.get(start) else {
+            self.pos = pos;
+            let col = self.input[self.line_start..].chars().count() as u32 + 1;
+            return Ok(Token {
+                kind: TokenKind::Eof,
+                line,
+                col,
+            });
+        };
+        let col = (start - self.line_start) as u32 + 1;
+        pos += 1;
+        let kind = match b {
+            b'{' => TokenKind::LBrace,
+            b'}' => TokenKind::RBrace,
+            b';' => TokenKind::Semi,
+            b':' => TokenKind::Colon,
+            b'=' => TokenKind::Eq,
+            b'-' if bytes.get(pos) == Some(&b'>') => {
+                pos += 1;
+                TokenKind::Arrow
+            }
+            b'-' if bytes.get(pos) == Some(&b'-') => {
+                pos += 1;
+                TokenKind::DashDash
+            }
+            b'0'..=b'9' => {
+                let mut seen_dot = false;
+                while let Some(&c) = bytes.get(pos) {
+                    if c == b'.' && !seen_dot {
+                        seen_dot = true;
+                    } else if !c.is_ascii_digit() {
+                        break;
+                    }
+                    pos += 1;
+                }
+                TokenKind::Number(&self.input[start..pos])
+            }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                while let Some(&c) = bytes.get(pos) {
+                    if !(c.is_ascii_alphanumeric() || c == b'_' || c == b'.') {
+                        break;
+                    }
+                    pos += 1;
+                }
+                TokenKind::Ident(&self.input[start..pos])
+            }
+            _ => {
+                // `start` is a char boundary: only whole ASCII bytes and
+                // whole comment lines are ever skipped.
+                let ch = self.input[start..].chars().next().expect("not at end");
+                return Err(LexError { ch, line, col });
+            }
+        };
+        self.pos = pos;
+        Ok(Token { kind, line, col })
     }
 }
 
@@ -242,7 +191,19 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn lex(input: &str) -> Result<Vec<Token<'_>>, LexError> {
+        let mut lexer = Lexer::new(input);
+        let mut tokens = Vec::new();
+        loop {
+            let t = lexer.next_token()?;
+            tokens.push(t);
+            if t.kind == TokenKind::Eof {
+                return Ok(tokens);
+            }
+        }
+    }
+
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         lex(input).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -251,14 +212,14 @@ mod tests {
         assert_eq!(
             kinds("op A ; x -> y -- z { } : ="),
             vec![
-                TokenKind::Ident("op".into()),
-                TokenKind::Ident("A".into()),
+                TokenKind::Ident("op"),
+                TokenKind::Ident("A"),
                 TokenKind::Semi,
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Arrow,
-                TokenKind::Ident("y".into()),
+                TokenKind::Ident("y"),
                 TokenKind::DashDash,
-                TokenKind::Ident("z".into()),
+                TokenKind::Ident("z"),
                 TokenKind::LBrace,
                 TokenKind::RBrace,
                 TokenKind::Colon,
@@ -273,23 +234,34 @@ mod tests {
         assert_eq!(
             kinds("1.75 16 L1.2"),
             vec![
-                TokenKind::Number("1.75".into()),
-                TokenKind::Number("16".into()),
-                TokenKind::Ident("L1.2".into()),
+                TokenKind::Number("1.75"),
+                TokenKind::Number("16"),
+                TokenKind::Ident("L1.2"),
                 TokenKind::Eof,
             ]
         );
     }
 
     #[test]
+    fn number_takes_one_dot_then_stops() {
+        assert_eq!(
+            kinds("1.2x 3."),
+            vec![
+                TokenKind::Number("1.2"),
+                TokenKind::Ident("x"),
+                TokenKind::Number("3."),
+                TokenKind::Eof,
+            ]
+        );
+        let err = lex("1.2.3").unwrap_err();
+        assert_eq!((err.ch, err.line, err.col), ('.', 1, 4));
+    }
+
+    #[test]
     fn comments_are_skipped() {
         assert_eq!(
             kinds("a # comment ; -> \n b"),
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof,
-            ]
+            vec![TokenKind::Ident("a"), TokenKind::Ident("b"), TokenKind::Eof,]
         );
     }
 
@@ -301,15 +273,29 @@ mod tests {
     }
 
     #[test]
+    fn columns_count_characters_in_comments() {
+        // End of input after a non-ASCII comment: 7 characters, 9 bytes.
+        let toks = lex("a # é·\n# ü").unwrap();
+        assert_eq!(toks[1].kind, TokenKind::Eof);
+        assert_eq!((toks[1].line, toks[1].col), (2, 4));
+        let toks = lex("# ünïcode\n  b").unwrap();
+        assert_eq!((toks[0].line, toks[0].col), (2, 3));
+    }
+
+    #[test]
     fn bad_character_is_reported() {
         let err = lex("a @ b").unwrap_err();
         assert_eq!(err.ch, '@');
         assert_eq!((err.line, err.col), (1, 3));
         assert!(err.to_string().contains("1:3"));
+        let err = lex("a\n b é").unwrap_err();
+        assert_eq!((err.ch, err.line, err.col), ('é', 2, 4));
     }
 
     #[test]
     fn lone_dash_is_an_error() {
         assert!(lex("a - b").is_err());
+        let err = lex("a -").unwrap_err();
+        assert_eq!((err.ch, err.col), ('-', 3));
     }
 }

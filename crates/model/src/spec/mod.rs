@@ -34,7 +34,7 @@ mod lexer;
 mod parser;
 mod printer;
 
-pub use lexer::{LexError, Token, TokenKind};
+pub use lexer::LexError;
 pub use parser::{parse_problem, ParseError};
 pub use printer::print_problem;
 

@@ -1,16 +1,18 @@
 //! Recursive-descent parser for the spec language.
 
 use core::fmt;
+use core::str::FromStr;
+use std::collections::HashMap;
 
 use crate::alg::{Alg, OpKind};
 use crate::arch::Arch;
 use crate::error::ModelError;
 use crate::exec::{CommTable, ExecTable};
-use crate::ids::{LinkId, OpId, ProcId};
+use crate::ids::{DepId, LinkId, OpId, ProcId};
 use crate::problem::Problem;
 use crate::time::Time;
 
-use super::lexer::{lex, LexError, Token, TokenKind};
+use super::lexer::{LexError, Lexer, Token, TokenKind};
 
 /// Error produced while parsing a problem spec.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,51 +113,99 @@ impl From<ModelError> for ParseError {
 /// # Ok::<(), ftbar_model::spec::ParseError>(())
 /// ```
 pub fn parse_problem(input: &str) -> Result<Problem, ParseError> {
-    Parser::new(input)?.problem()
+    let mut parser = Parser::new(input);
+    let parsed = parser.problem();
+    match parser.first_lex_error() {
+        Some(e) => Err(e.into()),
+        None => parsed,
+    }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Ops by name (first declaration wins) and deps by endpoints (first
+/// parallel dep wins), as the algorithm section declared them.
+struct AlgNames<'a> {
+    ops: HashMap<&'a str, OpId>,
+    deps: HashMap<(OpId, OpId), DepId>,
+}
+
+/// Processors and links by name (first declaration wins).
+struct ArchNames<'a> {
+    procs: HashMap<&'a str, ProcId>,
+    links: HashMap<&'a str, LinkId>,
 }
 
 /// Raw exec entry: (op name, proc name, time or None for `inf`).
-type RawExec = (String, String, Option<Time>);
+type RawExec<'a> = (&'a str, &'a str, Option<Time>);
 /// Raw comm entry: (src op, dst op, link, time or None for `inf`).
-type RawComm = (String, String, String, Option<Time>);
+type RawComm<'a> = (&'a str, &'a str, &'a str, Option<Time>);
 
-impl Parser {
-    fn new(input: &str) -> Result<Self, ParseError> {
-        Ok(Parser {
-            tokens: lex(input)?,
-            pos: 0,
+/// Pulls tokens from the lexer one at a time; `tok` is the lookahead.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    tok: Token<'a>,
+    /// The lexer's error, once it hit one; `tok` is then an `Eof` at the
+    /// offending character, which stops the parse.
+    lex_error: Option<LexError>,
+}
+
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Self {
+        let mut parser = Parser {
+            lexer: Lexer::new(input),
+            tok: Token {
+                kind: TokenKind::Eof,
+                line: 1,
+                col: 1,
+            },
+            lex_error: None,
+        };
+        parser.tok = parser.next_token();
+        parser
+    }
+
+    fn next_token(&mut self) -> Token<'a> {
+        self.lexer.next_token().unwrap_or_else(|e| {
+            let eof = Token {
+                kind: TokenKind::Eof,
+                line: e.line,
+                col: e.col,
+            };
+            self.lex_error = Some(e);
+            eof
         })
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    /// The first lexical error in the input, if any. It outranks every
+    /// parse or model error, so after a failed parse this lexes the rest
+    /// of the input looking for one.
+    fn first_lex_error(&mut self) -> Option<LexError> {
+        while self.lex_error.is_none() && self.tok.kind != TokenKind::Eof {
+            self.tok = self.next_token();
+        }
+        self.lex_error.take()
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    fn peek(&self) -> TokenKind<'a> {
+        self.tok.kind
+    }
+
+    fn bump(&mut self) {
+        if self.tok.kind != TokenKind::Eof {
+            self.tok = self.next_token();
         }
-        t
     }
 
     fn unexpected(&self, expected: &str) -> ParseError {
-        let t = self.peek();
         ParseError::Unexpected {
-            found: t.kind.to_string(),
+            found: self.tok.kind.to_string(),
             expected: expected.to_owned(),
-            line: t.line,
-            col: t.col,
+            line: self.tok.line,
+            col: self.tok.col,
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), ParseError> {
-        if &self.peek().kind == kind {
+    fn expect(&mut self, kind: TokenKind<'_>, what: &str) -> Result<(), ParseError> {
+        if self.peek() == kind {
             self.bump();
             Ok(())
         } else {
@@ -163,10 +213,9 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
-        match &self.peek().kind {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
+        match self.peek() {
             TokenKind::Ident(s) => {
-                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
@@ -175,19 +224,19 @@ impl Parser {
     }
 
     fn keyword(&mut self, kw: &str) -> bool {
-        if let TokenKind::Ident(s) = &self.peek().kind {
-            if s == kw {
-                self.bump();
-                return true;
-            }
+        if self.peek() == TokenKind::Ident(kw) {
+            self.bump();
+            return true;
         }
         false
     }
 
-    fn number(&mut self, what: &str) -> Result<f64, ParseError> {
-        match &self.peek().kind {
+    /// A `NUMBER` token parsed as `T`; a literal `T` rejects is reported
+    /// at the literal as `what`.
+    fn number<T: FromStr>(&mut self, what: &str) -> Result<T, ParseError> {
+        match self.peek() {
             TokenKind::Number(s) => {
-                let v: f64 = s.parse().map_err(|_| self.unexpected(what))?;
+                let v = s.parse().map_err(|_| self.unexpected(what))?;
                 self.bump();
                 Ok(v)
             }
@@ -195,45 +244,30 @@ impl Parser {
         }
     }
 
-    /// A `NUMBER` token converted through `Time`'s checked parser, so
-    /// out-of-range literals become parse errors instead of panics.
-    fn time_literal(&mut self, what: &str) -> Result<Time, ParseError> {
-        match &self.peek().kind {
-            TokenKind::Number(s) => {
-                let t: Time = s.parse().map_err(|_| self.unexpected(what))?;
-                self.bump();
-                Ok(t)
-            }
-            _ => Err(self.unexpected(what)),
-        }
-    }
-
-    /// `NUMBER | inf` — `None` encodes `inf`.
+    /// `NUMBER | inf` — `None` encodes `inf`. Times go through `Time`'s
+    /// checked parser, so out-of-range literals become parse errors
+    /// instead of panics.
     fn time_or_inf(&mut self) -> Result<Option<Time>, ParseError> {
         if self.keyword("inf") {
             return Ok(None);
         }
-        match &self.peek().kind {
-            TokenKind::Number(s) => {
-                let t: Time = s.parse().map_err(|_| self.unexpected("time literal"))?;
-                self.bump();
-                Ok(Some(t))
-            }
+        match self.peek() {
+            TokenKind::Number(_) => self.number("time literal").map(Some),
             _ => Err(self.unexpected("time literal or `inf`")),
         }
     }
 
     fn problem(&mut self) -> Result<Problem, ParseError> {
-        let mut alg: Option<Alg> = None;
-        let mut arch: Option<Arch> = None;
-        let mut raw_exec: Option<Vec<RawExec>> = None;
-        let mut raw_comm: Option<Vec<RawComm>> = None;
+        let mut alg: Option<(Alg, AlgNames<'a>)> = None;
+        let mut arch: Option<(Arch, ArchNames<'a>)> = None;
+        let mut raw_exec: Option<Vec<RawExec<'a>>> = None;
+        let mut raw_comm: Option<Vec<RawComm<'a>>> = None;
         let mut rtc: Option<Time> = None;
         let mut npf: Option<u32> = None;
 
         loop {
-            let line = self.peek().line;
-            if self.peek().kind == TokenKind::Eof {
+            let line = self.tok.line;
+            if self.peek() == TokenKind::Eof {
                 break;
             }
             if self.keyword("algorithm") {
@@ -269,15 +303,15 @@ impl Parser {
                 }
                 raw_comm = Some(self.comm_section()?);
             } else if self.keyword("rtc") {
-                rtc = Some(self.time_literal("deadline")?);
-                self.expect(&TokenKind::Semi, "`;`")?;
+                rtc = Some(self.number("deadline")?);
+                self.expect(TokenKind::Semi, "`;`")?;
             } else if self.keyword("npf") {
-                let v = self.number("failure count")?;
+                let v: f64 = self.number("failure count")?;
                 if v.fract() != 0.0 || v < 0.0 {
                     return Err(self.unexpected("non-negative integer"));
                 }
                 npf = Some(v as u32);
-                self.expect(&TokenKind::Semi, "`;`")?;
+                self.expect(TokenKind::Semi, "`;`")?;
             } else {
                 return Err(
                     self.unexpected("`algorithm`, `architecture`, `exec`, `comm`, `rtc` or `npf`")
@@ -285,32 +319,47 @@ impl Parser {
             }
         }
 
-        let alg = alg.ok_or(ParseError::MissingSection {
+        let (alg, alg_names) = alg.ok_or(ParseError::MissingSection {
             section: "algorithm",
         })?;
-        let arch = arch.ok_or(ParseError::MissingSection {
+        let (arch, arch_names) = arch.ok_or(ParseError::MissingSection {
             section: "architecture",
         })?;
         let raw_exec = raw_exec.ok_or(ParseError::MissingSection { section: "exec" })?;
 
         let mut exec = ExecTable::new(alg.op_count(), arch.proc_count());
         for (op_name, proc_name, t) in raw_exec {
-            let op = lookup_op(&alg, &op_name)?;
-            let proc = lookup_proc(&arch, &proc_name)?;
+            let op = resolve(&alg_names.ops, op_name, "operation")?;
+            let proc = resolve(&arch_names.procs, proc_name, "processor")?;
             match t {
                 Some(t) => exec.set(op, proc, t),
                 None => exec.forbid(op, proc),
             }
         }
         let mut comm = CommTable::new(alg.dep_count(), arch.link_count());
+        // A dep's entries usually come in a row, one per link: resolve
+        // each run of equal `src -> dst` names once.
+        let mut last: Option<(&str, &str, DepId)> = None;
         for (src, dst, link_name, t) in raw_comm.unwrap_or_default() {
-            let dep = alg.dep_by_names(&src, &dst).ok_or_else(|| {
-                ParseError::Model(ModelError::UnknownName {
-                    name: format!("{src} -> {dst}"),
-                    kind: "dependency",
-                })
-            })?;
-            let link = lookup_link(&arch, &link_name)?;
+            let dep = match last {
+                Some((s, d, dep)) if (s, d) == (src, dst) => dep,
+                _ => {
+                    let ops = &alg_names.ops;
+                    let dep = ops
+                        .get(src)
+                        .zip(ops.get(dst))
+                        .and_then(|(&s, &d)| alg_names.deps.get(&(s, d)).copied())
+                        .ok_or_else(|| {
+                            ParseError::Model(ModelError::UnknownName {
+                                name: format!("{src} -> {dst}"),
+                                kind: "dependency",
+                            })
+                        })?;
+                    last = Some((src, dst, dep));
+                    dep
+                }
+            };
+            let link = resolve(&arch_names.links, link_name, "link")?;
             if let Some(t) = t {
                 comm.set(dep, link, t);
             }
@@ -324,21 +373,23 @@ impl Parser {
         Ok(b.build()?)
     }
 
-    fn algorithm(&mut self) -> Result<Alg, ParseError> {
+    fn algorithm(&mut self) -> Result<(Alg, AlgNames<'a>), ParseError> {
         let name = self.ident("algorithm name")?;
-        self.expect(&TokenKind::LBrace, "`{`")?;
+        self.expect(TokenKind::LBrace, "`{`")?;
         let mut b = Alg::builder(name);
-        let mut ops: Vec<(String, OpId)> = Vec::new();
+        let mut names = AlgNames {
+            ops: HashMap::new(),
+            deps: HashMap::new(),
+        };
         loop {
-            if self.peek().kind == TokenKind::RBrace {
+            if self.peek() == TokenKind::RBrace {
                 self.bump();
                 break;
             }
             if self.keyword("op") {
                 let name = self.ident("operation name")?;
                 let kind = if self.keyword("kind") {
-                    let k = self.ident("operation kind")?;
-                    match k.as_str() {
+                    match self.ident("operation kind")? {
                         "comp" => OpKind::Comp,
                         "mem" => OpKind::Mem,
                         "extio" => OpKind::Extio,
@@ -347,15 +398,15 @@ impl Parser {
                 } else {
                     OpKind::Comp
                 };
-                let id = b.op(name.clone(), kind);
-                ops.push((name, id));
-                self.expect(&TokenKind::Semi, "`;`")?;
+                let id = b.op(name, kind);
+                names.ops.entry(name).or_insert(id);
+                self.expect(TokenKind::Semi, "`;`")?;
             } else if self.keyword("dep") {
                 let src = self.ident("source operation")?;
-                self.expect(&TokenKind::Arrow, "`->`")?;
+                self.expect(TokenKind::Arrow, "`->`")?;
                 let dst = self.ident("destination operation")?;
                 let size = if self.keyword("size") {
-                    let v = self.number("data size")?;
+                    let v: f64 = self.number("data size")?;
                     if !v.is_finite() || v <= 0.0 {
                         return Err(self.unexpected("positive finite data size"));
                     }
@@ -363,80 +414,64 @@ impl Parser {
                 } else {
                     1.0
                 };
-                let find = |n: &str| -> Result<OpId, ParseError> {
-                    ops.iter()
-                        .find(|(name, _)| name == n)
-                        .map(|(_, id)| *id)
-                        .ok_or_else(|| {
-                            ParseError::Model(ModelError::UnknownName {
-                                name: n.to_owned(),
-                                kind: "operation",
-                            })
-                        })
-                };
-                let s = find(&src)?;
-                let d = find(&dst)?;
-                b.dep_sized(s, d, size);
-                self.expect(&TokenKind::Semi, "`;`")?;
+                let s = resolve(&names.ops, src, "operation")?;
+                let d = resolve(&names.ops, dst, "operation")?;
+                let id = b.dep_sized(s, d, size);
+                names.deps.entry((s, d)).or_insert(id);
+                self.expect(TokenKind::Semi, "`;`")?;
             } else {
                 return Err(self.unexpected("`op`, `dep` or `}`"));
             }
         }
-        Ok(b.build()?)
+        Ok((b.build()?, names))
     }
 
-    fn architecture(&mut self) -> Result<Arch, ParseError> {
+    fn architecture(&mut self) -> Result<(Arch, ArchNames<'a>), ParseError> {
         let name = self.ident("architecture name")?;
-        self.expect(&TokenKind::LBrace, "`{`")?;
+        self.expect(TokenKind::LBrace, "`{`")?;
         let mut b = Arch::builder(name);
-        let mut procs: Vec<(String, ProcId)> = Vec::new();
+        let mut names = ArchNames {
+            procs: HashMap::new(),
+            links: HashMap::new(),
+        };
         loop {
-            if self.peek().kind == TokenKind::RBrace {
+            if self.peek() == TokenKind::RBrace {
                 self.bump();
                 break;
             }
             if self.keyword("proc") {
                 let name = self.ident("processor name")?;
-                let id = b.proc(name.clone());
-                procs.push((name, id));
-                self.expect(&TokenKind::Semi, "`;`")?;
+                let id = b.proc(name);
+                names.procs.entry(name).or_insert(id);
+                self.expect(TokenKind::Semi, "`;`")?;
             } else if self.keyword("link") {
                 let name = self.ident("link name")?;
-                self.expect(&TokenKind::Colon, "`:`")?;
+                self.expect(TokenKind::Colon, "`:`")?;
                 let mut endpoints = Vec::new();
                 loop {
                     let pn = self.ident("processor name")?;
-                    let id = procs
-                        .iter()
-                        .find(|(name, _)| *name == pn)
-                        .map(|(_, id)| *id)
-                        .ok_or_else(|| {
-                            ParseError::Model(ModelError::UnknownName {
-                                name: pn.clone(),
-                                kind: "processor",
-                            })
-                        })?;
-                    endpoints.push(id);
-                    if self.peek().kind == TokenKind::DashDash {
+                    endpoints.push(resolve(&names.procs, pn, "processor")?);
+                    if self.peek() == TokenKind::DashDash {
                         self.bump();
                     } else {
                         break;
                     }
                 }
-                b.link(name, &endpoints);
-                self.expect(&TokenKind::Semi, "`;`")?;
+                let id = b.link(name, &endpoints);
+                names.links.entry(name).or_insert(id);
+                self.expect(TokenKind::Semi, "`;`")?;
             } else {
                 return Err(self.unexpected("`proc`, `link` or `}`"));
             }
         }
-        Ok(b.build()?)
+        Ok((b.build()?, names))
     }
 
-    fn exec_section(&mut self) -> Result<Vec<RawExec>, ParseError> {
-        self.expect(&TokenKind::LBrace, "`{`")?;
+    fn exec_section(&mut self) -> Result<Vec<RawExec<'a>>, ParseError> {
+        self.expect(TokenKind::LBrace, "`{`")?;
         let mut entries = Vec::new();
         loop {
-            if self.peek().kind == TokenKind::RBrace {
+            if self.peek() == TokenKind::RBrace {
                 self.bump();
                 break;
             }
@@ -445,61 +480,48 @@ impl Parser {
                 return Err(self.unexpected("`on`"));
             }
             let proc = self.ident("processor name")?;
-            self.expect(&TokenKind::Eq, "`=`")?;
+            self.expect(TokenKind::Eq, "`=`")?;
             let t = self.time_or_inf()?;
-            self.expect(&TokenKind::Semi, "`;`")?;
+            self.expect(TokenKind::Semi, "`;`")?;
             entries.push((op, proc, t));
         }
         Ok(entries)
     }
 
-    fn comm_section(&mut self) -> Result<Vec<RawComm>, ParseError> {
-        self.expect(&TokenKind::LBrace, "`{`")?;
+    fn comm_section(&mut self) -> Result<Vec<RawComm<'a>>, ParseError> {
+        self.expect(TokenKind::LBrace, "`{`")?;
         let mut entries = Vec::new();
         loop {
-            if self.peek().kind == TokenKind::RBrace {
+            if self.peek() == TokenKind::RBrace {
                 self.bump();
                 break;
             }
             let src = self.ident("source operation")?;
-            self.expect(&TokenKind::Arrow, "`->`")?;
+            self.expect(TokenKind::Arrow, "`->`")?;
             let dst = self.ident("destination operation")?;
             if !self.keyword("on") {
                 return Err(self.unexpected("`on`"));
             }
             let link = self.ident("link name")?;
-            self.expect(&TokenKind::Eq, "`=`")?;
+            self.expect(TokenKind::Eq, "`=`")?;
             let t = self.time_or_inf()?;
-            self.expect(&TokenKind::Semi, "`;`")?;
+            self.expect(TokenKind::Semi, "`;`")?;
             entries.push((src, dst, link, t));
         }
         Ok(entries)
     }
 }
 
-fn lookup_op(alg: &Alg, name: &str) -> Result<OpId, ParseError> {
-    alg.op_by_name(name).ok_or_else(|| {
+/// Looks `name` up in a name index, or reports it as an unknown `kind`.
+fn resolve<Id: Copy>(
+    index: &HashMap<&str, Id>,
+    name: &str,
+    kind: &'static str,
+) -> Result<Id, ParseError> {
+    index.get(name).copied().ok_or_else(|| {
         ParseError::Model(ModelError::UnknownName {
             name: name.to_owned(),
-            kind: "operation",
-        })
-    })
-}
-
-fn lookup_proc(arch: &Arch, name: &str) -> Result<ProcId, ParseError> {
-    arch.proc_by_name(name).ok_or_else(|| {
-        ParseError::Model(ModelError::UnknownName {
-            name: name.to_owned(),
-            kind: "processor",
-        })
-    })
-}
-
-fn lookup_link(arch: &Arch, name: &str) -> Result<LinkId, ParseError> {
-    arch.link_by_name(name).ok_or_else(|| {
-        ParseError::Model(ModelError::UnknownName {
-            name: name.to_owned(),
-            kind: "link",
+            kind,
         })
     })
 }

@@ -22,9 +22,11 @@
 //! a miss and is dropped.
 
 use std::collections::HashMap;
+use std::fmt::Write;
+use std::ops::Range;
 use std::sync::Arc;
 
-use ftbar_model::Problem;
+use ftbar_model::{DepId, LinkId, OpId, Problem, ProcId, Time};
 
 use crate::SchedulerKind;
 
@@ -329,102 +331,227 @@ pub fn canonical_key(
     key.push_str(scheduler.name());
     key.push_str("|strategy=");
     key.push_str(strategy);
-    key.push_str("|npf=");
-    key.push_str(&problem.npf().to_string());
+    let _ = write!(key, "|npf={}", problem.npf());
     key.push_str("|schedule=");
     key.push_str(if include_schedule { "1" } else { "0" });
     key.push_str("|rtc=");
     match problem.rtc() {
-        Some(t) => key.push_str(&t.ticks().to_string()),
+        Some(t) => {
+            let _ = write!(key, "{}", t.ticks());
+        }
         None => key.push('-'),
     }
 
+    // Entries are ordered by their bytes. Each list also carries a rank
+    // key from its leading names (see `name_ranks`), so almost every
+    // comparison is between integers, not strings.
+    let op_names: Vec<&str> = alg.ops().map(|o| alg.op(o).name()).collect();
+    let proc_names: Vec<&str> = arch.procs().map(|p| arch.proc(p).name()).collect();
+    let link_names: Vec<&str> = arch.links().map(|l| arch.link(l).name()).collect();
+    let src_gt = name_ranks(&op_names, b'>');
+    let dst_hash = name_ranks(&op_names, b'#');
+    let op_at = name_ranks(&op_names, b'@');
+    let proc_eq = name_ranks(&proc_names, b'=');
+    let link_eq = name_ranks(&link_names, b'=');
+
+    let mut entries = SortedEntries::default();
     key.push_str("|alg=");
     key.push_str(alg.name());
     key.push_str("|ops:");
-    let mut ops: Vec<_> = alg
-        .ops()
-        .map(|id| format!("{}/{}", alg.op(id).name(), alg.op(id).kind().keyword()))
-        .collect();
-    ops.sort_unstable();
-    key.push_str(&ops.join(","));
+    entries.append(&mut key, alg.ops(), unranked, |buf, id| {
+        let op = alg.op(id);
+        buf.push_str(op.name());
+        buf.push('/');
+        buf.push_str(op.kind().keyword());
+    });
 
     key.push_str("|deps:");
-    let mut deps: Vec<_> = alg
-        .deps()
-        .map(|id| {
-            let (s, d) = alg.dep_endpoints(id);
-            format!(
-                "{}>{}#{:?}",
-                alg.op(s).name(),
-                alg.op(d).name(),
-                alg.dep(id).size()
-            )
-        })
-        .collect();
-    deps.sort_unstable();
-    key.push_str(&deps.join(","));
+    let dep_rank = |id| {
+        let (s, d) = alg.dep_endpoints(id);
+        rank_of(&[(&src_gt, s.index()), (&dst_hash, d.index())])
+    };
+    entries.append(&mut key, alg.deps(), dep_rank, |buf, id| {
+        let (s, d) = alg.dep_endpoints(id);
+        let _ = write!(
+            buf,
+            "{}>{}#{:?}",
+            alg.op(s).name(),
+            alg.op(d).name(),
+            alg.dep(id).size()
+        );
+    });
 
     key.push_str("|arch=");
     key.push_str(arch.name());
     key.push_str("|procs:");
-    let mut procs: Vec<_> = arch
-        .procs()
-        .map(|id| arch.proc(id).name().to_owned())
-        .collect();
-    procs.sort_unstable();
-    key.push_str(&procs.join(","));
+    entries.append(&mut key, arch.procs(), unranked, |buf, id| {
+        buf.push_str(arch.proc(id).name());
+    });
 
     key.push_str("|links:");
-    let mut links: Vec<_> = arch
-        .links()
-        .map(|id| {
-            let l = arch.link(id);
-            let mut eps: Vec<_> = l.endpoints().iter().map(|p| arch.proc(*p).name()).collect();
-            eps.sort_unstable();
-            format!("{}={}", l.name(), eps.join("+"))
-        })
-        .collect();
-    links.sort_unstable();
-    key.push_str(&links.join(","));
+    entries.append(&mut key, arch.links(), unranked, |buf, id| {
+        let l = arch.link(id);
+        let mut eps: Vec<_> = l.endpoints().iter().map(|p| arch.proc(*p).name()).collect();
+        eps.sort_unstable();
+        buf.push_str(l.name());
+        buf.push('=');
+        buf.push_str(&eps.join("+"));
+    });
 
     key.push_str("|exec:");
-    let mut exec: Vec<_> = alg
+    let cells = alg
         .ops()
-        .flat_map(|op| {
-            arch.procs().map(move |proc| (op, proc)).map(|(op, proc)| {
-                let cell = match problem.exec().get(op, proc) {
-                    Some(t) => t.ticks().to_string(),
-                    None => "inf".to_owned(),
-                };
-                format!("{}@{}={}", alg.op(op).name(), arch.proc(proc).name(), cell)
-            })
-        })
-        .collect();
-    exec.sort_unstable();
-    key.push_str(&exec.join(","));
+        .flat_map(|op| arch.procs().map(move |proc| (op, proc)));
+    let exec_rank =
+        |(op, proc): (OpId, ProcId)| rank_of(&[(&op_at, op.index()), (&proc_eq, proc.index())]);
+    entries.append(&mut key, cells, exec_rank, |buf, (op, proc)| {
+        buf.push_str(alg.op(op).name());
+        buf.push('@');
+        buf.push_str(arch.proc(proc).name());
+        buf.push('=');
+        match problem.exec().get(op, proc) {
+            Some(t) => push_u64(buf, t.ticks()),
+            None => buf.push_str("inf"),
+        }
+    });
 
     key.push_str("|comm:");
-    let mut comm: Vec<_> = alg
-        .deps()
-        .flat_map(|dep| {
-            let (s, d) = alg.dep_endpoints(dep);
-            arch.links()
-                .filter_map(move |link| problem.comm().get(dep, link).map(|t| (s, d, link, t)))
-        })
-        .map(|(s, d, link, t)| {
-            format!(
-                "{}>{}@{}={}",
-                alg.op(s).name(),
-                alg.op(d).name(),
-                arch.link(link).name(),
-                t.ticks()
-            )
-        })
-        .collect();
-    comm.sort_unstable();
-    key.push_str(&comm.join(","));
+    let cells = alg.deps().flat_map(|dep| {
+        arch.links()
+            .filter_map(move |link| problem.comm().get(dep, link).map(|t| (dep, link, t)))
+    });
+    let comm_rank = |(dep, link, _): (DepId, LinkId, Time)| {
+        let (s, d) = alg.dep_endpoints(dep);
+        rank_of(&[
+            (&src_gt, s.index()),
+            (&op_at, d.index()),
+            (&link_eq, link.index()),
+        ])
+    };
+    entries.append(&mut key, cells, comm_rank, |buf, (dep, link, t)| {
+        let (s, d) = alg.dep_endpoints(dep);
+        buf.push_str(alg.op(s).name());
+        buf.push('>');
+        buf.push_str(alg.op(d).name());
+        buf.push('@');
+        buf.push_str(arch.link(link).name());
+        buf.push('=');
+        push_u64(buf, t.ticks());
+    });
     key
+}
+
+/// Appends `v` in decimal, as `{}` formats it, without going through
+/// `fmt` (the key writes a few thousand of these per call).
+fn push_u64(buf: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// A sort key for a list entry: the ranks of its leading names, then the
+/// entry's bytes. Rank order must agree with byte order wherever the
+/// ranks differ; entries with equal ranks compare by their bytes.
+type Rank = [u32; 3];
+
+/// The rank of an entry in a short list: its bytes alone decide.
+fn unranked<T>(_: T) -> Rank {
+    Rank::default()
+}
+
+/// Ranks `names` by the byte order of `name` followed by `sep`, the way
+/// each name leads its entries `name{sep}…`; equal names share a rank.
+///
+/// The rank order is the entries' byte order only if no name contains
+/// `sep` (else `A` + `@` could be a prefix of name `A@B`); then this
+/// returns `None` and the entries compare by their bytes alone.
+fn name_ranks(names: &[&str], sep: u8) -> Option<Vec<u32>> {
+    if names.iter().any(|n| n.as_bytes().contains(&sep)) {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..names.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let (a, b) = (names[a].as_bytes(), names[b].as_bytes());
+        let n = a.len().min(b.len());
+        // Past the common length, the shorter name continues with `sep`.
+        a[..n].cmp(&b[..n]).then_with(|| {
+            let next = |s: &[u8]| s.get(n).copied().unwrap_or(sep);
+            next(a).cmp(&next(b))
+        })
+    });
+    let mut ranks = vec![0; names.len()];
+    let mut rank = 0;
+    for (pos, &i) in order.iter().enumerate() {
+        if pos > 0 && names[i] != names[order[pos - 1]] {
+            rank += 1;
+        }
+        ranks[i] = rank;
+    }
+    Some(ranks)
+}
+
+/// The [`Rank`] of an entry led by the given `(ranks, index)` names, in
+/// order. A name without ranks ends the key there: the names after it
+/// decide nothing until it is known to be equal, which only the bytes
+/// can tell.
+fn rank_of(names: &[(&Option<Vec<u32>>, usize)]) -> Rank {
+    let mut rank = Rank::default();
+    for (slot, (ranks, i)) in rank.iter_mut().zip(names) {
+        match ranks {
+            Some(r) => *slot = r[*i] + 1,
+            None => break,
+        }
+    }
+    rank
+}
+
+/// Scratch space for [`canonical_key`]'s sorted lists: every entry of a
+/// list is written into one shared buffer and only the spans are sorted,
+/// so no entry gets an allocation of its own.
+#[derive(Default)]
+struct SortedEntries {
+    buf: String,
+    spans: Vec<(Rank, Range<usize>)>,
+}
+
+impl SortedEntries {
+    /// Appends the entries `write` renders for `items` to `key`,
+    /// comma-separated in byte order — the order a sorted `Vec<String>`
+    /// of the same entries has. `rank` must be consistent with that order
+    /// (see [`Rank`]).
+    fn append<T: Copy>(
+        &mut self,
+        key: &mut String,
+        items: impl Iterator<Item = T>,
+        rank: impl Fn(T) -> Rank,
+        mut write: impl FnMut(&mut String, T),
+    ) {
+        self.buf.clear();
+        self.spans.clear();
+        for item in items {
+            let start = self.buf.len();
+            write(&mut self.buf, item);
+            self.spans.push((rank(item), start..self.buf.len()));
+        }
+        let buf = &self.buf;
+        self.spans.sort_unstable_by(|(ra, a), (rb, b)| {
+            ra.cmp(rb).then_with(|| buf[a.clone()].cmp(&buf[b.clone()]))
+        });
+        for (i, (_, span)) in self.spans.iter().enumerate() {
+            if i > 0 {
+                key.push(',');
+            }
+            key.push_str(&buf[span.clone()]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -522,6 +649,119 @@ mod tests {
             tight.get_canonical("r", "canon-0").is_some(),
             "most recently used entry survives a tight restore"
         );
+    }
+
+    /// The key as its definition states it: one `String` per entry,
+    /// sorted, comma-joined.
+    fn reference_key(problem: &Problem) -> String {
+        let (alg, arch) = (problem.alg(), problem.arch());
+        let sorted = |mut v: Vec<String>| {
+            v.sort_unstable();
+            v.join(",")
+        };
+        let name = |o: OpId| alg.op(o).name();
+        let ops = alg
+            .ops()
+            .map(|o| format!("{}/{}", name(o), alg.op(o).kind().keyword()));
+        let deps = alg.deps().map(|d| {
+            let (s, t) = alg.dep_endpoints(d);
+            format!("{}>{}#{:?}", name(s), name(t), alg.dep(d).size())
+        });
+        let links = arch.links().map(|l| {
+            let mut eps: Vec<_> = arch
+                .link(l)
+                .endpoints()
+                .iter()
+                .map(|p| arch.proc(*p).name())
+                .collect();
+            eps.sort_unstable();
+            format!("{}={}", arch.link(l).name(), eps.join("+"))
+        });
+        let exec = alg.ops().flat_map(|o| {
+            arch.procs().map(move |p| {
+                let cell = problem
+                    .exec()
+                    .get(o, p)
+                    .map_or("inf".into(), |t| t.ticks().to_string());
+                format!("{}@{}={cell}", name(o), arch.proc(p).name())
+            })
+        });
+        let comm = alg.deps().flat_map(|d| {
+            let (s, t) = alg.dep_endpoints(d);
+            arch.links().filter_map(move |l| {
+                let c = problem.comm().get(d, l)?;
+                Some(format!(
+                    "{}>{}@{}={}",
+                    name(s),
+                    name(t),
+                    arch.link(l).name(),
+                    c.ticks()
+                ))
+            })
+        });
+        format!(
+            "v1|scheduler=ftbar|strategy=adaptive|npf={}|schedule=0|rtc={}|alg={}|ops:{}|deps:{}|arch={}|procs:{}|links:{}|exec:{}|comm:{}",
+            problem.npf(),
+            problem.rtc().map_or("-".into(), |t| t.ticks().to_string()),
+            alg.name(),
+            sorted(ops.collect()),
+            sorted(deps.collect()),
+            arch.name(),
+            sorted(arch.procs().map(|p| arch.proc(p).name().to_owned()).collect()),
+            sorted(links.collect()),
+            sorted(exec.collect()),
+            sorted(comm.collect()),
+        )
+    }
+
+    #[test]
+    fn key_matches_its_definition_when_names_contain_separators() {
+        // Names that contain the separator after them disable the rank
+        // order (`A` + `@` is a prefix of `A@B`); parallel deps tie on
+        // their ranks and fall back to their bytes.
+        let mut b = ftbar_model::Alg::builder("seps");
+        let names = ["A", "A@B", "A>x", "A#1", "A/c", "A=", "A1", "A.b"];
+        let ops: Vec<OpId> = names.iter().map(|n| b.comp(*n)).collect();
+        b.dep_sized(ops[0], ops[1], 2.0);
+        b.dep_sized(ops[0], ops[1], 10.0);
+        b.dep(ops[0], ops[2]);
+        b.dep(ops[3], ops[4]);
+        b.dep(ops[5], ops[6]);
+        b.dep(ops[6], ops[7]);
+        b.dep(ops[7], ops[1]);
+        let alg = b.build().unwrap();
+        let mut b = ftbar_model::Arch::builder("m");
+        let procs = [b.proc("P"), b.proc("P=1"), b.proc("P1")];
+        b.link("L", &procs[..2]);
+        b.link("L=x", &procs[1..]);
+        b.link("L.1", &[procs[0], procs[2]]);
+        let arch = b.build().unwrap();
+        let mut exec = ftbar_model::ExecTable::new(alg.op_count(), arch.proc_count());
+        for (i, op) in alg.ops().enumerate() {
+            for (j, proc) in arch.procs().enumerate() {
+                exec.set(
+                    op,
+                    proc,
+                    ftbar_model::Time::from_ticks((i * 7 + j * 3) as u64 % 10 + 1),
+                );
+            }
+        }
+        let mut comm = ftbar_model::CommTable::new(alg.dep_count(), arch.link_count());
+        for (i, dep) in alg.deps().enumerate() {
+            for link in arch.links() {
+                comm.set(
+                    dep,
+                    link,
+                    ftbar_model::Time::from_ticks([9, 10, 100][i % 3]),
+                );
+            }
+        }
+        let p = Problem::builder(alg, arch, exec, comm).build().unwrap();
+        let key = canonical_key(&p, SchedulerKind::Ftbar, "adaptive", false);
+        assert_eq!(key, reference_key(&p));
+        let paper = paper_example();
+        let key = canonical_key(&paper, SchedulerKind::Ftbar, "adaptive", false);
+        assert_eq!(key, reference_key(&paper));
     }
 
     #[test]

@@ -205,3 +205,94 @@ proptest! {
         }
     }
 }
+
+/// Canonical keys pinned byte for byte: snapshots persist them, so a key
+/// format change would orphan every persisted entry. The files under
+/// `tests/golden/canonical_key_*.txt` were generated from the
+/// `format!`-per-entry implementation. Regenerate deliberately with
+/// `UPDATE_GOLDEN=1 cargo test --test service_cache pinned` — never as a
+/// side effect of making a failing test pass.
+mod pinned_keys {
+    use super::*;
+    use ftbar::model::paper_example;
+
+    /// A problem as `ftbar gen --n N --seed S` builds it on `machine`.
+    fn generated(machine: ftbar::model::Arch, n_ops: usize, seed: u64) -> Problem {
+        let alg = layered(&LayeredConfig {
+            n_ops,
+            seed,
+            ..Default::default()
+        });
+        timing(
+            alg,
+            machine,
+            &TimingConfig {
+                npf: 1,
+                seed,
+                ..Default::default()
+            },
+        )
+        .expect("generated problems are valid")
+    }
+
+    /// Names whose entries sort differently from their bare names:
+    /// `A.x/comp` < `A/comp` because `.` (0x2E) < `/` (0x2F), and `A1@` <
+    /// `A@` because `1` (0x31) < `@` (0x40).
+    const DOTTED: &str = "
+        algorithm dots { op A; op A.x kind mem; op A1; op A_; op a; op B.2;
+          dep A -> A.x size 1.5; dep A1 -> A; dep A_ -> a; dep A -> B.2; dep A1 -> B.2; }
+        architecture m { proc P; proc P.1; proc P1; link L: P -- P.1;
+          link L.1: P.1 -- P1; link L1: P -- P1 -- P.1; }
+        exec { A on P = 1; A on P.1 = 1.5; A on P1 = inf; A.x on P = 2; A.x on P.1 = 2;
+          A.x on P1 = 2; A1 on P = 1; A1 on P.1 = 1; A1 on P1 = 1; A_ on P = 1;
+          A_ on P.1 = 1; A_ on P1 = 1; a on P = 3; a on P.1 = inf; a on P1 = 3;
+          B.2 on P = 1; B.2 on P.1 = 1; B.2 on P1 = 1; }
+        comm { A -> A.x on L = 1; A -> A.x on L.1 = 1; A -> A.x on L1 = 1;
+          A1 -> A on L = 1; A1 -> A on L.1 = 1; A1 -> A on L1 = 0.5;
+          A_ -> a on L = 1; A_ -> a on L.1 = 1; A_ -> a on L1 = 1;
+          A -> B.2 on L = 2; A -> B.2 on L.1 = 2; A -> B.2 on L1 = 2;
+          A1 -> B.2 on L = 1; A1 -> B.2 on L.1 = 1; A1 -> B.2 on L1 = 1; }
+        rtc 40; npf 1;";
+
+    fn check(name: &str, key: &str) {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests")
+            .join("golden")
+            .join(format!("canonical_key_{name}.txt"));
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(&path, key).unwrap();
+            return;
+        }
+        let pinned = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+        assert!(key == pinned, "canonical key of `{name}` changed");
+    }
+
+    #[test]
+    fn canonical_keys_match_pinned_bytes() {
+        let dotted = spec::parse_problem(DOTTED).expect("dotted spec parses");
+        let ring = generated(arch::ring(6), 40, 3);
+        let mesh = generated(arch::mesh(3, 2), 40, 4);
+        let cases = [
+            (
+                "paper",
+                paper_example(),
+                SchedulerKind::Ftbar,
+                "adaptive",
+                false,
+            ),
+            ("ring6_seed3", ring, SchedulerKind::Hbp, "naive", true),
+            (
+                "mesh3x2_seed4",
+                mesh,
+                SchedulerKind::Ftbar,
+                "clustered",
+                false,
+            ),
+            ("dotted", dotted, SchedulerKind::Ftbar, "adaptive", true),
+        ];
+        for (name, problem, scheduler, strategy, include) in cases {
+            check(name, &canonical_key(&problem, scheduler, strategy, include));
+        }
+    }
+}

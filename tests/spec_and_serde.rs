@@ -98,3 +98,45 @@ proptest! {
         prop_assert_eq!(sp, sb);
     }
 }
+
+/// `parse(print(p)) == p` on generated problems over every generator
+/// topology, up to N = 500: the whole `Problem` (tables, deps in order,
+/// route table) must come back, not just its counts.
+#[test]
+fn parse_inverts_print_on_generated_topologies() {
+    let machines = [
+        ("full6", arch::fully_connected(6)),
+        ("ring6", arch::ring(6)),
+        ("mesh3x2", arch::mesh(3, 2)),
+        ("hcube3", arch::hypercube(3)),
+    ];
+    for (name, machine) in machines {
+        for (n_ops, seed) in [(1, 3), (20, 11), (120, 5), (500, 7)] {
+            let alg = layered(&LayeredConfig {
+                n_ops,
+                seed,
+                ..Default::default()
+            });
+            let p = timing(
+                alg,
+                machine.clone(),
+                &TimingConfig {
+                    ccr: 5.0,
+                    npf: 1,
+                    forbid_prob: 0.1,
+                    seed,
+                    ..Default::default()
+                },
+            )
+            .expect("valid problem");
+            let text = print_problem(&p);
+            let q = parse_problem(&text).expect("printed specs parse");
+            assert_eq!(
+                serde_json::to_string(&q).unwrap(),
+                serde_json::to_string(&p).unwrap(),
+                "{name} N={n_ops}: reparsed problem differs"
+            );
+            assert_eq!(print_problem(&q), text, "{name} N={n_ops}");
+        }
+    }
+}
