@@ -1,11 +1,13 @@
 //! Replay/analysis throughput: how fast the static timing analysis of
 //! paper §2 (point 2) runs — computing completion dates with and without
-//! failures, and the exhaustive tolerance check.
+//! failures, the exhaustive tolerance check, and full validation of a
+//! large schedule.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftbar_bench::experiment::{problem_for, PointConfig};
-use ftbar_core::{analysis, ftbar, replay, FailureScenario};
+use ftbar_core::{analysis, ftbar, replay, validate, FailureScenario};
 use ftbar_model::{ProcId, Time};
+use ftbar_workload::{arch, layered, timing, LayeredConfig, TimingConfig};
 
 fn bench_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("replay");
@@ -42,6 +44,29 @@ fn bench_replay(c: &mut Criterion) {
             },
         );
     }
+    // `ftbar gen --n 2000 --procs 6 --ccr 5 --npf 1 --seed 1`: every
+    // validator rule, seven replays included, on 10k replicas.
+    let alg = layered(&LayeredConfig {
+        n_ops: 2000,
+        seed: 1,
+        ..Default::default()
+    });
+    let config = TimingConfig {
+        ccr: 5.0,
+        npf: 1,
+        seed: 1,
+        ..Default::default()
+    };
+    let problem = timing(alg, arch::fully_connected(6), &config).expect("valid problem");
+    let schedule = ftbar::schedule(&problem).expect("schedules");
+    group.sample_size(10);
+    group.bench_with_input(
+        BenchmarkId::from_parameter("validate_gen_full6_2000"),
+        &(&problem, &schedule),
+        |b, (p, s)| {
+            b.iter(|| assert!(validate::validate(p, s).is_empty()));
+        },
+    );
     group.finish();
 }
 

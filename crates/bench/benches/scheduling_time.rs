@@ -4,12 +4,12 @@
 //! One Criterion group per graph size; `ftbar` vs `hbp` on identical
 //! problems (the shared `ftbar_workload::scheduling_point` presets, so the
 //! Criterion rows and the `perf_gate` medians measure the same instances).
-//! The `FTBAR-incremental` / `FTBAR-naive` / `FTBAR-parallel` and
-//! `HBP-exhaustive` rows pin the incremental pressure engine's speedup
-//! against the retained reference sweeps (the paper's complexity remark
-//! applies to the unoptimized algorithms, i.e. the naive/exhaustive rows);
-//! the plain `FTBAR` row is the adaptive default users get. Sizes extend
-//! to N = 1000, where the naive references pay their quadratic sweep.
+//! The `FTBAR-incremental` / `FTBAR-naive` and `HBP-exhaustive` rows pin
+//! the incremental pressure engine's speedup against the retained
+//! reference sweeps (the paper's complexity remark applies to the
+//! unoptimized algorithms, i.e. the naive/exhaustive rows); the plain
+//! `FTBAR` row is the adaptive default users get. Sizes extend to
+//! N = 1000, where the naive references pay their quadratic sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftbar_core::{FtbarConfig, SweepStrategy};
@@ -38,14 +38,6 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("FTBAR-naive", n), &problem, |b, p| {
             let cfg = FtbarConfig {
                 sweep: SweepStrategy::Naive,
-                ..FtbarConfig::default()
-            };
-            b.iter(|| ftbar_core::ftbar::schedule_with(p, &cfg).expect("schedules"));
-        });
-        group.bench_with_input(BenchmarkId::new("FTBAR-parallel", n), &problem, |b, p| {
-            let cfg = FtbarConfig {
-                sweep: SweepStrategy::Incremental,
-                parallel_cutoff: 0,
                 ..FtbarConfig::default()
             };
             b.iter(|| ftbar_core::ftbar::schedule_with(p, &cfg).expect("schedules"));

@@ -14,7 +14,9 @@
 //! section (snapshot encode/write and read/decode latency at several
 //! synthetic cache sizes, plus warm-restart request throughput against
 //! a restored cache) so the perf trajectory is tracked in-repo, not
-//! anecdotally.
+//! anecdotally. Every FTBAR, clustered and HBP schedule it times is also
+//! validated once, outside the timed region (the non-FT baseline fails
+//! masking by design and is not); an invalid schedule fails the gate.
 //!
 //! ```sh
 //! cargo run --release -p ftbar-bench --bin perf_gate            # full run
@@ -42,7 +44,7 @@ use std::time::Instant;
 use ftbar_core::edit::ProblemEdit;
 use ftbar_core::engine::EnginePools;
 use ftbar_core::reschedule::ScheduleArtifacts;
-use ftbar_core::{ftbar, FtbarConfig, SweepStrategy};
+use ftbar_core::{ftbar, validate, FtbarConfig, Schedule, SweepStrategy};
 use ftbar_hbp::{HbpConfig, PairSearch};
 use ftbar_model::Problem;
 use ftbar_service::client::{request, Client, RequestOpts};
@@ -232,21 +234,22 @@ fn pick_deep_edit(problem: &Problem, artifacts: &ScheduleArtifacts) -> (ProblemE
     )
 }
 
-fn ftbar_with(problem: &Problem, sweep: SweepStrategy, parallel: bool) {
+fn ftbar_with(problem: &Problem, sweep: SweepStrategy) -> Schedule {
     let config = FtbarConfig {
         sweep,
-        parallel_cutoff: if parallel { 0 } else { usize::MAX },
         ..FtbarConfig::default()
     };
-    ftbar::schedule_with(problem, &config).expect("schedules");
+    ftbar::schedule_with(problem, &config)
+        .expect("schedules")
+        .schedule
 }
 
-fn hbp_with(problem: &Problem, pair_search: PairSearch) {
+fn hbp_with(problem: &Problem, pair_search: PairSearch) -> Schedule {
     let config = HbpConfig {
         pair_search,
         ..HbpConfig::default()
     };
-    ftbar_hbp::schedule_with(problem, &config).expect("schedules");
+    ftbar_hbp::schedule_with(problem, &config).expect("schedules")
 }
 
 /// Extracts the `(bench, variant, n_ops)` key and `median_ns` of every
@@ -391,51 +394,75 @@ fn main() {
     let mut points: Vec<Point> = Vec::new();
     let mut allocs: Vec<AllocPoint> = Vec::new();
     let mut sweep_points: Vec<SweepStatsPoint> = Vec::new();
+    let mut invalid: Vec<String> = Vec::new();
     for n in SIZES {
         let problem = scheduling_point(n);
+        // Each run returns the schedule it built, for validation outside
+        // the timed region; `None` for the non-FT baseline, which fails
+        // replication and masking by design.
         #[allow(clippy::type_complexity)]
-        let mut runs: Vec<(&'static str, Box<dyn Fn()>)> = vec![
+        let mut runs: Vec<(&'static str, Box<dyn Fn() -> Option<Schedule>>)> = vec![
             // The default configuration (adaptive: naive below the
             // cutoff, incremental above) — what `ftbar::schedule` users
             // actually get, and the row the small-N regression gate
             // watches.
             (
                 "FTBAR",
-                Box::new(|| ftbar_with(&problem, SweepStrategy::Adaptive, false)),
+                Box::new(|| Some(ftbar_with(&problem, SweepStrategy::Adaptive))),
             ),
             (
                 "FTBAR-incremental",
-                Box::new(|| ftbar_with(&problem, SweepStrategy::Incremental, false)),
-            ),
-            (
-                "FTBAR-parallel",
-                Box::new(|| ftbar_with(&problem, SweepStrategy::Incremental, true)),
+                Box::new(|| Some(ftbar_with(&problem, SweepStrategy::Incremental))),
             ),
             (
                 "FTBAR-clustered",
-                Box::new(|| ftbar_with(&problem, SweepStrategy::Clustered, false)),
+                Box::new(|| Some(ftbar_with(&problem, SweepStrategy::Clustered))),
             ),
             (
                 "non-FT",
                 Box::new(|| {
                     ftbar_core::basic::schedule_non_ft(&problem).expect("schedules");
+                    None
                 }),
             ),
         ];
         if n <= EXPENSIVE_MAX_N {
             runs.push((
                 "FTBAR-naive",
-                Box::new(|| ftbar_with(&problem, SweepStrategy::Naive, false)),
+                Box::new(|| Some(ftbar_with(&problem, SweepStrategy::Naive))),
             ));
-            runs.push(("HBP", Box::new(|| hbp_with(&problem, PairSearch::Adaptive))));
+            runs.push((
+                "HBP",
+                Box::new(|| Some(hbp_with(&problem, PairSearch::Adaptive))),
+            ));
             runs.push((
                 "HBP-exhaustive",
-                Box::new(|| hbp_with(&problem, PairSearch::Exhaustive)),
+                Box::new(|| Some(hbp_with(&problem, PairSearch::Exhaustive))),
             ));
         }
+        // Schedules already validated at this size: the exact FTBAR
+        // strategies build bit-identical schedules, checked once.
+        let mut validated: Vec<Schedule> = Vec::new();
         for (variant, f) in &runs {
-            let median = measure(f.as_ref(), smoke);
+            let median = measure(
+                &|| {
+                    f();
+                },
+                smoke,
+            );
             println!("scheduling_time/{variant}/{n}: {median} ns");
+            if let Some(schedule) = f().filter(|s| !validated.contains(s)) {
+                let violations = validate::validate(&problem, &schedule);
+                if let Some(first) = violations.first() {
+                    let msg = format!(
+                        "{variant} at n={n}: {} violations, first: {first}",
+                        violations.len()
+                    );
+                    eprintln!("validate: {msg}");
+                    invalid.push(msg);
+                }
+                validated.push(schedule);
+            }
             points.push(Point {
                 bench: "scheduling_time",
                 variant,
@@ -1016,5 +1043,11 @@ fn main() {
             "perf gate check OK: all {} points of {baseline_path} present",
             point_keys(&baseline).len()
         );
+    }
+    if !invalid.is_empty() {
+        for i in &invalid {
+            eprintln!("perf gate FAILED: timed schedule is invalid: {i}");
+        }
+        std::process::exit(1);
     }
 }

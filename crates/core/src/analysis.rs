@@ -11,7 +11,7 @@
 use ftbar_model::{Problem, ProcId, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::replay::{replay, FailureScenario};
+use crate::replay::{replay, FailureScenario, ReplayResult};
 use crate::schedule::Schedule;
 
 /// Configuration of [`analyze`].
@@ -101,8 +101,24 @@ pub fn analyze_with(
     schedule: &Schedule,
     config: &AnalysisConfig,
 ) -> ToleranceReport {
+    let nominal = replay(
+        problem,
+        schedule,
+        &FailureScenario::none(problem.arch().proc_count()),
+    );
+    analyze_from_nominal(problem, schedule, config, &nominal)
+}
+
+/// [`analyze_with`] given the schedule's fault-free replay, so a caller
+/// that already ran it (the validator) does not replay it twice.
+pub(crate) fn analyze_from_nominal(
+    problem: &Problem,
+    schedule: &Schedule,
+    config: &AnalysisConfig,
+    nominal: &ReplayResult,
+) -> ToleranceReport {
     let n = problem.arch().proc_count();
-    let nominal = replay(problem, schedule, &FailureScenario::none(n))
+    let nominal = nominal
         .completion()
         .expect("a valid schedule completes nominally");
 

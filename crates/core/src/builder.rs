@@ -681,9 +681,7 @@ impl<'p> ScheduleBuilder<'p> {
     }
 
     /// As [`ScheduleBuilder::probe_traced`], reusing the caller's scratch
-    /// buffers — the allocation-free form the sweep engine's hot recompute
-    /// path uses (`probe` is `&self`, so parallel sweep workers each carry
-    /// their own scratch).
+    /// buffers — the allocation-free form of a traced probe.
     pub fn probe_traced_with(
         &self,
         op: OpId,
@@ -1744,10 +1742,12 @@ mod tests {
         // Y on P2: for every single failure among {P0, P1, P3} some comm
         // must survive (source and intermediates alive).
         let y_on_p2 = s.replica_on(y, ProcId(2)).unwrap();
+        let index = crate::CommIndex::new(&s);
         for fail in [0u32, 1, 3] {
-            let survives = s
-                .incoming_comms(y_on_p2)
-                .map(|c| s.comm(c))
+            let survives = index
+                .incoming(y_on_p2)
+                .iter()
+                .map(|&c| s.comm(c))
                 .any(|c| c.hops.iter().all(|h| h.from != ProcId(fail)));
             assert!(survives, "failure of P{fail} severs every comm into Y@P2");
         }

@@ -77,14 +77,6 @@ pub enum SweepStrategy {
 /// workloads (4 processors, CCR 5) sits between 50 and 80 operations.
 pub const ADAPTIVE_SWEEP_CUTOFF: usize = 64;
 
-/// Default [`FtbarConfig::parallel_cutoff`]: below this many operations the
-/// scoped-thread fan-out costs more than the dirty probes it distributes.
-/// Measured on the committed benchmark workloads (4 processors, CCR 5):
-/// the serial sweep wins by ~5–10% up to N≈1000, the two are a wash at
-/// N=2000–5000, and the fan-out only pays (~2–3%) from N≈10000 up — so
-/// the cutoff sits at the top of the serial-wins range.
-pub const PARALLEL_SWEEP_CUTOFF: usize = 2000;
-
 /// Default [`FtbarConfig::cluster_size`]: big enough that the cluster
 /// graph is two orders of magnitude smaller than the operation graph,
 /// small enough that the pinned expansion keeps a meaningful choice of
@@ -109,13 +101,6 @@ pub struct FtbarConfig {
     /// Problem size (operation count) at which [`SweepStrategy::Adaptive`]
     /// switches from the naive to the incremental sweep.
     pub adaptive_cutoff: usize,
-    /// Problem size (operation count) at or above which dirty probe pairs
-    /// are recomputed on scoped worker threads. Deterministic: results are
-    /// reduced in the same order as the serial sweep, so the schedule is
-    /// bit-identical. Only effective when the resolved strategy is
-    /// [`SweepStrategy::Incremental`]. Set to `0` to force the parallel
-    /// sweep on, `usize::MAX` to force it off.
-    pub parallel_cutoff: usize,
     /// Maximum members per super-operation under
     /// [`SweepStrategy::Clustered`]; ignored by the exact strategies.
     pub cluster_size: usize,
@@ -129,7 +114,6 @@ impl Default for FtbarConfig {
             trace: false,
             sweep: SweepStrategy::default(),
             adaptive_cutoff: ADAPTIVE_SWEEP_CUTOFF,
-            parallel_cutoff: PARALLEL_SWEEP_CUTOFF,
             cluster_size: DEFAULT_CLUSTER_SIZE,
         }
     }
@@ -152,12 +136,6 @@ impl FtbarConfig {
             }
             explicit => explicit,
         }
-    }
-
-    /// Whether the incremental sweep distributes dirty recomputes over
-    /// scoped worker threads for a problem of `n_ops` operations.
-    pub fn resolved_parallel(&self, n_ops: usize) -> bool {
-        n_ops >= self.parallel_cutoff
     }
 }
 
@@ -401,11 +379,10 @@ fn build_policy_from(
         SweepStrategy::Adaptive => unreachable!("resolved_sweep never returns Adaptive"),
         SweepStrategy::Clustered => unreachable!("dispatched by the caller"),
         SweepStrategy::Incremental => {
-            let mut engine = match pending {
+            let engine = match pending {
                 Some(mask) => SweepEngine::new_pending(problem, pressure, config.cost, mask),
                 None => SweepEngine::new(problem, pressure, config.cost),
             };
-            engine.set_parallel(config.resolved_parallel(n_ops));
             // The selection sweep only ranks by the cost function's field,
             // so the cache completes just that probe (see `PointFocus`).
             let focus = match config.cost {

@@ -71,7 +71,7 @@ pub use engine::{
 pub use error::ScheduleError;
 pub use ftbar::{
     CostFunction, FtbarConfig, FtbarOutcome, StepTrace, SweepStrategy, ADAPTIVE_SWEEP_CUTOFF,
-    DEFAULT_CLUSTER_SIZE, PARALLEL_SWEEP_CUTOFF,
+    DEFAULT_CLUSTER_SIZE,
 };
 pub use pressure::Pressure;
 pub use replay::{
@@ -81,6 +81,6 @@ pub use reschedule::{
     reschedule, schedule_retained, RepairReport, RescheduleError, RescheduleOutcome,
     ScheduleArtifacts,
 };
-pub use schedule::{BookedHop, Comm, CommId, Replica, ReplicaId, Schedule};
+pub use schedule::{BookedHop, Comm, CommId, CommIndex, Replica, ReplicaId, Schedule};
 pub use sweep::{CachePools, PointFocus, ProbeCache, SweepEngine, SweepStats};
 pub use timeline::{Slot, Timeline};

@@ -27,7 +27,7 @@
 use ftbar_model::{Problem, ProcId, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::schedule::{CommId, ReplicaId, Schedule};
+use crate::schedule::{CommId, CommIndex, ReplicaId, Schedule};
 
 /// A failure scenario: for each processor — and optionally each link — the
 /// instant it fails (fail-silent, permanent for the rest of the iteration).
@@ -253,7 +253,7 @@ pub fn replay_with(
         for c in 0..schedule.comm_count() {
             let dst_proc = schedule.replica(schedule.comm(CommId(c as u32)).dst).proc;
             if config.suppress_comms_to[dst_proc.index()] {
-                r.comm_cancelled[c] = true;
+                r.cancel(CommId(c as u32));
             }
         }
     }
@@ -265,6 +265,8 @@ struct Replay<'a> {
     schedule: &'a Schedule,
     scenario: &'a FailureScenario,
     config: &'a ReplayConfig,
+    /// Per-replica comm adjacency (outgoing comms at each replica end).
+    comms_of: CommIndex,
 
     rstate: Vec<RState>,
     /// Per replica: for each intra-iteration dependency of its op (in
@@ -289,6 +291,14 @@ struct Replay<'a> {
     link_busy_until: Vec<Time>,
     /// Per link: true while a hop is in flight.
     link_in_flight: Vec<bool>,
+    /// Per link: index into `link_order` of the first hop neither started
+    /// nor cancelled. Both flags only ever turn on, so the skipped prefix
+    /// can never become pending again.
+    link_head: Vec<usize>,
+    /// Per link: number of hops that are ready to transmit (data arrived,
+    /// not started, not cancelled), so arbitration can stop scanning the
+    /// booked order once it has met them all.
+    link_ready: Vec<usize>,
 
     queue: std::collections::BinaryHeap<std::cmp::Reverse<(Time, u8, u64, EventKey)>>,
     seq: u64,
@@ -355,6 +365,7 @@ impl<'a> Replay<'a> {
             schedule,
             scenario,
             config,
+            comms_of: CommIndex::new(schedule),
             rstate: vec![RState::Pending; schedule.replica_count()],
             dep_ready,
             dep_has_comms,
@@ -371,6 +382,8 @@ impl<'a> Replay<'a> {
                 .collect(),
             link_busy_until: vec![Time::ZERO; schedule.link_count()],
             link_in_flight: vec![false; schedule.link_count()],
+            link_head: vec![0; schedule.link_count()],
+            link_ready: vec![0; schedule.link_count()],
             queue: std::collections::BinaryHeap::new(),
             seq: 0,
             last_event: Time::ZERO,
@@ -481,17 +494,18 @@ impl<'a> Replay<'a> {
             return; // lost at a processor failure in the meantime
         };
         self.rstate[rid.index()] = RState::Done { start, end };
+        // Outgoing comms may now transmit.
+        for &c in self.comms_of.outgoing(rid) {
+            if !self.comm_cancelled[c.index()] {
+                self.link_ready[self.schedule.comm(c).hops[0].link.index()] += 1;
+            }
+        }
         let p = self.schedule.replica(rid).proc;
         self.proc_next[p.index()] += 1;
         self.try_start_proc(p);
-        // Outgoing comms may now transmit.
-        let links: Vec<usize> = self
-            .schedule
-            .outgoing_comms(rid)
-            .map(|c| self.schedule.comm(c).hops[0].link.index())
-            .collect();
-        for l in links {
-            self.try_start_link(l, now);
+        for i in 0..self.comms_of.outgoing(rid).len() {
+            let c = self.comms_of.outgoing(rid)[i];
+            self.try_start_link(self.schedule.comm(c).hops[0].link.index(), now);
         }
     }
 
@@ -523,6 +537,7 @@ impl<'a> Replay<'a> {
             self.try_start_proc(self.schedule.replica(dst).proc);
         } else {
             let next_l = comm.hops[hop + 1].link.index();
+            self.link_ready[next_l] += 1;
             self.try_start_link(next_l, t);
         }
         self.try_start_link(l, t);
@@ -559,7 +574,7 @@ impl<'a> Replay<'a> {
                 if self.comm_arrival[c].is_some() {
                     continue; // already fully delivered
                 }
-                self.comm_cancelled[c] = true;
+                self.cancel(cid);
                 if let Some(h) = comm.hops.get(next) {
                     touched_links.insert(h.link.index());
                 }
@@ -568,6 +583,39 @@ impl<'a> Replay<'a> {
         for l in touched_links {
             self.try_start_link(l, now);
         }
+    }
+
+    /// When the data of hop `hop` of `cid` arrived, if the hop may transmit
+    /// once its link grants it: it is the comm's current hop, and the
+    /// producer completed (first hop) or the previous hop was delivered.
+    fn ready_at(&self, cid: CommId, hop: usize) -> Option<Time> {
+        if self.comm_next_hop[cid.index()] != hop {
+            return None;
+        }
+        if hop == 0 {
+            match self.rstate[self.schedule.comm(cid).src.index()] {
+                RState::Done { end, .. } => Some(end),
+                _ => None,
+            }
+        } else {
+            self.hop_done[cid.index()][hop - 1]
+        }
+    }
+
+    /// Cancels `cid`, retiring its current hop from its link's ready count
+    /// if that hop was waiting for a grant.
+    fn cancel(&mut self, cid: CommId) {
+        let c = cid.index();
+        if self.comm_cancelled[c] {
+            return;
+        }
+        let hop = self.comm_next_hop[c];
+        if let Some(h) = self.schedule.comm(cid).hops.get(hop) {
+            if !self.hop_started[c][hop] && self.ready_at(cid, hop).is_some() {
+                self.link_ready[h.link.index()] -= 1;
+            }
+        }
+        self.comm_cancelled[c] = true;
     }
 
     /// Tries to transmit one pending hop on `link`, at logical time `now`.
@@ -581,16 +629,40 @@ impl<'a> Replay<'a> {
     /// booked order and times exactly; under failures a stalled comm cannot
     /// dead-lock the link for other communication units (the head-of-line
     /// circular wait the global-order rule would create — see DESIGN.md).
+    ///
+    /// One pass over the live part of the booked order decides it: events
+    /// run in time order, so every ready hop's data arrived at or before
+    /// `now` and all candidates share one effective start. A candidate is
+    /// blocked exactly when an earlier pending hop is booked at or after
+    /// that start, and the pass stops once it has met every ready hop of
+    /// the link.
     fn try_start_link(&mut self, link: usize, now: Time) {
         if self.link_in_flight[link] {
             return;
         }
+        let order = self.schedule.link_order(ftbar_model::LinkId(link as u32));
         'grant: loop {
-            let order = self.schedule.link_order(ftbar_model::LinkId(link as u32));
-            // Collect the pending hops in booked order, lazily cancelling
-            // doomed ones (producer lost).
-            let mut pending: Vec<(CommId, usize)> = Vec::new();
-            for &(cid, hop) in order {
+            // Skip the prefix of hops already started or cancelled: both
+            // flags only ever turn on, so those hops never pend again.
+            let mut head = self.link_head[link];
+            while let Some(&(cid, hop)) = order.get(head) {
+                if !self.comm_cancelled[cid.index()] && !self.hop_started[cid.index()][hop] {
+                    break;
+                }
+                head += 1;
+            }
+            self.link_head[link] = head;
+            let start = self.link_busy_until[link].max(now);
+            // Earliest booked start, among the pending hops passed so far,
+            // that `start` does not clear: every later candidate waits for
+            // that reservation to expire.
+            let mut blocked_until: Option<Time> = None;
+            let mut wake: Option<Time> = None;
+            let mut unseen = self.link_ready[link];
+            for &(cid, hop) in &order[head..] {
+                if unseen == 0 {
+                    break;
+                }
                 if self.comm_cancelled[cid.index()] || self.hop_started[cid.index()][hop] {
                     continue;
                 }
@@ -598,86 +670,70 @@ impl<'a> Replay<'a> {
                     self.rstate[self.schedule.comm(cid).src.index()],
                     RState::Lost
                 ) {
-                    self.comm_cancelled[cid.index()] = true;
+                    // Doomed: the producer is lost.
+                    self.cancel(cid);
                     continue;
                 }
-                pending.push((cid, hop));
-            }
-            if pending.is_empty() {
-                return;
-            }
-            // Earliest future reservation boundary that could unblock a
-            // ready candidate, for scheduling a probe.
-            let mut wake: Option<Time> = None;
-            for (pos, &(cid, hop)) in pending.iter().enumerate() {
-                // Only the comm's current hop can transmit; earlier hops of
-                // a multi-hop route still travelling keep it not-ready.
-                if self.comm_next_hop[cid.index()] != hop {
-                    continue;
-                }
-                let comm = self.schedule.comm(cid);
-                let ready = if hop == 0 {
-                    match self.rstate[comm.src.index()] {
-                        RState::Done { end, .. } => end,
-                        _ => continue, // producer still pending/running
-                    }
-                } else {
-                    match self.hop_done[cid.index()][hop - 1] {
-                        Some(t) => t,
-                        None => continue, // previous hop still travelling
-                    }
-                };
-                let start = ready.max(self.link_busy_until[link]).max(now);
-                // Eligibility: every earlier-booked pending hop forfeited.
-                let mut blocked_until: Option<Time> = None;
-                for &(ecid, ehop) in &pending[..pos] {
-                    let bs = self.schedule.comm(ecid).hops[ehop].slot.start;
-                    if start <= bs {
-                        blocked_until = Some(blocked_until.map_or(bs, |w: Time| w.min(bs)));
+                let booked = self.schedule.comm(cid).hops[hop].slot.start;
+                if let Some(ready) = self.ready_at(cid, hop) {
+                    debug_assert!(ready <= now, "hop data arrives at an event");
+                    unseen -= 1;
+                    match blocked_until {
+                        // Blocked by a still-live reservation: wake just
+                        // after it. `blocked_until` only decreases along
+                        // the pass, so the last candidate's wake is the
+                        // earliest.
+                        Some(bs) => wake = Some(bs + Time::from_ticks(1)),
+                        None if self.grant(link, cid, hop, start) => return,
+                        // Cut by a failure: arbitrate again.
+                        None => continue 'grant,
                     }
                 }
-                if let Some(bs) = blocked_until {
-                    // Blocked by a still-live reservation: wake just after.
-                    let w = bs + Time::from_ticks(1);
-                    wake = Some(wake.map_or(w, |old: Time| old.min(w)));
-                    continue;
+                if start <= booked {
+                    blocked_until = Some(blocked_until.map_or(booked, |w: Time| w.min(booked)));
                 }
-                // Granted. Apply the fail-silent cuts.
-                let sender = comm.hops[hop].from;
-                let dur = comm.hops[hop].slot.duration();
-                let end = start + dur;
-                let cut = [
-                    self.scenario.fail_time(sender),
-                    self.scenario
-                        .link_fail_time(ftbar_model::LinkId(link as u32)),
-                ]
-                .into_iter()
-                .flatten()
-                .min();
-                match cut {
-                    Some(tf) if tf <= start => {
-                        // Already silent: nothing hits the wire.
-                        self.comm_cancelled[cid.index()] = true;
-                        continue 'grant;
-                    }
-                    Some(tf) if tf < end => {
-                        // Dies mid-send: receiver discards, link freed at tf.
-                        self.comm_cancelled[cid.index()] = true;
-                        self.link_busy_until[link] = tf;
-                        continue 'grant;
-                    }
-                    _ => {}
-                }
-                self.link_busy_until[link] = end;
-                self.link_in_flight[link] = true;
-                self.hop_started[cid.index()][hop] = true;
-                self.push(end, Event::HopEnd(cid, hop));
-                return;
             }
             if let Some(w) = wake {
                 self.push(w, Event::LinkProbe(link as u32));
             }
             return;
+        }
+    }
+
+    /// Grants hop `hop` of `cid` on `link` from `start`, applying the
+    /// fail-silent cuts. Returns `false` if a failure of the sender or the
+    /// link cancelled the comm instead.
+    fn grant(&mut self, link: usize, cid: CommId, hop: usize, start: Time) -> bool {
+        let h = &self.schedule.comm(cid).hops[hop];
+        let end = start + h.slot.duration();
+        let cut = [
+            self.scenario.fail_time(h.from),
+            self.scenario
+                .link_fail_time(ftbar_model::LinkId(link as u32)),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        match cut {
+            Some(tf) if tf <= start => {
+                // Already silent: nothing hits the wire.
+                self.cancel(cid);
+                false
+            }
+            Some(tf) if tf < end => {
+                // Dies mid-send: receiver discards, link freed at tf.
+                self.cancel(cid);
+                self.link_busy_until[link] = tf;
+                false
+            }
+            _ => {
+                self.link_busy_until[link] = end;
+                self.link_in_flight[link] = true;
+                self.hop_started[cid.index()][hop] = true;
+                self.link_ready[link] -= 1;
+                self.push(end, Event::HopEnd(cid, hop));
+                true
+            }
         }
     }
 

@@ -239,20 +239,6 @@ impl Schedule {
         self.makespan().max(comm_end)
     }
 
-    /// Comms consumed by a replica, grouped by dependency id, in comm order.
-    pub fn incoming_comms(&self, replica: ReplicaId) -> impl Iterator<Item = CommId> + '_ {
-        (0..self.comms.len() as u32)
-            .map(CommId)
-            .filter(move |&c| self.comm(c).dst == replica)
-    }
-
-    /// Comms produced by a replica.
-    pub fn outgoing_comms(&self, replica: ReplicaId) -> impl Iterator<Item = CommId> + '_ {
-        (0..self.comms.len() as u32)
-            .map(CommId)
-            .filter(move |&c| self.comm(c).src == replica)
-    }
-
     /// Total number of inter-processor data transfers (comm count).
     pub fn comm_count(&self) -> usize {
         self.comms.len()
@@ -262,6 +248,69 @@ impl Schedule {
     pub fn replica_count(&self) -> usize {
         self.replicas.len()
     }
+}
+
+/// Per-replica comm adjacency of a [`Schedule`]: the ids of the comms each
+/// replica consumes and produces, in comm order.
+///
+/// Built once in O(R + C) as two compressed sparse rows (an offset per
+/// replica into one flat id array per direction), so the replay, the
+/// validator and the executive answer each replica's adjacency in time
+/// proportional to its own comm count instead of scanning every comm. Kept
+/// outside [`Schedule`] so the schedule's serialized form is unchanged.
+#[derive(Debug, Clone)]
+pub struct CommIndex {
+    in_off: Vec<u32>,
+    in_ids: Vec<CommId>,
+    out_off: Vec<u32>,
+    out_ids: Vec<CommId>,
+}
+
+impl CommIndex {
+    /// Indexes every comm of `schedule` by consumer and producer replica.
+    pub fn new(schedule: &Schedule) -> Self {
+        let rows = schedule.replica_count();
+        let (in_off, in_ids) = csr(rows, &schedule.comms, |c| c.dst);
+        let (out_off, out_ids) = csr(rows, &schedule.comms, |c| c.src);
+        CommIndex {
+            in_off,
+            in_ids,
+            out_off,
+            out_ids,
+        }
+    }
+
+    /// Comms consumed by `replica`, in comm order.
+    pub fn incoming(&self, replica: ReplicaId) -> &[CommId] {
+        let r = replica.index();
+        &self.in_ids[self.in_off[r] as usize..self.in_off[r + 1] as usize]
+    }
+
+    /// Comms produced by `replica`, in comm order.
+    pub fn outgoing(&self, replica: ReplicaId) -> &[CommId] {
+        let r = replica.index();
+        &self.out_ids[self.out_off[r] as usize..self.out_off[r + 1] as usize]
+    }
+}
+
+/// Counting-sort CSR of comm ids keyed by one endpoint replica; ids stay in
+/// comm order within each row.
+fn csr(rows: usize, comms: &[Comm], key: impl Fn(&Comm) -> ReplicaId) -> (Vec<u32>, Vec<CommId>) {
+    let mut off = vec![0u32; rows + 1];
+    for c in comms {
+        off[key(c).index() + 1] += 1;
+    }
+    for r in 0..rows {
+        off[r + 1] += off[r];
+    }
+    let mut next = off.clone();
+    let mut ids = vec![CommId(0); comms.len()];
+    for (i, c) in comms.iter().enumerate() {
+        let slot = &mut next[key(c).index()];
+        ids[*slot as usize] = CommId(i as u32);
+        *slot += 1;
+    }
+    (off, ids)
 }
 
 #[cfg(test)]
@@ -274,6 +323,27 @@ mod tests {
         assert_eq!(CommId(2).to_string(), "comm2");
     }
 
-    // Behavioural tests for Schedule queries live in builder.rs and the
-    // integration tests, where real schedules are constructed.
+    #[test]
+    fn comm_index_rows_match_a_scan_of_every_comm() {
+        let p = ftbar_model::paper_example();
+        let s = crate::ftbar::schedule(&p).unwrap();
+        let index = CommIndex::new(&s);
+        let scan = |rid: ReplicaId, end: fn(&Comm) -> ReplicaId| -> Vec<CommId> {
+            (0..s.comm_count() as u32)
+                .map(CommId)
+                .filter(|&c| end(s.comm(c)) == rid)
+                .collect()
+        };
+        let mut total = 0;
+        for r in 0..s.replica_count() as u32 {
+            let rid = ReplicaId(r);
+            assert_eq!(index.incoming(rid), scan(rid, |c| c.dst));
+            assert_eq!(index.outgoing(rid), scan(rid, |c| c.src));
+            total += index.incoming(rid).len();
+        }
+        assert_eq!(total, s.comm_count());
+    }
+
+    // Other behavioural tests for Schedule queries live in builder.rs and
+    // the integration tests, where real schedules are constructed.
 }

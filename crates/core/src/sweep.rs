@@ -37,11 +37,7 @@
 //! matter how often plans are recomputed. See `DESIGN.md` §9.
 //!
 //! Only pairs that fail all three tiers are recomputed
-//! ([`ScheduleBuilder::probe_traced`]), optionally in parallel
-//! ([`SweepEngine::set_parallel`]): dirty pairs are partitioned into
-//! contiguous chunks over scoped worker threads (`probe` takes `&self`),
-//! and the results are applied serially in deterministic pair order, so
-//! schedules are bit-identical with and without parallelism.
+//! ([`ScheduleBuilder::probe_traced`]).
 //!
 //! On top of the cache, [`SweepEngine`] maintains per-candidate kept sets
 //! (the `Npf + 1` lowest-pressure processors, found by
@@ -61,9 +57,6 @@ use crate::error::ScheduleError;
 use crate::ftbar::CostFunction;
 use crate::orbit::OrbitIndex;
 use crate::pressure::Pressure;
-
-/// Spawning threads is only worth it when enough pairs must be recomputed.
-const PARALLEL_MIN_DIRTY: usize = 8;
 
 /// Sentinel lane mask for entries whose lanes do not fit the 64-bit image
 /// (architectures with more than 64 lanes): never skipped by the mask
@@ -473,8 +466,7 @@ impl ProbeCache {
     /// recorded events are already in `row_events[idx]`: derives the
     /// consulted lanes and their mask in place, preserves the previous
     /// point/generation for value-change detection, and stamps the row as
-    /// validated in the current sync span. Shared by the serial recompute
-    /// path and the parallel apply phase so the row layout has one owner.
+    /// validated in the current sync span.
     fn install_plan(&mut self, b: &ScheduleBuilder<'_>, idx: usize, stamp: u64, plan: PlanProbe) {
         self.stats.recomputes += 1;
         if !self.present[idx] && self.gens[idx] == 0 && self.points[idx].start_best == Time::MAX {
@@ -552,14 +544,6 @@ fn lane_version_of(b: &ScheduleBuilder<'_>, procs: usize, flat: u32) -> u64 {
     }
 }
 
-/// Outcome of re-evaluating one dirty pair's plan layer (parallel phase).
-enum PairOutcome {
-    /// The recorded events replayed: cached plan still exact.
-    Replayed,
-    /// Freshly recomputed.
-    Computed(Result<(PlanProbe, Vec<ProbeEvent>), ScheduleError>),
-}
-
 /// The incremental selection engine driving FTBAR's micro-steps À/Á.
 ///
 /// Maintains per-candidate kept sets and the urgency max-structure over a
@@ -574,10 +558,6 @@ enum PairOutcome {
 #[derive(Debug)]
 pub struct SweepEngine {
     cost: CostFunction,
-    parallel: bool,
-    /// `available_parallelism()` read once — it is a filesystem probe on
-    /// cgroup systems, far too slow for once-per-step calls.
-    max_workers: usize,
     k: usize,
     /// `S̄(o)` per operation (static).
     bottom: Vec<f64>,
@@ -606,8 +586,6 @@ pub struct SweepEngine {
     /// Maximum of `in_slack` over all operations — the architecture-wide
     /// slack that keeps the scan-order bound monotone.
     route_slack: Time,
-    /// Scratch: per-step dirty pairs `(op, proc, replayable)`.
-    dirty: Vec<(OpId, ProcId, bool)>,
     /// Scratch: per-candidate sigmas for kept-set rebuilds.
     sigmas: Vec<(ProcId, f64)>,
     /// The architecture's usable automorphisms (`None` on asymmetric
@@ -729,10 +707,6 @@ impl SweepEngine {
         };
         SweepEngine {
             cost,
-            parallel: false,
-            max_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             k: problem.replication(),
             bottom: alg.ops().map(|op| pressure.bottom_level(op)).collect(),
             sig: vec![0.0; allowed.len()],
@@ -743,18 +717,11 @@ impl SweepEngine {
             in_cand: vec![false; alg.op_count()],
             in_slack,
             route_slack,
-            dirty: Vec::new(),
             sigmas: Vec::new(),
             orbit,
             orbit_classes: Vec::new(),
             class_sigma: Vec::new(),
         }
-    }
-
-    /// Enables the deterministic parallel sweep (scoped worker threads for
-    /// the recompute phase). Off by default.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
     }
 
     /// True if `op`'s *plan layer* is provably current across all its
@@ -884,9 +851,6 @@ impl SweepEngine {
             }
             None => false,
         };
-        if self.parallel {
-            self.refresh_parallel(cache, b, tail, orbit_step)?;
-        }
         // Serial refresh + eval rebuild, with two pruning levels on top of
         // the dirty-set skip: plan-clean candidates bypass every pair-row
         // validation tier and only re-complete points whose processor lane
@@ -1020,156 +984,6 @@ impl SweepEngine {
         }
         let (_, op) = best.expect("candidate set is non-empty");
         Ok((op, &self.evals[op.index()].kept))
-    }
-
-    /// Re-validates and recomputes the dirty pairs of the candidate order
-    /// with scoped worker threads, applying results in deterministic pair
-    /// order.
-    fn refresh_parallel(
-        &mut self,
-        cache: &mut ProbeCache,
-        b: &ScheduleBuilder<'_>,
-        tail: Time,
-        orbit_step: bool,
-    ) -> Result<(), ScheduleError> {
-        if self.max_workers <= 1 {
-            // A single worker is the serial sweep with extra thread-spawn
-            // latency; let `select` do the work inline.
-            return Ok(());
-        }
-        // Tier-0/2 triage (cheap, serial, deterministic order), with the
-        // same plan-clean candidate skip as the serial pass (point
-        // completions are always serial — they are two binary searches).
-        // The serial pass's bound skip is mirrored here with a cheap lower
-        // bound on the step's best urgency (the stale urgency of plan-clean
-        // candidates, which in practice only rises as timelines fill).
-        // Candidates whose upper bound falls below it are almost certainly
-        // bound-skipped serially too; if the guess is ever wrong the serial
-        // pass simply recomputes those pairs inline — the triage is a
-        // warm-up, so results cannot change, only thread utilization.
-        cache.sync(b);
-        let (sync, changed) = (cache.sync_count, cache.changed_lanes);
-        self.dirty.clear();
-        let mut lb: Option<u64> = None;
-        for i in 0..self.order.len() {
-            let op = self.order[i];
-            if let Some(l) = lb {
-                if self.upper_bits(op, tail, self.route_slack) < l {
-                    break;
-                }
-                if self.upper_bits(op, tail, self.in_slack[op.index()]) < l {
-                    continue;
-                }
-            }
-            let stamp = cache.stamp(b, op);
-            if self.plan_clean(op, stamp, sync, changed) {
-                let bits = self.evals[op.index()].urgency_bits;
-                if lb.is_none_or(|l| bits > l) {
-                    lb = Some(bits);
-                }
-                continue;
-            }
-            self.class_sigma.clear();
-            for pi in self.allowed_off[op.index()]..self.allowed_off[op.index() + 1] {
-                let proc = self.allowed[pi as usize];
-                if orbit_step {
-                    // Mirror the serial pass's orbit replication: only the
-                    // first processor of each class is probed, so only it
-                    // needs warming.
-                    let cls = self.orbit_classes[proc.index()];
-                    if self.class_sigma.iter().any(|&(c, _)| c == cls) {
-                        continue;
-                    }
-                    self.class_sigma.push((cls, 0.0));
-                }
-                let idx = cache.idx(op, proc);
-                if cache.plan_version_valid(b, idx, stamp) {
-                    // Row provably current; nothing for the workers.
-                } else if cache.present[idx] && cache.stamps[idx] == stamp {
-                    self.dirty.push((op, proc, true));
-                } else {
-                    self.dirty.push((op, proc, false));
-                }
-            }
-        }
-        if self.dirty.len() < PARALLEL_MIN_DIRTY {
-            return Ok(()); // the serial pass in `select` will handle them
-        }
-        let workers = self
-            .max_workers
-            .min(self.dirty.len().div_ceil(PARALLEL_MIN_DIRTY));
-        let chunk_len = self.dirty.len().div_ceil(workers.max(1));
-        let row_events = &cache.row_events;
-        let procs = cache.procs;
-        let dirty = &self.dirty;
-        // Tier-3 + recompute, fanned out over contiguous chunks. Each pair
-        // is a pure function of the (immutable) builder, so the outcome is
-        // independent of the partition.
-        let outcomes: Vec<Vec<PairOutcome>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = dirty
-                .chunks(chunk_len.max(1))
-                .map(|chunk| {
-                    s.spawn(move || {
-                        let mut scratch = ProbeScratch::default();
-                        chunk
-                            .iter()
-                            .map(|&(op, proc, replayable)| {
-                                let idx = op.index() * procs + proc.index();
-                                if replayable
-                                    && row_events[idx].iter().rev().all(|ev| b.replay_probe(ev))
-                                {
-                                    return PairOutcome::Replayed;
-                                }
-                                let mut events = Vec::new();
-                                PairOutcome::Computed(
-                                    b.probe_plan(op, proc, &mut events, &mut scratch)
-                                        .map(|plan| (plan, events)),
-                                )
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Serial apply, in the same deterministic order the triage used.
-        // Only replay_hits / recomputes are counted here — `select`'s
-        // serial pass will count each pair's `probes` (and the now-valid
-        // rows as hits) exactly once, keeping the stats comparable with
-        // the serial engine's.
-        let mut it = self.dirty.iter();
-        let mut first_err = None;
-        for outcome in outcomes.into_iter().flatten() {
-            let &(op, proc, _) = it.next().expect("one outcome per dirty pair");
-            let idx = cache.idx(op, proc);
-            match outcome {
-                PairOutcome::Replayed => {
-                    let procs = cache.procs;
-                    for (flat, ver) in &mut cache.row_lanes[idx] {
-                        *ver = lane_version_of(b, procs, *flat);
-                    }
-                    cache.checked_syncs[idx] = cache.sync_count;
-                    cache.stats.replay_hits += 1;
-                }
-                PairOutcome::Computed(Ok((plan, events))) => {
-                    let stamp = cache.stamp(b, op);
-                    cache.present[idx] = false;
-                    let row = &mut cache.row_events[idx];
-                    row.clear();
-                    row.extend_from_slice(&events);
-                    cache.install_plan(b, idx, stamp, plan);
-                }
-                PairOutcome::Computed(Err(e)) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Full evaluated pressure list of `op`, ascending by

@@ -28,9 +28,9 @@ use core::fmt;
 
 use ftbar_model::{Problem, Time};
 
-use crate::analysis::analyze;
-use crate::replay::{replay, FailureScenario, ReplicaOutcome};
-use crate::schedule::Schedule;
+use crate::analysis::{analyze_from_nominal, AnalysisConfig};
+use crate::replay::{replay, FailureScenario, ReplayResult, ReplicaOutcome};
+use crate::schedule::{CommIndex, Schedule};
 
 /// A violated invariant, with a human-readable description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,8 +56,15 @@ pub fn validate(problem: &Problem, schedule: &Schedule) -> Vec<Violation> {
     check_comms(problem, schedule, &mut v);
     check_wiring(problem, schedule, &mut v);
     check_route_coverage(problem, schedule, &mut v);
-    check_nominal_replay(problem, schedule, &mut v);
-    check_masking(problem, schedule, &mut v);
+    // One fault-free replay serves both the equivalence check and the
+    // masking analysis.
+    let nominal = replay(
+        problem,
+        schedule,
+        &FailureScenario::none(problem.arch().proc_count()),
+    );
+    check_nominal_replay(problem, schedule, &nominal, &mut v);
+    check_masking(problem, schedule, &nominal, &mut v);
     v
 }
 
@@ -223,11 +230,14 @@ fn check_comms(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) {
 
 fn check_wiring(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) {
     let k = problem.replication();
+    let index = CommIndex::new(schedule);
     for (ri, rep) in schedule.replicas().iter().enumerate() {
         let rid = crate::schedule::ReplicaId(ri as u32);
         for (dep, pred) in problem.alg().sched_preds(rep.op) {
-            let incoming: Vec<_> = schedule
-                .incoming_comms(rid)
+            let incoming: Vec<_> = index
+                .incoming(rid)
+                .iter()
+                .copied()
                 .filter(|&c| schedule.comm(c).dep == dep)
                 .collect();
             if incoming.is_empty() {
@@ -268,14 +278,6 @@ fn check_wiring(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) 
     }
 }
 
-/// Static failure-disjointness check (`DESIGN.md`): for every failure
-/// pattern `F` of size ≤ `Npf`, every operation must keep one replica whose
-/// whole support survives `F` — its processor is alive, and each dependency
-/// is fed either by a surviving comm (source replica survives, no route
-/// processor in `F`) or, when no comms were booked for it, by a surviving
-/// local producer replica (the executive's source rule). Unlike the replay
-/// masking check this is purely structural, so a violation names the exact
-/// data-flow cut rather than a timed starvation.
 /// The static route-coverage data-flow result: per failure pattern, the
 /// survival of every replica's whole support chain.
 struct RouteCoverage {
@@ -388,6 +390,14 @@ fn route_coverage(problem: &Problem, schedule: &Schedule) -> Option<RouteCoverag
     Some(RouteCoverage { patterns, surv })
 }
 
+/// Static failure-disjointness check (`DESIGN.md`): for every failure
+/// pattern `F` of size ≤ `Npf`, every operation must keep one replica whose
+/// whole support survives `F` — its processor is alive, and each dependency
+/// is fed either by a surviving comm (source replica survives, no route
+/// processor in `F`) or, when no comms were booked for it, by a surviving
+/// local producer replica (the executive's source rule). Unlike the replay
+/// masking check this is purely structural, so a violation names the exact
+/// data-flow cut rather than a timed starvation.
 fn check_route_coverage(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) {
     let n = problem.arch().proc_count();
     let Some(RouteCoverage { patterns, surv }) = route_coverage(problem, schedule) else {
@@ -423,14 +433,14 @@ fn check_route_coverage(problem: &Problem, schedule: &Schedule, v: &mut Vec<Viol
     }
 }
 
-fn check_nominal_replay(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) {
-    let result = replay(
-        problem,
-        schedule,
-        &FailureScenario::none(problem.arch().proc_count()),
-    );
+fn check_nominal_replay(
+    problem: &Problem,
+    schedule: &Schedule,
+    nominal: &ReplayResult,
+    v: &mut Vec<Violation>,
+) {
     for (i, rep) in schedule.replicas().iter().enumerate() {
-        match result.outcomes()[i] {
+        match nominal.outcomes()[i] {
             ReplicaOutcome::Completed { start, end } => {
                 if start != rep.slot.start || end != rep.slot.end {
                     v.push(Violation {
@@ -452,8 +462,13 @@ fn check_nominal_replay(problem: &Problem, schedule: &Schedule, v: &mut Vec<Viol
     }
 }
 
-fn check_masking(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) {
-    let report = analyze(problem, schedule);
+fn check_masking(
+    problem: &Problem,
+    schedule: &Schedule,
+    nominal: &ReplayResult,
+    v: &mut Vec<Violation>,
+) {
+    let report = analyze_from_nominal(problem, schedule, &AnalysisConfig::default(), nominal);
     for s in &report.scenarios {
         if s.completion.is_none() {
             let names: Vec<_> = s

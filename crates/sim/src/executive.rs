@@ -32,7 +32,7 @@
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use ftbar_core::{CommId, FailureScenario, ReplicaId, Schedule};
+use ftbar_core::{CommId, CommIndex, FailureScenario, ReplicaId, Schedule};
 use ftbar_model::{OpId, Problem, ProcId, Time};
 use parking_lot::{Condvar, Mutex};
 
@@ -210,6 +210,11 @@ pub fn run(
             .collect(),
     );
     let delivered_count = Arc::new(Mutex::new(0usize));
+    let index = CommIndex::new(schedule);
+    let outbox = &Outbox {
+        index: &index,
+        slots: &slots,
+    };
 
     std::thread::scope(|scope| {
         // Link threads: transmit in the realized grant order. A comm the
@@ -256,7 +261,6 @@ pub fn run(
         // Compute threads.
         for proc in problem.arch().procs() {
             let rx = receivers[proc.index()].take().expect("one thread per proc");
-            let slots = Arc::clone(&slots);
             let outcome_cells = Arc::clone(&outcome_cells);
             scope.spawn(move || {
                 compute_thread(
@@ -265,7 +269,7 @@ pub fn run(
                     scenario,
                     proc,
                     rx,
-                    &slots,
+                    outbox,
                     &outcome_cells,
                 );
             });
@@ -280,12 +284,26 @@ pub fn run(
     })
 }
 
-/// Cancels every not-yet-published outgoing comm of the replicas in
-/// `order[from..]`.
-fn cancel_from(schedule: &Schedule, slots: &[CommSlot], order: &[ReplicaId], from: usize) {
-    for &rid in &order[from..] {
-        for c in schedule.outgoing_comms(rid) {
-            slots[c.index()].set(SlotState::Cancelled);
+/// Where a compute thread publishes results: each comm's source slot,
+/// reached through the comm adjacency of the producing replica.
+struct Outbox<'a> {
+    index: &'a CommIndex,
+    slots: &'a [CommSlot],
+}
+
+impl Outbox<'_> {
+    /// Sets the source slot of every outgoing comm of `rid`.
+    fn publish(&self, rid: ReplicaId, state: SlotState) {
+        for c in self.index.outgoing(rid) {
+            self.slots[c.index()].set(state);
+        }
+    }
+
+    /// Cancels every not-yet-published outgoing comm of the replicas in
+    /// `order[from..]`.
+    fn cancel_from(&self, order: &[ReplicaId], from: usize) {
+        for &rid in &order[from..] {
+            self.publish(rid, SlotState::Cancelled);
         }
     }
 }
@@ -296,7 +314,7 @@ fn compute_thread(
     scenario: &FailureScenario,
     proc: ProcId,
     rx: Receiver<Delivery>,
-    slots: &[CommSlot],
+    outbox: &Outbox<'_>,
     outcomes: &[Mutex<ExecOutcome>],
 ) {
     let order: Vec<ReplicaId> = schedule.proc_order(proc).to_vec();
@@ -312,7 +330,7 @@ fn compute_thread(
         // Wired inputs: group incoming comms by dependency.
         let mut by_dep: std::collections::BTreeMap<u32, Vec<CommId>> =
             std::collections::BTreeMap::new();
-        for c in schedule.incoming_comms(rid) {
+        for &c in outbox.index.incoming(rid) {
             by_dep.entry(schedule.comm(c).dep.0).or_default().push(c);
         }
         let mut ready = Time::ZERO;
@@ -358,7 +376,7 @@ fn compute_thread(
         if starved {
             // Blocking receive would hang forever; the harness marks this
             // replica (and the rest of the sequence) lost.
-            cancel_from(schedule, slots, &order, idx);
+            outbox.cancel_from(&order, idx);
             return;
         }
         // Local (unwired) dependencies.
@@ -369,7 +387,7 @@ fn compute_thread(
                     Some(&t) => ready = ready.max(t),
                     None => {
                         // Local producer lost => this proc already returned.
-                        cancel_from(schedule, slots, &order, idx);
+                        outbox.cancel_from(&order, idx);
                         return;
                     }
                 }
@@ -380,16 +398,14 @@ fn compute_thread(
         if let Some(tf) = fail {
             if end > tf {
                 // Fail-silent: this and all later replicas publish nothing.
-                cancel_from(schedule, slots, &order, idx);
+                outbox.cancel_from(&order, idx);
                 return;
             }
         }
         *outcomes[rid.index()].lock() = ExecOutcome::Completed { start, end };
         local_end.insert(rep.op, end);
         prev_end = end;
-        for c in schedule.outgoing_comms(rid) {
-            slots[c.index()].set(SlotState::Ready(end));
-        }
+        outbox.publish(rid, SlotState::Ready(end));
     }
 }
 

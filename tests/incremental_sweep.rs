@@ -1,9 +1,8 @@
 //! Bit-identity of the incremental pressure engine.
 //!
-//! The probe-cache-driven sweep (`ftbar_core::sweep`), its deterministic
-//! parallel variant, and HBP's bound-pruned pair search are pure
-//! optimizations: on every problem they must reproduce the retained naive
-//! reference sweeps **bit for bit**. These property tests pin that across
+//! The probe-cache-driven sweep (`ftbar_core::sweep`) and HBP's
+//! bound-pruned pair search are pure optimizations: on every problem they
+//! must reproduce the retained naive reference sweeps **bit for bit**. These property tests pin that across
 //! random problems on all supported topology families (shared scaffolding:
 //! `ftbar::workload::presets`), deterministic N = 200 instances pin it at
 //! the scale the large-N benches measure, a rollback-heavy stress seed
@@ -33,8 +32,8 @@ fn naive() -> FtbarConfig {
     }
 }
 
-/// FTBAR bit-identity on one problem: incremental (serial and parallel)
-/// equals the naive reference sweep.
+/// FTBAR bit-identity on one problem: the incremental sweep equals the
+/// naive reference sweep.
 fn assert_ftbar_engines_agree(problem: &Problem, context: &str) {
     let naive = ftbar_schedule_with(problem, &naive())
         .expect("schedules")
@@ -43,16 +42,6 @@ fn assert_ftbar_engines_agree(problem: &Problem, context: &str) {
         .expect("schedules")
         .schedule;
     assert_eq!(naive, inc, "incremental sweep diverged on {context}");
-    let parallel = ftbar_schedule_with(
-        problem,
-        &FtbarConfig {
-            parallel_cutoff: 0,
-            ..incremental()
-        },
-    )
-    .expect("schedules")
-    .schedule;
-    assert_eq!(naive, parallel, "parallel sweep diverged on {context}");
 }
 
 /// HBP bit-identity on one problem: the bound-pruned pair search equals
@@ -83,7 +72,7 @@ fn assert_hbp_engines_agree(problem: &Problem, context: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// FTBAR: incremental, incremental-parallel, and naive sweeps agree.
+    /// FTBAR: incremental and naive sweeps agree.
     #[test]
     fn ftbar_engines_are_bit_identical(
         topo_index in 0usize..4,
@@ -363,28 +352,6 @@ fn heterogeneous_exec_disables_orbit_pruning() {
         0,
         "heterogeneous exec table must disable HBP pair skips"
     );
-}
-
-/// The parallel sweep is folded into the size adaptivity: below the
-/// cutoff the serial sweep runs (the fan-out is a measured regression
-/// there), at or above it the scoped-thread fan-out takes over — and both
-/// sides stay bit-identical to the references regardless.
-#[test]
-fn parallel_sweep_flips_at_the_cutoff() {
-    let config = FtbarConfig::default();
-    assert!(!config.resolved_parallel(ftbar::core::PARALLEL_SWEEP_CUTOFF - 1));
-    assert!(config.resolved_parallel(ftbar::core::PARALLEL_SWEEP_CUTOFF));
-    // The escape hatches: 0 forces the fan-out on, MAX forces it off.
-    let on = FtbarConfig {
-        parallel_cutoff: 0,
-        ..FtbarConfig::default()
-    };
-    assert!(on.resolved_parallel(1));
-    let off = FtbarConfig {
-        parallel_cutoff: usize::MAX,
-        ..FtbarConfig::default()
-    };
-    assert!(!off.resolved_parallel(1_000_000));
 }
 
 /// The adaptive default resolves to naive below the cutoff and
