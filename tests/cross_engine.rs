@@ -104,8 +104,28 @@ mod golden {
     use ftbar::model::Problem;
     use ftbar::prelude::*;
     use ftbar::workload::presets::{problem_on, Topology};
+    use ftbar::workload::{arch, layered, timing, LayeredConfig, TimingConfig};
 
-    /// One pinned instance per supported topology family.
+    /// A layered problem on a fully connected `procs`-processor machine at
+    /// CCR 2 and `Npf = 1`.
+    fn full_problem(procs: usize, n_ops: usize, seed: u64) -> Problem {
+        let alg = layered(&LayeredConfig {
+            n_ops,
+            seed,
+            ..Default::default()
+        });
+        let config = TimingConfig {
+            ccr: 2.0,
+            npf: 1,
+            seed,
+            ..Default::default()
+        };
+        timing(alg, arch::fully_connected(procs), &config).expect("generated problems are valid")
+    }
+
+    /// One pinned instance per supported topology family, plus two
+    /// fully connected instances above the adaptive sweep cutoff, so the
+    /// incremental engine is pinned too.
     fn cases() -> Vec<(&'static str, Problem)> {
         vec![
             ("paper", paper_example()),
@@ -115,6 +135,8 @@ mod golden {
                 "hypercube3_seed13",
                 problem_on(Topology::Hypercube, 24, 1.5, 13),
             ),
+            ("full4_n200_seed14", full_problem(4, 200, 14)),
+            ("full6_n200_seed15", full_problem(6, 200, 15)),
         ]
     }
 
