@@ -48,7 +48,6 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("HBP-exhaustive", n), &problem, |b, p| {
             let cfg = HbpConfig {
                 pair_search: PairSearch::Exhaustive,
-                ..HbpConfig::default()
             };
             b.iter(|| ftbar_hbp::schedule_with(p, &cfg).expect("schedules"));
         });

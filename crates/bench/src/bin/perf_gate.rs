@@ -8,9 +8,9 @@
 //! daemon over a Unix socket, cold scheduling vs memoized cache hits),
 //! every `reschedule` point (single-edit delta repair vs a from-scratch
 //! re-run at the large-N scaling points), a `sweep_stats` section
-//! (per-size probe-cache, orbit-pruning, and cluster-granularity
-//! counters), an `allocations` section (steady-state allocation
-//! counts through a counting global allocator), and a `persistence`
+//! (per-size probe-cache and cluster-granularity counters), an
+//! `allocations` section (steady-state allocation counts through a
+//! counting global allocator), and a `persistence`
 //! section (snapshot encode/write and read/decode latency at several
 //! synthetic cache sizes, plus warm-restart request throughput against
 //! a restored cache) so the perf trajectory is tracked in-repo, not
@@ -111,9 +111,9 @@ fn count_allocs(f: impl FnOnce()) -> (u64, u64) {
 
 /// The scheduling-time problem sizes. 20/50/80 are the original small-N
 /// points; 200/500/1000 are the large-N scaling points this gate exists
-/// to keep honest; 2000/5000/10000 are the symmetry-pruning / clustering
-/// scale targets (the reference variants below [`EXPENSIVE_MAX_N`] would
-/// dominate the gate's wall clock there and are skipped).
+/// to keep honest; 2000/5000/10000 are the clustering scale targets (the
+/// reference variants below [`EXPENSIVE_MAX_N`] would dominate the gate's
+/// wall clock there and are skipped).
 const SIZES: [usize; 9] = [20, 50, 80, 200, 500, 1000, 2000, 5000, 10_000];
 
 /// Reference variants with super-linear sweeps (`FTBAR-naive`, both HBP
@@ -136,17 +136,15 @@ struct AllocPoint {
     peak_bytes: u64,
 }
 
-/// One `sweep_stats`-section row: the probe-cache / orbit-pruning
-/// counters of an incremental run plus the cluster count and expansion
-/// counters of a clustered run, per problem size.
+/// One `sweep_stats`-section row: the probe-cache counters of an
+/// incremental run plus the cluster count and expansion counters of a
+/// clustered run, per problem size.
 struct SweepStatsPoint {
     n_ops: usize,
     probes: u64,
-    orbit_hits: u64,
     skipped_ops: u64,
     clusters: u64,
     expansion_probes: u64,
-    expansion_orbit_hits: u64,
 }
 
 fn median_ns(samples: &mut [u128]) -> u128 {
@@ -245,11 +243,7 @@ fn ftbar_with(problem: &Problem, sweep: SweepStrategy) -> Schedule {
 }
 
 fn hbp_with(problem: &Problem, pair_search: PairSearch) -> Schedule {
-    let config = HbpConfig {
-        pair_search,
-        ..HbpConfig::default()
-    };
-    ftbar_hbp::schedule_with(problem, &config).expect("schedules")
+    ftbar_hbp::schedule_with(problem, &HbpConfig { pair_search }).expect("schedules")
 }
 
 /// Extracts the `(bench, variant, n_ops)` key and `median_ns` of every
@@ -433,7 +427,7 @@ fn main() {
             ));
             runs.push((
                 "HBP",
-                Box::new(|| Some(hbp_with(&problem, PairSearch::Adaptive))),
+                Box::new(|| Some(hbp_with(&problem, PairSearch::Pruned))),
             ));
             runs.push((
                 "HBP-exhaustive",
@@ -471,9 +465,9 @@ fn main() {
             });
         }
         // SweepStats diagnostics (committed as the `sweep_stats` section):
-        // one untimed incremental run surfaces the probe-cache and
-        // orbit-pruning counters, one clustered run the cluster count and
-        // the pinned expansion's counters.
+        // one untimed incremental run surfaces the probe-cache counters,
+        // one clustered run the cluster count and the pinned expansion's
+        // probes.
         let s = ftbar::sweep_stats_for(&problem);
         let clustered = ftbar::schedule_with(
             &problem,
@@ -486,22 +480,20 @@ fn main() {
         let cs = clustered.sweep_stats.expect("clustered records stats");
         if stats {
             println!(
-                "  cache n={n}: probes {} version-hits {} replay-hits {} recomputes {} skipped-ops {} orbit-hits {}",
-                s.probes, s.version_hits, s.replay_hits, s.recomputes, s.skipped_ops, s.orbit_hits
+                "  cache n={n}: probes {} version-hits {} replay-hits {} recomputes {} skipped-ops {}",
+                s.probes, s.version_hits, s.replay_hits, s.recomputes, s.skipped_ops
             );
             println!(
-                "  clustered n={n}: clusters {} expansion-probes {} expansion-orbit-hits {}",
-                cs.clusters, cs.probes, cs.orbit_hits
+                "  clustered n={n}: clusters {} expansion-probes {}",
+                cs.clusters, cs.probes
             );
         }
         sweep_points.push(SweepStatsPoint {
             n_ops: n,
             probes: s.probes,
-            orbit_hits: s.orbit_hits,
             skipped_ops: s.skipped_ops,
             clusters: cs.clusters,
             expansion_probes: cs.probes,
-            expansion_orbit_hits: cs.orbit_hits,
         });
 
         // Steady-state allocation profile of the incremental engine: one
@@ -970,18 +962,16 @@ fn main() {
         ));
     }
     // Diagnostics rows (no `median_ns`, so the `--check` point matcher
-    // ignores them): orbit-pruning effectiveness and cluster granularity.
+    // ignores them): probe-cache effectiveness and cluster granularity.
     json.push_str("  ],\n  \"sweep_stats\": [\n");
     for (i, s) in sweep_points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"bench\": \"sweep_stats\", \"n_ops\": {}, \"probes\": {}, \"orbit_hits\": {}, \"skipped_ops\": {}, \"clusters\": {}, \"expansion_probes\": {}, \"expansion_orbit_hits\": {}}}{}\n",
+            "    {{\"bench\": \"sweep_stats\", \"n_ops\": {}, \"probes\": {}, \"skipped_ops\": {}, \"clusters\": {}, \"expansion_probes\": {}}}{}\n",
             s.n_ops,
             s.probes,
-            s.orbit_hits,
             s.skipped_ops,
             s.clusters,
             s.expansion_probes,
-            s.expansion_orbit_hits,
             if i + 1 < sweep_points.len() { "," } else { "" }
         ));
     }

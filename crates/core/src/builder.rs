@@ -521,35 +521,6 @@ impl<'p> ScheduleBuilder<'p> {
         &self.replicas[id.index()]
     }
 
-    /// True if processors `a` and `b` currently host *identical* placement
-    /// sequences: the same slots occupied by the same operations, in the
-    /// same order (replica identities may differ). Timelines longer than
-    /// `max_len` are declared unequal without comparing — the orbit
-    /// pruning this feeds only loses an optimization then, never
-    /// correctness. The content digests prefilter in O(1); a match is
-    /// always confirmed element-wise, so hash collisions cannot lie.
-    pub fn proc_content_eq(&self, a: ProcId, b: ProcId, max_len: usize) -> bool {
-        let (ta, tb) = (&self.proc_tl[a.index()], &self.proc_tl[b.index()]);
-        ta.len() == tb.len()
-            && ta.len() <= max_len
-            && ta.digest() == tb.digest()
-            && ta.iter().zip(tb.iter()).all(|((sa, &ra), (sb, &rb))| {
-                sa == sb && self.replicas[ra.index()].op == self.replicas[rb.index()].op
-            })
-    }
-
-    /// True if links `a` and `b` currently carry identical busy patterns
-    /// (slot sequences; the occupying comms are irrelevant — probes only
-    /// see the slots). Same `max_len` cutoff and digest-prefilter
-    /// semantics as [`ScheduleBuilder::proc_content_eq`].
-    pub fn link_slots_eq(&self, a: LinkId, b: LinkId, max_len: usize) -> bool {
-        let (ta, tb) = (&self.link_tl[a.index()], &self.link_tl[b.index()]);
-        ta.len() == tb.len()
-            && ta.len() <= max_len
-            && ta.digest() == tb.digest()
-            && ta.iter().zip(tb.iter()).all(|((sa, _), (sb, _))| sa == sb)
-    }
-
     /// The monotone mutation counter of a lane's timeline (see
     /// [`Timeline::version`]): equal versions of the same lane imply
     /// identical bookings. Rollback churn bumps it conservatively.

@@ -249,14 +249,6 @@ impl<'p> EngineCx<'p> {
     pub fn sweep_parts(&mut self) -> (&ScheduleBuilder<'p>, Option<&mut ProbeCache>) {
         (&self.builder, self.cache.as_mut())
     }
-
-    /// Records `n` symmetry-pruned evaluations in the probe-cache stats
-    /// (no-op on an uncached engine). See [`ProbeCache::note_orbit_hits`].
-    pub fn note_orbit_hits(&mut self, n: u64) {
-        if let Some(cache) = &mut self.cache {
-            cache.note_orbit_hits(n);
-        }
-    }
 }
 
 /// The unified main loop. See the module docs.

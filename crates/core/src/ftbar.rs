@@ -50,7 +50,7 @@ pub enum CostFunction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepStrategy {
     /// Pick [`SweepStrategy::Naive`] below
-    /// [`FtbarConfig::adaptive_cutoff`] operations and
+    /// [`ADAPTIVE_SWEEP_CUTOFF`] operations and
     /// [`SweepStrategy::Incremental`] at or above it. The probe cache's
     /// bookkeeping only amortizes once enough pairs survive between steps;
     /// below the crossover the naive sweep's straight-line probes win, so
@@ -72,7 +72,8 @@ pub enum SweepStrategy {
     Clustered,
 }
 
-/// Default [`FtbarConfig::adaptive_cutoff`]: the measured
+/// Problem size (operation count) at which [`SweepStrategy::Adaptive`]
+/// switches from the naive to the incremental sweep: the measured
 /// incremental-vs-naive crossover on the committed `BENCH_scheduling.json`
 /// workloads (4 processors, CCR 5) sits between 50 and 80 operations.
 pub const ADAPTIVE_SWEEP_CUTOFF: usize = 64;
@@ -98,9 +99,6 @@ pub struct FtbarConfig {
     pub trace: bool,
     /// Pressure evaluation strategy (size-adaptive by default).
     pub sweep: SweepStrategy,
-    /// Problem size (operation count) at which [`SweepStrategy::Adaptive`]
-    /// switches from the naive to the incremental sweep.
-    pub adaptive_cutoff: usize,
     /// Maximum members per super-operation under
     /// [`SweepStrategy::Clustered`]; ignored by the exact strategies.
     pub cluster_size: usize,
@@ -113,7 +111,6 @@ impl Default for FtbarConfig {
             no_duplication: false,
             trace: false,
             sweep: SweepStrategy::default(),
-            adaptive_cutoff: ADAPTIVE_SWEEP_CUTOFF,
             cluster_size: DEFAULT_CLUSTER_SIZE,
         }
     }
@@ -122,13 +119,13 @@ impl Default for FtbarConfig {
 impl FtbarConfig {
     /// The concrete sweep strategy used for a problem of `n_ops`
     /// operations: [`SweepStrategy::Adaptive`] resolves by
-    /// [`FtbarConfig::adaptive_cutoff`], the explicit strategies to
+    /// [`ADAPTIVE_SWEEP_CUTOFF`], the explicit strategies to
     /// themselves. Never returns [`SweepStrategy::Adaptive`];
     /// [`SweepStrategy::Clustered`] only when explicitly requested.
     pub fn resolved_sweep(&self, n_ops: usize) -> SweepStrategy {
         match self.sweep {
             SweepStrategy::Adaptive => {
-                if n_ops >= self.adaptive_cutoff {
+                if n_ops >= ADAPTIVE_SWEEP_CUTOFF {
                     SweepStrategy::Incremental
                 } else {
                     SweepStrategy::Naive

@@ -49,7 +49,6 @@ mod error;
 pub mod export;
 pub mod ftbar;
 pub mod gantt;
-pub mod orbit;
 mod pressure;
 pub mod reliability;
 mod replay;

@@ -55,7 +55,6 @@ use ftbar_model::{OpId, Problem, ProcId, Time};
 use crate::builder::{Lane, PlanProbe, ProbeEvent, ProbePoint, ProbeScratch, ScheduleBuilder};
 use crate::error::ScheduleError;
 use crate::ftbar::CostFunction;
-use crate::orbit::OrbitIndex;
 use crate::pressure::Pressure;
 
 /// Sentinel lane mask for entries whose lanes do not fit the 64-bit image
@@ -98,9 +97,9 @@ pub struct SweepStats {
     /// candidate whose bound is below the running best cannot win the
     /// step); their evaluations were not even revalidated.
     pub bound_skips: u64,
-    /// σ values replicated from an orbit representative instead of being
-    /// probed (symmetry pruning; 0 unless the architecture has a
-    /// registered automorphism group).
+    /// Always 0. Orbit (symmetry) pruning was removed; the field remains
+    /// because the benchmark's trace reader (`perfbench/src/trace.rs`)
+    /// still reads it.
     pub orbit_hits: u64,
     /// Super-operation clusters built by the clustered strategy (0 for the
     /// exact strategies).
@@ -261,13 +260,6 @@ impl ProbeCache {
     /// Cache effectiveness counters.
     pub fn stats(&self) -> SweepStats {
         self.stats
-    }
-
-    /// Records `n` symmetry-pruned evaluations performed by a policy
-    /// outside the sweep engine (HBP's pair search); they surface through
-    /// [`SweepStats::orbit_hits`] like the sweep engine's own.
-    pub fn note_orbit_hits(&mut self, n: u64) {
-        self.stats.orbit_hits += n;
     }
 
     fn idx(&self, op: OpId, proc: ProcId) -> usize {
@@ -588,15 +580,6 @@ pub struct SweepEngine {
     route_slack: Time,
     /// Scratch: per-candidate sigmas for kept-set rebuilds.
     sigmas: Vec<(ProcId, f64)>,
-    /// The architecture's usable automorphisms (`None` on asymmetric
-    /// architectures — orbit pruning then never engages).
-    orbit: Option<OrbitIndex>,
-    /// Scratch: per-step orbit class of each processor (canonical minimum
-    /// member; see [`OrbitIndex::step_classes`]).
-    orbit_classes: Vec<u32>,
-    /// Scratch: `(class, σ)` pairs probed so far within one operation's
-    /// processor span — the replication source.
-    class_sigma: Vec<(u32, f64)>,
 }
 
 impl SweepEngine {
@@ -696,15 +679,6 @@ impl SweepEngine {
             })
             .collect();
         let route_slack = in_slack.iter().copied().fold(Time::ZERO, Time::max);
-        // Orbit pruning is exact — pruned and unpruned runs are
-        // bit-identical (DESIGN.md §12) — so a resumed engine skips
-        // automorphism detection outright: the short suffix it places
-        // rarely amortizes the enumeration.
-        let orbit = if pending.is_some() {
-            None
-        } else {
-            OrbitIndex::new(problem)
-        };
         SweepEngine {
             cost,
             k: problem.replication(),
@@ -718,9 +692,6 @@ impl SweepEngine {
             in_slack,
             route_slack,
             sigmas: Vec::new(),
-            orbit,
-            orbit_classes: Vec::new(),
-            class_sigma: Vec::new(),
         }
     }
 
@@ -837,20 +808,6 @@ impl SweepEngine {
             }
         }
         let tail = b.max_lane_end();
-        // Orbit classification for this step: processors related by an
-        // architecture automorphism that maps the *current* timelines onto
-        // themselves share σ values for every candidate, so one probe per
-        // class suffices (see `crate::orbit`). The check runs against the
-        // live state each step — a replicated σ can never be stale.
-        let orbit_step = match &self.orbit {
-            Some(orbit) => {
-                let mut classes = std::mem::take(&mut self.orbit_classes);
-                let nontrivial = orbit.step_classes(b, &mut classes);
-                self.orbit_classes = classes;
-                nontrivial
-            }
-            None => false,
-        };
         // Serial refresh + eval rebuild, with two pruning levels on top of
         // the dirty-set skip: plan-clean candidates bypass every pair-row
         // validation tier and only re-complete points whose processor lane
@@ -889,13 +846,6 @@ impl SweepEngine {
                     let pi = pi as usize;
                     let proc = self.allowed[pi];
                     let idx = cache.idx(op, proc);
-                    // Absent rows (orbit-replicated pairs) are skipped:
-                    // plan-clean with an all-ones mask only ever passes in
-                    // a fully quiescent span, where every σ — including
-                    // replicated ones — is still exact as stored.
-                    if !cache.present[idx] {
-                        continue;
-                    }
                     if let PlanProbe::Ready { .. } = cache.plans[idx] {
                         if cache.proc_vers[idx] != b.lane_version(Lane::Proc(proc)) {
                             let (point, _) = cache.complete_point(b, idx, proc);
@@ -915,43 +865,12 @@ impl SweepEngine {
                 let prev_valid = self.evals[op.index()].valid;
                 let mut moved = !prev_valid;
                 let mut plan_mask = 0u64;
-                let mut replicated = false;
-                self.class_sigma.clear();
                 for pi in self.allowed_off[op.index()]..self.allowed_off[op.index() + 1] {
                     let pi = pi as usize;
                     let proc = self.allowed[pi];
-                    let cls = if orbit_step {
-                        self.orbit_classes[proc.index()]
-                    } else {
-                        u32::MAX
-                    };
-                    let hit = self
-                        .class_sigma
-                        .iter()
-                        .find(|&&(c, _)| orbit_step && c == cls)
-                        .map(|&(_, s)| s);
-                    let sigma = match hit {
-                        Some(sigma) => {
-                            // Orbit hit: this processor's σ equals the
-                            // class representative's, probed above. The
-                            // untouched cache row is marked absent so no
-                            // later shortcut can consult its stale plan.
-                            cache.stats.orbit_hits += 1;
-                            let idx = cache.idx(op, proc);
-                            cache.present[idx] = false;
-                            replicated = true;
-                            sigma
-                        }
-                        None => {
-                            let (point, _) = cache.probe_entry(b, op, proc, stamp)?;
-                            plan_mask |= cache.lanes_masks[cache.idx(op, proc)];
-                            let sigma = self.sigma_of(op, point);
-                            if orbit_step {
-                                self.class_sigma.push((cls, sigma));
-                            }
-                            sigma
-                        }
-                    };
+                    let (point, _) = cache.probe_entry(b, op, proc, stamp)?;
+                    plan_mask |= cache.lanes_masks[cache.idx(op, proc)];
+                    let sigma = self.sigma_of(op, point);
                     if sigma != self.sig[pi] {
                         self.sig[pi] = sigma;
                         moved = true;
@@ -964,11 +883,7 @@ impl SweepEngine {
                 let eval = &mut self.evals[op.index()];
                 eval.stamp = stamp;
                 eval.eval_sync = sync;
-                // A replicated pair has no probed plan behind it: poison
-                // the mask so the next step takes the full recompute path
-                // (plan-clean would otherwise vouch for a plan layer this
-                // evaluation never built).
-                eval.plan_mask = if replicated { u64::MAX } else { plan_mask };
+                eval.plan_mask = plan_mask;
                 eval.valid = true;
             }
             // Micro-step Á: urgency = the kept-set maximum pressure

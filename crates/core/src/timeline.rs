@@ -98,19 +98,6 @@ struct DirEntry {
     max_gap: Time,
 }
 
-/// `splitmix64`-style bit mix for the content digest.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Order-independent digest contribution of one booked interval.
-fn slot_hash(slot: Slot) -> u64 {
-    mix(slot.start.ticks().wrapping_mul(0x2545_f491_4f6c_dd1d) ^ mix(slot.end.ticks()))
-}
-
 /// A resource timeline holding non-overlapping payloads sorted by start.
 ///
 /// # Versioning
@@ -150,12 +137,6 @@ fn slot_hash(slot: Slot) -> u64 {
 /// `len / CHUNK_MAX` entries (see `DESIGN.md` §11). Probes still scan true
 /// free intervals only: per-chunk gap lists in order, plus the O(1)
 /// chunk-boundary gaps the lists deliberately omit.
-///
-/// The store also maintains an order-independent *content digest* — a
-/// wrapping sum of per-slot interval hashes, added on insert and subtracted
-/// on remove — so two timelines with equal digests hold the same busy
-/// intervals with overwhelming probability. The symmetry-pruned sweep uses
-/// it as the per-processor load fingerprint.
 #[derive(Debug, Clone)]
 pub struct Timeline<P> {
     chunks: Vec<Chunk<P>>,
@@ -163,7 +144,6 @@ pub struct Timeline<P> {
     dir: Vec<DirEntry>,
     len: usize,
     version: u64,
-    digest: u64,
 }
 
 impl<P> Default for Timeline<P> {
@@ -173,7 +153,6 @@ impl<P> Default for Timeline<P> {
             dir: Vec::new(),
             len: 0,
             version: 0,
-            digest: 0,
         }
     }
 }
@@ -213,15 +192,6 @@ impl<P> Timeline<P> {
     /// reset. Equal versions of one timeline imply identical contents.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Order-independent content digest: equal busy intervals ⇒ equal
-    /// digests, and unequal contents collide with probability ≈ 2⁻⁶⁴.
-    /// Payloads do not contribute — two timelines with the same busy
-    /// intervals answer every probe identically, which is exactly the
-    /// equivalence symmetry pruning needs.
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 
     /// Earliest start `t ≥ ready` such that `[t, t + dur)` is free.
@@ -305,7 +275,6 @@ impl<P> Timeline<P> {
     fn insert_sorted(&mut self, slot: Slot, payload: P) {
         self.version += 1;
         self.len += 1;
-        self.digest = self.digest.wrapping_add(slot_hash(slot));
         if self.chunks.is_empty() {
             self.chunks.push(Chunk {
                 slots: vec![slot],
@@ -504,7 +473,6 @@ impl<P> Timeline<P> {
         } else {
             self.dir[ci] = self.chunks[ci].dir_entry();
         }
-        self.digest = self.digest.wrapping_sub(slot_hash(slot));
         slot
     }
 
@@ -570,8 +538,8 @@ impl<P> Timeline<P> {
     }
 
     /// Verifies the sorted non-overlap invariant, the chunk directory, the
-    /// per-chunk gap indexes, and the digest (used by the validator and
-    /// the property tests).
+    /// per-chunk gap indexes (used by the validator and the property
+    /// tests).
     pub fn check_invariants(&self) -> bool {
         for c in &self.chunks {
             if c.slots.is_empty() || c.slots.len() != c.payloads.len() || c.slots.len() >= CHUNK_MAX
@@ -606,14 +574,10 @@ impl<P> Timeline<P> {
             return false;
         }
         let slots: Vec<Slot> = self.iter().map(|(s, _)| s).collect();
-        let sorted = slots.windows(2).all(|w| {
+        slots.windows(2).all(|w| {
             let (a, b) = (&w[0], &w[1]);
             a.start <= b.start && !a.overlaps(b)
-        });
-        let digest = slots
-            .iter()
-            .fold(0u64, |a, &s| a.wrapping_add(slot_hash(s)));
-        sorted && digest == self.digest
+        })
     }
 }
 
@@ -714,13 +678,10 @@ mod tests {
         tl.insert_at(t(0.0), t(1.0), 1).unwrap();
         tl.insert_at(t(5.0), t(1.0), 2).unwrap();
         let before: Vec<_> = tl.iter().map(|(s, &p)| (s, p)).collect();
-        let digest_before = tl.digest();
         let slot = tl.insert_earliest(t(0.5), t(2.0), 3);
-        assert_ne!(tl.digest(), digest_before);
         assert_eq!(tl.remove(&3), Some(slot));
         let after: Vec<_> = tl.iter().map(|(s, &p)| (s, p)).collect();
         assert_eq!(before, after);
-        assert_eq!(tl.digest(), digest_before);
         assert_eq!(tl.remove(&9), None);
         assert!(tl.check_invariants());
     }

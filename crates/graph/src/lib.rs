@@ -15,9 +15,6 @@
 //! * routing: k vertex-disjoint paths via unit-capacity max-flow
 //!   ([`vertex_disjoint_paths`]), the substrate of fault-disjoint
 //!   communication routing;
-//! * symmetry: exhaustive automorphism enumeration for small undirected
-//!   multigraphs ([`automorphisms`]), the substrate of the scheduler's
-//!   orbit-pruned sweeps;
 //! * Graphviz export ([`dot::Dot`]).
 //!
 //! It is written from scratch (rather than pulling in `petgraph`) so that the
@@ -41,13 +38,10 @@
 #![warn(missing_docs)]
 
 mod algo;
-mod automorphism;
 mod digraph;
 pub mod dot;
 mod routes;
 mod topo;
-
-pub use automorphism::{automorphisms, AUTOMORPHISM_MAX_COUNT, AUTOMORPHISM_MAX_VERTICES};
 
 pub use algo::{
     ancestors, bottom_levels, critical_path, descendants, longest_path_lengths, node_levels,

@@ -47,74 +47,32 @@
 #![warn(missing_docs)]
 
 use ftbar_core::engine::{Engine, EngineConfig, EngineCx, EnginePools, PlacementPolicy};
-use ftbar_core::orbit::OrbitIndex;
-use ftbar_core::{PointFocus, Schedule, ScheduleError, SweepStats};
+use ftbar_core::{PointFocus, Schedule, ScheduleError};
 use ftbar_graph::node_levels;
 use ftbar_model::{OpId, Problem, ProcId, Time};
 
 /// How the processor pair for a task's two copies is searched.
 ///
-/// All variants produce bit-identical schedules (asserted by the
+/// Both variants produce bit-identical schedules (asserted by the
 /// cross-engine property tests); the exhaustive search is retained as the
 /// reference and for benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PairSearch {
-    /// Pick per problem size: [`PairSearch::Exhaustive`] below
-    /// [`HbpConfig::adaptive_cutoff`] operations, [`PairSearch::Pruned`]
-    /// at or above it. The pruned search has won at every size measured so
-    /// far (`BENCH_scheduling.json`), so the default cutoff is `0`; the
-    /// knob exists for symmetry with FTBAR's adaptive sweep and for hosts
-    /// where the crossover differs.
-    #[default]
-    Adaptive,
     /// Bound the ordered-pair search with cached single-copy probes and
-    /// stop once the bound exceeds the best pair found.
+    /// stop once the bound exceeds the best pair found. It wins at every
+    /// size measured (`BENCH_scheduling.json`).
+    #[default]
     Pruned,
     /// Evaluate every ordered processor pair unconditionally (the
     /// published algorithm verbatim), uncached.
     Exhaustive,
 }
 
-/// Default [`HbpConfig::adaptive_cutoff`]: the pruned search wins at every
-/// measured size, so adaptive resolves to pruned everywhere.
-pub const ADAPTIVE_PAIR_CUTOFF: usize = 0;
-
 /// Tunable knobs of the HBP scheduler.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HbpConfig {
-    /// Processor-pair search strategy (size-adaptive by default).
+    /// Processor-pair search strategy (pruned by default).
     pub pair_search: PairSearch,
-    /// Problem size (operation count) at which [`PairSearch::Adaptive`]
-    /// switches from the exhaustive to the pruned search.
-    pub adaptive_cutoff: usize,
-}
-
-impl Default for HbpConfig {
-    fn default() -> Self {
-        HbpConfig {
-            pair_search: PairSearch::default(),
-            adaptive_cutoff: ADAPTIVE_PAIR_CUTOFF,
-        }
-    }
-}
-
-impl HbpConfig {
-    /// The concrete pair search used for a problem of `n_ops` operations:
-    /// [`PairSearch::Adaptive`] resolves by
-    /// [`HbpConfig::adaptive_cutoff`], the explicit strategies to
-    /// themselves. Never returns [`PairSearch::Adaptive`].
-    pub fn resolved_pairs(&self, n_ops: usize) -> PairSearch {
-        match self.pair_search {
-            PairSearch::Adaptive => {
-                if n_ops >= self.adaptive_cutoff {
-                    PairSearch::Pruned
-                } else {
-                    PairSearch::Exhaustive
-                }
-            }
-            explicit => explicit,
-        }
-    }
 }
 
 /// Schedules `problem` with the HBP heuristic (pruned pair search).
@@ -152,46 +110,8 @@ pub fn schedule_with_pools(
     config: &HbpConfig,
     pools: EnginePools,
 ) -> Result<(Schedule, EnginePools), ScheduleError> {
-    let out = run(problem, config, pools)?;
-    Ok((out.schedule, out.pools))
-}
-
-/// Result of [`schedule_with_stats`]: the schedule plus the probe-cache
-/// counters (including symmetry-pruned pair trials as
-/// [`SweepStats::orbit_hits`]).
-#[derive(Debug, Clone)]
-pub struct HbpOutcome {
-    /// The fault-tolerant static schedule.
-    pub schedule: Schedule,
-    /// Probe-cache counters; `None` when the resolved pair search is
-    /// [`PairSearch::Exhaustive`] (the uncached reference).
-    pub sweep_stats: Option<SweepStats>,
-}
-
-/// As [`schedule_with`], additionally returning the probe-cache counters
-/// — diagnostics for the perf gate and the symmetry-pruning tests.
-///
-/// # Errors
-///
-/// See [`schedule`].
-pub fn schedule_with_stats(
-    problem: &Problem,
-    config: &HbpConfig,
-) -> Result<HbpOutcome, ScheduleError> {
-    let out = run(problem, config, EnginePools::default())?;
-    Ok(HbpOutcome {
-        schedule: out.schedule,
-        sweep_stats: out.sweep_stats,
-    })
-}
-
-fn run(
-    problem: &Problem,
-    config: &HbpConfig,
-    pools: EnginePools,
-) -> Result<ftbar_core::engine::EngineOutcome, ScheduleError> {
-    let exhaustive = config.resolved_pairs(problem.alg().op_count()) == PairSearch::Exhaustive;
-    let policy = HbpPolicy::new(problem, !exhaustive);
+    let exhaustive = config.pair_search == PairSearch::Exhaustive;
+    let policy = HbpPolicy::new(problem);
     let engine_config = EngineConfig {
         // The pruned pair search bounds with cached single-copy probes; the
         // exhaustive reference never probes ahead, so it runs uncached.
@@ -199,7 +119,8 @@ fn run(
         trace: false,
         retain: false,
     };
-    Engine::with_pools(problem, policy, engine_config, pools).run()
+    let out = Engine::with_pools(problem, policy, engine_config, pools).run()?;
+    Ok((out.schedule, out.pools))
 }
 
 /// HBP as an engine policy: static height/bottom-level order for
@@ -217,18 +138,10 @@ struct HbpPolicy {
     /// Scratch reused across operations (hot loop: no per-op allocations).
     allowed: Vec<ProcId>,
     pairs: Vec<(Time, ProcId, ProcId)>,
-    /// Architecture automorphisms for symmetry-pruned pair trials (pruned
-    /// search only; `None` when the architecture or the tables are
-    /// asymmetric, or under the exhaustive reference).
-    orbit: Option<OrbitIndex>,
-    n_procs: usize,
-    /// Scratch: live automorphism indices and the ordered-pair skip grid.
-    live: Vec<usize>,
-    skip: Vec<bool>,
 }
 
 impl HbpPolicy {
-    fn new(problem: &Problem, use_orbit: bool) -> Self {
+    fn new(problem: &Problem) -> Self {
         let alg = problem.alg();
 
         // Height = hop level in the intra-iteration DAG.
@@ -265,26 +178,6 @@ impl HbpPolicy {
             cursor: 0,
             allowed: Vec::new(),
             pairs: Vec::new(),
-            orbit: if use_orbit {
-                OrbitIndex::new(problem)
-            } else {
-                None
-            },
-            n_procs: problem.arch().proc_count(),
-            live: Vec::new(),
-            skip: Vec::new(),
-        }
-    }
-
-    /// Marks the images of the ordered pair `(p1, p2)` under every live
-    /// automorphism as skippable: their trial results are the φ-images of
-    /// this pair's, value-for-value.
-    fn mark_images(&mut self, p1: ProcId, p2: ProcId) {
-        let Some(orbit) = &self.orbit else { return };
-        let n = self.n_procs;
-        for &i in &self.live {
-            let m = orbit.perm_map(i);
-            self.skip[m[p1.index()].index() * n + m[p2.index()].index()] = true;
         }
     }
 }
@@ -346,22 +239,6 @@ impl PlacementPolicy for HbpPolicy {
         // attempt books both copies for real inside a `trial` and is
         // unwound through the engine's undo log — no per-pair deep clone.
         self.pairs.clear();
-        // Symmetry pruning (pruned search only): every trial is unwound,
-        // so all pairs are evaluated against the same state — one live-
-        // automorphism classification covers the whole loop. A pair that
-        // is the φ-image of an already-trialed pair has the exact same
-        // (later, earlier) finish times, and with equal bounds the sort
-        // below placed the pre-image first, so the image can never win the
-        // lexicographic tie-break — skipping its trial is exact.
-        if cx.cached() {
-            self.live.clear();
-            self.skip.clear();
-            self.skip.resize(self.n_procs * self.n_procs, false);
-            if let Some(orbit) = &self.orbit {
-                let (builder, _) = cx.sweep_parts();
-                orbit.live_perms(builder, &mut self.live);
-            }
-        }
         if cx.cached() {
             // Bound phase: one cached probe per processor, then pairs
             // ascending by bound (ties in `(p1, p2)` order, matching the
@@ -389,7 +266,6 @@ impl PlacementPolicy for HbpPolicy {
             }
         }
         let mut best: Option<(Time, Time, ProcId, ProcId)> = None;
-        let mut orbit_skips = 0u64;
         for i in 0..self.pairs.len() {
             let (bound, p1, p2) = self.pairs[i];
             if let Some((bl, _, _, _)) = &best {
@@ -398,17 +274,6 @@ impl PlacementPolicy for HbpPolicy {
                 if bound > *bl {
                     break;
                 }
-            }
-            if !self.live.is_empty() {
-                if self.skip[p1.index() * self.n_procs + p2.index()] {
-                    // Propagate this pair's images too: equality is
-                    // transitive, so compositions outside the enumerated
-                    // automorphism list stay covered.
-                    self.mark_images(p1, p2);
-                    orbit_skips += 1;
-                    continue;
-                }
-                self.mark_images(p1, p2);
             }
             let ends = cx.trial(|cx| {
                 let Ok(r1) = cx.builder_mut().place(op, p1) else {
@@ -432,7 +297,6 @@ impl PlacementPolicy for HbpPolicy {
                 best = Some((later, earlier, p1, p2));
             }
         }
-        cx.note_orbit_hits(orbit_skips);
         let (_, _, p1, p2) = best.ok_or(ScheduleError::NotEnoughProcessors { op, needed: k })?;
         cx.builder_mut().place(op, p1)?;
         cx.builder_mut().place(op, p2)?;
@@ -511,30 +375,10 @@ mod tests {
             &p,
             &HbpConfig {
                 pair_search: PairSearch::Exhaustive,
-                ..HbpConfig::default()
             },
         )
         .unwrap();
         assert_eq!(pruned, exhaustive);
-    }
-
-    #[test]
-    fn adaptive_pair_search_flips_at_the_cutoff() {
-        let config = HbpConfig {
-            pair_search: PairSearch::Adaptive,
-            adaptive_cutoff: 10,
-        };
-        assert_eq!(config.resolved_pairs(9), PairSearch::Exhaustive);
-        assert_eq!(config.resolved_pairs(10), PairSearch::Pruned);
-        // Explicit strategies resolve to themselves regardless of size.
-        let forced = HbpConfig {
-            pair_search: PairSearch::Exhaustive,
-            adaptive_cutoff: 0,
-        };
-        assert_eq!(forced.resolved_pairs(1_000), PairSearch::Exhaustive);
-        // The default cutoff keeps the pruned search everywhere (it wins
-        // at every measured size).
-        assert_eq!(HbpConfig::default().resolved_pairs(1), PairSearch::Pruned);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the route-aware masking work).
 
 use ftbar::core::sweep::ProbeCache;
-use ftbar::core::{FtbarConfig, ScheduleBuilder, SweepStrategy};
+use ftbar::core::{FtbarConfig, ScheduleBuilder, SweepStrategy, ADAPTIVE_SWEEP_CUTOFF};
 use ftbar::hbp;
 use ftbar::model::{Alg, Arch, CommTable, ExecTable, Problem, ProcId, Time};
 use ftbar::prelude::*;
@@ -51,7 +51,6 @@ fn assert_hbp_engines_agree(problem: &Problem, context: &str) {
         problem,
         &hbp::HbpConfig {
             pair_search: hbp::PairSearch::Exhaustive,
-            ..hbp::HbpConfig::default()
         },
     )
     .expect("schedules");
@@ -59,7 +58,6 @@ fn assert_hbp_engines_agree(problem: &Problem, context: &str) {
         problem,
         &hbp::HbpConfig {
             pair_search: hbp::PairSearch::Pruned,
-            ..hbp::HbpConfig::default()
         },
     )
     .expect("schedules");
@@ -263,46 +261,11 @@ fn cache_agrees_with_fresh_probes_during_a_ring_schedule() {
     }
 }
 
-/// Orbit pruning replicates σ values on every symmetric preset topology —
-/// and the bit-identity suites above prove the replication exact. This
-/// pins the *positive* side: the pruning actually fires (a regression to
-/// zero hits would silently lose the optimization).
+/// A symmetric architecture with *heterogeneous* execution times (no two
+/// processors run any operation equally fast): both schedulers still match
+/// their references.
 #[test]
-fn orbit_pruning_fires_on_every_symmetric_topology() {
-    for (i, topo) in Topology::ALL.into_iter().enumerate() {
-        let problem = problem_on(topo, 200, 2.0, 9_000 + i as u64);
-        let out = ftbar_schedule_with(&problem, &incremental()).expect("schedules");
-        let stats = out.sweep_stats.expect("incremental records stats");
-        assert!(
-            stats.orbit_hits > 0,
-            "no orbit hits on symmetric {} (stats {stats:?})",
-            topo.name()
-        );
-    }
-}
-
-/// HBP's pair search skips φ-image pairs on symmetric presets (the
-/// exhaustive-agreement suite above proves the skips exact).
-#[test]
-fn hbp_orbit_skips_fire_on_every_symmetric_topology() {
-    for (i, topo) in Topology::ALL.into_iter().enumerate() {
-        let problem = problem_on(topo, 200, 2.0, 9_000 + i as u64);
-        let out =
-            hbp::schedule_with_stats(&problem, &hbp::HbpConfig::default()).expect("schedules");
-        let stats = out.sweep_stats.expect("pruned search records stats");
-        assert!(
-            stats.orbit_hits > 0,
-            "no HBP orbit skips on symmetric {} (stats {stats:?})",
-            topo.name()
-        );
-    }
-}
-
-/// A symmetric architecture with *heterogeneous* execution times: every
-/// automorphism fails the static table filter, so orbit pruning must be
-/// disabled (zero hits) — and the schedule still matches the references.
-#[test]
-fn heterogeneous_exec_disables_orbit_pruning() {
+fn heterogeneous_exec_keeps_engines_bit_identical() {
     let mut b = Alg::builder("het");
     let prev: Vec<_> = (0..12).map(|i| b.comp(format!("T{i}"))).collect();
     for w in prev.windows(2) {
@@ -337,44 +300,29 @@ fn heterogeneous_exec_disables_orbit_pruning() {
     pb.npf(1);
     let problem = pb.build().unwrap();
 
-    let out = ftbar_schedule_with(&problem, &incremental()).expect("schedules");
-    let stats = out.sweep_stats.expect("incremental records stats");
-    assert_eq!(
-        stats.orbit_hits, 0,
-        "heterogeneous exec table must disable orbit pruning"
-    );
     assert_ftbar_engines_agree(&problem, "heterogeneous quad");
-
-    let hbp_out =
-        hbp::schedule_with_stats(&problem, &hbp::HbpConfig::default()).expect("schedules");
-    assert_eq!(
-        hbp_out.sweep_stats.expect("stats").orbit_hits,
-        0,
-        "heterogeneous exec table must disable HBP pair skips"
-    );
+    assert_hbp_engines_agree(&problem, "heterogeneous quad");
 }
 
-/// The adaptive default resolves to naive below the cutoff and
+/// The adaptive default resolves to naive below the cutoff (64 ops) and
 /// incremental at it, and both resolutions schedule identically anyway.
 #[test]
 fn adaptive_sweep_flips_at_the_cutoff() {
-    let config = FtbarConfig {
-        sweep: SweepStrategy::Adaptive,
-        adaptive_cutoff: 24,
-        ..FtbarConfig::default()
-    };
-    assert_eq!(config.resolved_sweep(23), SweepStrategy::Naive);
-    assert_eq!(config.resolved_sweep(24), SweepStrategy::Incremental);
+    let config = FtbarConfig::default();
+    assert_eq!(config.sweep, SweepStrategy::Adaptive);
+    assert_eq!(ADAPTIVE_SWEEP_CUTOFF, 64);
+    assert_eq!(config.resolved_sweep(63), SweepStrategy::Naive);
+    assert_eq!(config.resolved_sweep(64), SweepStrategy::Incremental);
 
     // At exactly the cutoff the adaptive run is the incremental run.
-    let problem = problem_on(Topology::Full, 24, 2.0, 77);
+    let problem = problem_on(Topology::Full, 64, 2.0, 77);
     let adaptive = ftbar_schedule_with(&problem, &config).expect("schedules");
     assert!(
         adaptive.sweep_stats.is_some(),
         "adaptive at the cutoff must run the cached sweep"
     );
     // One below, it is the naive run (no cache, no stats)...
-    let below = problem_on(Topology::Full, 23, 2.0, 77);
+    let below = problem_on(Topology::Full, 63, 2.0, 77);
     let naive_run = ftbar_schedule_with(&below, &config).expect("schedules");
     assert!(
         naive_run.sweep_stats.is_none(),
