@@ -19,7 +19,15 @@
 //!   nothing from `t` on (transfers cut mid-flight are discarded by the
 //!   receiver);
 //! * comms toward a failed processor still occupy their links (no failure
-//!   detection — the paper's runtime option 1).
+//!   detection — the paper's runtime option 1);
+//! * a cancelled comm releases the booked slots of all its remaining hops
+//!   at once, on every link of its route;
+//! * within one instant, every replica and hop end applies first, then the
+//!   failures, then link arbitration, so a grant sees every hop whose data
+//!   arrived at its instant.
+//!
+//! DESIGN.md §7 states every rule in full; `ftbar_sim::reference` is a
+//! naive second implementation of them, used as this replay's test oracle.
 //!
 //! In the **absence** of failures the replay reproduces the booked times
 //! exactly; the validator asserts this invariant.
@@ -272,8 +280,8 @@ struct Replay<'a> {
     /// Per replica: for each intra-iteration dependency of its op (in
     /// `sched_preds` order), earliest available arrival.
     dep_ready: Vec<Vec<Option<Time>>>,
-    /// Per replica, per dependency: whether comms were booked for it. The
-    /// executive reads exactly the statically wired sources: booked comms if
+    /// Per replica, per dependency: whether comms were booked for it. A
+    /// replica reads exactly the statically wired sources: booked comms if
     /// any, the local predecessor replica otherwise.
     dep_has_comms: Vec<Vec<bool>>,
     /// Per comm: next hop to transmit, or usize::MAX if cancelled.
@@ -299,6 +307,11 @@ struct Replay<'a> {
     /// not started, not cancelled), so arbitration can stop scanning the
     /// booked order once it has met them all.
     link_ready: Vec<usize>,
+
+    /// Links to arbitrate once the current instant's ends and failures are
+    /// all applied, each listed once (`link_dirty` marks membership).
+    dirty: Vec<usize>,
+    link_dirty: Vec<bool>,
 
     queue: std::collections::BinaryHeap<std::cmp::Reverse<(Time, u8, u64, EventKey)>>,
     seq: u64,
@@ -384,6 +397,8 @@ impl<'a> Replay<'a> {
             link_in_flight: vec![false; schedule.link_count()],
             link_head: vec![0; schedule.link_count()],
             link_ready: vec![0; schedule.link_count()],
+            dirty: Vec::new(),
+            link_dirty: vec![false; schedule.link_count()],
             queue: std::collections::BinaryHeap::new(),
             seq: 0,
             last_event: Time::ZERO,
@@ -406,18 +421,44 @@ impl<'a> Replay<'a> {
             self.try_start_proc(ProcId(p as u32));
         }
         for l in 0..self.schedule.link_count() {
-            self.try_start_link(l, Time::ZERO);
+            self.mark_link(l);
         }
-        while let Some(std::cmp::Reverse((t, _, _, key))) = self.queue.pop() {
+        loop {
+            // Same-instant tie order: replica and hop ends, then failures,
+            // then link arbitration — so a grant sees every hop that
+            // became ready at its instant, whatever order the heap pops
+            // same-instant ends in.
+            let instant_over = self
+                .queue
+                .peek()
+                .is_none_or(|std::cmp::Reverse((t, ..))| *t > self.last_event);
+            if instant_over && !self.dirty.is_empty() {
+                while let Some(l) = self.dirty.pop() {
+                    self.link_dirty[l] = false;
+                    self.try_start_link(l, self.last_event);
+                }
+                continue;
+            }
+            let Some(std::cmp::Reverse((t, _, _, key))) = self.queue.pop() else {
+                break;
+            };
             self.last_event = self.last_event.max(t);
             match key.decode() {
-                Event::ReplicaEnd(r) => self.on_replica_end(r, t),
+                Event::ReplicaEnd(r) => self.on_replica_end(r),
                 Event::HopEnd(c, h) => self.on_hop_end(c, h, t),
-                Event::ProcFail(p) => self.on_proc_fail(p, t),
+                Event::ProcFail(p) => self.on_proc_fail(p),
                 Event::LinkProbe(l) => self.try_start_link(l as usize, t),
             }
         }
         self.finish()
+    }
+
+    /// Queues `link` for arbitration at the end of the current instant.
+    fn mark_link(&mut self, link: usize) {
+        if !self.link_dirty[link] {
+            self.link_dirty[link] = true;
+            self.dirty.push(link);
+        }
     }
 
     /// Tries to start the next pending replica on `p`.
@@ -489,7 +530,7 @@ impl<'a> Replay<'a> {
         }
     }
 
-    fn on_replica_end(&mut self, rid: ReplicaId, now: Time) {
+    fn on_replica_end(&mut self, rid: ReplicaId) {
         let RState::Running { start, end } = self.rstate[rid.index()] else {
             return; // lost at a processor failure in the meantime
         };
@@ -505,7 +546,7 @@ impl<'a> Replay<'a> {
         self.try_start_proc(p);
         for i in 0..self.comms_of.outgoing(rid).len() {
             let c = self.comms_of.outgoing(rid)[i];
-            self.try_start_link(self.schedule.comm(c).hops[0].link.index(), now);
+            self.mark_link(self.schedule.comm(c).hops[0].link.index());
         }
     }
 
@@ -514,7 +555,7 @@ impl<'a> Replay<'a> {
             // Sender died mid-flight: receiver discards; free the link.
             let l = self.schedule.comm(cid).hops[hop].link.index();
             self.link_in_flight[l] = false;
-            self.try_start_link(l, t);
+            self.mark_link(l);
             return;
         }
         let comm = self.schedule.comm(cid);
@@ -538,12 +579,12 @@ impl<'a> Replay<'a> {
         } else {
             let next_l = comm.hops[hop + 1].link.index();
             self.link_ready[next_l] += 1;
-            self.try_start_link(next_l, t);
+            self.mark_link(next_l);
         }
-        self.try_start_link(l, t);
+        self.mark_link(l);
     }
 
-    fn on_proc_fail(&mut self, p: ProcId, now: Time) {
+    fn on_proc_fail(&mut self, p: ProcId) {
         self.proc_dead[p.index()] = true;
         // Kill everything not yet completed on p.
         let order: Vec<ReplicaId> = self.schedule.proc_order(p).to_vec();
@@ -559,7 +600,6 @@ impl<'a> Replay<'a> {
         }
         // Cancel comms sourced from the lost replicas, and comms currently
         // in flight whose sending processor is p.
-        let mut touched_links = std::collections::BTreeSet::new();
         for c in 0..self.schedule.comm_count() {
             let cid = CommId(c as u32);
             if self.comm_cancelled[c] {
@@ -576,12 +616,9 @@ impl<'a> Replay<'a> {
                 }
                 self.cancel(cid);
                 if let Some(h) = comm.hops.get(next) {
-                    touched_links.insert(h.link.index());
+                    self.mark_link(h.link.index());
                 }
             }
-        }
-        for l in touched_links {
-            self.try_start_link(l, now);
         }
     }
 
@@ -603,7 +640,8 @@ impl<'a> Replay<'a> {
     }
 
     /// Cancels `cid`, retiring its current hop from its link's ready count
-    /// if that hop was waiting for a grant.
+    /// if that hop was waiting for a grant, and probing the links of its
+    /// later hops.
     fn cancel(&mut self, cid: CommId) {
         let c = cid.index();
         if self.comm_cancelled[c] {
@@ -616,6 +654,12 @@ impl<'a> Replay<'a> {
             }
         }
         self.comm_cancelled[c] = true;
+        // The comm's later hops stop holding their booked slots now: their
+        // links arbitrate again at this instant (DESIGN.md §7).
+        let schedule = self.schedule;
+        for h in schedule.comm(cid).hops.iter().skip(hop + 1) {
+            self.mark_link(h.link.index());
+        }
     }
 
     /// Tries to transmit one pending hop on `link`, at logical time `now`.

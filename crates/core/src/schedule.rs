@@ -254,9 +254,9 @@ impl Schedule {
 /// replica consumes and produces, in comm order.
 ///
 /// Built once in O(R + C) as two compressed sparse rows (an offset per
-/// replica into one flat id array per direction), so the replay, the
-/// validator and the executive answer each replica's adjacency in time
-/// proportional to its own comm count instead of scanning every comm. Kept
+/// replica into one flat id array per direction), so the replay and the
+/// validator answer each replica's adjacency in time proportional to its
+/// own comm count instead of scanning every comm. Kept
 /// outside [`Schedule`] so the schedule's serialized form is unchanged.
 #[derive(Debug, Clone)]
 pub struct CommIndex {

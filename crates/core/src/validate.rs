@@ -395,7 +395,7 @@ fn route_coverage(problem: &Problem, schedule: &Schedule) -> Option<RouteCoverag
 /// whole support survives `F` — its processor is alive, and each dependency
 /// is fed either by a surviving comm (source replica survives, no route
 /// processor in `F`) or, when no comms were booked for it, by a surviving
-/// local producer replica (the executive's source rule). Unlike the replay
+/// local producer replica (the replay's source rule). Unlike the replay
 /// masking check this is purely structural, so a violation names the exact
 /// data-flow cut rather than a timed starvation.
 fn check_route_coverage(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) {

@@ -24,7 +24,7 @@
 //!   ([`ftbar_core::ftbar::schedule_with_pools`]), so per-job setup does
 //!   not re-grow the plan/undo/cache buffers.
 //!
-//! Work is distributed over the vendored crossbeam scoped threads by an
+//! Work is distributed over `std::thread::scope` threads by an
 //! atomic job cursor; ordering is restored by submission index, so the
 //! (nondeterministic) claim order never leaks into results.
 //!
@@ -53,8 +53,7 @@ pub mod server;
 pub mod signal;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crossbeam::channel::Sender;
+use std::sync::mpsc;
 
 use ftbar_core::engine::EnginePools;
 use ftbar_core::{ftbar, FtbarConfig, Schedule};
@@ -196,10 +195,10 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, T)>();
-    crossbeam::thread::scope(|s| {
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            let tx: Sender<(usize, T)> = tx.clone();
+            let tx = tx.clone();
             let cursor = &cursor;
             let work = &work;
             s.spawn(move || {
@@ -427,8 +426,9 @@ pub fn render_json(outcomes: &[JobOutcome]) -> String {
     out
 }
 
-/// A quoted, escaped JSON string (serde_json owns the escaping rules).
-fn json_string(s: &str) -> String {
+/// A quoted, escaped JSON string (serde_json owns the escaping rules),
+/// shared by every hand-rendered JSON writer of the crate.
+pub(crate) fn json_string(s: &str) -> String {
     serde_json::to_string(s).expect("strings serialize")
 }
 

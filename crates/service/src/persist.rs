@@ -50,7 +50,7 @@ use ftbar_core::edit::ProblemEdit;
 use serde::Value;
 
 use crate::proto::{parse_edit, render_edit, strategy_from_name};
-use crate::SchedulerKind;
+use crate::{json_string, SchedulerKind};
 
 /// File magic: first 8 bytes of every snapshot.
 pub const MAGIC: &[u8; 8] = b"FTBARSNP";
@@ -206,10 +206,6 @@ impl ArtifactSeed {
             edits,
         })
     }
-}
-
-fn json_string(s: &str) -> String {
-    serde_json::to_string(s).expect("strings serialize")
 }
 
 // ---------------------------------------------------------------------------

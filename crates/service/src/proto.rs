@@ -35,7 +35,7 @@ use ftbar_core::edit::ProblemEdit;
 use ftbar_core::ftbar::SweepStrategy;
 use serde::Value;
 
-use crate::{JobResult, SchedulerKind};
+use crate::{json_string, JobResult, SchedulerKind};
 
 /// Documented error codes: the complete failure vocabulary of the daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -525,10 +525,6 @@ fn push_id(out: &mut String, id: Option<&str>) {
     if let Some(id) = id {
         out.push_str(&format!("\"id\": {}, ", json_string(id)));
     }
-}
-
-fn json_string(s: &str) -> String {
-    serde_json::to_string(s).expect("strings serialize")
 }
 
 #[cfg(test)]

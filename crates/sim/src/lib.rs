@@ -1,18 +1,17 @@
-//! Fault-injection simulation and a threaded distributed executive for
-//! FTBAR schedules (the runtime side of the paper, §5).
+//! Fault-injection simulation for FTBAR schedules (the runtime side of
+//! the paper, §5), and a reference replay to check the timed replay with.
 //!
 //! * [`FaultPlan`] — fail-silent failures over absolute time, permanent or
 //!   intermittent;
 //! * [`simulate`] — multi-iteration discrete-event simulation with the two
 //!   failure-handling options of §5 ([`Detection::None`] /
 //!   [`Detection::Array`]);
-//! * [`executive`] — the schedule running on real OS threads with
-//!   channel-based send/receive and first-arrival-wins input selection,
-//!   cross-validated against the analytic replay;
 //! * [`scenario`] — the contingency engine: exhaustive N−k fault sweeps,
 //!   Monte Carlo campaigns, and the Goemans/Lynch/Saias-style
 //!   fault-tolerance certificate;
-//! * [`wire`] — the byte-level message encoding used by the executive.
+//! * [`reference`](mod@reference) — a naive single-threaded replay written
+//!   from the documented semantics alone, the test oracle for
+//!   [`ftbar_core::replay`].
 //!
 //! # Example
 //!
@@ -37,10 +36,9 @@
 #![warn(missing_docs)]
 
 mod des;
-pub mod executive;
 mod fault;
+pub mod reference;
 pub mod scenario;
-pub mod wire;
 
 pub use des::{simulate, Detection, IterationReport, SimConfig, SimReport};
 pub use fault::{FaultPlan, FaultWindow, LinkFaultWindow};

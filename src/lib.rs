@@ -4,8 +4,7 @@
 //! Distributed and Fault-Tolerant Static Schedules"* (A. Girault, H. Kalla,
 //! M. Sighireanu, Y. Sorel — DSN 2003), plus every substrate the paper
 //! relies on: problem models, a spec language, the HBP comparison baseline,
-//! workload generators, a fault-injection simulator and a threaded
-//! distributed executive.
+//! workload generators, a fault-injection simulator and a reference replay.
 //!
 //! This facade crate re-exports the workspace:
 //!
@@ -16,7 +15,7 @@
 //! | [`core`] | FTBAR, the non-FT baseline, schedules, replay, analysis, validation, Gantt |
 //! | [`hbp`] | the Height-Based Partitioning comparison scheduler |
 //! | [`workload`] | random layered DAGs (§6.1), classic families, architectures, timing |
-//! | [`sim`] | multi-iteration fault injection (§5) and the threaded executive |
+//! | [`sim`] | multi-iteration fault injection (§5), the contingency engine, and the reference replay |
 //! | [`service`] | deterministic batched scheduling of many independent problems |
 //!
 //! # Quick start

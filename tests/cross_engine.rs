@@ -1,29 +1,40 @@
-//! Cross-engine agreement: the three execution engines — analytic replay,
-//! multi-iteration DES, and the threaded executive — must tell the same
-//! story about the same schedule and scenario.
+//! Cross-engine agreement: the analytic replay, the naive reference replay
+//! and the multi-iteration DES must tell the same story about the same
+//! schedule and scenario.
 
-use ftbar::model::{ProcId, Time};
+use ftbar::model::{Arch, LinkId, ProcId, Time};
 use ftbar::prelude::*;
-use ftbar::sim::executive::{self, ExecOutcome};
+use ftbar::sim::reference;
 use ftbar::workload::presets::{problem_on, Topology};
+use ftbar::workload::{arch, layered, timing, LayeredConfig, TimingConfig};
 use proptest::prelude::*;
 
 fn make_problem(n_ops: usize, ccr: f64, seed: u64) -> Problem {
     problem_on(Topology::Full, n_ops, ccr, seed)
 }
 
-fn assert_executive_matches_replay(problem: &Problem, scen: &FailureScenario) {
-    let schedule = ftbar_schedule(problem).expect("schedules");
-    let exec = executive::run(problem, &schedule, scen).expect("single-hop");
-    let ana = replay(problem, &schedule, scen);
-    for i in 0..schedule.replica_count() {
-        let expected = match ana.outcomes()[i] {
-            ftbar::core::ReplicaOutcome::Completed { start, end } => {
-                ExecOutcome::Completed { start, end }
-            }
-            ftbar::core::ReplicaOutcome::Lost => ExecOutcome::Lost,
-        };
-        assert_eq!(exec.outcomes[i], expected, "replica {i}");
+/// A generated instance, as `ftbar gen` builds it.
+fn generated(machine: Arch, n_ops: usize, ccr: f64, npf: u32, seed: u64) -> Problem {
+    let alg = layered(&LayeredConfig {
+        n_ops,
+        seed,
+        ..Default::default()
+    });
+    let config = TimingConfig {
+        ccr,
+        npf,
+        seed,
+        ..Default::default()
+    };
+    timing(alg, machine, &config).expect("generated problems are valid")
+}
+
+/// Every replica outcome and every comm arrival of the reference replay
+/// equals the analytic replay's.
+fn assert_reference_matches_replay(problem: &Problem, schedule: &Schedule, scen: &FailureScenario) {
+    let ours = reference::run(problem, schedule, scen);
+    if let Some(d) = ours.disagreement(&replay(problem, schedule, scen)) {
+        panic!("{d} under {scen:?}");
     }
 }
 
@@ -31,7 +42,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn executive_equals_replay_on_random_problems(
+    fn reference_equals_replay_on_random_problems(
         n_ops in 3usize..18,
         ccr in 0.2f64..4.0,
         seed in 0u64..10_000,
@@ -39,12 +50,13 @@ proptest! {
         fail_at in 0u64..12_000,
     ) {
         let problem = make_problem(n_ops, ccr, seed);
+        let schedule = ftbar_schedule(&problem).expect("schedules");
         let scen = FailureScenario::single(
             4,
             ProcId(failing),
             Time::from_ticks(fail_at),
         );
-        assert_executive_matches_replay(&problem, &scen);
+        assert_reference_matches_replay(&problem, &schedule, &scen);
     }
 
     #[test]
@@ -67,9 +79,54 @@ proptest! {
 }
 
 #[test]
-fn nominal_executive_equals_replay_on_paper_example() {
+fn nominal_reference_equals_replay_on_paper_example() {
     let problem = paper_example();
-    assert_executive_matches_replay(&problem, &FailureScenario::none(3));
+    let schedule = ftbar_schedule(&problem).expect("schedules");
+    assert_reference_matches_replay(&problem, &schedule, &FailureScenario::none(3));
+}
+
+/// Store-and-forward machines, each at Npf 1 and 2: every single processor
+/// failure at 0 and mid-schedule, every link failure mid-schedule, and at
+/// Npf 2 every pair of processors failing at 0 and mid-schedule.
+#[test]
+fn reference_equals_replay_on_multi_hop_topologies() {
+    let machines = [
+        ("ring4", arch::ring(4)),
+        ("ring6", arch::ring(6)),
+        ("mesh3x2", arch::mesh(3, 2)),
+        ("hypercube3", arch::hypercube(3)),
+    ];
+    for (i, (name, machine)) in machines.into_iter().enumerate() {
+        for npf in [1, 2] {
+            let seed = 40 + 2 * i as u64 + u64::from(npf);
+            let problem = generated(machine.clone(), 30, 2.0, npf, seed);
+            let schedule = ftbar_schedule(&problem).expect("schedules");
+            assert!(
+                schedule.comms().iter().any(|c| c.hops.len() > 1),
+                "{name}: no multi-hop comm to check"
+            );
+            let procs = problem.arch().proc_count();
+            let mid = Time::from_ticks(schedule.makespan().ticks() / 2);
+            let mut scens = vec![FailureScenario::none(procs)];
+            for p in problem.arch().procs() {
+                scens.push(FailureScenario::single(procs, p, Time::ZERO));
+                scens.push(FailureScenario::single(procs, p, mid));
+            }
+            for l in 0..schedule.link_count() {
+                scens.push(FailureScenario::none(procs).with_link_failure(LinkId(l as u32), mid));
+            }
+            if npf == 2 {
+                for p in problem.arch().procs() {
+                    for q in problem.arch().procs().filter(|&q| q > p) {
+                        scens.push(FailureScenario::multi(procs, &[(p, Time::ZERO), (q, mid)]));
+                    }
+                }
+            }
+            for scen in &scens {
+                assert_reference_matches_replay(&problem, &schedule, scen);
+            }
+        }
+    }
 }
 
 #[test]
@@ -89,6 +146,42 @@ fn des_steady_state_is_periodic_without_failures() {
     let period = sim.iterations[1].start - sim.iterations[0].start;
     for w in sim.iterations.windows(2) {
         assert_eq!(w[1].start - w[0].start, period, "iterations drift");
+    }
+}
+
+/// Scenarios on which a seeded differential sweep caught the replay
+/// breaking a rule of DESIGN.md §7: a cancelled comm releases its later
+/// hops at once (rule 6); a grant sees every hop made ready at its instant
+/// (rule 7); a pending hop booked exactly at the arbitration instant still
+/// holds its slot (rule 3); a failed relay's comms are cancelled at the
+/// failure (rule 5).
+#[test]
+fn reference_equals_replay_on_pinned_sweep_cases() {
+    type Case = (Arch, usize, f64, u32, u64, &'static [(u32, u64)]);
+    let cases: [Case; 6] = [
+        (arch::ring(6), 9, 0.5, 1, 158, &[(3, 0)]),
+        (arch::fully_connected(5), 50, 1.5, 2, 187, &[(2, 0)]),
+        (arch::ring(6), 21, 1.5, 1, 34, &[(0, 7806), (1, 3903)]),
+        (
+            arch::fully_connected(5),
+            36,
+            4.5,
+            1,
+            125,
+            &[(0, 1994), (4, 3988)],
+        ),
+        (arch::ring(4), 26, 0.5, 2, 467, &[(0, 2786), (3, 5573)]),
+        (arch::ring(6), 49, 0.5, 1, 158, &[(2, 28742)]),
+    ];
+    for (machine, n_ops, ccr, npf, seed, failures) in cases {
+        let problem = generated(machine, n_ops, ccr, npf, seed);
+        let schedule = ftbar_schedule(&problem).expect("schedules");
+        let failures: Vec<(ProcId, Time)> = failures
+            .iter()
+            .map(|&(p, t)| (ProcId(p), Time::from_ticks(t)))
+            .collect();
+        let scen = FailureScenario::multi(problem.arch().proc_count(), &failures);
+        assert_reference_matches_replay(&problem, &schedule, &scen);
     }
 }
 
@@ -175,20 +268,5 @@ mod golden {
         for (name, problem) in cases() {
             check("hbp", name, &hbp_schedule(&problem).expect("schedules"));
         }
-    }
-}
-
-#[test]
-fn executive_rejects_multi_hop_topologies() {
-    // On a ring, some comms need two hops; the executive must refuse
-    // rather than silently misexecute.
-    let problem = problem_on(Topology::Ring, 10, 1.0, 3);
-    let schedule = ftbar_schedule(&problem).unwrap();
-    let has_multi_hop = schedule.comms().iter().any(|c| c.hops.len() > 1);
-    let result = executive::run(&problem, &schedule, &FailureScenario::none(4));
-    if has_multi_hop {
-        assert!(result.is_err());
-    } else {
-        assert!(result.is_ok());
     }
 }

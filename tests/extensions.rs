@@ -5,7 +5,7 @@ use ftbar::core::analysis::analyze_link_failures;
 use ftbar::core::reliability::{estimate, estimate_npf_bound, FailureRates};
 use ftbar::model::{LinkId, ProcId, Time};
 use ftbar::prelude::*;
-use ftbar::sim::executive::{self, ExecOutcome};
+use ftbar::sim::reference;
 use ftbar::workload::{arch, layered, timing, LayeredConfig, TimingConfig};
 use proptest::prelude::*;
 
@@ -81,7 +81,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn executive_matches_replay_under_link_failures(
+    fn reference_matches_replay_under_link_failures(
         n_ops in 3usize..16,
         ccr in 0.3f64..3.0,
         seed in 0u64..10_000,
@@ -92,17 +92,9 @@ proptest! {
         let schedule = ftbar_schedule(&problem).expect("schedules");
         let scen = FailureScenario::none(4)
             .with_link_failure(LinkId(link), Time::from_ticks(fail_at));
-        let exec = executive::run(&problem, &schedule, &scen).expect("single-hop");
-        let ana = replay(&problem, &schedule, &scen);
-        for i in 0..schedule.replica_count() {
-            let expected = match ana.outcomes()[i] {
-                ftbar::core::ReplicaOutcome::Completed { start, end } => {
-                    ExecOutcome::Completed { start, end }
-                }
-                ftbar::core::ReplicaOutcome::Lost => ExecOutcome::Lost,
-            };
-            prop_assert_eq!(exec.outcomes[i], expected, "replica {}", i);
-        }
+        let ours = reference::run(&problem, &schedule, &scen);
+        let d = ours.disagreement(&replay(&problem, &schedule, &scen));
+        prop_assert!(d.is_none(), "{}", d.unwrap_or_default());
     }
 
     #[test]

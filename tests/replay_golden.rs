@@ -1,6 +1,6 @@
 //! Replay goldens: the timed replay, the failure analysis built on it, the
-//! validator's violation list, the multi-iteration DES and the threaded
-//! executive must keep producing exactly the pinned bytes.
+//! validator's violation list, the multi-iteration DES and the reference
+//! replay must keep producing exactly the pinned bytes.
 //!
 //! Mid-schedule failures (the thorough analysis, and one explicit replay
 //! per instance) exercise the forfeit and cancel paths of link arbitration;
@@ -14,9 +14,10 @@
 use std::fmt::Write as _;
 
 use ftbar::core::analysis::{analyze_link_failures, analyze_with, AnalysisConfig};
+use ftbar::core::ReplicaOutcome;
 use ftbar::model::{Arch, ProcId};
 use ftbar::prelude::*;
-use ftbar::sim::executive::{self, ExecOutcome};
+use ftbar::sim::reference;
 use ftbar::workload::{arch, layered, timing, LayeredConfig, TimingConfig};
 
 /// A generated instance, as `ftbar gen` builds it.
@@ -136,7 +137,7 @@ fn non_ft_violations_match_pinned_text() {
 }
 
 #[test]
-fn des_and_executive_match_pinned_outcomes() {
+fn des_and_reference_match_pinned_outcomes() {
     // The DES on a multi-hop instance, one permanent mid-schedule failure,
     // over three iterations.
     let problem = generated(arch::ring(6), 80, 2.0, 1, 21);
@@ -153,21 +154,21 @@ fn des_and_executive_match_pinned_outcomes() {
         &(json(&simulate(&problem, &schedule, &plan, &config)) + "\n"),
     );
 
-    // The threaded executive needs point-to-point routes: a fully
-    // connected instance, one processor failing mid-schedule.
+    // The reference replay on a fully connected instance, one processor
+    // failing mid-schedule.
     let problem = generated(arch::fully_connected(4), 80, 2.0, 1, 25);
     let schedule = ftbar_schedule(&problem).expect("schedules");
     let at = Time::from_ticks(schedule.makespan().ticks() / 2);
     let scen = FailureScenario::single(4, ProcId(1), at);
-    let report = executive::run(&problem, &schedule, &scen).expect("single-hop");
+    let run = reference::run(&problem, &schedule, &scen);
     let mut out = String::new();
-    for (i, o) in report.outcomes.iter().enumerate() {
+    for (i, o) in run.outcomes.iter().enumerate() {
         match o {
-            ExecOutcome::Completed { start, end } => {
+            ReplicaOutcome::Completed { start, end } => {
                 writeln!(out, "rep{i} {} {}", start.ticks(), end.ticks()).unwrap()
             }
-            ExecOutcome::Lost => writeln!(out, "rep{i} lost").unwrap(),
+            ReplicaOutcome::Lost => writeln!(out, "rep{i} lost").unwrap(),
         }
     }
-    check("executive_full4", &out);
+    check("reference_full4", &out);
 }
