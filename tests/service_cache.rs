@@ -206,15 +206,22 @@ proptest! {
     }
 }
 
-/// Canonical keys pinned byte for byte: snapshots persist them, so a key
-/// format change would orphan every persisted entry. The files under
+/// Canonical keys and rendered JSON pinned byte for byte: snapshots
+/// persist the keys, so a key format change would orphan every persisted
+/// entry, and clients read the rendered bytes. The files under
 /// `tests/golden/canonical_key_*.txt` were generated from the
-/// `format!`-per-entry implementation. Regenerate deliberately with
+/// `format!`-per-entry key implementation, the `render_*.json` files from
+/// the `format!`-built JSON renderers. Regenerate deliberately with
 /// `UPDATE_GOLDEN=1 cargo test --test service_cache pinned` — never as a
 /// side effect of making a failing test pass.
 mod pinned_keys {
     use super::*;
+    use ftbar::core::ProblemEdit;
     use ftbar::model::paper_example;
+    use ftbar::service::persist::ArtifactSeed;
+    use ftbar::service::proto::{render_edit, render_error, render_ok, ErrorCode};
+    use ftbar::service::{render_json, run_batch, BatchConfig, JobInput, JobSpec};
+    use ftbar::sim::scenario;
 
     /// A problem as `ftbar gen --n N --seed S` builds it on `machine`.
     fn generated(machine: ftbar::model::Arch, n_ops: usize, seed: u64) -> Problem {
@@ -255,17 +262,21 @@ mod pinned_keys {
         rtc 40; npf 1;";
 
     fn check(name: &str, key: &str) {
+        check_file(&format!("canonical_key_{name}.txt"), key);
+    }
+
+    fn check_file(file: &str, bytes: &str) {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests")
             .join("golden")
-            .join(format!("canonical_key_{name}.txt"));
+            .join(file);
         if std::env::var_os("UPDATE_GOLDEN").is_some() {
-            std::fs::write(&path, key).unwrap();
+            std::fs::write(&path, bytes).unwrap();
             return;
         }
         let pinned = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-        assert!(key == pinned, "canonical key of `{name}` changed");
+        assert!(bytes == pinned, "pinned bytes of `{file}` changed");
     }
 
     #[test]
@@ -294,5 +305,243 @@ mod pinned_keys {
         for (name, problem, scheduler, strategy, include) in cases {
             check(name, &canonical_key(&problem, scheduler, strategy, include));
         }
+    }
+
+    /// The batch report with `--schedules`: both schedulers on the paper
+    /// example, plus a poisoned job whose name and message need escaping.
+    #[test]
+    fn batch_report_matches_pinned_bytes() {
+        let paper = |scheduler| JobSpec {
+            name: format!("paper-{}", SchedulerKind::name(scheduler)),
+            input: JobInput::Problem(Box::new(paper_example())),
+            scheduler,
+            npf: None,
+        };
+        let jobs = vec![
+            paper(SchedulerKind::Ftbar),
+            JobSpec {
+                name: "bad \"spec\"\\path".into(),
+                input: JobInput::Spec("algorithm a { op \"x }".into()),
+                scheduler: SchedulerKind::Ftbar,
+                npf: None,
+            },
+            paper(SchedulerKind::Hbp),
+        ];
+        let config = BatchConfig {
+            keep_schedules: true,
+            ..BatchConfig::default()
+        };
+        check_file(
+            "render_batch_paper.json",
+            &render_json(&run_batch(&jobs, &config)),
+        );
+    }
+
+    /// A degraded response with its schedule, one without schedule or
+    /// `Rtc` verdict, and error responses with and without an id that
+    /// needs escaping.
+    #[test]
+    fn responses_match_pinned_bytes() {
+        let jobs = [JobSpec {
+            name: "paper".into(),
+            input: JobInput::Problem(Box::new(paper_example())),
+            scheduler: SchedulerKind::Ftbar,
+            npf: None,
+        }];
+        let config = BatchConfig {
+            keep_schedules: true,
+            ..BatchConfig::default()
+        };
+        let result = run_batch(&jobs, &config).remove(0).result.unwrap();
+        let mut out = render_ok(Some("r\"1"), &result, true);
+        out.push('\n');
+        let without_rtc = ftbar::service::JobResult {
+            rtc_met: None,
+            schedule: None,
+            ..result.clone()
+        };
+        out.push_str(&render_ok(None, &without_rtc, false));
+        out.push('\n');
+        out.push_str(&render_error(
+            Some("e\\1"),
+            ErrorCode::BadEdit,
+            "bad edit: unknown op `Z`\n\"quoted\"",
+        ));
+        out.push('\n');
+        out.push_str(&render_error(None, ErrorCode::Overloaded, "queue full"));
+        out.push('\n');
+        check_file("render_responses.json", &out);
+    }
+
+    fn every_edit() -> Vec<ProblemEdit> {
+        vec![
+            ProblemEdit::TweakExec {
+                op: "A".into(),
+                proc: "P \"1\"".into(),
+                units: 2.5,
+            },
+            ProblemEdit::TweakComm {
+                src: "A".into(),
+                dst: "B".into(),
+                units: 0.125,
+            },
+            ProblemEdit::AllowProc {
+                op: "A".into(),
+                proc: "P1".into(),
+                units: 3.0,
+            },
+            ProblemEdit::ForbidProc {
+                op: "A".into(),
+                proc: "P1".into(),
+            },
+            ProblemEdit::ProcDown { proc: "P2".into() },
+            ProblemEdit::ProcUp {
+                proc: "P2".into(),
+                units: 1.5,
+            },
+            ProblemEdit::LinkDown {
+                link: "L\\0".into(),
+            },
+            ProblemEdit::LinkUp {
+                link: "L0".into(),
+                units: 7.0,
+            },
+            ProblemEdit::AddOp {
+                name: "N".into(),
+                units: 1.0,
+                preds: vec!["A".into(), "B".into()],
+                succs: vec![],
+                comm_units: 0.5,
+            },
+            ProblemEdit::RemoveOp { name: "A".into() },
+            ProblemEdit::SetNpf { npf: 2 },
+        ]
+    }
+
+    /// Every edit kind, and artifact seeds with and without an `npf`
+    /// override (the snapshot's seed records).
+    #[test]
+    fn edits_and_seeds_match_pinned_bytes() {
+        let edits = every_edit();
+        assert_eq!(edits.len(), 11, "one edit per kind");
+        let mut out: String = edits.iter().map(|e| render_edit(e) + "\n").collect();
+        let seeds = [
+            ArtifactSeed {
+                scheduler: SchedulerKind::Ftbar,
+                strategy: "adaptive".into(),
+                npf: Some(1),
+                include_schedule: true,
+                spec: spec::print_problem(&paper_example()),
+                edits: edits[..3].to_vec(),
+            },
+            ArtifactSeed {
+                scheduler: SchedulerKind::Hbp,
+                strategy: "naive".into(),
+                npf: None,
+                include_schedule: false,
+                spec: "algorithm \"q\" {}\n".into(),
+                edits: Vec::new(),
+            },
+        ];
+        for seed in &seeds {
+            out.push_str(&seed.render());
+            out.push('\n');
+        }
+        check_file("render_edits_and_seeds.json", &out);
+    }
+
+    /// The contingency report with the link and jitter sweeps on.
+    #[test]
+    fn scenario_report_matches_pinned_bytes() {
+        let problem = paper_example();
+        let schedule = ftbar::core::ftbar::schedule(&problem).unwrap();
+        let config = scenario::ScenarioConfig {
+            links: true,
+            jitter_samples: 3,
+            ..Default::default()
+        };
+        let report = scenario::run(&problem, &schedule, &config);
+        check_file(
+            "render_scenarios_paper.json",
+            &scenario::render_json(&report),
+        );
+    }
+
+    /// Replaces the digits after each `"key": ` with `_`: the wall-clock
+    /// fields of a status body.
+    fn mask(body: &str, keys: &[&str]) -> String {
+        let mut out = body.to_owned();
+        for key in keys {
+            let tag = format!("\"{key}\": ");
+            let mut from = 0;
+            while let Some(at) = out[from..].find(&tag) {
+                let start = from + at + tag.len();
+                let end = out[start..]
+                    .find(|c: char| !c.is_ascii_digit())
+                    .map_or(out.len(), |e| start + e);
+                if end > start {
+                    out.replace_range(start..end, "_");
+                }
+                from = start;
+            }
+        }
+        out
+    }
+
+    /// The `status`, `snapshot` and `shutdown` bodies of a daemon that
+    /// served a cold request, a hit, a repair and a bad frame, then of a
+    /// second daemon restored from its snapshot.
+    #[test]
+    fn daemon_bodies_match_pinned_bytes() {
+        let dir = std::env::temp_dir().join(format!("ftbar-pinned-status-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("state.snap");
+        let _ = std::fs::remove_file(&snap);
+        let config = ServerConfig {
+            workers: 1,
+            snapshot_path: Some(snap.clone()),
+            ..ServerConfig::default()
+        };
+        let masked = ["uptime_ms", "last_age_ms"];
+        let spec_json = serde_json::to_string(&spec::print_problem(&paper_example())).unwrap();
+        let schedule = format!("{{\"id\": \"a\", \"spec\": {spec_json}}}");
+        let resched = format!(
+            "{{\"op\": \"reschedule\", \"spec\": {spec_json}, \"edit\": \
+             {{\"kind\": \"tweak_exec\", \"op\": \"I\", \"proc\": \"P1\", \"units\": 4}}}}"
+        );
+        let mut out = String::new();
+
+        let state = ServerState::new(config.clone());
+        let workers = state.spawn_workers();
+        out.push_str(&mask(
+            state.handle_frame(r#"{"op": "status"}"#).response(),
+            &masked,
+        ));
+        out.push('\n');
+        for line in [schedule.as_str(), &schedule, &resched, "not json"] {
+            state.handle_frame(line);
+        }
+        out.push_str(state.handle_frame(r#"{"op": "snapshot"}"#).response());
+        out.push('\n');
+        out.push_str(&mask(
+            state.handle_frame(r#"{"op": "status"}"#).response(),
+            &masked,
+        ));
+        out.push('\n');
+        out.push_str(state.handle_frame(r#"{"op": "shutdown"}"#).response());
+        out.push('\n');
+        for w in workers {
+            w.join().expect("worker exits cleanly");
+        }
+
+        let restored = ServerState::new(config);
+        restored.restore_from_snapshot();
+        out.push_str(&mask(
+            restored.handle_frame(r#"{"op": "status"}"#).response(),
+            &masked,
+        ));
+        out.push('\n');
+        let _ = std::fs::remove_dir_all(&dir);
+        check_file("render_daemon_bodies.json", &out);
     }
 }
