@@ -43,6 +43,7 @@ use std::time::Instant;
 
 use ftbar_core::edit::ProblemEdit;
 use ftbar_core::engine::EnginePools;
+use ftbar_core::json::JsonObject;
 use ftbar_core::reschedule::ScheduleArtifacts;
 use ftbar_core::{ftbar, validate, FtbarConfig, Schedule, SweepStrategy};
 use ftbar_hbp::{HbpConfig, PairSearch};
@@ -911,93 +912,88 @@ fn main() {
         let _ = std::fs::remove_file(&snap);
     }
 
-    // Hand-rolled JSON: stable field order, no dependencies.
-    let mut json = String::from("{\n  \"schema\": 7,\n  \"unit\": \"ns\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n  \"points\": [\n"));
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"variant\": \"{}\", \"n_ops\": {}, \"median_ns\": {}}}{}\n",
-            p.bench,
-            p.variant,
-            p.n_ops,
-            p.median_ns,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"scenarios\": [\n");
-    for (i, s) in scenario_points.iter().enumerate() {
+    // Stable field order, one row per line (`point_keys` reads rows
+    // line by line).
+    let row = |bench: &str| {
+        let mut row = JsonObject::new();
+        row.str("bench", bench);
+        row
+    };
+    let points = points.iter().map(|p| {
+        row(p.bench)
+            .str("variant", p.variant)
+            .raw("n_ops", p.n_ops)
+            .raw("median_ns", p.median_ns)
+            .finish()
+    });
+    let scenarios = scenario_points.iter().map(|s| {
         let per_sec = s.scenarios as f64 * 1e9 / s.median_ns.max(1) as f64;
-        json.push_str(&format!(
-            "    {{\"bench\": \"scenarios_per_sec\", \"variant\": \"{}\", \"n_ops\": {}, \"median_ns\": {}, \"scenario_count\": {}, \"scenarios_per_sec\": {:.1}}}{}\n",
-            s.variant,
-            s.n_ops,
-            s.median_ns,
-            s.scenarios,
-            per_sec,
-            if i + 1 < scenario_points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"service_throughput\": [\n");
-    for (i, s) in service_points.iter().enumerate() {
+        row("scenarios_per_sec")
+            .str("variant", &s.variant)
+            .raw("n_ops", s.n_ops)
+            .raw("median_ns", s.median_ns)
+            .raw("scenario_count", s.scenarios)
+            .raw("scenarios_per_sec", format_args!("{per_sec:.1}"))
+            .finish()
+    });
+    let service = service_points.iter().map(|s| {
         let per_sec = s.requests as f64 * 1e9 / s.median_ns.max(1) as f64;
-        json.push_str(&format!(
-            "    {{\"bench\": \"service_throughput\", \"variant\": \"{}\", \"n_ops\": 9, \"median_ns\": {}, \"requests\": {}, \"req_per_sec\": {:.1}}}{}\n",
-            s.variant,
-            s.median_ns,
-            s.requests,
-            per_sec,
-            if i + 1 < service_points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"reschedule\": [\n");
-    for (i, r) in reschedule_points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"bench\": \"reschedule\", \"variant\": \"{}\", \"n_ops\": {}, \"median_ns\": {}, \"frontier\": {}, \"steps_total\": {}}}{}\n",
-            r.variant,
-            r.n_ops,
-            r.median_ns,
-            r.frontier,
-            r.steps_total,
-            if i + 1 < reschedule_points.len() { "," } else { "" }
-        ));
-    }
+        row("service_throughput")
+            .str("variant", &s.variant)
+            .raw("n_ops", 9)
+            .raw("median_ns", s.median_ns)
+            .raw("requests", s.requests)
+            .raw("req_per_sec", format_args!("{per_sec:.1}"))
+            .finish()
+    });
+    let reschedules = reschedule_points.iter().map(|r| {
+        row("reschedule")
+            .str("variant", r.variant)
+            .raw("n_ops", r.n_ops)
+            .raw("median_ns", r.median_ns)
+            .raw("frontier", r.frontier)
+            .raw("steps_total", r.steps_total)
+            .finish()
+    });
     // Diagnostics rows (no `median_ns`, so the `--check` point matcher
     // ignores them): probe-cache effectiveness and cluster granularity.
-    json.push_str("  ],\n  \"sweep_stats\": [\n");
-    for (i, s) in sweep_points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"bench\": \"sweep_stats\", \"n_ops\": {}, \"probes\": {}, \"skipped_ops\": {}, \"clusters\": {}, \"expansion_probes\": {}}}{}\n",
-            s.n_ops,
-            s.probes,
-            s.skipped_ops,
-            s.clusters,
-            s.expansion_probes,
-            if i + 1 < sweep_points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"allocations\": [\n");
-    for (i, a) in allocs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"bench\": \"allocations\", \"variant\": \"{}\", \"n_ops\": {}, \"alloc_count\": {}, \"peak_bytes\": {}}}{}\n",
-            a.variant,
-            a.n_ops,
-            a.alloc_count,
-            a.peak_bytes,
-            if i + 1 < allocs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"persistence\": [\n");
-    for (i, p) in persist_points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"bench\": \"persistence\", \"variant\": \"{}\", \"n_ops\": {}, \"median_ns\": {}, \"bytes\": {}}}{}\n",
-            p.variant,
-            p.n_ops,
-            p.median_ns,
-            p.bytes,
-            if i + 1 < persist_points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let sweeps = sweep_points.iter().map(|s| {
+        row("sweep_stats")
+            .raw("n_ops", s.n_ops)
+            .raw("probes", s.probes)
+            .raw("skipped_ops", s.skipped_ops)
+            .raw("clusters", s.clusters)
+            .raw("expansion_probes", s.expansion_probes)
+            .finish()
+    });
+    let allocations = allocs.iter().map(|a| {
+        row("allocations")
+            .str("variant", a.variant)
+            .raw("n_ops", a.n_ops)
+            .raw("alloc_count", a.alloc_count)
+            .raw("peak_bytes", a.peak_bytes)
+            .finish()
+    });
+    let persistence = persist_points.iter().map(|p| {
+        row("persistence")
+            .str("variant", &p.variant)
+            .raw("n_ops", p.n_ops)
+            .raw("median_ns", p.median_ns)
+            .raw("bytes", p.bytes)
+            .finish()
+    });
+    let json = JsonObject::multiline()
+        .raw("schema", 7)
+        .str("unit", "ns")
+        .raw("smoke", smoke)
+        .rows("points", points)
+        .rows("scenarios", scenarios)
+        .rows("service_throughput", service)
+        .rows("reschedule", reschedules)
+        .rows("sweep_stats", sweeps)
+        .rows("allocations", allocations)
+        .rows("persistence", persistence)
+        .finish();
     std::fs::write(&out, &json).expect("write BENCH_scheduling.json");
     println!("wrote {out}");
 

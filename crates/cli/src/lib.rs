@@ -281,15 +281,14 @@ fn parse_time(s: &str, what: &str) -> Result<Time, CliError> {
 
 /// Parses the shared `--strategy` flag value.
 fn parse_strategy(s: Option<&str>) -> Result<ftbar_core::SweepStrategy, CliError> {
-    match s {
-        None | Some("adaptive") => Ok(ftbar_core::SweepStrategy::Adaptive),
-        Some("incremental") => Ok(ftbar_core::SweepStrategy::Incremental),
-        Some("naive") => Ok(ftbar_core::SweepStrategy::Naive),
-        Some("clustered") => Ok(ftbar_core::SweepStrategy::Clustered),
-        Some(other) => Err(err(format!(
-            "invalid strategy: `{other}` (expected adaptive, incremental, naive, or clustered)"
-        ))),
-    }
+    let Some(name) = s else {
+        return Ok(ftbar_core::SweepStrategy::default());
+    };
+    ftbar_core::SweepStrategy::from_name(name).ok_or_else(|| {
+        err(format!(
+            "invalid strategy: `{name}` (expected adaptive, incremental, naive, or clustered)"
+        ))
+    })
 }
 
 fn cmd_schedule(rest: &[String]) -> Result<String, CliError> {

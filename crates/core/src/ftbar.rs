@@ -72,6 +72,32 @@ pub enum SweepStrategy {
     Clustered,
 }
 
+impl SweepStrategy {
+    /// Every strategy, in the order the CLI and the daemon list them.
+    pub const ALL: [SweepStrategy; 4] = [
+        SweepStrategy::Adaptive,
+        SweepStrategy::Incremental,
+        SweepStrategy::Naive,
+        SweepStrategy::Clustered,
+    ];
+
+    /// The stable lowercase name used by the CLI `--strategy` flag, the
+    /// daemon's `strategy` field, cache keys and snapshot seeds.
+    pub fn name(self) -> &'static str {
+        match self {
+            SweepStrategy::Adaptive => "adaptive",
+            SweepStrategy::Incremental => "incremental",
+            SweepStrategy::Naive => "naive",
+            SweepStrategy::Clustered => "clustered",
+        }
+    }
+
+    /// Inverse of [`SweepStrategy::name`]; `None` for an unknown name.
+    pub fn from_name(name: &str) -> Option<SweepStrategy> {
+        SweepStrategy::ALL.into_iter().find(|s| s.name() == name)
+    }
+}
+
 /// Problem size (operation count) at which [`SweepStrategy::Adaptive`]
 /// switches from the naive to the incremental sweep: the measured
 /// incremental-vs-naive crossover on the committed `BENCH_scheduling.json`
@@ -507,6 +533,15 @@ pub fn sweep_stats_for(problem: &Problem) -> crate::sweep::SweepStats {
 mod tests {
     use super::*;
     use ftbar_model::{paper_example, Time};
+
+    #[test]
+    fn strategy_names_are_inverse() {
+        for s in SweepStrategy::ALL {
+            assert_eq!(SweepStrategy::from_name(s.name()), Some(s));
+        }
+        assert_eq!(SweepStrategy::default().name(), "adaptive");
+        assert_eq!(SweepStrategy::from_name("turbo"), None);
+    }
 
     #[test]
     fn paper_example_meets_rtc() {

@@ -18,7 +18,8 @@
 //! * [`analysis`] — exhaustive verification that every failure pattern of
 //!   size ≤ `Npf` is masked, and worst-case completion vs. `Rtc`;
 //! * [`validate`] — structural + behavioural schedule validation;
-//! * [`gantt`] / [`export`] — ASCII Gantt charts, summaries, DOT.
+//! * [`gantt`] / [`export`] — ASCII Gantt charts, summaries, DOT;
+//! * [`json`] — the writer behind every hand-rendered JSON object.
 //!
 //! # Quick start
 //!
@@ -49,6 +50,7 @@ mod error;
 pub mod export;
 pub mod ftbar;
 pub mod gantt;
+pub mod json;
 mod pressure;
 pub mod reliability;
 mod replay;

@@ -39,8 +39,11 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::client::{request, Client, RequestOpts};
 use crate::persist;
 use crate::proto::ScheduleRequest;
-use crate::server::{direct_response, serve_with_state, Listener, ServerConfig, ServerState};
+use crate::server::{
+    direct_response, direct_with, serve_with_state, Listener, ServerConfig, ServerState,
+};
 use crate::SchedulerKind;
+use ftbar_core::json::JsonObject;
 
 /// The marker the harness plants in specs destined to panic a worker.
 pub const PANIC_MARKER: &str = "__chaos_panic__";
@@ -294,39 +297,19 @@ fn draw_request(rng: &mut StdRng, specs: &[String], salt: usize) -> ScheduleRequ
 }
 
 fn render_request_line(req: &ScheduleRequest) -> String {
-    let mut line = String::from("{");
+    let mut line = JsonObject::new();
     if let Some(id) = &req.id {
-        line.push_str(&format!(
-            "\"id\": {}, ",
-            serde_json::to_string(id).expect("strings serialize")
-        ));
+        line.str("id", id);
     }
-    line.push_str(&format!(
-        "\"spec\": {}, \"scheduler\": \"{}\"",
-        serde_json::to_string(&req.spec).expect("strings serialize"),
-        req.scheduler.name()
-    ));
+    line.str("spec", &req.spec)
+        .str("scheduler", req.scheduler.name());
     if let Some(npf) = req.npf {
-        line.push_str(&format!(", \"npf\": {npf}"));
+        line.raw("npf", npf);
     }
     if req.include_schedule {
-        line.push_str(", \"include_schedule\": true");
+        line.raw("include_schedule", true);
     }
-    line.push('}');
-    line
-}
-
-fn direct_with(req: &ScheduleRequest, config: &ServerConfig) -> String {
-    // `direct_response` uses the default config; the chaos daemon runs
-    // with a panic marker, which must not change uninjected responses —
-    // pin that by computing against the daemon's own config.
-    use crate::server::compute_response;
-    use ftbar_core::engine::EnginePools;
-    let (result, _pools) = compute_response(req, config, None, EnginePools::default());
-    match result {
-        Ok(computed) => crate::proto::with_id(req.id.as_deref(), &computed.body),
-        Err((code, message)) => crate::proto::render_error(req.id.as_deref(), code, &message),
-    }
+    line.finish()
 }
 
 fn check_normal(

@@ -52,11 +52,14 @@ pub mod proto;
 pub mod server;
 pub mod signal;
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use ftbar_core::engine::EnginePools;
-use ftbar_core::{ftbar, FtbarConfig, Schedule};
+use ftbar_core::json::JsonObject;
+use ftbar_core::reschedule::{schedule_retained, ScheduleArtifacts};
+use ftbar_core::{ftbar, FtbarConfig, Schedule, SweepStrategy};
 use ftbar_model::{spec, Problem};
 use ftbar_sim::scenario;
 
@@ -321,115 +324,154 @@ fn job_result(
         }
     }
     // Parse/validate inside the job: bad inputs poison only this slot.
-    let parsed;
-    let mut problem: &Problem = match &job.input {
-        JobInput::Spec(text) => match spec::parse_problem(text) {
-            Ok(p) => {
-                parsed = p;
-                &parsed
-            }
-            Err(e) => return (Err(format!("spec error: {e}")), pools),
-        },
-        JobInput::Problem(p) => p,
-        JobInput::Invalid(message) => return (Err(message.clone()), pools),
+    let problem = match &job.input {
+        JobInput::Spec(text) => parse_problem(text, job.npf).map(Cow::Owned),
+        JobInput::Problem(p) => override_npf(Cow::Borrowed(p), job.npf),
+        JobInput::Invalid(message) => Err(message.clone()),
     };
-    let overridden;
-    if let Some(npf) = job.npf {
-        match problem.with_npf(npf) {
-            Ok(p) => {
-                overridden = p;
-                problem = &overridden;
-            }
-            Err(e) => return (Err(format!("npf override: {e}")), pools),
+    let problem = match problem {
+        Ok(p) => p,
+        Err(e) => return (Err(e), pools),
+    };
+    let (scheduled, pools) = run_scheduler(
+        &problem,
+        job.scheduler,
+        SweepStrategy::default(),
+        false,
+        pools,
+    );
+    let result = scheduled.map(|(schedule, _)| {
+        JobResult::new(job.scheduler, &problem, schedule, config.keep_schedules)
+    });
+    (result, pools)
+}
+
+/// Applies an `npf` override to a job's problem.
+fn override_npf(problem: Cow<'_, Problem>, npf: Option<u32>) -> Result<Cow<'_, Problem>, String> {
+    match npf {
+        None => Ok(problem),
+        Some(npf) => problem
+            .with_npf(npf)
+            .map(Cow::Owned)
+            .map_err(|e| format!("npf override: {e}")),
+    }
+}
+
+/// Parses spec text and applies an `npf` override: the spec → [`Problem`]
+/// step of batch jobs, daemon `schedule` and `reschedule` requests, and
+/// snapshot seed replay. `Err` carries the message the job fails with.
+pub(crate) fn parse_problem(text: &str, npf: Option<u32>) -> Result<Problem, String> {
+    let problem = spec::parse_problem(text).map_err(|e| format!("spec error: {e}"))?;
+    override_npf(Cow::Owned(problem), npf).map(Cow::into_owned)
+}
+
+/// Runs `scheduler` on `problem` with the `sweep` strategy (FTBAR only),
+/// recycling `pools`: the one scheduler dispatch of batch jobs, daemon
+/// requests and snapshot seed replay. With `retain`, FTBAR also keeps its
+/// engine state for later repair ([`schedule_retained`], bit-identical to
+/// the pooled run) when the run had steps to keep; HBP never retains. A
+/// failed run restarts the arena; `Err` carries the message the job fails
+/// with.
+pub(crate) fn run_scheduler(
+    problem: &Problem,
+    scheduler: SchedulerKind,
+    sweep: SweepStrategy,
+    retain: bool,
+    pools: EnginePools,
+) -> (
+    Result<(Schedule, Option<ScheduleArtifacts>), String>,
+    EnginePools,
+) {
+    let config = FtbarConfig {
+        sweep,
+        ..FtbarConfig::default()
+    };
+    let run = match scheduler {
+        SchedulerKind::Ftbar if retain => {
+            schedule_retained(problem, &config).map(|(schedule, artifacts)| {
+                let keep = (artifacts.step_count() > 0).then_some(artifacts);
+                ((schedule, keep), pools)
+            })
+        }
+        SchedulerKind::Ftbar => ftbar::schedule_with_pools(problem, &config, pools)
+            .map(|(outcome, pools)| ((outcome.schedule, None), pools)),
+        SchedulerKind::Hbp => {
+            ftbar_hbp::schedule_with_pools(problem, &ftbar_hbp::HbpConfig::default(), pools)
+                .map(|(schedule, pools)| ((schedule, None), pools))
+        }
+    };
+    match run {
+        Ok((scheduled, pools)) => (Ok(scheduled), pools),
+        Err(e) => (Err(format!("schedule error: {e}")), EnginePools::default()),
+    }
+}
+
+impl JobResult {
+    /// The metrics of `schedule`, a schedule of `problem` by `scheduler`,
+    /// keeping the schedule itself when `keep_schedule` is set.
+    pub(crate) fn new(
+        scheduler: SchedulerKind,
+        problem: &Problem,
+        schedule: Schedule,
+        keep_schedule: bool,
+    ) -> JobResult {
+        JobResult {
+            scheduler,
+            npf: problem.npf(),
+            ops: problem.alg().op_count(),
+            procs: problem.arch().proc_count(),
+            makespan: schedule.makespan(),
+            completion: schedule.completion(),
+            replicas: schedule.replica_count(),
+            comms: schedule.comm_count(),
+            rtc_met: problem.rtc().map(|rtc| schedule.makespan() <= rtc),
+            schedule: keep_schedule.then_some(schedule),
         }
     }
-    let (schedule, pools) = match job.scheduler {
-        SchedulerKind::Ftbar => {
-            match ftbar::schedule_with_pools(problem, &FtbarConfig::default(), pools) {
-                Ok((outcome, pools)) => (outcome.schedule, pools),
-                // The failed engine's pools are gone; restart the arena.
-                Err(e) => return (Err(format!("schedule error: {e}")), EnginePools::default()),
-            }
+
+    /// Writes the result members shared by the batch report and the
+    /// daemon's `ok` response: `"status": "ok"`, the metrics, the
+    /// `degraded` flag when set, and the schedule when kept.
+    pub(crate) fn write_json(&self, out: &mut JsonObject, degraded: bool) {
+        out.str("status", "ok")
+            .str("scheduler", self.scheduler.name())
+            .raw("npf", self.npf)
+            .raw("ops", self.ops)
+            .raw("procs", self.procs)
+            .raw("makespan", format_args!("\"{}\"", self.makespan))
+            .raw("makespan_ticks", self.makespan.ticks())
+            .raw("completion_ticks", self.completion.ticks())
+            .raw("replicas", self.replicas)
+            .raw("comms", self.comms)
+            .opt("rtc_met", self.rtc_met);
+        if degraded {
+            out.raw("degraded", true);
         }
-        SchedulerKind::Hbp => {
-            match ftbar_hbp::schedule_with_pools(problem, &ftbar_hbp::HbpConfig::default(), pools) {
-                Ok(ok) => ok,
-                Err(e) => return (Err(format!("schedule error: {e}")), EnginePools::default()),
-            }
+        if let Some(schedule) = &self.schedule {
+            let json = serde_json::to_string(schedule).expect("schedules serialize");
+            out.raw("schedule", json);
         }
-    };
-    let result = JobResult {
-        scheduler: job.scheduler,
-        npf: problem.npf(),
-        ops: problem.alg().op_count(),
-        procs: problem.arch().proc_count(),
-        makespan: schedule.makespan(),
-        completion: schedule.completion(),
-        replicas: schedule.replica_count(),
-        comms: schedule.comm_count(),
-        rtc_met: problem.rtc().map(|rtc| schedule.makespan() <= rtc),
-        schedule: config.keep_schedules.then_some(schedule),
-    };
-    (Ok(result), pools)
+    }
 }
 
 /// Renders batch outcomes as deterministic JSON (stable field order, no
 /// timing data — byte-identical across runs and worker counts).
 pub fn render_json(outcomes: &[JobOutcome]) -> String {
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"jobs\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!(
-            "\"index\": {}, \"name\": {}",
-            o.index,
-            json_string(&o.name)
-        ));
+    let rows = outcomes.iter().map(|o| {
+        let mut row = JsonObject::new();
+        row.raw("index", o.index).str("name", &o.name);
         match &o.result {
-            Ok(r) => {
-                out.push_str(&format!(
-                    ", \"status\": \"ok\", \"scheduler\": \"{}\", \"npf\": {}, \"ops\": {}, \
-                     \"procs\": {}, \"makespan\": \"{}\", \"makespan_ticks\": {}, \
-                     \"completion_ticks\": {}, \"replicas\": {}, \"comms\": {}, \"rtc_met\": {}",
-                    r.scheduler.name(),
-                    r.npf,
-                    r.ops,
-                    r.procs,
-                    r.makespan,
-                    r.makespan.ticks(),
-                    r.completion.ticks(),
-                    r.replicas,
-                    r.comms,
-                    match r.rtc_met {
-                        Some(b) => b.to_string(),
-                        None => "null".to_owned(),
-                    },
-                ));
-                if let Some(schedule) = &r.schedule {
-                    let json = serde_json::to_string(schedule).expect("schedules serialize");
-                    out.push_str(&format!(", \"schedule\": {json}"));
-                }
-            }
+            Ok(r) => r.write_json(&mut row, false),
             Err(msg) => {
-                out.push_str(&format!(
-                    ", \"status\": \"error\", \"error\": {}",
-                    json_string(msg)
-                ));
+                row.str("status", "error").str("error", msg);
             }
         }
-        out.push('}');
-        if i + 1 < outcomes.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// A quoted, escaped JSON string (serde_json owns the escaping rules),
-/// shared by every hand-rendered JSON writer of the crate.
-pub(crate) fn json_string(s: &str) -> String {
-    serde_json::to_string(s).expect("strings serialize")
+        row.finish()
+    });
+    JsonObject::multiline()
+        .raw("schema", 1)
+        .rows("jobs", rows)
+        .finish()
 }
 
 #[cfg(test)]

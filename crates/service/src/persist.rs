@@ -47,10 +47,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ftbar_core::edit::ProblemEdit;
+use ftbar_core::json::JsonObject;
+use ftbar_core::SweepStrategy;
 use serde::Value;
 
-use crate::proto::{parse_edit, render_edit, strategy_from_name};
-use crate::{json_string, SchedulerKind};
+use crate::proto::{parse_edit, render_edit};
+use crate::SchedulerKind;
 
 /// File magic: first 8 bytes of every snapshot.
 pub const MAGIC: &[u8; 8] = b"FTBARSNP";
@@ -137,23 +139,14 @@ pub struct ArtifactSeed {
 impl ArtifactSeed {
     /// Renders the seed as one JSON object (the `KIND_SEED` payload).
     pub fn render(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"scheduler\": \"{}\", \"strategy\": {}, \"npf\": {}, \
-             \"include_schedule\": {}, \"spec\": {}, \"edits\": [",
-            self.scheduler.name(),
-            json_string(&self.strategy),
-            match self.npf {
-                Some(n) => n.to_string(),
-                None => "null".to_owned(),
-            },
-            self.include_schedule,
-            json_string(&self.spec),
-        ));
-        let edits: Vec<String> = self.edits.iter().map(render_edit).collect();
-        out.push_str(&edits.join(", "));
-        out.push_str("]}");
-        out
+        JsonObject::new()
+            .str("scheduler", self.scheduler.name())
+            .str("strategy", &self.strategy)
+            .opt("npf", self.npf)
+            .raw("include_schedule", self.include_schedule)
+            .str("spec", &self.spec)
+            .array("edits", self.edits.iter().map(render_edit))
+            .finish()
     }
 
     /// Parses a seed rendered by [`ArtifactSeed::render`]. `Err` carries
@@ -171,7 +164,7 @@ impl ArtifactSeed {
             .and_then(Value::as_str)
             .ok_or("`strategy` (string) is required")?
             .to_owned();
-        if strategy_from_name(&strategy).is_none() {
+        if SweepStrategy::from_name(&strategy).is_none() {
             return Err(format!("unknown strategy `{strategy}`"));
         }
         let npf = match v.get("npf") {

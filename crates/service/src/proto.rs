@@ -33,9 +33,10 @@
 
 use ftbar_core::edit::ProblemEdit;
 use ftbar_core::ftbar::SweepStrategy;
+use ftbar_core::json::JsonObject;
 use serde::Value;
 
-use crate::{json_string, JobResult, SchedulerKind};
+use crate::{JobResult, SchedulerKind};
 
 /// Documented error codes: the complete failure vocabulary of the daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +70,22 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    /// Every code, in declaration order (so `code as usize` indexes it),
+    /// which is also the order `status` reports their counters in.
+    pub const ALL: [ErrorCode; 11] = [
+        ErrorCode::BadRequest,
+        ErrorCode::TooLarge,
+        ErrorCode::SpecError,
+        ErrorCode::ScheduleError,
+        ErrorCode::Timeout,
+        ErrorCode::Overloaded,
+        ErrorCode::Poisoned,
+        ErrorCode::InternalPanic,
+        ErrorCode::ShuttingDown,
+        ErrorCode::BadEdit,
+        ErrorCode::SnapshotError,
+    ];
+
     /// The wire name of the code.
     pub fn name(self) -> &'static str {
         match self {
@@ -95,7 +112,11 @@ pub enum Request {
     /// Edit a previously scheduled problem and schedule the result,
     /// repairing the parent's retained schedule when possible.
     Reschedule(RescheduleRequest),
-    /// Report daemon health and counters.
+    /// Report daemon health and counters. The `requests` counters
+    /// reconcile: every frame except a successful `status`, `snapshot` or
+    /// `shutdown` reply lands in exactly one of `ok` and the error codes;
+    /// `degraded` counts a subset of `ok` and `shed` a subset of
+    /// `overloaded`.
     Status,
     /// Write a durable state snapshot now.
     Snapshot,
@@ -129,7 +150,7 @@ impl ScheduleRequest {
         format!(
             "{}|{}|{}|{}|{}",
             self.scheduler.name(),
-            strategy_name(self.strategy),
+            self.strategy.unwrap_or_default().name(),
             self.npf.map_or(-1i64, i64::from),
             u8::from(self.include_schedule),
             self.spec,
@@ -160,102 +181,45 @@ impl RescheduleRequest {
     }
 }
 
-/// The stable wire name of a strategy choice.
-pub fn strategy_name(s: Option<SweepStrategy>) -> &'static str {
-    match s {
-        None | Some(SweepStrategy::Adaptive) => "adaptive",
-        Some(SweepStrategy::Incremental) => "incremental",
-        Some(SweepStrategy::Naive) => "naive",
-        Some(SweepStrategy::Clustered) => "clustered",
-    }
-}
-
-/// Inverse of [`strategy_name`]: `None` for an unknown name. A restored
-/// snapshot written by a newer daemon may carry strategy names this build
-/// does not know; the caller drops such records instead of guessing.
-pub fn strategy_from_name(name: &str) -> Option<SweepStrategy> {
-    match name {
-        "adaptive" => Some(SweepStrategy::Adaptive),
-        "incremental" => Some(SweepStrategy::Incremental),
-        "naive" => Some(SweepStrategy::Naive),
-        "clustered" => Some(SweepStrategy::Clustered),
-        _ => None,
-    }
-}
-
 /// Renders an edit as the JSON object [`parse_edit`] reads back — the
 /// serialization used by snapshot artifact seeds. Round-trip exact:
 /// `parse_edit_json(&render_edit(e)) == Ok(e)` for every edit.
 pub fn render_edit(e: &ProblemEdit) -> String {
-    let f = |units: f64| {
+    let units = |units: f64| {
         serde_json::to_string(&Value::Number(serde::Number::Float(units)))
             .expect("numbers serialize")
     };
-    let s = json_string;
-    let names = |items: &[String]| {
-        let quoted: Vec<String> = items.iter().map(|n| json_string(n)).collect();
-        format!("[{}]", quoted.join(", "))
-    };
+    let mut out = JsonObject::new();
+    out.str("kind", e.kind());
     match e {
-        ProblemEdit::TweakExec { op, proc, units } => format!(
-            "{{\"kind\": \"tweak_exec\", \"op\": {}, \"proc\": {}, \"units\": {}}}",
-            s(op),
-            s(proc),
-            f(*units)
-        ),
-        ProblemEdit::TweakComm { src, dst, units } => format!(
-            "{{\"kind\": \"tweak_comm\", \"src\": {}, \"dst\": {}, \"units\": {}}}",
-            s(src),
-            s(dst),
-            f(*units)
-        ),
-        ProblemEdit::AllowProc { op, proc, units } => format!(
-            "{{\"kind\": \"allow_proc\", \"op\": {}, \"proc\": {}, \"units\": {}}}",
-            s(op),
-            s(proc),
-            f(*units)
-        ),
-        ProblemEdit::ForbidProc { op, proc } => format!(
-            "{{\"kind\": \"forbid_proc\", \"op\": {}, \"proc\": {}}}",
-            s(op),
-            s(proc)
-        ),
-        ProblemEdit::ProcDown { proc } => {
-            format!("{{\"kind\": \"proc_down\", \"proc\": {}}}", s(proc))
+        ProblemEdit::TweakExec { op, proc, units: u }
+        | ProblemEdit::AllowProc { op, proc, units: u } => {
+            out.str("op", op).str("proc", proc).raw("units", units(*u))
         }
-        ProblemEdit::ProcUp { proc, units } => format!(
-            "{{\"kind\": \"proc_up\", \"proc\": {}, \"units\": {}}}",
-            s(proc),
-            f(*units)
-        ),
-        ProblemEdit::LinkDown { link } => {
-            format!("{{\"kind\": \"link_down\", \"link\": {}}}", s(link))
+        ProblemEdit::TweakComm { src, dst, units: u } => {
+            out.str("src", src).str("dst", dst).raw("units", units(*u))
         }
-        ProblemEdit::LinkUp { link, units } => format!(
-            "{{\"kind\": \"link_up\", \"link\": {}, \"units\": {}}}",
-            s(link),
-            f(*units)
-        ),
+        ProblemEdit::ForbidProc { op, proc } => out.str("op", op).str("proc", proc),
+        ProblemEdit::ProcDown { proc } => out.str("proc", proc),
+        ProblemEdit::ProcUp { proc, units: u } => out.str("proc", proc).raw("units", units(*u)),
+        ProblemEdit::LinkDown { link } => out.str("link", link),
+        ProblemEdit::LinkUp { link, units: u } => out.str("link", link).raw("units", units(*u)),
         ProblemEdit::AddOp {
             name,
-            units,
+            units: u,
             preds,
             succs,
             comm_units,
-        } => format!(
-            "{{\"kind\": \"add_op\", \"name\": {}, \"units\": {}, \"preds\": {}, \
-             \"succs\": {}, \"comm_units\": {}}}",
-            s(name),
-            f(*units),
-            names(preds),
-            names(succs),
-            f(*comm_units)
-        ),
-        ProblemEdit::RemoveOp { name } => {
-            format!("{{\"kind\": \"remove_op\", \"name\": {}}}", s(name))
-        }
-        ProblemEdit::SetNpf { npf } => format!("{{\"kind\": \"set_npf\", \"npf\": {npf}}}"),
-    }
+        } => out
+            .str("name", name)
+            .raw("units", units(*u))
+            .str_array("preds", preds)
+            .str_array("succs", succs)
+            .raw("comm_units", units(*comm_units)),
+        ProblemEdit::RemoveOp { name } => out.str("name", name),
+        ProblemEdit::SetNpf { npf } => out.raw("npf", npf),
+    };
+    out.finish()
 }
 
 /// Parses one request frame. `Err` carries the message for a
@@ -313,13 +277,11 @@ fn parse_schedule_fields(v: &Value) -> Result<ScheduleRequest, String> {
         };
         let strategy = match v.get("strategy") {
             None => None,
-            Some(s) => Some(match s.as_str() {
-                Some("adaptive") => SweepStrategy::Adaptive,
-                Some("incremental") => SweepStrategy::Incremental,
-                Some("naive") => SweepStrategy::Naive,
-                Some("clustered") => SweepStrategy::Clustered,
-                _ => return Err("`strategy` must be adaptive|incremental|naive|clustered".into()),
-            }),
+            Some(s) => Some(
+                s.as_str()
+                    .and_then(SweepStrategy::from_name)
+                    .ok_or("`strategy` must be adaptive|incremental|naive|clustered")?,
+            ),
         };
         let timeout_ms = match v.get("timeout_ms") {
             None => None,
@@ -463,48 +425,18 @@ fn parse_u32(v: &Value) -> Option<u32> {
 /// byte-identity contract between cached and direct responses rests on
 /// this function.
 pub fn render_ok(id: Option<&str>, r: &JobResult, degraded: bool) -> String {
-    let mut out = String::from("{");
-    push_id(&mut out, id);
-    out.push_str(&format!(
-        "\"status\": \"ok\", \"scheduler\": \"{}\", \"npf\": {}, \"ops\": {}, \
-         \"procs\": {}, \"makespan\": \"{}\", \"makespan_ticks\": {}, \
-         \"completion_ticks\": {}, \"replicas\": {}, \"comms\": {}, \"rtc_met\": {}",
-        r.scheduler.name(),
-        r.npf,
-        r.ops,
-        r.procs,
-        r.makespan,
-        r.makespan.ticks(),
-        r.completion.ticks(),
-        r.replicas,
-        r.comms,
-        match r.rtc_met {
-            Some(b) => b.to_string(),
-            None => "null".to_owned(),
-        },
-    ));
-    if degraded {
-        out.push_str(", \"degraded\": true");
-    }
-    if let Some(schedule) = &r.schedule {
-        let json = serde_json::to_string(schedule).expect("schedules serialize");
-        out.push_str(&format!(", \"schedule\": {json}"));
-    }
-    out.push('}');
-    out
+    let mut out = response(id);
+    r.write_json(&mut out, degraded);
+    out.finish()
 }
 
 /// Renders an error response with a documented code.
 pub fn render_error(id: Option<&str>, code: ErrorCode, message: &str) -> String {
-    let mut out = String::from("{");
-    push_id(&mut out, id);
-    out.push_str(&format!(
-        "\"status\": \"error\", \"code\": \"{}\", \"message\": {}",
-        code.name(),
-        json_string(message)
-    ));
-    out.push('}');
-    out
+    response(id)
+        .str("status", "error")
+        .str("code", code.name())
+        .str("message", message)
+        .finish()
 }
 
 /// Splices `id` into a response body rendered without one (cached bodies
@@ -512,19 +444,16 @@ pub fn render_error(id: Option<&str>, code: ErrorCode, message: &str) -> String 
 /// is the identity, so cached and directly rendered responses are
 /// byte-identical.
 pub fn with_id(id: Option<&str>, body: &str) -> String {
-    match id {
-        None => body.to_owned(),
-        Some(id) => {
-            debug_assert!(body.starts_with('{'));
-            format!("{{\"id\": {}, {}", json_string(id), &body[1..])
-        }
-    }
+    response(id).finish_with(body)
 }
 
-fn push_id(out: &mut String, id: Option<&str>) {
+/// A response object, opened with the caller's `id` when there is one.
+fn response(id: Option<&str>) -> JsonObject {
+    let mut out = JsonObject::new();
     if let Some(id) = id {
-        out.push_str(&format!("\"id\": {}, ", json_string(id)));
+        out.str("id", id);
     }
+    out
 }
 
 #[cfg(test)]
@@ -573,15 +502,21 @@ mod tests {
 
     #[test]
     fn strategy_names_round_trip() {
-        for s in [
-            SweepStrategy::Adaptive,
-            SweepStrategy::Incremental,
-            SweepStrategy::Naive,
-            SweepStrategy::Clustered,
-        ] {
-            assert_eq!(strategy_from_name(strategy_name(Some(s))), Some(s));
+        for s in SweepStrategy::ALL {
+            let line = format!(r#"{{"spec": "x", "strategy": "{}"}}"#, s.name());
+            let Ok(Request::Schedule(req)) = parse_request(&line) else {
+                panic!("expected schedule for {line}")
+            };
+            assert_eq!(req.strategy, Some(s));
+            assert!(req.raw_key().starts_with(&format!("ftbar|{}|", s.name())));
         }
-        assert_eq!(strategy_from_name("turbo"), None);
+    }
+
+    #[test]
+    fn error_codes_are_indexed_by_declaration_order() {
+        for (i, code) in ErrorCode::ALL.into_iter().enumerate() {
+            assert_eq!(code as usize, i, "{}", code.name());
+        }
     }
 
     #[test]

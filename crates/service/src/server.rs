@@ -34,20 +34,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ftbar_core::edit::ProblemEdit;
+use ftbar_core::edit::{EditError, ProblemEdit};
 use ftbar_core::engine::EnginePools;
 use ftbar_core::ftbar::SweepStrategy;
-use ftbar_core::reschedule::{reschedule, schedule_retained, RescheduleError, ScheduleArtifacts};
-use ftbar_core::{ftbar, FtbarConfig};
-use ftbar_model::{spec, Problem};
+use ftbar_core::json::JsonObject;
+use ftbar_core::reschedule::{reschedule, RescheduleError, ScheduleArtifacts};
+use ftbar_model::Problem;
 
 use crate::cache::{canonical_key, CacheStats, ResponseCache};
 use crate::persist::{self, ArtifactSeed, RestoreStatus, SnapshotData, SnapshotStats};
 use crate::proto::{
-    parse_request, render_error, render_ok, strategy_from_name, strategy_name, with_id, ErrorCode,
-    Request, ScheduleRequest,
+    parse_request, render_error, render_ok, with_id, ErrorCode, Request, ScheduleRequest,
 };
-use crate::{panic_message, signal, JobResult, SchedulerKind};
+use crate::{panic_message, parse_problem, run_scheduler, signal, JobResult, SchedulerKind};
 
 /// Where the daemon listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,11 +145,16 @@ struct Job {
     reply: mpsc::Sender<WorkerReply>,
 }
 
-/// Per-outcome request counters (reported by `status`).
+/// Per-outcome request counters (reported by `status`). Every frame
+/// except a successful `status`, `snapshot` or `shutdown` reply lands in
+/// exactly one of `ok` and `errors`; `degraded` counts a subset of `ok`
+/// and `shed` a subset of the `overloaded` errors.
 #[derive(Debug, Default)]
 struct Counters {
     ok: AtomicU64,
     degraded: AtomicU64,
+    /// Queued requests answered `overloaded` because a newer one shed
+    /// them (counted when the shed requester receives that answer).
     shed: AtomicU64,
     /// Reschedule requests answered by incremental repair of retained
     /// artifacts.
@@ -165,38 +169,9 @@ struct Counters {
     snapshots_failed: AtomicU64,
     /// Snapshot requests coalesced into an already-in-flight write.
     snapshots_coalesced: AtomicU64,
-    errors: [AtomicU64; 11],
+    /// Error replies, indexed by `code as usize` (see [`ErrorCode::ALL`]).
+    errors: [AtomicU64; ErrorCode::ALL.len()],
 }
-
-fn code_index(code: ErrorCode) -> usize {
-    match code {
-        ErrorCode::BadRequest => 0,
-        ErrorCode::TooLarge => 1,
-        ErrorCode::SpecError => 2,
-        ErrorCode::ScheduleError => 3,
-        ErrorCode::Timeout => 4,
-        ErrorCode::Overloaded => 5,
-        ErrorCode::Poisoned => 6,
-        ErrorCode::InternalPanic => 7,
-        ErrorCode::ShuttingDown => 8,
-        ErrorCode::BadEdit => 9,
-        ErrorCode::SnapshotError => 10,
-    }
-}
-
-const CODE_NAMES: [&str; 11] = [
-    "bad_request",
-    "too_large",
-    "spec_error",
-    "schedule_error",
-    "timeout",
-    "overloaded",
-    "poisoned",
-    "internal_panic",
-    "shutting_down",
-    "bad_edit",
-    "snapshot_error",
-];
 
 /// The longest edit lineage a snapshot seed records. An artifact whose
 /// chain outgrows this is still served from memory but is no longer
@@ -417,7 +392,11 @@ impl ServerState {
             Request::Shutdown => {
                 self.begin_shutdown();
                 FrameOutcome::ShutdownRequested(
-                    "{\"status\": \"ok\", \"op\": \"shutdown\", \"draining\": true}".to_owned(),
+                    JsonObject::new()
+                        .str("status", "ok")
+                        .str("op", "shutdown")
+                        .raw("draining", true)
+                        .finish(),
                 )
             }
             Request::Schedule(req) => {
@@ -472,7 +451,6 @@ impl ServerState {
             if queue.len() >= self.config.queue_depth.max(1) {
                 if self.config.shed_oldest {
                     if let Some(oldest) = queue.pop_front() {
-                        self.counters.shed.fetch_add(1, Ordering::Relaxed);
                         let _ = oldest.reply.send(Err((
                             ErrorCode::Overloaded,
                             "shed by a newer request (shed-oldest backpressure)".to_owned(),
@@ -507,7 +485,15 @@ impl ServerState {
                 }
                 with_id(id, &body)
             }
-            Ok(Err((code, message))) => self.error(id, code, &message),
+            Ok(Err((code, message))) => {
+                // Workers never answer `overloaded`: only a newer request
+                // shedding this one does. A shed job whose requester had
+                // already timed out is answered `timeout`, not counted here.
+                if code == ErrorCode::Overloaded {
+                    self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                }
+                self.error(id, code, &message)
+            }
             Err(_) => self.error(
                 id,
                 ErrorCode::Timeout,
@@ -517,7 +503,7 @@ impl ServerState {
     }
 
     fn error(&self, id: Option<&str>, code: ErrorCode, message: &str) -> String {
-        self.counters.errors[code_index(code)].fetch_add(1, Ordering::Relaxed);
+        self.counters.errors[code as usize].fetch_add(1, Ordering::Relaxed);
         render_error(id, code, message)
     }
 
@@ -679,125 +665,100 @@ impl ServerState {
 
     fn handle_snapshot(&self) -> String {
         match self.snapshot_now() {
-            Ok((stats, coalesced)) => format!(
-                "{{\"status\": \"ok\", \"op\": \"snapshot\", \"bytes\": {}, \
-                 \"cache_entries\": {}, \"memos\": {}, \"poisoned\": {}, \"seeds\": {}, \
-                 \"coalesced\": {}}}",
-                stats.bytes,
-                stats.cache_entries,
-                stats.memos,
-                stats.poisoned,
-                stats.seeds,
-                coalesced,
-            ),
+            Ok((stats, coalesced)) => JsonObject::new()
+                .str("status", "ok")
+                .str("op", "snapshot")
+                .raw("bytes", stats.bytes)
+                .raw("cache_entries", stats.cache_entries)
+                .raw("memos", stats.memos)
+                .raw("poisoned", stats.poisoned)
+                .raw("seeds", stats.seeds)
+                .raw("coalesced", coalesced)
+                .finish(),
             Err(msg) => self.error(None, ErrorCode::SnapshotError, &msg),
         }
     }
 
     fn render_status(&self) -> String {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
         let (stats, entries, bytes) = {
             let cache = self.cache.lock().unwrap();
             (cache.stats(), cache.len(), cache.used_bytes())
         };
-        let mut out = String::from("{\"status\": \"ok\", \"op\": \"status\"");
-        out.push_str(&format!(
-            ", \"uptime_ms\": {}",
-            self.started.elapsed().as_millis()
-        ));
-        out.push_str(&format!(
-            ", \"queue_depth\": {}",
-            self.queue.lock().unwrap().len()
-        ));
-        out.push_str(&format!(
-            ", \"in_flight\": {}",
-            self.in_flight.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            ", \"active_connections\": {}",
-            self.active_connections.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(", \"workers\": {}", self.config.workers.max(1)));
-        out.push_str(&format!(
-            ", \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"insertions\": {}, \"entries\": {}, \"bytes\": {}, \"budget\": {}}}",
-            stats.hits,
-            stats.misses,
-            stats.evictions,
-            stats.insertions,
-            entries,
-            bytes,
-            self.config.cache_bytes,
-        ));
-        out.push_str(&format!(
-            ", \"requests\": {{\"ok\": {}, \"degraded\": {}, \"shed\": {}",
-            self.counters.ok.load(Ordering::Relaxed),
-            self.counters.degraded.load(Ordering::Relaxed),
-            self.counters.shed.load(Ordering::Relaxed),
-        ));
-        for (i, name) in CODE_NAMES.iter().enumerate() {
-            out.push_str(&format!(
-                ", \"{name}\": {}",
-                self.counters.errors[i].load(Ordering::Relaxed)
-            ));
+        let cache = JsonObject::new()
+            .raw("hits", stats.hits)
+            .raw("misses", stats.misses)
+            .raw("evictions", stats.evictions)
+            .raw("insertions", stats.insertions)
+            .raw("entries", entries)
+            .raw("bytes", bytes)
+            .raw("budget", self.config.cache_bytes)
+            .finish();
+        let mut requests = JsonObject::new();
+        requests
+            .raw("ok", load(&self.counters.ok))
+            .raw("degraded", load(&self.counters.degraded))
+            .raw("shed", load(&self.counters.shed));
+        for code in ErrorCode::ALL {
+            requests.raw(code.name(), load(&self.counters.errors[code as usize]));
         }
-        out.push('}');
-        out.push_str(&format!(
-            ", \"reschedule\": {{\"repairs\": {}, \"fallbacks\": {}, \"artifacts\": {}}}",
-            self.counters.reschedule_repairs.load(Ordering::Relaxed),
-            self.counters.reschedule_fallbacks.load(Ordering::Relaxed),
-            self.artifacts.lock().unwrap().len(),
-        ));
-        out.push_str(&self.render_snapshot_status());
-        out.push('}');
-        out
+        let reschedule = JsonObject::new()
+            .raw("repairs", load(&self.counters.reschedule_repairs))
+            .raw("fallbacks", load(&self.counters.reschedule_fallbacks))
+            .raw("artifacts", self.artifacts.lock().unwrap().len())
+            .finish();
+        JsonObject::new()
+            .str("status", "ok")
+            .str("op", "status")
+            .raw("uptime_ms", self.started.elapsed().as_millis())
+            .raw("queue_depth", self.queue.lock().unwrap().len())
+            .raw("in_flight", self.in_flight.load(Ordering::Relaxed))
+            .raw(
+                "active_connections",
+                self.active_connections.load(Ordering::Relaxed),
+            )
+            .raw("workers", self.config.workers.max(1))
+            .raw("cache", cache)
+            .raw("requests", requests.finish())
+            .raw("reschedule", reschedule)
+            .raw("snapshot", self.render_snapshot_status())
+            .finish()
     }
 
-    /// The `"snapshot"` section of the status response: configuration,
+    /// The `"snapshot"` object of the status response: configuration,
     /// written/failed/coalesced counters, the last write's age and
     /// per-section entry counts, and how the startup restore ended.
     fn render_snapshot_status(&self) -> String {
-        let mut out = format!(
-            ", \"snapshot\": {{\"configured\": {}, \"written\": {}, \"failed\": {}, \
-             \"coalesced\": {}",
-            self.config.snapshot_path.is_some(),
-            self.counters.snapshots_written.load(Ordering::Relaxed),
-            self.counters.snapshots_failed.load(Ordering::Relaxed),
-            self.counters.snapshots_coalesced.load(Ordering::Relaxed),
-        );
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        let mut out = JsonObject::new();
+        out.raw("configured", self.config.snapshot_path.is_some())
+            .raw("written", load(&self.counters.snapshots_written))
+            .raw("failed", load(&self.counters.snapshots_failed))
+            .raw("coalesced", load(&self.counters.snapshots_coalesced));
         let last = self.snap.lock().unwrap().last.clone();
-        match last {
-            Some((at, Ok(stats))) => out.push_str(&format!(
-                ", \"last_age_ms\": {}, \"last_bytes\": {}, \"last_cache_entries\": {}, \
-                 \"last_memos\": {}, \"last_poisoned\": {}, \"last_seeds\": {}",
-                at.elapsed().as_millis(),
-                stats.bytes,
-                stats.cache_entries,
-                stats.memos,
-                stats.poisoned,
-                stats.seeds,
-            )),
-            Some((at, Err(_))) => out.push_str(&format!(
-                ", \"last_age_ms\": {}, \"last_bytes\": null",
-                at.elapsed().as_millis()
-            )),
-            None => out.push_str(", \"last_age_ms\": null, \"last_bytes\": null"),
+        out.opt(
+            "last_age_ms",
+            last.as_ref().map(|(at, _)| at.elapsed().as_millis()),
+        );
+        let written = last.and_then(|(_, result)| result.ok());
+        out.opt("last_bytes", written.map(|stats| stats.bytes));
+        if let Some(stats) = written {
+            out.raw("last_cache_entries", stats.cache_entries)
+                .raw("last_memos", stats.memos)
+                .raw("last_poisoned", stats.poisoned)
+                .raw("last_seeds", stats.seeds);
         }
         match self.restore_summary.lock().unwrap().as_ref() {
-            Some(r) => out.push_str(&format!(
-                ", \"restore\": \"{}\", \"restored_cache_entries\": {}, \
-                 \"restored_memos\": {}, \"restored_poisoned\": {}, \
-                 \"seeds_replayed\": {}, \"seeds_dropped\": {}",
-                r.status.name(),
-                r.cache_entries,
-                r.memos,
-                r.poisoned,
-                r.seeds_replayed,
-                r.seeds_dropped,
-            )),
-            None => out.push_str(", \"restore\": \"none\""),
-        }
-        out.push('}');
-        out
+            Some(r) => out
+                .str("restore", r.status.name())
+                .raw("restored_cache_entries", r.cache_entries)
+                .raw("restored_memos", r.memos)
+                .raw("restored_poisoned", r.poisoned)
+                .raw("seeds_replayed", r.seeds_replayed)
+                .raw("seeds_dropped", r.seeds_dropped),
+            None => out.str("restore", "none"),
+        };
+        out.finish()
     }
 }
 
@@ -813,23 +774,20 @@ fn rehydrate_seed(
     if seed.scheduler != SchedulerKind::Ftbar || config.artifact_slots == 0 {
         return None;
     }
-    let strategy = strategy_from_name(&seed.strategy)?;
-    let problem = spec::parse_problem(&seed.spec).ok()?;
-    let mut problem = match seed.npf {
-        None => problem,
-        Some(npf) => problem.with_npf(npf).ok()?,
-    };
+    let strategy = SweepStrategy::from_name(&seed.strategy)?;
+    let mut problem = parse_problem(&seed.spec, seed.npf).ok()?;
     for edit in &seed.edits {
         problem = edit.apply(&problem).ok()?;
     }
-    let ftbar_config = FtbarConfig {
-        sweep: strategy,
-        ..FtbarConfig::default()
-    };
-    let (_schedule, artifacts) = schedule_retained(&problem, &ftbar_config).ok()?;
-    if artifacts.step_count() == 0 {
-        return None;
-    }
+    let (scheduled, _pools) = run_scheduler(
+        &problem,
+        seed.scheduler,
+        strategy,
+        true,
+        EnginePools::default(),
+    );
+    let (_schedule, artifacts) = scheduled.ok()?;
+    let artifacts = artifacts?;
     let canonical = canonical_key(
         artifacts.problem(),
         seed.scheduler,
@@ -957,31 +915,10 @@ pub(crate) fn compute_response(
     pressure: Option<&Pressure>,
     pools: EnginePools,
 ) -> (ComputedResponse, EnginePools) {
-    if let Some(marker) = &config.panic_marker {
-        if req.spec.contains(marker.as_str()) {
-            panic!("injected panic (marker `{marker}`)");
-        }
-    }
-    let problem = match spec::parse_problem(&req.spec) {
+    check_panic_marker(req, config);
+    let problem = match parse_problem(&req.spec, req.npf) {
         Ok(p) => p,
-        Err(e) => {
-            return (
-                Err((ErrorCode::SpecError, format!("spec error: {e}"))),
-                pools,
-            )
-        }
-    };
-    let problem = match req.npf {
-        None => problem,
-        Some(npf) => match problem.with_npf(npf) {
-            Ok(p) => p,
-            Err(e) => {
-                return (
-                    Err((ErrorCode::SpecError, format!("npf override: {e}"))),
-                    pools,
-                )
-            }
-        },
+        Err(e) => return (Err((ErrorCode::SpecError, e)), pools),
     };
 
     // Graceful degradation: under deadline pressure or a deep queue, a
@@ -995,72 +932,31 @@ pub(crate) fn compute_response(
             && (p.remaining < Duration::from_millis(config.degrade_headroom_ms)
                 || p.depth_at_enqueue >= config.degrade_queue_depth)
     });
-
     let strategy = if degraded {
         SweepStrategy::Clustered
     } else {
         req.strategy.unwrap_or_default()
     };
-    let (schedule, pools, artifacts) = match req.scheduler {
-        SchedulerKind::Ftbar => {
-            let ftbar_config = FtbarConfig {
-                sweep: strategy,
-                ..FtbarConfig::default()
-            };
-            if !degraded && config.artifact_slots > 0 {
-                // Retain the engine state so a later `reschedule` of this
-                // problem repairs instead of re-running. Bit-identical to
-                // the pooled run.
-                match schedule_retained(&problem, &ftbar_config) {
-                    Ok((schedule, artifacts)) => {
-                        let keep = (artifacts.step_count() > 0).then_some(artifacts);
-                        (schedule, pools, keep)
-                    }
-                    Err(e) => {
-                        return (
-                            Err((ErrorCode::ScheduleError, format!("schedule error: {e}"))),
-                            EnginePools::default(),
-                        )
-                    }
-                }
-            } else {
-                match ftbar::schedule_with_pools(&problem, &ftbar_config, pools) {
-                    Ok((outcome, pools)) => (outcome.schedule, pools, None),
-                    Err(e) => {
-                        return (
-                            Err((ErrorCode::ScheduleError, format!("schedule error: {e}"))),
-                            EnginePools::default(),
-                        )
-                    }
-                }
-            }
+    // Retain the engine state so a later `reschedule` of this problem
+    // repairs instead of re-running.
+    let retain = !degraded && config.artifact_slots > 0;
+    let (scheduled, pools) = run_scheduler(&problem, req.scheduler, strategy, retain, pools);
+    let computed = scheduled.map(|(schedule, artifacts)| {
+        render_scheduled(req, &problem, schedule, degraded).keep(artifacts, || {
+            Some(ArtifactSeed::of_request(req, Vec::new()))
+        })
+    });
+    (computed.map_err(|e| (ErrorCode::ScheduleError, e)), pools)
+}
+
+/// Chaos/test hook: panics inside the worker when the spec carries the
+/// configured marker.
+fn check_panic_marker(req: &ScheduleRequest, config: &ServerConfig) {
+    if let Some(marker) = &config.panic_marker {
+        if req.spec.contains(marker.as_str()) {
+            panic!("injected panic (marker `{marker}`)");
         }
-        SchedulerKind::Hbp => {
-            match ftbar_hbp::schedule_with_pools(&problem, &ftbar_hbp::HbpConfig::default(), pools)
-            {
-                Ok((schedule, pools)) => (schedule, pools, None),
-                Err(e) => {
-                    return (
-                        Err((ErrorCode::ScheduleError, format!("schedule error: {e}"))),
-                        EnginePools::default(),
-                    )
-                }
-            }
-        }
-    };
-    let mut computed = render_scheduled(req, &problem, schedule, degraded);
-    computed.artifacts = artifacts;
-    if computed.artifacts.is_some() {
-        computed.seed = Some(ArtifactSeed {
-            scheduler: req.scheduler,
-            strategy: strategy_name(req.strategy).to_owned(),
-            npf: req.npf,
-            include_schedule: req.include_schedule,
-            spec: req.spec.clone(),
-            edits: Vec::new(),
-        });
     }
-    (Ok(computed), pools)
 }
 
 /// Renders the deterministic (body, canonical key) answer for `schedule`
@@ -1073,38 +969,51 @@ fn render_scheduled(
     schedule: ftbar_core::Schedule,
     degraded: bool,
 ) -> Computed {
-    let result = JobResult {
-        scheduler: req.scheduler,
-        npf: problem.npf(),
-        ops: problem.alg().op_count(),
-        procs: problem.arch().proc_count(),
-        makespan: schedule.makespan(),
-        completion: schedule.completion(),
-        replicas: schedule.replica_count(),
-        comms: schedule.comm_count(),
-        rtc_met: problem.rtc().map(|rtc| schedule.makespan() <= rtc),
-        schedule: req.include_schedule.then_some(schedule),
-    };
-    let canonical = canonical_key(
-        problem,
-        req.scheduler,
-        strategy_name(req.strategy),
-        req.include_schedule,
-    );
-    let body = render_ok(None, &result, degraded);
+    let result = JobResult::new(req.scheduler, problem, schedule, req.include_schedule);
+    let strategy = req.strategy.unwrap_or_default().name();
     Computed {
-        body,
-        canonical,
+        body: render_ok(None, &result, degraded),
+        canonical: canonical_key(problem, req.scheduler, strategy, req.include_schedule),
         degraded,
         artifacts: None,
         seed: None,
     }
 }
 
+impl Computed {
+    /// Attaches the run's retained `artifacts`, if any, with their
+    /// replayable lineage (`seed` is only called when there are some).
+    fn keep(
+        mut self,
+        artifacts: Option<ScheduleArtifacts>,
+        seed: impl FnOnce() -> Option<ArtifactSeed>,
+    ) -> Computed {
+        if artifacts.is_some() {
+            self.seed = seed();
+        }
+        self.artifacts = artifacts;
+        self
+    }
+}
+
+impl ArtifactSeed {
+    /// The lineage of a request's answer: its parent problem plus `edits`.
+    fn of_request(req: &ScheduleRequest, edits: Vec<ProblemEdit>) -> ArtifactSeed {
+        ArtifactSeed {
+            scheduler: req.scheduler,
+            strategy: req.strategy.unwrap_or_default().name().to_owned(),
+            npf: req.npf,
+            include_schedule: req.include_schedule,
+            spec: req.spec.clone(),
+            edits,
+        }
+    }
+}
+
 /// Computes the answer for a `reschedule` request: parse the parent
 /// problem, look up its retained artifacts by canonical key, and repair —
 /// falling back to a full run of the edited problem when the artifacts
-/// are missing (never scheduled, evicted, clustered) or the edit is
+/// are missing (never scheduled, evicted, clustered, HBP) or the edit is
 /// structural. The body is byte-identical to what a `schedule` request
 /// for the edited problem answers; repair never degrades.
 pub(crate) fn compute_reschedule(
@@ -1114,145 +1023,85 @@ pub(crate) fn compute_reschedule(
     pools: EnginePools,
 ) -> (ComputedResponse, EnginePools) {
     let config = &state.config;
-    if let Some(marker) = &config.panic_marker {
-        if req.spec.contains(marker.as_str()) {
-            panic!("injected panic (marker `{marker}`)");
-        }
-    }
-    let problem = match spec::parse_problem(&req.spec) {
+    check_panic_marker(req, config);
+    let problem = match parse_problem(&req.spec, req.npf) {
         Ok(p) => p,
-        Err(e) => {
-            return (
-                Err((ErrorCode::SpecError, format!("spec error: {e}"))),
-                pools,
-            )
-        }
+        Err(e) => return (Err((ErrorCode::SpecError, e)), pools),
     };
-    let problem = match req.npf {
-        None => problem,
-        Some(npf) => match problem.with_npf(npf) {
-            Ok(p) => p,
-            Err(e) => {
-                return (
-                    Err((ErrorCode::SpecError, format!("npf override: {e}"))),
-                    pools,
-                )
-            }
-        },
-    };
+    let bad_edit = |e: EditError| (ErrorCode::BadEdit, format!("bad edit: {e}"));
+    let retain = config.artifact_slots > 0;
 
-    if req.scheduler == SchedulerKind::Hbp {
-        // No retained-repair path for HBP: schedule the edited problem.
-        let edited = match edit.apply(&problem) {
-            Ok(p) => p,
-            Err(e) => return (Err((ErrorCode::BadEdit, format!("bad edit: {e}"))), pools),
-        };
-        state
-            .counters
-            .reschedule_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        return match ftbar_hbp::schedule_with_pools(
-            &edited,
-            &ftbar_hbp::HbpConfig::default(),
-            pools,
-        ) {
-            Ok((schedule, pools)) => (Ok(render_scheduled(req, &edited, schedule, false)), pools),
-            Err(e) => (
-                Err((ErrorCode::ScheduleError, format!("schedule error: {e}"))),
-                EnginePools::default(),
-            ),
-        };
-    }
-
-    let ftbar_config = FtbarConfig {
-        sweep: req.strategy.unwrap_or_default(),
-        ..FtbarConfig::default()
-    };
-    let parent_key = canonical_key(
-        &problem,
-        req.scheduler,
-        strategy_name(req.strategy),
-        req.include_schedule,
-    );
-    let (parent, parent_seed) = {
+    // HBP keeps no artifacts, so it always takes the full-run fallback.
+    let (parent, parent_seed) = if req.scheduler == SchedulerKind::Ftbar {
+        let strategy = req.strategy.unwrap_or_default().name();
+        let parent_key = canonical_key(&problem, req.scheduler, strategy, req.include_schedule);
         let store = state.artifacts.lock().unwrap();
         (store.get(&parent_key), store.get_seed(&parent_key))
+    } else {
+        (None, None)
     };
-    let had_parent = parent.is_some();
-    let (schedule, artifacts, repaired) = match parent {
-        Some(prev) => match reschedule(&prev, edit) {
-            Ok(out) => (out.schedule, out.artifacts, !out.report.fell_back),
-            Err(RescheduleError::Edit(e)) => {
-                return (Err((ErrorCode::BadEdit, format!("bad edit: {e}"))), pools)
-            }
-            Err(RescheduleError::Schedule(e)) => {
-                return (
-                    Err((ErrorCode::ScheduleError, format!("schedule error: {e}"))),
-                    pools,
-                )
-            }
-        },
+    let (computed, pools, repaired) = match parent {
+        Some(prev) => {
+            let out = match reschedule(&prev, edit) {
+                Ok(out) => out,
+                Err(RescheduleError::Edit(e)) => return (Err(bad_edit(e)), pools),
+                Err(RescheduleError::Schedule(e)) => {
+                    let message = format!("schedule error: {e}");
+                    return (Err((ErrorCode::ScheduleError, message)), pools);
+                }
+            };
+            let computed = render_scheduled(req, out.artifacts.problem(), out.schedule, false);
+            let artifacts = (retain && out.artifacts.step_count() > 0).then_some(out.artifacts);
+            // Extend the parent's lineage by this edit. A parent whose
+            // own lineage was too long to persist leaves this artifact
+            // unpersisted too.
+            let computed = computed.keep(artifacts, || {
+                parent_seed.and_then(|mut s| {
+                    (s.edits.len() < MAX_SEED_EDITS).then(|| {
+                        s.edits.push(edit.clone());
+                        s
+                    })
+                })
+            });
+            (computed, pools, !out.report.fell_back)
+        }
         None => {
             let edited = match edit.apply(&problem) {
                 Ok(p) => p,
-                Err(e) => return (Err((ErrorCode::BadEdit, format!("bad edit: {e}"))), pools),
+                Err(e) => return (Err(bad_edit(e)), pools),
             };
-            match schedule_retained(&edited, &ftbar_config) {
-                Ok((schedule, artifacts)) => (schedule, artifacts, false),
-                Err(e) => {
-                    return (
-                        Err((ErrorCode::ScheduleError, format!("schedule error: {e}"))),
-                        pools,
-                    )
-                }
-            }
+            let strategy = req.strategy.unwrap_or_default();
+            let (scheduled, pools) = run_scheduler(&edited, req.scheduler, strategy, retain, pools);
+            let (schedule, artifacts) = match scheduled {
+                Ok(s) => s,
+                Err(e) => return (Err((ErrorCode::ScheduleError, e)), pools),
+            };
+            // A fallback run starts a fresh lineage from the base request.
+            let computed = render_scheduled(req, &edited, schedule, false).keep(artifacts, || {
+                Some(ArtifactSeed::of_request(req, vec![edit.clone()]))
+            });
+            (computed, pools, false)
         }
     };
-    if repaired {
-        state
-            .counters
-            .reschedule_repairs
-            .fetch_add(1, Ordering::Relaxed);
+    let counter = if repaired {
+        &state.counters.reschedule_repairs
     } else {
-        state
-            .counters
-            .reschedule_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    let mut computed = render_scheduled(req, artifacts.problem(), schedule, false);
-    computed.artifacts =
-        (artifacts.step_count() > 0 && config.artifact_slots > 0).then_some(artifacts);
-    if computed.artifacts.is_some() {
-        // Extend the parent's lineage by this edit; a fallback run (no
-        // parent) starts a fresh lineage from the base request. A parent
-        // whose own lineage was too long to persist leaves this artifact
-        // unpersisted too.
-        computed.seed = if had_parent {
-            parent_seed.and_then(|mut s| {
-                (s.edits.len() < MAX_SEED_EDITS).then(|| {
-                    s.edits.push(edit.clone());
-                    s
-                })
-            })
-        } else {
-            Some(ArtifactSeed {
-                scheduler: req.scheduler,
-                strategy: strategy_name(req.strategy).to_owned(),
-                npf: req.npf,
-                include_schedule: req.include_schedule,
-                spec: req.spec.clone(),
-                edits: vec![edit.clone()],
-            })
-        };
-    }
+        &state.counters.reschedule_fallbacks
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
     (Ok(computed), pools)
 }
 
 /// The response an unloaded daemon gives `req`, bypassing every queue and
 /// cache: the byte-identity reference for tests and the chaos harness.
 pub fn direct_response(req: &ScheduleRequest) -> String {
-    let config = ServerConfig::default();
-    let (result, _pools) = compute_response(req, &config, None, EnginePools::default());
+    direct_with(req, &ServerConfig::default())
+}
+
+/// [`direct_response`] under `config` (the chaos daemon runs with a panic
+/// marker, which must not change uninjected responses).
+pub(crate) fn direct_with(req: &ScheduleRequest, config: &ServerConfig) -> String {
+    let (result, _pools) = compute_response(req, config, None, EnginePools::default());
     match result {
         Ok(computed) => with_id(req.id.as_deref(), &computed.body),
         Err((code, message)) => render_error(req.id.as_deref(), code, &message),

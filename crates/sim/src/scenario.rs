@@ -28,6 +28,7 @@
 //! across its worker pool and reassembles results by scenario index, so
 //! the rendered report is byte-identical for any job count.
 
+use ftbar_core::json::JsonObject;
 use ftbar_core::{replay_with, FailureScenario, ReplayConfig, ReplicaOutcome, Schedule};
 use ftbar_model::{LinkId, Problem, ProcId, Time};
 use rand::{Rng, SeedableRng};
@@ -602,62 +603,42 @@ pub fn render_text(report: &ReliabilityReport) -> String {
 }
 
 fn json_group(g: &GroupSummary) -> String {
-    format!(
-        "{{\"scenarios\": {}, \"survived\": {}, \"deadline_misses\": {}, \"worst_completion\": {}, \"max_dropped_ops\": {}, \"wasted_work\": {}}}",
-        g.scenarios,
-        g.survived,
-        g.deadline_misses,
-        g.worst_completion
-            .map_or_else(|| "null".to_string(), |t| t.to_string()),
-        g.max_dropped_ops,
-        g.wasted_work,
-    )
+    JsonObject::new()
+        .raw("scenarios", g.scenarios)
+        .raw("survived", g.survived)
+        .raw("deadline_misses", g.deadline_misses)
+        .opt("worst_completion", g.worst_completion)
+        .raw("max_dropped_ops", g.max_dropped_ops)
+        .raw("wasted_work", g.wasted_work)
+        .finish()
 }
 
 /// Renders the report as stable JSON (fixed key order; times as decimal
 /// unit numbers).
 pub fn render_json(report: &ReliabilityReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"scenario_count\": {},\n  \"nominal_completion\": {},\n  \"deadline\": {},\n",
-        report.scenario_count,
-        report
-            .nominal_completion
-            .map_or_else(|| "null".to_string(), |t| t.to_string()),
-        report.deadline,
-    ));
-    out.push_str("  \"sizes\": [");
-    for (i, s) in report.sizes.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"size\": {}, \"exhaustive\": {}, \"group\": {}}}",
-            s.size,
-            s.exhaustive,
-            json_group(&s.group)
-        ));
-    }
-    out.push_str("],\n");
-    for (key, sweep) in [
-        ("link_sweep", &report.link_sweep),
-        ("jitter_sweep", &report.jitter_sweep),
-    ] {
-        out.push_str(&format!(
-            "  \"{key}\": {},\n",
-            sweep
-                .as_ref()
-                .map_or_else(|| "null".to_string(), json_group)
-        ));
-    }
+    let sizes = report.sizes.iter().map(|s| {
+        JsonObject::new()
+            .raw("size", s.size)
+            .raw("exhaustive", s.exhaustive)
+            .raw("group", json_group(&s.group))
+            .finish()
+    });
     let c = &report.certificate;
-    out.push_str(&format!(
-        "  \"certificate\": {{\"design_npf\": {}, \"counting_upper\": {}, \"empirical_max\": {}, \"pass\": {}}}\n",
-        c.design_npf, c.counting_upper, c.empirical_max, c.pass,
-    ));
-    out.push_str("}\n");
-    out
+    let certificate = JsonObject::new()
+        .raw("design_npf", c.design_npf)
+        .raw("counting_upper", c.counting_upper)
+        .raw("empirical_max", c.empirical_max)
+        .raw("pass", c.pass)
+        .finish();
+    JsonObject::multiline()
+        .raw("scenario_count", report.scenario_count)
+        .opt("nominal_completion", report.nominal_completion)
+        .raw("deadline", report.deadline)
+        .array("sizes", sizes)
+        .opt("link_sweep", report.link_sweep.as_ref().map(json_group))
+        .opt("jitter_sweep", report.jitter_sweep.as_ref().map(json_group))
+        .raw("certificate", certificate)
+        .finish()
 }
 
 /// Generates, evaluates (serially), and assembles a whole campaign.

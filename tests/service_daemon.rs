@@ -387,3 +387,140 @@ fn shutdown_drains_and_new_work_is_refused_while_draining() {
         .expect("serve thread lives")
         .expect("drain returns Ok");
 }
+
+/// The `requests` counters of a `status` reply, by name.
+fn request_counters(state: &ServerState) -> Vec<(String, u64)> {
+    let status = state.handle_frame(r#"{"op": "status"}"#);
+    let v: serde::Value = serde_json::from_str(status.response()).expect("status is JSON");
+    let requests = v.get("requests").and_then(serde::Value::as_object);
+    requests
+        .expect("status reports requests")
+        .iter()
+        .map(|(name, n)| match n {
+            serde::Value::Number(n) => (name.clone(), n.as_f64() as u64),
+            other => panic!("counter `{name}` is {other:?}"),
+        })
+        .collect()
+}
+
+/// The counter ledger: every non-status frame lands in exactly one of
+/// `ok` and the error codes; `degraded` is a subset of `ok` and `shed` of
+/// `overloaded`. Returns the counters for case-specific checks.
+fn assert_ledger(state: &ServerState, frames: u64) -> Vec<(String, u64)> {
+    let counters = request_counters(state);
+    let get = |name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or_else(|| panic!("no counter `{name}`"), |&(_, v)| v)
+    };
+    let errors: u64 = counters
+        .iter()
+        .filter(|(n, _)| !matches!(n.as_str(), "ok" | "degraded" | "shed"))
+        .map(|&(_, v)| v)
+        .sum();
+    assert_eq!(frames, get("ok") + errors, "{counters:?}");
+    assert!(get("degraded") <= get("ok"), "{counters:?}");
+    assert!(get("shed") <= get("overloaded"), "{counters:?}");
+    counters
+}
+
+fn wait_for_queue_depth(state: &ServerState, depth: &str) {
+    let want = format!("\"queue_depth\": {depth},");
+    for _ in 0..500 {
+        if state
+            .handle_frame(r#"{"op": "status"}"#)
+            .response()
+            .contains(&want)
+        {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    panic!("queue never reached depth {depth}");
+}
+
+/// Reject, shed, degrade, hit and bad frames, driven through the frame
+/// core, keep the `status` counters reconciled.
+#[test]
+fn status_counters_reconcile_every_outcome() {
+    // Reject-new with no workers yet: a queued job times out, then the
+    // full queue rejects the next one.
+    let state = ServerState::new(ServerConfig {
+        workers: 1,
+        queue_depth: 1,
+        degrade_min_ops: 1,
+        degrade_queue_depth: 0,
+        ..ServerConfig::default()
+    });
+    let paper = paper_spec();
+    let mut frames = Vec::new();
+    frames.push(state.handle_frame(&schedule_line(&paper, ", \"timeout_ms\": 50")));
+    frames.push(state.handle_frame(&schedule_line(&paper, "")));
+    let workers = state.spawn_workers();
+    // The worker drops the timed-out job unanswered.
+    wait_for_queue_depth(&state, "0");
+    // Every eligible job degrades; an explicit strategy never does, so
+    // it is cached and hits.
+    frames.push(state.handle_frame(&schedule_line(&paper, "")));
+    let exact = schedule_line(&paper, ", \"strategy\": \"naive\"");
+    frames.push(state.handle_frame(&exact));
+    frames.push(state.handle_frame(&exact));
+    frames.push(state.handle_frame("not json"));
+    frames.push(state.handle_frame(r#"{"spec": "nope"}"#));
+    let codes: Vec<&str> = frames
+        .iter()
+        .map(|f| {
+            let r = f.response();
+            ["timeout", "overloaded", "bad_request", "spec_error"]
+                .into_iter()
+                .find(|c| r.contains(&format!("\"code\": \"{c}\"")))
+                .unwrap_or(if r.contains("\"degraded\": true") {
+                    "degraded"
+                } else {
+                    "ok"
+                })
+        })
+        .collect();
+    assert_eq!(
+        codes,
+        [
+            "timeout",
+            "overloaded",
+            "degraded",
+            "ok",
+            "ok",
+            "bad_request",
+            "spec_error"
+        ]
+    );
+    assert_eq!(state.cache_stats().hits, 1);
+    let counters = assert_ledger(&state, frames.len() as u64);
+    assert!(counters.contains(&("degraded".into(), 1)), "{counters:?}");
+    state.begin_shutdown();
+    for w in workers {
+        w.join().expect("worker exits cleanly");
+    }
+
+    // Shed-oldest with no workers: a waiting request is shed (and
+    // answered overloaded); a request that already timed out is shed
+    // too, but its caller was answered `timeout`, so it is not counted
+    // as shed.
+    let state = ServerState::new(ServerConfig {
+        queue_depth: 1,
+        shed_oldest: true,
+        ..ServerConfig::default()
+    });
+    let s2 = Arc::clone(&state);
+    let waiting = schedule_line(&paper, ", \"timeout_ms\": 5000");
+    let first = std::thread::spawn(move || s2.handle_frame(&waiting));
+    wait_for_queue_depth(&state, "1");
+    let second = state.handle_frame(&schedule_line(&paper, ", \"timeout_ms\": 50"));
+    let first = first.join().unwrap();
+    assert!(first.response().contains("\"code\": \"overloaded\""));
+    assert!(second.response().contains("\"code\": \"timeout\""));
+    let third = state.handle_frame(&schedule_line(&paper, ", \"timeout_ms\": 50"));
+    assert!(third.response().contains("\"code\": \"timeout\""));
+    let counters = assert_ledger(&state, 3);
+    assert!(counters.contains(&("shed".into(), 1)), "{counters:?}");
+}
