@@ -21,7 +21,7 @@
 use std::fmt::{Display, Write as _};
 
 /// A JSON object written member by member, in call order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct JsonObject {
     out: String,
     /// Members written so far.

@@ -444,7 +444,10 @@ pub fn render_error(id: Option<&str>, code: ErrorCode, message: &str) -> String 
 /// is the identity, so cached and directly rendered responses are
 /// byte-identical.
 pub fn with_id(id: Option<&str>, body: &str) -> String {
-    response(id).finish_with(body)
+    match id {
+        None => body.to_owned(),
+        Some(id) => JsonObject::new().str("id", id).finish_with(body),
+    }
 }
 
 /// A response object, opened with the caller's `id` when there is one.
