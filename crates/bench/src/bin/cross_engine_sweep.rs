@@ -18,7 +18,7 @@
 //! failing at 0, `validate::route_coverage_verdicts` with whether the timed
 //! replay completes every operation. Those disagreements are printed but do
 //! not fail the run: they are the known gap between the static rule and
-//! the static-order deadlocks the replay sees (ROADMAP item 1).
+//! the static-order deadlocks the replay sees.
 //!
 //! `--test` runs a small sweep (under a second) for CI; the full sweep
 //! takes minutes.
