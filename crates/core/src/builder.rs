@@ -1725,6 +1725,66 @@ mod tests {
     }
 
     #[test]
+    fn comms_of_one_placement_sharing_a_link_book_sequentially() {
+        // `X -> Y` on a four-processor ring, slow links; Z delays X's
+        // replica on P1. Y on P2 is fed from P1 over L1 and from P0
+        // relayed through P1, both ready on L1 at 4: the relayed comm
+        // (earlier source) takes L1 first and pushes the direct one. Hop
+        // slots must be disjoint and equal to what booking each hop in
+        // turn with `Timeline::insert_earliest` gives.
+        let mut ab = Alg::builder("pushed");
+        let x = ab.comp("X");
+        let z = ab.comp("Z");
+        let y = ab.comp("Y");
+        ab.dep(x, y);
+        let alg = ab.build().unwrap();
+        let mut b = Arch::builder("ring4");
+        let ps: Vec<_> = (0..4).map(|i| b.proc(format!("P{i}"))).collect();
+        for i in 0..4 {
+            b.link(format!("L{i}"), &[ps[i], ps[(i + 1) % 4]]);
+        }
+        let arch = b.build().unwrap();
+        let exec = ExecTable::uniform(3, 4, t(2.0));
+        let comm = CommTable::uniform(1, 4, t(2.0));
+        let mut pb = Problem::builder(alg, arch, exec, comm);
+        pb.npf(1);
+        let p = pb.build().unwrap();
+
+        let mut b = ScheduleBuilder::new(&p);
+        b.place(z, ProcId(1)).unwrap();
+        b.place(x, ProcId(0)).unwrap();
+        b.place(x, ProcId(1)).unwrap();
+        let before = b.link_tl.clone();
+        let mut links = before.clone();
+        let first = b.comms.len();
+        let r = b.place(y, ProcId(2)).unwrap();
+        let comms = &b.comms[first..];
+        let hops: Vec<&BookedHop> = comms.iter().flat_map(|c| &c.hops).collect();
+        for (i, h) in hops.iter().enumerate() {
+            for g in &hops[..i] {
+                assert!(g.link != h.link || !g.slot.overlaps(&h.slot));
+            }
+        }
+        let mut pushed = 0;
+        for comm in comms {
+            assert_eq!(comm.dst, r);
+            let mut ready = b.replica(comm.src).end();
+            for (i, hop) in comm.hops.iter().enumerate() {
+                let dur = hop.slot.duration();
+                let alone = before[hop.link.index()].probe(ready, dur);
+                let slot = links[hop.link.index()].insert_earliest(ready, dur, (CommId(0), i));
+                assert_eq!(hop.slot, slot);
+                pushed += usize::from(slot.start != alone);
+                ready = slot.end;
+            }
+        }
+        assert_eq!(
+            pushed, 1,
+            "one hop waits for an earlier hop of its own placement"
+        );
+    }
+
+    #[test]
     fn fully_connected_booking_is_unchanged_by_routing() {
         // On the paper's architecture the classic Npf+1 distinct sources
         // already defeat every failure pattern: no augmentation comms.

@@ -199,21 +199,26 @@ mod golden {
     use ftbar::workload::presets::{problem_on, Topology};
     use ftbar::workload::{arch, layered, timing, LayeredConfig, TimingConfig};
 
-    /// A layered problem on a fully connected `procs`-processor machine at
-    /// CCR 2 and `Npf = 1`.
-    fn full_problem(procs: usize, n_ops: usize, seed: u64) -> Problem {
+    /// A layered problem on `arch` at `Npf = 1`.
+    fn layered_problem(arch: ftbar::model::Arch, n_ops: usize, ccr: f64, seed: u64) -> Problem {
         let alg = layered(&LayeredConfig {
             n_ops,
             seed,
             ..Default::default()
         });
         let config = TimingConfig {
-            ccr: 2.0,
+            ccr,
             npf: 1,
             seed,
             ..Default::default()
         };
-        timing(alg, arch::fully_connected(procs), &config).expect("generated problems are valid")
+        timing(alg, arch, &config).expect("generated problems are valid")
+    }
+
+    /// A layered problem on a fully connected `procs`-processor machine at
+    /// CCR 2 and `Npf = 1`.
+    fn full_problem(procs: usize, n_ops: usize, seed: u64) -> Problem {
+        layered_problem(arch::fully_connected(procs), n_ops, 2.0, seed)
     }
 
     /// One pinned instance per supported topology family, plus two
@@ -230,6 +235,23 @@ mod golden {
             ),
             ("full4_n200_seed14", full_problem(4, 200, 14)),
             ("full6_n200_seed15", full_problem(6, 200, 15)),
+        ]
+    }
+
+    /// FTBAR-only instances where `Minimize_start_time` duplicates
+    /// heavily on multi-hop topologies (CCR 5, N = 300): one placement's
+    /// comms share links (relayed routes, coverage alternatives), and
+    /// deep nested duplications are kept and rolled back.
+    fn duplication_heavy_cases() -> Vec<(&'static str, Problem)> {
+        vec![
+            (
+                "mesh3x2_n300_seed16",
+                layered_problem(arch::mesh(3, 2), 300, 5.0, 16),
+            ),
+            (
+                "ring6_n300_seed17",
+                layered_problem(arch::ring(6), 300, 5.0, 17),
+            ),
         ]
     }
 
@@ -260,6 +282,19 @@ mod golden {
     fn ftbar_matches_pinned_schedules() {
         for (name, problem) in cases() {
             check("ftbar", name, &ftbar_schedule(&problem).expect("schedules"));
+        }
+    }
+
+    #[test]
+    fn ftbar_matches_pinned_duplication_heavy_schedules() {
+        for (name, problem) in duplication_heavy_cases() {
+            let schedule = ftbar_schedule(&problem).expect("schedules");
+            let duplicated = schedule.replicas().iter().filter(|r| r.duplicated).count();
+            assert!(
+                duplicated * 4 >= problem.alg().op_count(),
+                "`{name}` should duplicate heavily, got {duplicated} duplicates"
+            );
+            check("ftbar", name, &schedule);
         }
     }
 
