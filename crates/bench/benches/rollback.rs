@@ -1,14 +1,15 @@
 //! Transactional-attempt cost: undo-log checkpoints vs. the old
 //! clone-the-whole-builder path.
 //!
-//! Both schedulers probe speculative placements constantly —
-//! `Minimize_start_time` per accepted duplication, HBP per ordered
-//! processor pair. Until this workspace grew the undo log, every attempt
+//! Both schedulers undo speculative bookings constantly — HBP per ordered
+//! processor pair, `Minimize_start_time` per rejected duplication trial
+//! (its own candidate placements are only evaluated, never booked; see
+//! `DESIGN.md` §4). Until this workspace grew the undo log, every attempt
 //! deep-cloned the entire [`ftbar_core::ScheduleBuilder`] (timelines,
 //! replicas, comms). This bench isolates the two transaction mechanisms on
 //! identical mid-build states over layered workloads: each iteration
-//! performs one speculative placement of the next operation and retracts
-//! it, either by dropping a clone or by rolling back to a checkpoint.
+//! books one speculative placement of the next operation and undoes it,
+//! either by dropping a clone or by rolling back to a checkpoint.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftbar_bench::experiment::{problem_for, PointConfig};

@@ -8,7 +8,7 @@
 //! daemon over a Unix socket, cold scheduling vs memoized cache hits),
 //! every `reschedule` point (single-edit delta repair vs a from-scratch
 //! re-run at the large-N scaling points), a `sweep_stats` section
-//! (per-size probe-cache and cluster-granularity counters), an
+//! (per-size probe-cache, cluster-granularity and duplication counters), an
 //! `allocations` section (steady-state allocation counts through a
 //! counting global allocator), and a `persistence`
 //! section (snapshot encode/write and read/decode latency at several
@@ -21,7 +21,7 @@
 //! ```sh
 //! cargo run --release -p ftbar-bench --bin perf_gate            # full run
 //! cargo run --release -p ftbar-bench --bin perf_gate -- --test  # CI smoke
-//! cargo run --release -p ftbar-bench --bin perf_gate -- --stats # + cache stats
+//! cargo run --release -p ftbar-bench --bin perf_gate -- --stats # + cache/dup stats
 //! cargo run --release -p ftbar-bench --bin perf_gate -- --test --check BENCH_scheduling.json
 //! ```
 //!
@@ -45,7 +45,7 @@ use ftbar_core::edit::ProblemEdit;
 use ftbar_core::engine::EnginePools;
 use ftbar_core::json::JsonObject;
 use ftbar_core::reschedule::ScheduleArtifacts;
-use ftbar_core::{ftbar, validate, FtbarConfig, Schedule, SweepStrategy};
+use ftbar_core::{ftbar, validate, DuplicationStats, FtbarConfig, Schedule, SweepStrategy};
 use ftbar_hbp::{HbpConfig, PairSearch};
 use ftbar_model::Problem;
 use ftbar_service::client::{request, Client, RequestOpts};
@@ -137,15 +137,16 @@ struct AllocPoint {
     peak_bytes: u64,
 }
 
-/// One `sweep_stats`-section row: the probe-cache counters of an
-/// incremental run plus the cluster count and expansion counters of a
-/// clustered run, per problem size.
+/// One `sweep_stats`-section row: the probe-cache and duplication
+/// counters of an incremental run plus the cluster count and expansion
+/// counters of a clustered run, per problem size.
 struct SweepStatsPoint {
     n_ops: usize,
     probes: u64,
     skipped_ops: u64,
     clusters: u64,
     expansion_probes: u64,
+    dup: DuplicationStats,
 }
 
 fn median_ns(samples: &mut [u128]) -> u128 {
@@ -466,10 +467,19 @@ fn main() {
             });
         }
         // SweepStats diagnostics (committed as the `sweep_stats` section):
-        // one untimed incremental run surfaces the probe-cache counters,
-        // one clustered run the cluster count and the pinned expansion's
-        // probes.
-        let s = ftbar::sweep_stats_for(&problem);
+        // one untimed incremental run surfaces the probe-cache and
+        // duplication counters, one clustered run the cluster count and
+        // the pinned expansion's probes.
+        let incremental = ftbar::schedule_with(
+            &problem,
+            &FtbarConfig {
+                sweep: SweepStrategy::Incremental,
+                ..FtbarConfig::default()
+            },
+        )
+        .expect("schedules");
+        let s = incremental.sweep_stats.expect("incremental records stats");
+        let dup = incremental.dup_stats;
         let clustered = ftbar::schedule_with(
             &problem,
             &FtbarConfig {
@@ -488,6 +498,19 @@ fn main() {
                 "  clustered n={n}: clusters {} expansion-probes {}",
                 cs.clusters, cs.probes
             );
+            println!(
+                "  duplication n={n}: evaluations {} trials {} accepted {} rejected {} \
+                 max-depth {} committed {}/{} rolled-back {}/{} (replicas/comms)",
+                dup.evaluations,
+                dup.trials,
+                dup.accepted,
+                dup.rejected,
+                dup.max_depth,
+                dup.committed_replicas,
+                dup.committed_comms,
+                dup.rolled_back_replicas,
+                dup.rolled_back_comms
+            );
         }
         sweep_points.push(SweepStatsPoint {
             n_ops: n,
@@ -495,6 +518,7 @@ fn main() {
             skipped_ops: s.skipped_ops,
             clusters: cs.clusters,
             expansion_probes: cs.probes,
+            dup,
         });
 
         // Steady-state allocation profile of the incremental engine: one
@@ -956,14 +980,25 @@ fn main() {
             .finish()
     });
     // Diagnostics rows (no `median_ns`, so the `--check` point matcher
-    // ignores them): probe-cache effectiveness and cluster granularity.
+    // ignores them): probe-cache effectiveness, cluster granularity and
+    // `Minimize_start_time` work.
     let sweeps = sweep_points.iter().map(|s| {
+        let d = &s.dup;
         row("sweep_stats")
             .raw("n_ops", s.n_ops)
             .raw("probes", s.probes)
             .raw("skipped_ops", s.skipped_ops)
             .raw("clusters", s.clusters)
             .raw("expansion_probes", s.expansion_probes)
+            .raw("dup_evaluations", d.evaluations)
+            .raw("dup_trials", d.trials)
+            .raw("dup_accepted", d.accepted)
+            .raw("dup_rejected", d.rejected)
+            .raw("dup_max_depth", d.max_depth)
+            .raw("committed_replicas", d.committed_replicas)
+            .raw("committed_comms", d.committed_comms)
+            .raw("rolled_back_replicas", d.rolled_back_replicas)
+            .raw("rolled_back_comms", d.rolled_back_comms)
             .finish()
     });
     let allocations = allocs.iter().map(|a| {

@@ -337,8 +337,11 @@ fn cmd_schedule(rest: &[String]) -> Result<String, CliError> {
     let gantt_w = gantt_w.get();
     let sweep = parse_strategy(strategy.as_deref())?;
 
-    let schedule = if use_hbp {
-        ftbar_hbp::schedule(&problem).map_err(|e| err(e.to_string()))?
+    // Duplication counters exist for FTBAR runs only (HBP never
+    // duplicates).
+    let (schedule, dup_stats) = if use_hbp {
+        let schedule = ftbar_hbp::schedule(&problem).map_err(|e| err(e.to_string()))?;
+        (schedule, None)
     } else {
         ftbar::schedule_with(
             &problem,
@@ -353,7 +356,7 @@ fn cmd_schedule(rest: &[String]) -> Result<String, CliError> {
                 ..FtbarConfig::default()
             },
         )
-        .map(|o| o.schedule)
+        .map(|o| (o.schedule, Some(o.dup_stats)))
         .map_err(|e| err(e.to_string()))?
     };
 
@@ -393,6 +396,23 @@ fn cmd_schedule(rest: &[String]) -> Result<String, CliError> {
             "stats: replicas = {} ({} duplicated), avg replication = {:.2}, comms = {}",
             st.replicas, st.duplicated_replicas, st.avg_replication, st.comms
         );
+        if let Some(d) = dup_stats {
+            let _ = writeln!(
+                out,
+                "duplication: evaluations = {}, trials = {} ({} accepted, {} rejected), \
+                 max depth = {}, committed = {} replicas / {} comms, \
+                 rolled back = {} replicas / {} comms",
+                d.evaluations,
+                d.trials,
+                d.accepted,
+                d.rejected,
+                d.max_depth,
+                d.committed_replicas,
+                d.committed_comms,
+                d.rolled_back_replicas,
+                d.rolled_back_comms
+            );
+        }
         for p in problem.arch().procs() {
             let _ = writeln!(
                 out,
@@ -1283,6 +1303,7 @@ mod tests {
         let out = run_strs(&["schedule", path.to_str().unwrap(), "--no-gantt", "--stats"]).unwrap();
         assert!(out.contains("avg replication"));
         assert!(out.contains("utilization"));
+        assert!(out.contains("duplication: evaluations = "));
     }
 
     #[test]

@@ -31,6 +31,16 @@
 //! builder keeps the best-effort classic plan). See `DESIGN.md` for the
 //! correctness argument.
 //!
+//! # Evaluate, then commit
+//!
+//! A placement is first *evaluated*: the input plan, every comm hop's slot
+//! and the replica's slot are computed on the current state without
+//! touching a timeline or a store (a hop also keeps clear of the
+//! placement's own earlier hops, as booking them one by one would). The
+//! evaluated segment is then *committed* verbatim. `Minimize_start_time`
+//! compares evaluations of the operation being placed and commits only the
+//! winner; only the predecessor duplicates it tries are booked.
+//!
 //! # Transactions
 //!
 //! Rollback (paper step Ð, "undo all the replications") is transactional
@@ -38,14 +48,15 @@
 //! extent of the append-only replica/comm logs, and
 //! [`ScheduleBuilder::rollback`] unwinds every timeline insertion, replica
 //! push, and comm booking made since a mark. Attempt-and-compare search
-//! (`place_min_start`, HBP's processor-pair probing) rolls back instead of
-//! deep-cloning the whole builder per attempt.
+//! (rejected duplications in `place_min_start`, HBP's processor-pair
+//! probing) rolls back instead of deep-cloning the whole builder per
+//! attempt. [`DuplicationStats`] counts this work.
 
 use ftbar_model::{DepId, LinkId, OpId, Problem, ProcId, Time};
 
 use crate::error::ScheduleError;
 use crate::schedule::{BookedHop, Comm, CommId, Replica, ReplicaId, Schedule};
-use crate::timeline::Timeline;
+use crate::timeline::{Slot, Timeline};
 
 /// A bookable resource timeline: a processor lane or a link lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -148,31 +159,62 @@ enum DepPick {
 }
 
 /// A reusable flat input plan: one [`PlanItem`] per dependency plus the
-/// pooled remote sources, and the best/worst ready instants of the full
-/// input set. Owned by the builder and recycled across placements — the
-/// booking path allocates nothing per attempt.
+/// pooled remote sources. Owned by the builder and recycled across
+/// placements — evaluation allocates nothing per attempt.
 #[derive(Debug, Clone, Default)]
 struct PlanBuf {
     items: Vec<(DepId, PlanItem)>,
     pool: Vec<RemoteSource>,
-    best_ready: Time,
-    worst_ready: Time,
     /// Latest Immediate Predecessor w.r.t. the planned processor, if any.
     lip: Option<(Time, OpId)>,
 }
 
-/// Saved bookings of one completed placement — the replica pushed after a
-/// checkpoint and its comms, with their exact slots. After speculative work
-/// on the same state was rolled back, [`ScheduleBuilder::replay_segment`]
-/// redoes the placement verbatim (no planning, no probing): the state is
-/// identical to when the segment was saved, so every `insert_at` lands in a
-/// free gap and all ids come out unchanged.
+/// One placement as [`ScheduleBuilder::evaluate`] computed it on the
+/// current state — the replica and its comms with their exact slots, ids
+/// and survival bits — without anything booked.
+/// [`ScheduleBuilder::commit`] books it verbatim (no planning, no probing)
+/// on that same state, so every `insert_at` lands in a free gap and all ids
+/// come out as evaluated. `Minimize_start_time` compares evaluations and
+/// commits only the one it keeps.
 #[derive(Debug, Clone)]
 struct PlacedSegment {
     replica: Replica,
     surv: Vec<u64>,
     fully: bool,
     comms: Vec<Comm>,
+    /// Latest Immediate Predecessor of the placement's input plan, if any.
+    lip: Option<OpId>,
+}
+
+/// Work counters of predecessor duplication (`Minimize_start_time`) and of
+/// the undo log, accumulated by one [`ScheduleBuilder`] since it was
+/// created or re-attached ([`ScheduleBuilder::from_state`] starts from
+/// zero).
+///
+/// `trials = accepted + rejected`. For a run that keeps nothing it rolled
+/// back, `committed_replicas - rolled_back_replicas` is the schedule's
+/// replica count (and likewise for comms).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DuplicationStats {
+    /// Placements evaluated: baselines, trial re-placements and plain
+    /// [`ScheduleBuilder::place`] calls.
+    pub evaluations: u64,
+    /// LIP duplications tried (paper step Í).
+    pub trials: u64,
+    /// Trials kept because they lowered `S_worst` (step Ñ).
+    pub accepted: u64,
+    /// Trials undone (steps Ï/Ð), including ones that failed to place.
+    pub rejected: u64,
+    /// Deepest nested `Minimize_start_time` call (0: no duplication tried).
+    pub max_depth: u64,
+    /// Replicas booked into the timelines.
+    pub committed_replicas: u64,
+    /// Comms booked into the timelines.
+    pub committed_comms: u64,
+    /// Replicas unwound by [`ScheduleBuilder::rollback`].
+    pub rolled_back_replicas: u64,
+    /// Comms unwound by [`ScheduleBuilder::rollback`].
+    pub rolled_back_comms: u64,
 }
 
 /// Reusable buffers for the allocation-free probe path
@@ -260,32 +302,31 @@ pub struct ScheduleBuilder<'p> {
     surv: Vec<Vec<u64>>,
     /// Per replica: survives every pattern not containing its processor.
     fully_live: Vec<bool>,
-    /// Recycled input-plan buffer for the booking path (placements
-    /// allocate nothing per attempt).
+    /// Recycled input-plan buffer for evaluation (placements allocate
+    /// nothing per attempt).
     plan_buf: PlanBuf,
-    /// Recycled per-dependency source buffer shared by booking and the
+    /// Recycled per-dependency source buffer shared by evaluation and the
     /// internal probe paths.
     plan_scratch: ProbeScratch,
-    /// LIP of the last planned placement (set by `place_flagged` from its
-    /// input plan; consumed by `place_min_inner`).
-    last_lip: Option<OpId>,
     /// Flattened scheduling-predecessor adjacency: `preds[pred_off[op] ..
     /// pred_off[op + 1]]` — the boxed `Alg::sched_preds` iterator is too
     /// expensive for the planning hot paths.
     preds: Vec<(DepId, OpId)>,
     pred_off: Vec<u32>,
-    /// Monotone count of mutation bursts (placements, rollbacks,
-    /// replays); lets observers detect quiescence cheaply. See
+    /// Monotone count of mutation bursts (placement commits and
+    /// rollbacks); lets observers detect quiescence cheaply. See
     /// [`ScheduleBuilder::mutation_count`].
     mutations: u64,
-    /// Recycled hop buffers (rollback returns unwound comms' allocations
-    /// here; booking reuses them — the speculation loop allocates nothing
-    /// in steady state).
+    /// Recycled hop buffers (rollback and discarded evaluations return
+    /// their allocations here; evaluation reuses them — the speculation
+    /// loop allocates nothing in steady state).
     hops_pool: Vec<Vec<BookedHop>>,
     /// Recycled survival bitsets, same lifecycle.
     surv_pool: Vec<Vec<u64>>,
     /// Recycled segment comm buffers, same lifecycle.
     seg_comms_pool: Vec<Vec<Comm>>,
+    /// Duplication and undo-log work counters.
+    dup_stats: DuplicationStats,
 }
 
 /// Recyclable buffers of a finished [`ScheduleBuilder`]: the input-plan
@@ -326,7 +367,6 @@ pub struct BuilderState {
     fully_live: Vec<bool>,
     plan_buf: PlanBuf,
     plan_scratch: ProbeScratch,
-    last_lip: Option<OpId>,
     preds: Vec<(DepId, OpId)>,
     pred_off: Vec<u32>,
     mutations: u64,
@@ -381,13 +421,13 @@ impl<'p> ScheduleBuilder<'p> {
             fully_live: Vec::new(),
             plan_buf: pools.plan_buf,
             plan_scratch: pools.plan_scratch,
-            last_lip: None,
             preds,
             pred_off,
             mutations: 0,
             hops_pool: pools.hops,
             surv_pool: pools.surv,
             seg_comms_pool: pools.seg_comms,
+            dup_stats: DuplicationStats::default(),
         }
     }
 
@@ -406,7 +446,6 @@ impl<'p> ScheduleBuilder<'p> {
             fully_live: self.fully_live,
             plan_buf: self.plan_buf,
             plan_scratch: self.plan_scratch,
-            last_lip: self.last_lip,
             preds: self.preds,
             pred_off: self.pred_off,
             mutations: self.mutations,
@@ -449,18 +488,24 @@ impl<'p> ScheduleBuilder<'p> {
             fully_live: state.fully_live,
             plan_buf: state.plan_buf,
             plan_scratch: state.plan_scratch,
-            last_lip: state.last_lip,
             preds: state.preds,
             pred_off: state.pred_off,
             mutations: state.mutations,
             hops_pool: state.hops_pool,
             surv_pool: state.surv_pool,
             seg_comms_pool: state.seg_comms_pool,
+            dup_stats: DuplicationStats::default(),
         }
     }
 
-    /// Monotone counter bumped by every mutating operation (placement,
-    /// rollback, segment replay). Equal values bracket a quiescent span in
+    /// The duplication and undo-log work counters so far (see
+    /// [`DuplicationStats`]).
+    pub fn dup_stats(&self) -> DuplicationStats {
+        self.dup_stats
+    }
+
+    /// Monotone counter bumped by every mutating operation (placement
+    /// commit, rollback). Equal values bracket a quiescent span in
     /// which no timeline or replica store changed — the sweep engine's
     /// cue that its per-step change masks are current.
     pub fn mutation_count(&self) -> u64 {
@@ -592,6 +637,8 @@ impl<'p> ScheduleBuilder<'p> {
             mark.replicas <= self.replicas.len() && mark.comms <= self.comms.len(),
             "rollback mark is ahead of the builder state"
         );
+        self.dup_stats.rolled_back_replicas += (self.replicas.len() - mark.replicas) as u64;
+        self.dup_stats.rolled_back_comms += (self.comms.len() - mark.comms) as u64;
         for cid in (mark.comms..self.comms.len()).rev() {
             for (i, hop) in self.comms[cid].hops.iter().enumerate() {
                 let removed =
@@ -770,7 +817,7 @@ impl<'p> ScheduleBuilder<'p> {
     /// to a fragile local copy where coverage is unachievable. Remote
     /// choices are left in `chosen`, ascending by `(arrival, src, route)`.
     ///
-    /// Shared by the probing and the booking path, so the two can never
+    /// Shared by the probing and the evaluation path, so the two can never
     /// disagree on a plan.
     fn pick_dep_sources(
         &self,
@@ -829,7 +876,7 @@ impl<'p> ScheduleBuilder<'p> {
     }
 
     /// Plans how each intra-iteration dependency of `op` reaches `proc`,
-    /// into the reusable `buf`. Booking path — the probe path uses
+    /// into the reusable `buf`. Evaluation path — the probe path uses
     /// [`ScheduleBuilder::input_ready_times`]; both share
     /// [`ScheduleBuilder::pick_dep_sources`].
     fn plan_inputs_buf(
@@ -842,8 +889,6 @@ impl<'p> ScheduleBuilder<'p> {
     ) -> Result<(), ScheduleError> {
         buf.items.clear();
         buf.pool.clear();
-        buf.best_ready = Time::ZERO;
-        buf.worst_ready = Time::ZERO;
         buf.lip = None;
         for di in self.pred_off[op.index()]..self.pred_off[op.index() + 1] {
             let (dep, pred) = self.preds[di as usize];
@@ -856,8 +901,6 @@ impl<'p> ScheduleBuilder<'p> {
                 trace.as_deref_mut(),
             )? {
                 DepPick::Local { src, ready } => {
-                    buf.best_ready = buf.best_ready.max(ready);
-                    buf.worst_ready = buf.worst_ready.max(ready);
                     buf.items.push((dep, PlanItem::Local { src, ready }));
                 }
                 DepPick::Remote {
@@ -865,12 +908,6 @@ impl<'p> ScheduleBuilder<'p> {
                     local,
                 } => {
                     let chosen = &scratch.chosen;
-                    buf.best_ready = buf
-                        .best_ready
-                        .max(chosen.first().expect("non-empty").arrival);
-                    buf.worst_ready = buf
-                        .worst_ready
-                        .max(chosen.last().expect("non-empty").arrival);
                     let start = buf.pool.len() as u32;
                     buf.pool.extend_from_slice(chosen);
                     buf.items.push((
@@ -1063,15 +1100,27 @@ impl<'p> ScheduleBuilder<'p> {
     /// if `op` is already hosted on `proc`. On error the builder is
     /// unchanged.
     pub fn place(&mut self, op: OpId, proc: ProcId) -> Result<ReplicaId, ScheduleError> {
-        self.place_flagged(op, proc, false)
+        let seg = self.evaluate(op, proc, false)?;
+        Ok(self.commit(seg))
     }
 
-    fn place_flagged(
+    /// Computes where a replica of `op` on `proc` and its incoming comms
+    /// would land on the current state, without touching any timeline or
+    /// store: the placement [`ScheduleBuilder::commit`] books verbatim.
+    ///
+    /// Comms are laid out in dependency order, then arrival order, hop by
+    /// hop, each hop at the earliest slot free on its link *and* clear of
+    /// this placement's earlier hops — what booking them one after another
+    /// would give. The replica takes the earliest processor slot at its
+    /// first complete input set (`S_best`); `S_worst` waits for the latest
+    /// arrival.
+    fn evaluate(
         &mut self,
         op: OpId,
         proc: ProcId,
         duplicated: bool,
-    ) -> Result<ReplicaId, ScheduleError> {
+    ) -> Result<PlacedSegment, ScheduleError> {
+        self.dup_stats.evaluations += 1;
         if self.has_replica_on(op, proc) {
             return Err(ScheduleError::ReplicaExists { op, proc });
         }
@@ -1080,7 +1129,7 @@ impl<'p> ScheduleBuilder<'p> {
             .exec()
             .get(op, proc)
             .ok_or(ScheduleError::Forbidden { op, proc })?;
-        // Recycle the builder-owned plan buffers (placements are on the
+        // Recycle the builder-owned plan buffers (evaluation is on the
         // `Minimize_start_time` hot path; no allocation per attempt).
         let mut buf = std::mem::take(&mut self.plan_buf);
         let mut scratch = std::mem::take(&mut self.plan_scratch);
@@ -1090,13 +1139,13 @@ impl<'p> ScheduleBuilder<'p> {
             self.plan_buf = buf;
             return Err(e);
         }
-        self.last_lip = buf.lip.map(|(_, o)| o);
         let rid = ReplicaId(self.replicas.len() as u32);
-        self.mutations += 1;
+        let mut comms = self.seg_comms_pool.pop().unwrap_or_default();
+        comms.clear();
 
-        // Book the comms for real, in dependency order then arrival order.
-        // Booked arrivals may differ slightly from probed ones because
-        // bookings interact on shared links; ready times use booked values.
+        // Laid-out arrivals may differ from the planned ones because this
+        // placement's comms interact on shared links; ready times use the
+        // laid-out values.
         let mut best_ready = Time::ZERO;
         let mut worst_ready = Time::ZERO;
         for &(dep, item) in &buf.items {
@@ -1109,7 +1158,9 @@ impl<'p> ScheduleBuilder<'p> {
                     let mut dep_best = Time::MAX;
                     let mut dep_worst = Time::ZERO;
                     for c in &buf.pool[start as usize..(start + len) as usize] {
-                        let arrival = self.book_comm(dep, c.src, rid, proc, c.route);
+                        let comm = self.lay_out_comm(dep, c.src, rid, proc, c.route, &comms);
+                        let arrival = comm.arrival();
+                        comms.push(comm);
                         dep_best = dep_best.min(arrival);
                         dep_worst = dep_worst.max(arrival);
                     }
@@ -1142,62 +1193,120 @@ impl<'p> ScheduleBuilder<'p> {
                 fully = false;
             }
         }
+        let lip = buf.lip.map(|(_, o)| o);
         self.plan_buf = buf;
 
-        let start_worst = self.proc_tl[proc.index()].probe(worst_ready, dur);
-        let slot = self.proc_tl[proc.index()].insert_earliest(best_ready, dur, rid);
-        self.replicas.push(Replica {
-            op,
-            proc,
-            slot,
-            start_worst,
-            duplicated,
-        });
-        self.replicas_of[op.index()].push(rid);
-        self.surv.push(surv);
-        self.fully_live.push(fully);
-        Ok(rid)
+        let tl = &self.proc_tl[proc.index()];
+        let start = tl.probe(best_ready, dur);
+        Ok(PlacedSegment {
+            replica: Replica {
+                op,
+                proc,
+                slot: Slot {
+                    start,
+                    end: start + dur,
+                },
+                start_worst: tl.probe(worst_ready, dur),
+                duplicated,
+            },
+            surv,
+            fully,
+            comms,
+            lip,
+        })
     }
 
-    /// Books one comm (all hops of route `route_idx` between the hosting
-    /// processors) and returns its arrival time.
-    fn book_comm(
+    /// Lays out one comm over route `route_idx` between the hosting
+    /// processors: each hop at the earliest slot free on its link and clear
+    /// of `earlier` (the placement's comms laid out so far) and of the
+    /// comm's own earlier hops.
+    fn lay_out_comm(
         &mut self,
         dep: DepId,
         src: ReplicaId,
         dst: ReplicaId,
         dst_proc: ProcId,
         route_idx: usize,
-    ) -> Time {
-        let src_rep = &self.replicas[src.index()];
-        let cid = CommId(self.comms.len() as u32);
-        let mut t = src_rep.end();
+        earlier: &[Comm],
+    ) -> Comm {
         let mut hops = self.hops_pool.pop().unwrap_or_default();
         hops.clear();
+        let src_rep = &self.replicas[src.index()];
+        let mut t = src_rep.end();
         let route = &self.problem.routes().all(src_rep.proc, dst_proc)[route_idx];
-        for (i, hop) in route.hops().iter().enumerate() {
+        for hop in route.hops() {
             let dur = self
                 .problem
                 .comm()
                 .get(dep, hop.link)
                 .expect("candidate routes are transmissible");
-            let slot = self.link_tl[hop.link.index()].insert_earliest(t, dur, (cid, i));
-            t = slot.end;
+            let tl = &self.link_tl[hop.link.index()];
+            // Every start before the end of a clashing hop of this
+            // placement clashes too, so jump past it and probe again.
+            let start = loop {
+                let s = tl.probe(t, dur);
+                let want = Slot {
+                    start: s,
+                    end: s + dur,
+                };
+                let clash = earlier
+                    .iter()
+                    .flat_map(|c| &c.hops)
+                    .chain(&hops)
+                    .filter(|h| h.link == hop.link && h.slot.overlaps(&want))
+                    .map(|h| h.slot.end)
+                    .max();
+                match clash {
+                    Some(end) => t = end,
+                    None => break s,
+                }
+            };
+            t = start + dur;
             hops.push(BookedHop {
                 link: hop.link,
                 from: hop.from,
                 to: hop.to,
-                slot,
+                slot: Slot { start, end: t },
             });
         }
         debug_assert!(!hops.is_empty(), "remote comms traverse at least one link");
-        self.comms.push(Comm {
+        Comm {
             dep,
             src,
             dst,
             hops,
-        });
-        t
+        }
+    }
+
+    /// Books an evaluated placement verbatim on the state it was evaluated
+    /// on (no planning, no probing) and returns the new replica's id. Every
+    /// `insert_at` lands in a free gap; a wrong evaluation panics here
+    /// instead of drifting silently.
+    fn commit(&mut self, mut seg: PlacedSegment) -> ReplicaId {
+        self.mutations += 1;
+        self.dup_stats.committed_replicas += 1;
+        self.dup_stats.committed_comms += seg.comms.len() as u64;
+        let rid = ReplicaId(self.replicas.len() as u32);
+        let slot = seg.replica.slot;
+        self.proc_tl[seg.replica.proc.index()]
+            .insert_at(slot.start, slot.duration(), rid)
+            .expect("a placement commits on the state it was evaluated on");
+        self.replicas_of[seg.replica.op.index()].push(rid);
+        self.replicas.push(seg.replica);
+        self.surv.push(seg.surv);
+        self.fully_live.push(seg.fully);
+        for comm in seg.comms.drain(..) {
+            debug_assert_eq!(comm.dst, rid, "evaluated for this replica id");
+            let cid = CommId(self.comms.len() as u32);
+            for (i, hop) in comm.hops.iter().enumerate() {
+                self.link_tl[hop.link.index()]
+                    .insert_at(hop.slot.start, hop.slot.duration(), (cid, i))
+                    .expect("a placement commits on the state it was evaluated on");
+            }
+            self.comms.push(comm);
+        }
+        self.seg_comms_pool.push(seg.comms);
+        rid
     }
 
     /// Places a replica of `op` on `proc` applying the paper's
@@ -1214,137 +1323,64 @@ impl<'p> ScheduleBuilder<'p> {
         self.place_min_inner(op, proc, 0)
     }
 
+    /// `Minimize_start_time` at recursion `depth`. `op`'s own placements
+    /// — the baseline and every trial re-placement — are only evaluated;
+    /// only duplications reach the timelines (committed by the nested
+    /// calls), and a rejected trial rolls back just those. The winning
+    /// evaluation is committed once at the end, on the state it was
+    /// evaluated on.
     fn place_min_inner(
         &mut self,
         op: OpId,
         proc: ProcId,
         depth: usize,
     ) -> Result<ReplicaId, ScheduleError> {
-        // Ê/Ë: baseline placement (fails fast if o cannot run on p). Its
-        // input plan doubles as the Ì-guard: the LIP falls out of planning
-        // (computed on the pre-placement state, identical to the
-        // post-retraction state the loop below would see). No LIP means
-        // the baseline placement is final — no retract/redo round trip.
-        let base = self.checkpoint();
-        let rid = self.place_flagged(op, proc, depth > 0)?;
-        let mut best_worst = self.replicas[rid.index()].start_worst;
-        let first_lip = if depth < MAX_DUPLICATION_DEPTH {
-            self.last_lip
+        self.dup_stats.max_depth = self.dup_stats.max_depth.max(depth as u64);
+        // Ê/Ë: evaluate the baseline placement (fails fast if o cannot run
+        // on p). Its input plan names the first LIP; none means the
+        // baseline is final.
+        let mut segment = self.evaluate(op, proc, depth > 0)?;
+        let mut next_lip = if depth < MAX_DUPLICATION_DEPTH {
+            segment.lip
         } else {
             None
         };
-        if first_lip.is_none() {
-            return Ok(rid);
-        }
-
-        // Retract the baseline, keeping its bookings as a redo segment;
-        // the state now carries only the accepted duplications (none yet)
-        // and `op` is re-placed at the end.
-        // `segment` always holds `op`'s placement as booked on the current
-        // (post-unwinding) state: the baseline initially, then the last
-        // accepted trial. Committing is a verbatim redo — the second
-        // planning pass of the paper's step Ê/Ñ loop is never repeated.
-        let mut segment = self.retract_segment(base);
         // Ì: while there is a remote predecessor whose (k-th) arrival is
-        // latest, try duplicating it locally (the first candidate was
-        // already found on this exact state by the guard above).
-        let mut next_lip = first_lip;
+        // latest, try duplicating it locally.
         while let Some(lip) = next_lip {
+            self.dup_stats.trials += 1;
             let cur = self.checkpoint();
-            // Í: duplicate it onto proc, recursively minimized.
-            if self.place_min_inner(lip, proc, depth + 1).is_err() {
-                self.rollback(cur);
-                break;
-            }
-            // Î: re-evaluate op's placement with the duplicate present.
-            let trial = self.checkpoint();
-            let Ok(rid2) = self.place_flagged(op, proc, depth > 0) else {
-                // Undoes this round's duplication too, restoring the state
-                // `segment` was saved on.
-                self.rollback(cur);
-                break;
+            // Í: duplicate it onto proc, recursively minimized, then Î:
+            // re-evaluate op's placement with the duplicate present.
+            let trial = match self.place_min_inner(lip, proc, depth + 1) {
+                Ok(_) => self.evaluate(op, proc, depth > 0).ok(),
+                Err(_) => None,
             };
-            // The trial's plan was computed on the post-duplication state:
-            // its LIP is exactly the next candidate should we keep it.
-            let trial_lip = self.last_lip;
-            let w2 = self.replicas[rid2.index()].start_worst;
-            if w2 < best_worst {
-                // Ñ: keep the duplication, look for the new LIP.
-                best_worst = w2;
-                let old = std::mem::replace(&mut segment, self.retract_segment(trial));
-                self.recycle_segment(old);
-                next_lip = trial_lip;
-            } else {
-                // Ï/Ð: undo the duplication and stop.
-                self.rollback(cur);
-                break;
+            match trial {
+                Some(trial) if trial.replica.start_worst < segment.replica.start_worst => {
+                    // Ñ: keep the duplication; the trial's plan, made on
+                    // the post-duplication state, names the next LIP.
+                    self.dup_stats.accepted += 1;
+                    next_lip = trial.lip;
+                    let old = std::mem::replace(&mut segment, trial);
+                    self.recycle_segment(old);
+                }
+                rejected => {
+                    // Ï/Ð: undo the duplication (restoring the state
+                    // `segment` was evaluated on) and stop.
+                    self.dup_stats.rejected += 1;
+                    if let Some(trial) = rejected {
+                        self.recycle_segment(trial);
+                    }
+                    self.rollback(cur);
+                    break;
+                }
             }
         }
-        // Commit `op` on top of whatever duplications were kept: the saved
-        // segment was booked on this exact state.
-        Ok(self.replay_segment(segment))
+        Ok(self.commit(segment))
     }
 
-    /// Retracts the placement booked since `base` (exactly one replica and
-    /// its comms) from the timelines and stores, keeping its bookings for a
-    /// later verbatim redo — a rollback that steals instead of dropping.
-    fn retract_segment(&mut self, base: Checkpoint) -> PlacedSegment {
-        self.mutations += 1;
-        debug_assert_eq!(base.replicas + 1, self.replicas.len());
-        for cid in (base.comms..self.comms.len()).rev() {
-            for (i, hop) in self.comms[cid].hops.iter().enumerate() {
-                let removed =
-                    self.link_tl[hop.link.index()].remove_at(hop.slot, &(CommId(cid as u32), i));
-                debug_assert!(removed, "booked hop present on its link");
-            }
-        }
-        let mut comms = self.seg_comms_pool.pop().unwrap_or_default();
-        comms.clear();
-        comms.extend(self.comms.drain(base.comms..));
-        let rid = ReplicaId(base.replicas as u32);
-        let replica = self.replicas.pop().expect("segment replica present");
-        let removed = self.proc_tl[replica.proc.index()].remove_at(replica.slot, &rid);
-        debug_assert!(removed, "booked replica present on its processor");
-        let list = &mut self.replicas_of[replica.op.index()];
-        debug_assert_eq!(list.last(), Some(&rid));
-        list.pop();
-        let surv = self.surv.pop().expect("segment survival bits present");
-        let fully = self.fully_live.pop().expect("segment liveness present");
-        PlacedSegment {
-            replica,
-            surv,
-            fully,
-            comms,
-        }
-    }
-
-    /// Redoes a retracted placement on the exact state it was retracted
-    /// from. See [`PlacedSegment`].
-    fn replay_segment(&mut self, mut seg: PlacedSegment) -> ReplicaId {
-        self.mutations += 1;
-        let rid = ReplicaId(self.replicas.len() as u32);
-        let slot = seg.replica.slot;
-        self.proc_tl[seg.replica.proc.index()]
-            .insert_at(slot.start, slot.duration(), rid)
-            .expect("segment replays on the state it was saved from");
-        self.replicas_of[seg.replica.op.index()].push(rid);
-        self.replicas.push(seg.replica);
-        self.surv.push(seg.surv);
-        self.fully_live.push(seg.fully);
-        for comm in seg.comms.drain(..) {
-            let cid = CommId(self.comms.len() as u32);
-            for (i, hop) in comm.hops.iter().enumerate() {
-                self.link_tl[hop.link.index()]
-                    .insert_at(hop.slot.start, hop.slot.duration(), (cid, i))
-                    .expect("segment replays on the state it was saved from");
-            }
-            self.comms.push(comm);
-        }
-        self.seg_comms_pool.push(seg.comms);
-        rid
-    }
-
-    /// Returns a superseded segment's buffers to the pools.
+    /// Returns an evaluated but uncommitted segment's buffers to the pools.
     fn recycle_segment(&mut self, mut seg: PlacedSegment) {
         self.surv_pool.push(seg.surv);
         for comm in seg.comms.drain(..) {
@@ -1725,13 +1761,13 @@ mod tests {
     }
 
     #[test]
-    fn comms_of_one_placement_sharing_a_link_book_sequentially() {
+    fn comms_of_one_placement_sharing_a_link_evaluate_sequentially() {
         // `X -> Y` on a four-processor ring, slow links; Z delays X's
         // replica on P1. Y on P2 is fed from P1 over L1 and from P0
         // relayed through P1, both ready on L1 at 4: the relayed comm
-        // (earlier source) takes L1 first and pushes the direct one. Hop
-        // slots must be disjoint and equal to what booking each hop in
-        // turn with `Timeline::insert_earliest` gives.
+        // (earlier source) takes L1 first and pushes the direct one. The
+        // evaluated hop slots must be disjoint and equal to what booking
+        // each hop in turn with `Timeline::insert_earliest` gives.
         let mut ab = Alg::builder("pushed");
         let x = ab.comp("X");
         let z = ab.comp("Z");
@@ -1757,8 +1793,14 @@ mod tests {
         let before = b.link_tl.clone();
         let mut links = before.clone();
         let first = b.comms.len();
-        let r = b.place(y, ProcId(2)).unwrap();
+        // Evaluation books nothing; the commit books exactly what it
+        // evaluated.
+        let seg = b.evaluate(y, ProcId(2), false).unwrap();
+        assert!(b.link_tl == before && b.comms.len() == first);
+        let evaluated = seg.comms.clone();
+        let r = b.commit(seg);
         let comms = &b.comms[first..];
+        assert_eq!(comms, &evaluated[..]);
         let hops: Vec<&BookedHop> = comms.iter().flat_map(|c| &c.hops).collect();
         for (i, h) in hops.iter().enumerate() {
             for g in &hops[..i] {

@@ -35,7 +35,9 @@
 
 use ftbar_model::{OpId, Problem, ProcId};
 
-use crate::builder::{BuilderPools, BuilderState, Checkpoint, ProbePoint, ScheduleBuilder};
+use crate::builder::{
+    BuilderPools, BuilderState, Checkpoint, DuplicationStats, ProbePoint, ScheduleBuilder,
+};
 use crate::error::ScheduleError;
 use crate::schedule::Schedule;
 use crate::sweep::{CachePools, PointFocus, ProbeCache, SweepStats};
@@ -160,6 +162,8 @@ pub struct EngineOutcome {
     pub steps: Vec<StepTrace>,
     /// Probe-cache counters; `None` when the engine ran uncached.
     pub sweep_stats: Option<SweepStats>,
+    /// The builder's duplication and undo-log counters for this run.
+    pub dup_stats: DuplicationStats,
     /// Recyclable arenas for the next engine (see [`EnginePools`]).
     pub pools: EnginePools,
     /// The placement log and final builder state; `None` unless
@@ -422,6 +426,7 @@ impl<'p, P: PlacementPolicy> Engine<'p, P> {
             }
         }
         let sweep_stats = self.cx.cache.as_ref().map(ProbeCache::stats);
+        let dup_stats = self.cx.builder.dup_stats();
         let cache_pools = self.cx.cache.map(ProbeCache::reclaim).unwrap_or_default();
         let (schedule, builder_pools, retained) = if self.retain {
             // Keep the builder alive as a detached state; its recycling
@@ -444,6 +449,7 @@ impl<'p, P: PlacementPolicy> Engine<'p, P> {
             schedule,
             steps,
             sweep_stats,
+            dup_stats,
             pools: EnginePools {
                 builder: builder_pools,
                 cache: cache_pools,

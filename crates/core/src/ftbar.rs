@@ -172,6 +172,9 @@ pub struct FtbarOutcome {
     /// Probe-cache counters; `None` when the resolved strategy is
     /// [`SweepStrategy::Naive`] (including adaptive runs below the cutoff).
     pub sweep_stats: Option<crate::sweep::SweepStats>,
+    /// `Minimize_start_time` and undo-log counters (the expansion phase's
+    /// for [`SweepStrategy::Clustered`]).
+    pub dup_stats: crate::DuplicationStats,
 }
 
 /// FTBAR as an engine policy: micro-steps À/Á in `select` (sweep-engine
@@ -375,6 +378,7 @@ pub fn schedule_with_pools(
             schedule: out.schedule,
             steps: out.steps,
             sweep_stats: out.sweep_stats,
+            dup_stats: out.dup_stats,
         },
         out.pools,
     ))
@@ -665,5 +669,48 @@ mod tests {
         let (first, pools) = schedule_with_pools(&p, &config, EnginePools::default()).unwrap();
         let (second, _) = schedule_with_pools(&p, &config, pools).unwrap();
         assert_eq!(first.schedule, second.schedule);
+    }
+
+    #[test]
+    fn paper_example_duplication_counters_are_pinned() {
+        let p = paper_example();
+        let pinned = crate::DuplicationStats {
+            evaluations: 32,
+            trials: 7,
+            accepted: 4,
+            rejected: 3,
+            max_depth: 2,
+            committed_replicas: 25,
+            committed_comms: 8,
+            rolled_back_replicas: 3,
+            rolled_back_comms: 2,
+        };
+        // Selection only probes, so every exact sweep does the same
+        // duplication work.
+        for sweep in [SweepStrategy::Naive, SweepStrategy::Incremental] {
+            let out = schedule_with(
+                &p,
+                &FtbarConfig {
+                    sweep,
+                    ..FtbarConfig::default()
+                },
+            )
+            .unwrap();
+            let d = out.dup_stats;
+            assert_eq!(d, pinned, "{}", sweep.name());
+            assert_eq!(d.trials, d.accepted + d.rejected);
+            let s = &out.schedule;
+            assert_eq!(
+                d.committed_replicas - d.rolled_back_replicas,
+                s.replica_count() as u64
+            );
+            assert_eq!(
+                d.committed_comms - d.rolled_back_comms,
+                s.comm_count() as u64
+            );
+            // Every kept duplicate was placed by one accepted trial.
+            let duplicated = s.replicas().iter().filter(|r| r.duplicated).count();
+            assert!(duplicated as u64 <= d.accepted);
+        }
     }
 }

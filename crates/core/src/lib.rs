@@ -62,8 +62,8 @@ mod timeline;
 pub mod validate;
 
 pub use builder::{
-    BuilderPools, BuilderState, Checkpoint, Lane, PlanProbe, ProbeEvent, ProbePoint, ProbeScratch,
-    ScheduleBuilder,
+    BuilderPools, BuilderState, Checkpoint, DuplicationStats, Lane, PlanProbe, ProbeEvent,
+    ProbePoint, ProbeScratch, ScheduleBuilder,
 };
 pub use edit::{EditError, ProblemEdit};
 pub use engine::{

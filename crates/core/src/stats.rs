@@ -17,7 +17,10 @@ pub struct ScheduleStats {
     pub proc_utilization: Vec<f64>,
     /// Per-link busy time.
     pub link_busy: Vec<Time>,
-    /// Per-link utilization in `[0, 1]` w.r.t. the makespan.
+    /// Per-link busy time divided by the makespan. Unlike processor
+    /// utilization this can exceed 1: a redundant comm only has to arrive
+    /// for the failure case, so the slower of a replica's `Npf + 1` inputs
+    /// may still be on its links after the last replica has ended.
     pub link_utilization: Vec<f64>,
     /// Total replicas (including duplicated ones).
     pub replicas: usize,

@@ -129,8 +129,8 @@ struct DirEntry {
 /// Bookings live in a directory of bounded-size chunks, each a dense
 /// struct-of-arrays run of consecutive slots carrying its own index of the
 /// free intervals between them. The `Minimize_start_time` placement loop
-/// retracts and replays whole placements hundreds of thousands of times on
-/// large problems; with flat arrays every such insert or remove is an
+/// commits and rolls back nested duplications hundreds of thousands of
+/// times on large problems; with flat arrays every such insert or remove is an
 /// `O(len)` memmove over the slot, payload, *and* gap stores, which
 /// dominated the schedule time beyond N ≈ 5000. Chunking bounds each
 /// memmove to `CHUNK_MAX` elements plus a directory walk of
@@ -271,11 +271,12 @@ impl<P> Timeline<P> {
     }
 
     /// Raw sorted insert of an interval already known to be free, with
-    /// gap-index repair and bounded-memmove chunk inserts.
-    fn insert_sorted(&mut self, slot: Slot, payload: P) {
+    /// gap-index repair and bounded-memmove chunk inserts. `pos` is
+    /// `locate_insert(slot)`, or `None` on an empty timeline.
+    fn insert_sorted(&mut self, pos: Option<(usize, usize)>, slot: Slot, payload: P) {
         self.version += 1;
         self.len += 1;
-        if self.chunks.is_empty() {
+        let Some((ci, si)) = pos else {
             self.chunks.push(Chunk {
                 slots: vec![slot],
                 payloads: vec![payload],
@@ -283,8 +284,7 @@ impl<P> Timeline<P> {
             });
             self.dir.push(self.chunks[0].dir_entry());
             return;
-        }
-        let (ci, si) = self.locate_insert(slot);
+        };
         let c = &mut self.chunks[ci];
         // Repair the chunk's internal gap index: the free interval the new
         // slot lands in is internal exactly when both its frame slots are
@@ -379,7 +379,8 @@ impl<P> Timeline<P> {
             start,
             end: start + dur,
         };
-        self.insert_sorted(slot, payload);
+        let pos = (!self.chunks.is_empty()).then(|| self.locate_insert(slot));
+        self.insert_sorted(pos, slot, payload);
         slot
     }
 
@@ -396,8 +397,8 @@ impl<P> Timeline<P> {
         // Booked slots are sorted and pairwise disjoint, so only the
         // immediate neighbours of the insertion point can overlap (and the
         // earlier one first, preserving the reported conflict).
-        if !self.chunks.is_empty() {
-            let (ci, si) = self.locate_insert(slot);
+        let pos = (!self.chunks.is_empty()).then(|| self.locate_insert(slot));
+        if let Some((ci, si)) = pos {
             let c = &self.chunks[ci];
             let prev = if si > 0 {
                 Some(c.slots[si - 1])
@@ -422,7 +423,7 @@ impl<P> Timeline<P> {
                 }
             }
         }
-        self.insert_sorted(slot, payload);
+        self.insert_sorted(pos, slot, payload);
         Ok(slot)
     }
 

@@ -11,7 +11,8 @@
 //!   line and produces exactly one response line. Pure enough to drive
 //!   directly from tests and the chaos harness without sockets.
 //! * **Worker pool** — bounded `Mutex<VecDeque>` + `Condvar` job queue
-//!   (shed-oldest or reject-new on overflow), workers recycling
+//!   (on overflow, jobs past their deadline are dropped first, then
+//!   shed-oldest or reject-new), workers recycling
 //!   [`EnginePools`] arenas, `catch_unwind` around every job so a
 //!   panicking spec answers `internal_panic` — and is remembered in the
 //!   poisoned set, refusing identical requests without re-running them.
@@ -64,9 +65,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded work-queue depth; beyond it, backpressure kicks in.
     pub queue_depth: usize,
-    /// Backpressure policy on a full queue: `true` sheds the oldest
-    /// queued request (answering it `overloaded`), `false` rejects the
-    /// new one.
+    /// Backpressure policy on a queue still full after dropping the jobs
+    /// past their deadline: `true` sheds the oldest queued request
+    /// (answering it `overloaded`), `false` rejects the new one.
     pub shed_oldest: bool,
     /// Response-cache byte budget; `0` disables caching.
     pub cache_bytes: usize,
@@ -448,6 +449,13 @@ impl ServerState {
         // Admission control under the queue lock.
         {
             let mut queue = self.queue.lock().unwrap();
+            if queue.len() >= self.config.queue_depth.max(1) {
+                // Jobs past their deadline were already answered `timeout`
+                // (dropping one disconnects its requester, which answers
+                // the same); free their slots before turning anyone away.
+                let now = Instant::now();
+                queue.retain(|job| job.deadline > now);
+            }
             if queue.len() >= self.config.queue_depth.max(1) {
                 if self.config.shed_oldest {
                     if let Some(oldest) = queue.pop_front() {

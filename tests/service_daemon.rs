@@ -440,12 +440,51 @@ fn wait_for_queue_depth(state: &ServerState, depth: &str) {
     panic!("queue never reached depth {depth}");
 }
 
+/// A job that timed out while queued, with no worker free, frees its slot
+/// on a full reject-new queue: the next request is queued (and here times
+/// out too), not answered `overloaded`; once a worker runs, requests are
+/// answered.
+#[test]
+fn timed_out_queued_job_does_not_block_the_next_request() {
+    let state = ServerState::new(ServerConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..ServerConfig::default()
+    });
+    let paper = paper_spec();
+    let short = schedule_line(&paper, ", \"timeout_ms\": 50");
+    for _ in 0..2 {
+        let frame = state.handle_frame(&short);
+        assert!(
+            frame.response().contains("\"code\": \"timeout\""),
+            "{}",
+            frame.response()
+        );
+    }
+    let workers = state.spawn_workers();
+    let frame = state.handle_frame(&schedule_line(&paper, ""));
+    assert!(
+        frame.response().contains("\"makespan\""),
+        "{}",
+        frame.response()
+    );
+    let counters = assert_ledger(&state, 3);
+    for (name, want) in [("ok", 1), ("timeout", 2), ("overloaded", 0)] {
+        assert!(counters.contains(&(name.into(), want)), "{counters:?}");
+    }
+    state.begin_shutdown();
+    for w in workers {
+        w.join().expect("worker exits cleanly");
+    }
+}
+
 /// Reject, shed, degrade, hit and bad frames, driven through the frame
 /// core, keep the `status` counters reconciled.
 #[test]
 fn status_counters_reconcile_every_outcome() {
-    // Reject-new with no workers yet: a queued job times out, then the
-    // full queue rejects the next one.
+    // Reject-new with no workers yet: a live queued job fills the queue,
+    // so the next request is rejected; the queued job then times out, and
+    // the request after it takes the dead job's slot (and times out too).
     let state = ServerState::new(ServerConfig {
         workers: 1,
         queue_depth: 1,
@@ -455,8 +494,13 @@ fn status_counters_reconcile_every_outcome() {
     });
     let paper = paper_spec();
     let mut frames = Vec::new();
-    frames.push(state.handle_frame(&schedule_line(&paper, ", \"timeout_ms\": 50")));
+    let s2 = Arc::clone(&state);
+    let line = schedule_line(&paper, ", \"timeout_ms\": 1000");
+    let waiting = std::thread::spawn(move || s2.handle_frame(&line));
+    wait_for_queue_depth(&state, "1");
     frames.push(state.handle_frame(&schedule_line(&paper, "")));
+    frames.push(waiting.join().unwrap());
+    frames.push(state.handle_frame(&schedule_line(&paper, ", \"timeout_ms\": 50")));
     let workers = state.spawn_workers();
     // The worker drops the timed-out job unanswered.
     wait_for_queue_depth(&state, "0");
@@ -485,8 +529,9 @@ fn status_counters_reconcile_every_outcome() {
     assert_eq!(
         codes,
         [
-            "timeout",
             "overloaded",
+            "timeout",
+            "timeout",
             "degraded",
             "ok",
             "ok",
