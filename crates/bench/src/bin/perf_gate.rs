@@ -498,19 +498,7 @@ fn main() {
                 "  clustered n={n}: clusters {} expansion-probes {}",
                 cs.clusters, cs.probes
             );
-            println!(
-                "  duplication n={n}: evaluations {} trials {} accepted {} rejected {} \
-                 max-depth {} committed {}/{} rolled-back {}/{} (replicas/comms)",
-                dup.evaluations,
-                dup.trials,
-                dup.accepted,
-                dup.rejected,
-                dup.max_depth,
-                dup.committed_replicas,
-                dup.committed_comms,
-                dup.rolled_back_replicas,
-                dup.rolled_back_comms
-            );
+            println!("  duplication n={n}: {dup}");
         }
         sweep_points.push(SweepStatsPoint {
             n_ops: n,

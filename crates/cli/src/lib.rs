@@ -397,21 +397,7 @@ fn cmd_schedule(rest: &[String]) -> Result<String, CliError> {
             st.replicas, st.duplicated_replicas, st.avg_replication, st.comms
         );
         if let Some(d) = dup_stats {
-            let _ = writeln!(
-                out,
-                "duplication: evaluations = {}, trials = {} ({} accepted, {} rejected), \
-                 max depth = {}, committed = {} replicas / {} comms, \
-                 rolled back = {} replicas / {} comms",
-                d.evaluations,
-                d.trials,
-                d.accepted,
-                d.rejected,
-                d.max_depth,
-                d.committed_replicas,
-                d.committed_comms,
-                d.rolled_back_replicas,
-                d.rolled_back_comms
-            );
+            let _ = writeln!(out, "duplication: {d}");
         }
         for p in problem.arch().procs() {
             let _ = writeln!(

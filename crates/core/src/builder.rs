@@ -217,6 +217,26 @@ pub struct DuplicationStats {
     pub rolled_back_comms: u64,
 }
 
+/// One line, as `schedule --stats` and `perf_gate --stats` print it.
+impl std::fmt::Display for DuplicationStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "evaluations = {}, trials = {} ({} accepted, {} rejected), max depth = {}, \
+             committed = {} replicas / {} comms, rolled back = {} replicas / {} comms",
+            self.evaluations,
+            self.trials,
+            self.accepted,
+            self.rejected,
+            self.max_depth,
+            self.committed_replicas,
+            self.committed_comms,
+            self.rolled_back_replicas,
+            self.rolled_back_comms
+        )
+    }
+}
+
 /// Reusable buffers for the allocation-free probe path
 /// ([`ScheduleBuilder::probe_traced_with`]). Callers on the hot sweep keep
 /// one per worker; contents are meaningless between calls.
@@ -500,7 +520,7 @@ impl<'p> ScheduleBuilder<'p> {
 
     /// The duplication and undo-log work counters so far (see
     /// [`DuplicationStats`]).
-    pub fn dup_stats(&self) -> DuplicationStats {
+    pub(crate) fn dup_stats(&self) -> DuplicationStats {
         self.dup_stats
     }
 

@@ -495,7 +495,7 @@ fn status_counters_reconcile_every_outcome() {
     let paper = paper_spec();
     let mut frames = Vec::new();
     let s2 = Arc::clone(&state);
-    let line = schedule_line(&paper, ", \"timeout_ms\": 1000");
+    let line = schedule_line(&paper, ", \"timeout_ms\": 2000");
     let waiting = std::thread::spawn(move || s2.handle_frame(&line));
     wait_for_queue_depth(&state, "1");
     frames.push(state.handle_frame(&schedule_line(&paper, "")));
