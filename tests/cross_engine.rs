@@ -239,9 +239,11 @@ mod golden {
     }
 
     /// FTBAR-only instances where `Minimize_start_time` duplicates
-    /// heavily on multi-hop topologies (CCR 5, N = 300): one placement's
-    /// comms share links (relayed routes, coverage alternatives), and
-    /// deep nested duplications are kept and rolled back.
+    /// heavily (CCR 5, N = 300). On the multi-hop topologies one
+    /// placement's comms share links (relayed routes, coverage
+    /// alternatives), and deep nested duplications are kept and rolled
+    /// back; the fully connected `Npf = 0` instance has one input per
+    /// dependency, so nearly every placement tries a duplication.
     fn duplication_heavy_cases() -> Vec<(&'static str, Problem)> {
         vec![
             (
@@ -251,6 +253,10 @@ mod golden {
             (
                 "ring6_n300_seed17",
                 layered_problem(arch::ring(6), 300, 5.0, 17),
+            ),
+            (
+                "full4_npf0_n300_seed40",
+                super::generated(arch::fully_connected(4), 300, 5.0, 0, 40),
             ),
         ]
     }
