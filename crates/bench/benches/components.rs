@@ -31,6 +31,32 @@ fn bench_timeline(c: &mut Criterion) {
     c.bench_function("timeline/probe_on_1000", |b| {
         b.iter(|| tl.probe(Time::from_ticks(12_345), Time::from_ticks(400)));
     });
+    // The duplication pattern: a trial books a few slots deep inside a
+    // ~2,000-slot lane, then rollback removes them newest first, leaving
+    // the lane as it was.
+    let mut lane: Timeline<u32> = Timeline::new();
+    for i in 0..2000u32 {
+        lane.insert_at(
+            Time::from_ticks(u64::from(i) * 100),
+            Time::from_ticks(60),
+            i,
+        )
+        .unwrap();
+    }
+    let mut booked = Vec::with_capacity(16);
+    c.bench_function("timeline/interior_churn_2000", |b| {
+        b.iter(|| {
+            for k in 0..16u32 {
+                let ready = Time::from_ticks(u64::from(k * 9_973 % 2000) * 100);
+                let slot = lane.insert_earliest(ready, Time::from_ticks(30), 2000 + k);
+                booked.push((slot, 2000 + k));
+            }
+            while let Some((slot, p)) = booked.pop() {
+                assert!(lane.remove_at(slot, &p));
+            }
+            lane.len()
+        });
+    });
 }
 
 fn bench_graph(c: &mut Criterion) {

@@ -182,8 +182,11 @@ struct PlacedSegment {
     surv: Vec<u64>,
     fully: bool,
     comms: Vec<Comm>,
-    /// Latest Immediate Predecessor of the placement's input plan, if any.
-    lip: Option<OpId>,
+    /// Latest Immediate Predecessor of the placement's input plan, if any,
+    /// with the floor duplicating it cannot lower: the latest planned input
+    /// of the dependencies whose producers the duplication cannot touch
+    /// (see [`ScheduleBuilder::untouched_ready`]).
+    lip: Option<(OpId, Time)>,
 }
 
 /// Work counters of predecessor duplication (`Minimize_start_time`) and of
@@ -191,7 +194,8 @@ struct PlacedSegment {
 /// created or re-attached ([`ScheduleBuilder::from_state`] starts from
 /// zero).
 ///
-/// `trials = accepted + rejected`. For a run that keeps nothing it rolled
+/// `trials = accepted + rejected`; trials skipped by the exact bound are
+/// counted in `pruned` only. For a run that keeps nothing it rolled
 /// back, `committed_replicas - rolled_back_replicas` is the schedule's
 /// replica count (and likewise for comms).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -205,6 +209,10 @@ pub struct DuplicationStats {
     pub accepted: u64,
     /// Trials undone (steps Ï/Ð), including ones that failed to place.
     pub rejected: u64,
+    /// Trials skipped because a lower bound on the re-placement's
+    /// `S_worst` already failed to beat the current one: they would have
+    /// been rejected, and nothing was booked for them.
+    pub pruned: u64,
     /// Deepest nested `Minimize_start_time` call (0: no duplication tried).
     pub max_depth: u64,
     /// Replicas booked into the timelines.
@@ -222,12 +230,14 @@ impl std::fmt::Display for DuplicationStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "evaluations = {}, trials = {} ({} accepted, {} rejected), max depth = {}, \
-             committed = {} replicas / {} comms, rolled back = {} replicas / {} comms",
+            "evaluations = {}, trials = {} ({} accepted, {} rejected), pruned = {}, \
+             max depth = {}, committed = {} replicas / {} comms, \
+             rolled back = {} replicas / {} comms",
             self.evaluations,
             self.trials,
             self.accepted,
             self.rejected,
+            self.pruned,
             self.max_depth,
             self.committed_replicas,
             self.committed_comms,
@@ -333,6 +343,10 @@ pub struct ScheduleBuilder<'p> {
     /// expensive for the planning hot paths.
     preds: Vec<(DepId, OpId)>,
     pred_off: Vec<u32>,
+    /// Per operation: its top level, the edge count of the longest
+    /// `sched_preds` path reaching it. Every ancestor of an operation has
+    /// a smaller one.
+    top: Vec<u32>,
     /// Monotone count of mutation bursts (placement commits and
     /// rollbacks); lets observers detect quiescence cheaply. See
     /// [`ScheduleBuilder::mutation_count`].
@@ -389,6 +403,7 @@ pub struct BuilderState {
     plan_scratch: ProbeScratch,
     preds: Vec<(DepId, OpId)>,
     pred_off: Vec<u32>,
+    top: Vec<u32>,
     mutations: u64,
     hops_pool: Vec<Vec<BookedHop>>,
     surv_pool: Vec<Vec<u64>>,
@@ -417,6 +432,15 @@ impl<'p> ScheduleBuilder<'p> {
             preds.extend(alg.sched_preds(op));
             pred_off.push(preds.len() as u32);
         }
+        let mut top = vec![0u32; alg.op_count()];
+        for &op in alg.topo_order() {
+            let i = op.index();
+            top[i] = preds[pred_off[i] as usize..pred_off[i + 1] as usize]
+                .iter()
+                .map(|&(_, p)| top[p.index()] + 1)
+                .max()
+                .unwrap_or(0);
+        }
         // On a fully connected architecture (every ordered pair one hop
         // apart — the paper's model) a comm is lost only with its source
         // processor, so the classic `Npf + 1` distinct-source rule already
@@ -443,6 +467,7 @@ impl<'p> ScheduleBuilder<'p> {
             plan_scratch: pools.plan_scratch,
             preds,
             pred_off,
+            top,
             mutations: 0,
             hops_pool: pools.hops,
             surv_pool: pools.surv,
@@ -468,6 +493,7 @@ impl<'p> ScheduleBuilder<'p> {
             plan_scratch: self.plan_scratch,
             preds: self.preds,
             pred_off: self.pred_off,
+            top: self.top,
             mutations: self.mutations,
             hops_pool: self.hops_pool,
             surv_pool: self.surv_pool,
@@ -510,6 +536,7 @@ impl<'p> ScheduleBuilder<'p> {
             plan_scratch: state.plan_scratch,
             preds: state.preds,
             pred_off: state.pred_off,
+            top: state.top,
             mutations: state.mutations,
             hops_pool: state.hops_pool,
             surv_pool: state.surv_pool,
@@ -1213,7 +1240,9 @@ impl<'p> ScheduleBuilder<'p> {
                 fully = false;
             }
         }
-        let lip = buf.lip.map(|(_, o)| o);
+        let lip = buf
+            .lip
+            .map(|(_, lip)| (lip, self.untouched_ready(op, lip, &buf)));
         self.plan_buf = buf;
 
         let tl = &self.proc_tl[proc.index()];
@@ -1234,6 +1263,29 @@ impl<'p> ScheduleBuilder<'p> {
             comms,
             lip,
         })
+    }
+
+    /// The latest planned input, in `buf` (the plan of `op`), of the
+    /// dependencies whose producer duplicating `lip` cannot touch: not
+    /// `lip`, and with a top level at least `lip`'s, so not an ancestor of
+    /// it either. A local input counts with its ready time, a remote one
+    /// with the largest planned arrival in its pool.
+    ///
+    /// Duplicating `lip` adds replicas of `lip` and its ancestors plus
+    /// comms, and nothing else; so no re-plan of `op` after it can be
+    /// ready before this instant (`DESIGN.md` §4).
+    fn untouched_ready(&self, op: OpId, lip: OpId, buf: &PlanBuf) -> Time {
+        let preds = &self.preds[self.pred_off[op.index()] as usize..];
+        let floor = self.top[lip.index()];
+        preds
+            .iter()
+            .zip(&buf.items)
+            .filter(|&(&(_, pred), _)| pred != lip && self.top[pred.index()] >= floor)
+            .map(|(_, &(_, item))| match item {
+                PlanItem::Local { ready, .. } => ready,
+                PlanItem::Remote { start, len } => buf.pool[(start + len - 1) as usize].arrival,
+            })
+            .fold(Time::ZERO, Time::max)
     }
 
     /// Lays out one comm over route `route_idx` between the hosting
@@ -1367,7 +1419,16 @@ impl<'p> ScheduleBuilder<'p> {
         };
         // Ì: while there is a remote predecessor whose (k-th) arrival is
         // latest, try duplicating it locally.
-        while let Some(lip) = next_lip {
+        while let Some((lip, floor)) = next_lip {
+            // Exact skip: no re-placement after duplicating `lip` can be
+            // ready before `floor`, and the processor lane only fills up,
+            // so a trial starting no earlier than `segment` would be
+            // rejected (DESIGN.md §4). Nothing is booked yet.
+            let dur = segment.replica.slot.duration();
+            if self.proc_probe(proc, floor, dur) >= segment.replica.start_worst {
+                self.dup_stats.pruned += 1;
+                break;
+            }
             self.dup_stats.trials += 1;
             let cur = self.checkpoint();
             // Í: duplicate it onto proc, recursively minimized, then Î:

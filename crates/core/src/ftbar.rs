@@ -679,6 +679,7 @@ mod tests {
             trials: 7,
             accepted: 4,
             rejected: 3,
+            pruned: 0,
             max_depth: 2,
             committed_replicas: 25,
             committed_comms: 8,

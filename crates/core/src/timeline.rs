@@ -32,19 +32,23 @@ impl Slot {
 /// Split threshold: a chunk reaching this many slots is halved, bounding
 /// every slot-store memmove to `CHUNK_MAX` elements while keeping the chunk
 /// directory short (about `2 len / CHUNK_MAX` entries).
-const CHUNK_MAX: usize = 256;
+const CHUNK_MAX: usize = 32;
 
 /// One run of consecutive bookings. Always non-empty.
 #[derive(Debug, Clone)]
 struct Chunk<P> {
     slots: Vec<Slot>,
     payloads: Vec<P>,
-    /// The non-empty free intervals between *consecutive slots of this
-    /// chunk*, sorted (equivalently: by strictly increasing start). The gap
-    /// before the chunk's first slot is not stored anywhere — it is a
-    /// chunk-boundary gap, recomputed in O(1) from the neighbouring chunks'
-    /// extents wherever needed.
-    gaps: Vec<Slot>,
+}
+
+/// Start of the first free interval between consecutive `slots` that is at
+/// least `dur` long. Sorted, non-overlapping slots never end after their
+/// successor starts, so the subtraction cannot underflow.
+fn first_fit(slots: &[Slot], dur: Time) -> Option<Time> {
+    slots
+        .windows(2)
+        .find(|w| w[1].start - w[0].end >= dur)
+        .map(|w| w[0].end)
 }
 
 impl<P> Chunk<P> {
@@ -56,28 +60,16 @@ impl<P> Chunk<P> {
         *self.slots.last().expect("chunks are non-empty")
     }
 
-    fn rebuild_gaps(&mut self) {
-        self.gaps.clear();
-        for w in self.slots.windows(2) {
-            if w[0].end < w[1].start {
-                self.gaps.push(Slot {
-                    start: w[0].end,
-                    end: w[1].start,
-                });
-            }
-        }
-    }
-
-    /// The chunk's directory entry (recomputed after any mutation; the
-    /// `max_gap` fold is O(|gaps|), and the lists stay small).
+    /// The chunk's directory entry (recomputed after any mutation from at
+    /// most `CHUNK_MAX` slots).
     fn dir_entry(&self) -> DirEntry {
         DirEntry {
             first: self.first(),
             last: self.last(),
             max_gap: self
-                .gaps
-                .iter()
-                .map(Slot::duration)
+                .slots
+                .windows(2)
+                .map(|w| w[1].start - w[0].end)
                 .fold(Time::ZERO, Time::max),
         }
     }
@@ -127,16 +119,16 @@ struct DirEntry {
 /// # Storage
 ///
 /// Bookings live in a directory of bounded-size chunks, each a dense
-/// struct-of-arrays run of consecutive slots carrying its own index of the
-/// free intervals between them. The `Minimize_start_time` placement loop
-/// commits and rolls back nested duplications hundreds of thousands of
-/// times on large problems; with flat arrays every such insert or remove is an
-/// `O(len)` memmove over the slot, payload, *and* gap stores, which
+/// struct-of-arrays run of at most `CHUNK_MAX` (32) consecutive slots. The
+/// `Minimize_start_time` placement loop commits and rolls back nested
+/// duplications hundreds of thousands of times on large problems; with
+/// flat arrays every such insert or remove is an `O(len)` memmove, which
 /// dominated the schedule time beyond N ≈ 5000. Chunking bounds each
-/// memmove to `CHUNK_MAX` elements plus a directory walk of
-/// `len / CHUNK_MAX` entries (see `DESIGN.md` §11). Probes still scan true
-/// free intervals only: per-chunk gap lists in order, plus the O(1)
-/// chunk-boundary gaps the lists deliberately omit.
+/// memmove to one chunk's two arrays plus a directory walk of
+/// `len / CHUNK_MAX` entries (see `DESIGN.md` §11). There is no stored gap
+/// index: a probe derives free intervals from consecutive slots, and each
+/// directory entry keeps its chunk's largest internal gap so whole chunks
+/// where nothing fits are skipped.
 #[derive(Debug, Clone)]
 pub struct Timeline<P> {
     chunks: Vec<Chunk<P>>,
@@ -212,7 +204,8 @@ impl<P> Timeline<P> {
         // `next` exists because `ready < last_end`.
         let ci = self.dir.partition_point(|d| d.last.end <= ready);
         let c = &self.chunks[ci];
-        let next = c.slots[c.slots.partition_point(|s| s.end <= ready)];
+        let si = c.slots.partition_point(|s| s.end <= ready);
+        let next = c.slots[si];
         if ready + dur <= next.start {
             // Fits before the next booking (free run or boundary point).
             return ready;
@@ -225,14 +218,11 @@ impl<P> Timeline<P> {
         // Otherwise the answer is the start of the first free gap at or
         // beyond `next`'s end that is long enough, or the implicit tail.
         // Gap starts are slot ends, so every such gap starts `>= ready`.
-        // Free intervals appear in order as: this chunk's remaining
-        // internal gaps, then alternately each boundary gap and the next
-        // chunk's internal gaps.
-        let gi = c.gaps.partition_point(|g| g.start < next.end);
-        for g in &c.gaps[gi..] {
-            if g.end - g.start >= dur {
-                return g.start;
-            }
+        // Free intervals appear in order as: the gaps after `next` in this
+        // chunk, then alternately each boundary gap and the next chunk's
+        // internal gaps.
+        if let Some(t) = first_fit(&c.slots[si..], dur) {
+            return t;
         }
         let mut prev_end = self.dir[ci].last.end;
         for (d, c) in self.dir[ci + 1..].iter().zip(&self.chunks[ci + 1..]) {
@@ -240,12 +230,7 @@ impl<P> Timeline<P> {
                 return prev_end;
             }
             if d.max_gap >= dur {
-                for g in &c.gaps {
-                    if g.end - g.start >= dur {
-                        return g.start;
-                    }
-                }
-                unreachable!("max_gap promised a fitting internal gap");
+                return first_fit(&c.slots, dur).expect("max_gap promised a fitting internal gap");
             }
             prev_end = d.last.end;
         }
@@ -270,9 +255,9 @@ impl<P> Timeline<P> {
         }
     }
 
-    /// Raw sorted insert of an interval already known to be free, with
-    /// gap-index repair and bounded-memmove chunk inserts. `pos` is
-    /// `locate_insert(slot)`, or `None` on an empty timeline.
+    /// Raw sorted insert of an interval already known to be free, with a
+    /// bounded-memmove chunk insert. `pos` is `locate_insert(slot)`, or
+    /// `None` on an empty timeline.
     fn insert_sorted(&mut self, pos: Option<(usize, usize)>, slot: Slot, payload: P) {
         self.version += 1;
         self.len += 1;
@@ -280,95 +265,24 @@ impl<P> Timeline<P> {
             self.chunks.push(Chunk {
                 slots: vec![slot],
                 payloads: vec![payload],
-                gaps: Vec::new(),
             });
             self.dir.push(self.chunks[0].dir_entry());
             return;
         };
         let c = &mut self.chunks[ci];
-        // Repair the chunk's internal gap index: the free interval the new
-        // slot lands in is internal exactly when both its frame slots are
-        // in this chunk; boundary gaps (an absent frame side) are not
-        // stored, so only the piece whose both ends are in-chunk appears.
-        // Either piece may be empty; a zero-width slot splits a gap into
-        // two abutting pieces, preserving its barrier semantics.
-        let prev_end = (si > 0).then(|| c.slots[si - 1].end);
-        let next_start = (si < c.slots.len()).then(|| c.slots[si].start);
-        match (prev_end, next_start) {
-            (Some(pe), Some(ns)) => {
-                if pe < ns {
-                    let gi = c.gaps.partition_point(|g| g.start < pe);
-                    debug_assert!(
-                        c.gaps.get(gi).is_some_and(|g| g.start == pe && g.end == ns),
-                        "covering gap present in the index"
-                    );
-                    c.gaps.remove(gi);
-                    let mut at = gi;
-                    if pe < slot.start {
-                        c.gaps.insert(
-                            at,
-                            Slot {
-                                start: pe,
-                                end: slot.start,
-                            },
-                        );
-                        at += 1;
-                    }
-                    if slot.end < ns {
-                        c.gaps.insert(
-                            at,
-                            Slot {
-                                start: slot.end,
-                                end: ns,
-                            },
-                        );
-                    }
-                }
-            }
-            (None, Some(ns)) => {
-                // Front insert: the covering gap was a boundary gap; only
-                // the trailing piece becomes internal.
-                if slot.end < ns {
-                    c.gaps.insert(
-                        0,
-                        Slot {
-                            start: slot.end,
-                            end: ns,
-                        },
-                    );
-                }
-            }
-            (Some(pe), None) => {
-                // Append: the leading piece becomes internal, the tail
-                // stays implicit (or becomes the next chunk's boundary).
-                if pe < slot.start {
-                    c.gaps.push(Slot {
-                        start: pe,
-                        end: slot.start,
-                    });
-                }
-            }
-            (None, None) => unreachable!("chunks are non-empty"),
-        }
         c.slots.insert(si, slot);
         c.payloads.insert(si, payload);
         if c.slots.len() >= CHUNK_MAX {
+            // The gap between the halves (if any) becomes a boundary gap.
             let half = c.slots.len() / 2;
-            let mut tail = Chunk {
+            let tail = Chunk {
                 slots: c.slots.split_off(half),
                 payloads: c.payloads.split_off(half),
-                gaps: Vec::new(),
             };
-            // The gap between the halves (if any) becomes a boundary gap
-            // and drops out of the stored indexes.
-            c.rebuild_gaps();
-            tail.rebuild_gaps();
-            self.dir[ci] = self.chunks[ci].dir_entry();
             self.dir.insert(ci + 1, tail.dir_entry());
             self.chunks.insert(ci + 1, tail);
-        } else {
-            self.dir[ci] = self.chunks[ci].dir_entry();
         }
+        self.dir[ci] = self.chunks[ci].dir_entry();
     }
 
     /// Books `[t, t + dur)` at the earliest feasible `t ≥ ready` and returns
@@ -434,40 +348,14 @@ impl<P> Timeline<P> {
             .flat_map(|c| c.slots.iter().copied().zip(c.payloads.iter()))
     }
 
-    /// Drops the slot at chunk `ci`, index `si`, repairing the gap index
-    /// and the chunk directory.
+    /// Drops the slot at chunk `ci`, index `si`, repairing the chunk
+    /// directory.
     fn remove_pos(&mut self, ci: usize, si: usize) -> Slot {
         self.version += 1;
         self.len -= 1;
         let c = &mut self.chunks[ci];
-        // Mirror of the insert repair: internal flanking pieces (a frame
-        // side inside this chunk, non-empty) leave the index; the merged
-        // interval joins it only when both frame slots remain in-chunk.
-        let prev_end = (si > 0).then(|| c.slots[si - 1].end);
-        let next_start = (si + 1 < c.slots.len()).then(|| c.slots[si + 1].start);
-        let slot = c.slots[si];
-        if let Some(pe) = prev_end {
-            if pe < slot.start {
-                let gi = c.gaps.partition_point(|g| g.start < pe);
-                debug_assert_eq!((c.gaps[gi].start, c.gaps[gi].end), (pe, slot.start));
-                c.gaps.remove(gi);
-            }
-        }
-        if let Some(ns) = next_start {
-            if slot.end < ns {
-                let gi = c.gaps.partition_point(|g| g.start < slot.end);
-                debug_assert_eq!((c.gaps[gi].start, c.gaps[gi].end), (slot.end, ns));
-                c.gaps.remove(gi);
-            }
-        }
-        if let (Some(pe), Some(ns)) = (prev_end, next_start) {
-            if pe < ns {
-                let gi = c.gaps.partition_point(|g| g.start < pe);
-                c.gaps.insert(gi, Slot { start: pe, end: ns });
-            }
-        }
         c.payloads.remove(si);
-        c.slots.remove(si);
+        let slot = c.slots.remove(si);
         if c.slots.is_empty() {
             self.chunks.remove(ci);
             self.dir.remove(ci);
@@ -538,47 +426,32 @@ impl<P> Timeline<P> {
             .fold(Time::ZERO, |a, b| a + b)
     }
 
-    /// Verifies the sorted non-overlap invariant, the chunk directory, the
-    /// per-chunk gap indexes (used by the validator and the property
-    /// tests).
+    /// Verifies the sorted non-overlap invariant and the chunk directory
+    /// (used by the validator and the property tests).
     pub fn check_invariants(&self) -> bool {
-        for c in &self.chunks {
-            if c.slots.is_empty() || c.slots.len() != c.payloads.len() || c.slots.len() >= CHUNK_MAX
-            {
-                return false;
-            }
-            // Each chunk's gap list must hold exactly its non-empty
-            // internal free intervals.
-            let mut expected = Vec::new();
-            for w in c.slots.windows(2) {
-                if w[0].end < w[1].start {
-                    expected.push(Slot {
-                        start: w[0].end,
-                        end: w[1].start,
-                    });
-                }
-            }
-            if c.gaps != expected {
-                return false;
-            }
+        // Sorted by `(start, end)` and pairwise disjoint: every slot ends
+        // no later than its successor starts, which `dir_entry` relies on.
+        let slots: Vec<Slot> = self.iter().map(|(s, _)| s).collect();
+        if !slots.windows(2).all(|w| {
+            let (a, b) = (&w[0], &w[1]);
+            (a.start, a.end) <= (b.start, b.end) && !a.overlaps(b)
+        }) {
+            return false;
+        }
+        if self.chunks.iter().any(|c| {
+            c.slots.is_empty() || c.slots.len() != c.payloads.len() || c.slots.len() >= CHUNK_MAX
+        }) {
+            return false;
         }
         if self.len != self.chunks.iter().map(|c| c.slots.len()).sum::<usize>() {
             return false;
         }
         // The directory must mirror every chunk exactly.
-        if self.dir.len() != self.chunks.len()
-            || self.chunks.iter().zip(&self.dir).any(|(c, d)| {
+        self.dir.len() == self.chunks.len()
+            && self.chunks.iter().zip(&self.dir).all(|(c, d)| {
                 let e = c.dir_entry();
-                d.first != e.first || d.last != e.last || d.max_gap != e.max_gap
+                d.first == e.first && d.last == e.last && d.max_gap == e.max_gap
             })
-        {
-            return false;
-        }
-        let slots: Vec<Slot> = self.iter().map(|(s, _)| s).collect();
-        slots.windows(2).all(|w| {
-            let (a, b) = (&w[0], &w[1]);
-            a.start <= b.start && !a.overlaps(b)
-        })
     }
 }
 
@@ -739,46 +612,71 @@ mod tests {
         assert_eq!(tl.version(), 2);
     }
 
-    #[test]
-    fn chunked_store_matches_flat_reference() {
-        // Deterministic churn: many inserts (forcing splits), interleaved
-        // gap-filling and removals; compare every probe answer against a
-        // naive reference over the flattened contents.
-        fn ref_probe(slots: &[(Slot, u32)], ready: Time, dur: Time) -> Time {
-            let mut t = ready;
-            loop {
-                let busy = slots.iter().find(|(s, _)| {
-                    s.overlaps(&Slot {
-                        start: t,
-                        end: t + dur,
-                    }) || (dur == Time::ZERO && s.start < t && t < s.end)
-                });
-                match busy {
-                    Some((s, _)) => t = s.end,
-                    None => return t,
-                }
-            }
-        }
-        let mut tl: Timeline<u32> = Timeline::new();
-        let mut reference: Vec<(Slot, u32)> = Vec::new();
-        let mut state = 0x1234_5678_u64;
-        let mut rand = move || {
+    /// Deterministic LCG for the churn tests.
+    fn lcg(seed: u64) -> impl FnMut() -> u32 {
+        let mut state = seed;
+        move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
-        };
-        for i in 0..2000u32 {
-            let ready = Time::from_ticks((rand() % 50_000) as u64);
-            let dur = Time::from_ticks((rand() % 40) as u64);
+        }
+    }
+
+    /// Naive probe over flattened contents: the earliest `t ≥ ready` where
+    /// `[t, t + dur)` overlaps nothing (a zero-width request is blocked
+    /// only strictly inside a booking).
+    fn ref_probe(slots: &[(Slot, u32)], ready: Time, dur: Time) -> Time {
+        let mut t = ready;
+        loop {
+            let busy = slots.iter().find(|(s, _)| {
+                s.overlaps(&Slot {
+                    start: t,
+                    end: t + dur,
+                }) || (dur == Time::ZERO && s.start < t && t < s.end)
+            });
+            match busy {
+                Some((s, _)) => t = s.end,
+                None => return t,
+            }
+        }
+    }
+
+    /// One churn regime: `ready` drawn below `horizon`, durations below
+    /// `max_dur` ticks (every `zero_every`-th one zero-width), a random
+    /// removal with probability 1/3, and every `sweep_every` inserts a
+    /// run of `CHUNK_MAX + 8` consecutive bookings removed from a random
+    /// point, which empties at least one chunk.
+    struct Churn {
+        seed: u64,
+        steps: u32,
+        horizon: u32,
+        max_dur: u32,
+        zero_every: u32,
+        sweep_every: u32,
+    }
+
+    /// Drives `c` and compares every probe answer and the final contents
+    /// against the flat reference; returns the timeline.
+    fn churn_against_reference(c: &Churn) -> Timeline<u32> {
+        let mut tl: Timeline<u32> = Timeline::new();
+        let mut reference: Vec<(Slot, u32)> = Vec::new();
+        let mut rand = lcg(c.seed);
+        let mut emptied = 0usize;
+        for i in 0..c.steps {
+            let ready = Time::from_ticks(u64::from(rand() % c.horizon));
+            let dur = if rand().is_multiple_of(c.zero_every) {
+                Time::ZERO
+            } else {
+                Time::from_ticks(u64::from(rand() % c.max_dur))
+            };
             assert_eq!(tl.probe(ready, dur), ref_probe(&reference, ready, dur));
             let slot = tl.insert_earliest(ready, dur, i);
-            reference.push((slot, i));
-            reference.sort_by_key(|(s, _)| (s.start, s.end));
-            if rand() % 3 == 0 {
+            let at = reference.partition_point(|(s, _)| (s.start, s.end) <= (slot.start, slot.end));
+            reference.insert(at, (slot, i));
+            if rand().is_multiple_of(3) {
                 let victim = rand() % (i + 1);
-                let expect = reference.iter().position(|&(_, p)| p == victim);
-                match expect {
+                match reference.iter().position(|&(_, p)| p == victim) {
                     Some(pos) => {
                         let (s, _) = reference.remove(pos);
                         assert!(tl.remove_at(s, &victim));
@@ -786,11 +684,83 @@ mod tests {
                     None => assert_eq!(tl.remove(&victim), None),
                 }
             }
+            if i % c.sweep_every == c.sweep_every - 1 && reference.len() > CHUNK_MAX + 8 {
+                let chunks = tl.chunks.len();
+                let from = rand() as usize % (reference.len() - CHUNK_MAX - 8);
+                for (s, p) in reference.drain(from..from + CHUNK_MAX + 8) {
+                    assert!(tl.remove_at(s, &p));
+                }
+                emptied += usize::from(tl.chunks.len() < chunks);
+            }
             assert!(tl.check_invariants());
         }
         assert_eq!(
             tl.iter().map(|(s, &p)| (s, p)).collect::<Vec<_>>(),
             reference
         );
+        assert!(emptied > 0, "some sweep removal emptied a chunk");
+        tl
+    }
+
+    #[test]
+    fn chunked_store_matches_flat_reference() {
+        // Sparse: wide ready spread, gaps of every size.
+        for seed in [0x1234_5678, 7, 0xdead_beef, 2024] {
+            churn_against_reference(&Churn {
+                seed,
+                steps: 2000,
+                horizon: 50_000,
+                max_dur: 40,
+                zero_every: 10,
+                sweep_every: 400,
+            });
+        }
+    }
+
+    #[test]
+    fn chunked_store_matches_flat_reference_when_dense() {
+        // Dense: every ready instant falls inside a mostly full lane, so
+        // probes walk many short gaps and chunk boundaries; a third of
+        // the bookings are zero-width barriers.
+        for seed in [1, 99, 0x5eed] {
+            let tl = churn_against_reference(&Churn {
+                seed,
+                steps: 1500,
+                horizon: 2_000,
+                max_dur: 6,
+                zero_every: 3,
+                sweep_every: 200,
+            });
+            assert!(tl.busy_time() * 2 > tl.last_end(), "mostly full");
+        }
+    }
+
+    #[test]
+    fn probe_is_monotone_in_ready_and_in_bookings() {
+        // The exact duplication-trial bound rests on this: a later ready
+        // instant, or an extra booking, never makes a probe answer earlier.
+        let mut rand = lcg(42);
+        let mut tl: Timeline<u32> = Timeline::new();
+        for i in 0..600u32 {
+            for _ in 0..4 {
+                let ready = Time::from_ticks(u64::from(rand() % 3_000));
+                let later = ready + Time::from_ticks(u64::from(rand() % 50));
+                let dur = Time::from_ticks(u64::from(rand() % 12));
+                assert!(tl.probe(ready, dur) <= tl.probe(later, dur));
+            }
+            let probes: Vec<(Time, Time, Time)> = (0..8)
+                .map(|_| {
+                    let ready = Time::from_ticks(u64::from(rand() % 3_000));
+                    let dur = Time::from_ticks(u64::from(rand() % 12));
+                    (ready, dur, tl.probe(ready, dur))
+                })
+                .collect();
+            let ready = Time::from_ticks(u64::from(rand() % 3_000));
+            let dur = Time::from_ticks(u64::from(rand() % 8));
+            tl.insert_earliest(ready, dur, i);
+            for (ready, dur, before) in probes {
+                assert!(tl.probe(ready, dur) >= before);
+            }
+        }
     }
 }

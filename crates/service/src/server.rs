@@ -831,20 +831,22 @@ fn worker_loop(state: &Arc<ServerState>) {
             }
         };
         state.in_flight.fetch_add(1, Ordering::Relaxed);
-        execute_job(state, job, &mut pools);
+        let reply = execute_job(state, &job, &mut pools);
+        // Leave `in_flight` before answering, so a `status` the requester
+        // sends after reading its reply never counts this job.
         state.in_flight.fetch_sub(1, Ordering::Relaxed);
+        let _ = job.reply.send(reply);
     }
 }
 
-fn execute_job(state: &ServerState, job: Job, pools: &mut EnginePools) {
+fn execute_job(state: &ServerState, job: &Job, pools: &mut EnginePools) -> WorkerReply {
     let now = Instant::now();
     if now >= job.deadline {
         // The requester has already been answered `timeout`; skip the work.
-        let _ = job.reply.send(Err((
+        return Err((
             ErrorCode::Timeout,
             "deadline elapsed before execution".to_owned(),
-        )));
-        return;
+        ));
     }
     let pressure = Pressure {
         remaining: job.deadline.saturating_duration_since(now),
@@ -855,7 +857,7 @@ fn execute_job(state: &ServerState, job: Job, pools: &mut EnginePools) {
         None => compute_response(&job.req, &state.config, Some(&pressure), taken),
         Some(edit) => compute_reschedule(state, &job.req, edit, taken),
     }));
-    let reply: WorkerReply = match outcome {
+    match outcome {
         Ok((result, p)) => {
             *pools = p;
             match result {
@@ -890,8 +892,7 @@ fn execute_job(state: &ServerState, job: Job, pools: &mut EnginePools) {
                 format!("worker panicked: {}", panic_message(payload.as_ref())),
             ))
         }
-    };
-    let _ = job.reply.send(reply);
+    }
 }
 
 /// A successfully computed schedule answer.
@@ -1367,6 +1368,34 @@ mod tests {
         );
         assert_eq!(state.counters.snapshots_written.load(Ordering::Relaxed), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn in_flight_is_released_before_the_reply() {
+        // A requester that has its answer must never see its own job in
+        // flight: the worker decrements before it sends, and the channel
+        // orders that decrement before the requester's next read.
+        let state = ServerState::new(ServerConfig {
+            workers: 1,
+            cache_bytes: 0,
+            ..ServerConfig::default()
+        });
+        let workers = state.spawn_workers();
+        let spec = ftbar_model::spec::print_problem(&ftbar_model::paper_example());
+        let frame = JsonObject::new().str("spec", &spec).finish();
+        for _ in 0..20 {
+            assert!(state
+                .handle_frame(&frame)
+                .response()
+                .contains("\"status\": \"ok\""));
+            assert_eq!(state.in_flight.load(Ordering::Relaxed), 0);
+            let status = state.handle_frame(r#"{"op": "status"}"#);
+            assert!(status.response().contains("\"in_flight\": 0"));
+        }
+        state.begin_shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
     }
 
     #[test]

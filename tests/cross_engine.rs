@@ -305,6 +305,18 @@ mod golden {
     }
 
     #[test]
+    fn duplication_bound_prunes_trials_on_the_npf0_instance() {
+        let (_, problem) = duplication_heavy_cases()
+            .into_iter()
+            .find(|(name, _)| *name == "full4_npf0_n300_seed40")
+            .expect("pinned case");
+        let out = ftbar_schedule_with(&problem, &FtbarConfig::default()).expect("schedules");
+        let d = out.dup_stats;
+        assert!(d.pruned > 0, "no trial pruned: {d}");
+        assert_eq!(d.trials, d.accepted + d.rejected);
+    }
+
+    #[test]
     fn hbp_matches_pinned_schedules() {
         for (name, problem) in cases() {
             check("hbp", name, &hbp_schedule(&problem).expect("schedules"));
