@@ -1275,12 +1275,13 @@ impl<'p> ScheduleBuilder<'p> {
     /// comms, and nothing else; so no re-plan of `op` after it can be
     /// ready before this instant (`DESIGN.md` §4).
     fn untouched_ready(&self, op: OpId, lip: OpId, buf: &PlanBuf) -> Time {
-        let preds = &self.preds[self.pred_off[op.index()] as usize..];
-        let floor = self.top[lip.index()];
+        let preds =
+            &self.preds[self.pred_off[op.index()] as usize..self.pred_off[op.index() + 1] as usize];
+        let lip_top = self.top[lip.index()];
         preds
             .iter()
             .zip(&buf.items)
-            .filter(|&(&(_, pred), _)| pred != lip && self.top[pred.index()] >= floor)
+            .filter(|&(&(_, pred), _)| pred != lip && self.top[pred.index()] >= lip_top)
             .map(|(_, &(_, item))| match item {
                 PlanItem::Local { ready, .. } => ready,
                 PlanItem::Remote { start, len } => buf.pool[(start + len - 1) as usize].arrival,

@@ -34,6 +34,9 @@ impl Slot {
 /// directory short (about `2 len / CHUNK_MAX` entries).
 const CHUNK_MAX: usize = 32;
 
+/// Directory entries summarized by one entry of `Timeline::blocks`.
+const BLOCK: usize = 16;
+
 /// One run of consecutive bookings. Always non-empty.
 #[derive(Debug, Clone)]
 struct Chunk<P> {
@@ -60,17 +63,18 @@ impl<P> Chunk<P> {
         *self.slots.last().expect("chunks are non-empty")
     }
 
-    /// The chunk's directory entry (recomputed after any mutation from at
-    /// most `CHUNK_MAX` slots).
-    fn dir_entry(&self) -> DirEntry {
+    /// The chunk's directory entry, given the boundary gap `lead` before
+    /// its first slot (recomputed after any mutation from at most
+    /// `CHUNK_MAX` slots).
+    fn dir_entry(&self, lead: Time) -> DirEntry {
         DirEntry {
             first: self.first(),
             last: self.last(),
-            max_gap: self
+            reach: self
                 .slots
                 .windows(2)
                 .map(|w| w[1].start - w[0].end)
-                .fold(Time::ZERO, Time::max),
+                .fold(lead, Time::max),
         }
     }
 }
@@ -84,10 +88,11 @@ struct DirEntry {
     first: Slot,
     /// The chunk's last slot.
     last: Slot,
-    /// Exact largest duration among the chunk's internal gaps
-    /// ([`Time::ZERO`] when none): probes skip a whole chunk in O(1) when
-    /// nothing in it can fit.
-    max_gap: Time,
+    /// Exact length of the longest free interval that ends at one of the
+    /// chunk's slots: the boundary gap before its first slot (none for the
+    /// first chunk) or one of its internal gaps. Probes skip a whole chunk
+    /// in O(1) when nothing in it can fit.
+    reach: Time,
 }
 
 /// A resource timeline holding non-overlapping payloads sorted by start.
@@ -126,14 +131,17 @@ struct DirEntry {
 /// dominated the schedule time beyond N ≈ 5000. Chunking bounds each
 /// memmove to one chunk's two arrays plus a directory walk of
 /// `len / CHUNK_MAX` entries (see `DESIGN.md` §11). There is no stored gap
-/// index: a probe derives free intervals from consecutive slots, and each
-/// directory entry keeps its chunk's largest internal gap so whole chunks
-/// where nothing fits are skipped.
+/// index: a probe derives free intervals from consecutive slots. Each
+/// directory entry keeps the longest gap reaching its chunk, and each block
+/// of `BLOCK` entries the longest of those, so a probe skips whole chunks
+/// and whole blocks where nothing fits.
 #[derive(Debug, Clone)]
 pub struct Timeline<P> {
     chunks: Vec<Chunk<P>>,
     /// `dir[i]` summarizes `chunks[i]`; always in sync.
     dir: Vec<DirEntry>,
+    /// `blocks[b]` is the largest `reach` in `dir[b * BLOCK..][..BLOCK]`.
+    blocks: Vec<Time>,
     len: usize,
     version: u64,
 }
@@ -143,6 +151,7 @@ impl<P> Default for Timeline<P> {
         Timeline {
             chunks: Vec::new(),
             dir: Vec::new(),
+            blocks: Vec::new(),
             len: 0,
             version: 0,
         }
@@ -219,22 +228,71 @@ impl<P> Timeline<P> {
         // beyond `next`'s end that is long enough, or the implicit tail.
         // Gap starts are slot ends, so every such gap starts `>= ready`.
         // Free intervals appear in order as: the gaps after `next` in this
-        // chunk, then alternately each boundary gap and the next chunk's
-        // internal gaps.
-        if let Some(t) = first_fit(&c.slots[si..], dur) {
-            return t;
-        }
-        let mut prev_end = self.dir[ci].last.end;
-        for (d, c) in self.dir[ci + 1..].iter().zip(&self.chunks[ci + 1..]) {
-            if d.first.start - prev_end >= dur {
-                return prev_end;
+        // chunk, then, per later chunk, its boundary gap and its internal
+        // gaps.
+        if self.dir[ci].reach >= dur {
+            if let Some(t) = first_fit(&c.slots[si..], dur) {
+                return t;
             }
-            if d.max_gap >= dur {
-                return first_fit(&c.slots, dur).expect("max_gap promised a fitting internal gap");
-            }
-            prev_end = d.last.end;
         }
-        last
+        let Some(j) = self.next_reaching(ci + 1, dur) else {
+            return last;
+        };
+        let prev_end = self.dir[j - 1].last.end;
+        if self.dir[j].first.start - prev_end >= dur {
+            return prev_end;
+        }
+        first_fit(&self.chunks[j].slots, dur).expect("reach promised a fitting internal gap")
+    }
+
+    /// The first chunk at or after `from` with a `reach` of at least `dur`:
+    /// the rest of `from`'s block entry by entry, then whole blocks.
+    fn next_reaching(&self, from: usize, dur: Time) -> Option<usize> {
+        let end = from.next_multiple_of(BLOCK).min(self.dir.len());
+        if let Some(k) = self.dir[from..end].iter().position(|d| d.reach >= dur) {
+            return Some(from + k);
+        }
+        if end == self.dir.len() {
+            return None;
+        }
+        let b = end / BLOCK + self.blocks[end / BLOCK..].iter().position(|&m| m >= dur)?;
+        let k = self.dir[b * BLOCK..].iter().position(|d| d.reach >= dur);
+        Some(b * BLOCK + k.expect("the block holds its maximum"))
+    }
+
+    /// The boundary gap before chunk `j`'s first slot (none before the
+    /// first chunk).
+    fn lead(&self, j: usize) -> Time {
+        match j {
+            0 => Time::ZERO,
+            _ => self.chunks[j].first().start - self.chunks[j - 1].last().end,
+        }
+    }
+
+    /// Recomputes the directory entries of the chunks in `from..to` (capped
+    /// at the chunk count) and, if a `reach` moved, the blocks covering
+    /// them; with `shifted` (a chunk was inserted or removed), every block
+    /// from `from`'s on.
+    fn refresh(&mut self, from: usize, to: usize, shifted: bool) {
+        let to = to.min(self.chunks.len());
+        let mut moved = shifted;
+        for j in from..to {
+            let e = self.chunks[j].dir_entry(self.lead(j));
+            moved |= e.reach != self.dir[j].reach;
+            self.dir[j] = e;
+        }
+        if !moved {
+            return;
+        }
+        let n = self.dir.len();
+        self.blocks.resize(n.div_ceil(BLOCK), Time::ZERO);
+        let to = if shifted { n } else { to };
+        for b in from / BLOCK..to.div_ceil(BLOCK) {
+            self.blocks[b] = self.dir[b * BLOCK..n.min((b + 1) * BLOCK)]
+                .iter()
+                .map(|d| d.reach)
+                .fold(Time::ZERO, Time::max);
+        }
     }
 
     /// Insertion point for `slot` as `(chunk, index)` under the
@@ -262,27 +320,33 @@ impl<P> Timeline<P> {
         self.version += 1;
         self.len += 1;
         let Some((ci, si)) = pos else {
-            self.chunks.push(Chunk {
+            let chunk = Chunk {
                 slots: vec![slot],
                 payloads: vec![payload],
-            });
-            self.dir.push(self.chunks[0].dir_entry());
+            };
+            self.dir.push(chunk.dir_entry(Time::ZERO));
+            self.chunks.push(chunk);
+            self.refresh(0, 1, true);
             return;
         };
+        // Only the last chunk takes a new last slot (`locate_insert`), so
+        // no later chunk's boundary gap moves.
+        debug_assert!(si < self.chunks[ci].slots.len() || ci + 1 == self.chunks.len());
         let c = &mut self.chunks[ci];
         c.slots.insert(si, slot);
         c.payloads.insert(si, payload);
-        if c.slots.len() >= CHUNK_MAX {
+        let split = c.slots.len() >= CHUNK_MAX;
+        if split {
             // The gap between the halves (if any) becomes a boundary gap.
             let half = c.slots.len() / 2;
             let tail = Chunk {
                 slots: c.slots.split_off(half),
                 payloads: c.payloads.split_off(half),
             };
-            self.dir.insert(ci + 1, tail.dir_entry());
+            self.dir.insert(ci + 1, self.dir[ci]);
             self.chunks.insert(ci + 1, tail);
         }
-        self.dir[ci] = self.chunks[ci].dir_entry();
+        self.refresh(ci, ci + 1 + usize::from(split), split);
     }
 
     /// Books `[t, t + dur)` at the earliest feasible `t ≥ ready` and returns
@@ -357,10 +421,14 @@ impl<P> Timeline<P> {
         c.payloads.remove(si);
         let slot = c.slots.remove(si);
         if c.slots.is_empty() {
+            // The next chunk's boundary gap now starts at the previous one.
             self.chunks.remove(ci);
             self.dir.remove(ci);
+            self.refresh(ci, ci + 1, true);
         } else {
-            self.dir[ci] = self.chunks[ci].dir_entry();
+            // A removed last slot moves the next chunk's boundary gap.
+            let to = ci + 1 + usize::from(si == c.slots.len());
+            self.refresh(ci, to, false);
         }
         slot
     }
@@ -446,12 +514,20 @@ impl<P> Timeline<P> {
         if self.len != self.chunks.iter().map(|c| c.slots.len()).sum::<usize>() {
             return false;
         }
-        // The directory must mirror every chunk exactly.
-        self.dir.len() == self.chunks.len()
-            && self.chunks.iter().zip(&self.dir).all(|(c, d)| {
-                let e = c.dir_entry();
-                d.first == e.first && d.last == e.last && d.max_gap == e.max_gap
-            })
+        // The directory and the blocks must mirror every chunk exactly.
+        let dir: Vec<DirEntry> = (0..self.chunks.len())
+            .map(|j| self.chunks[j].dir_entry(self.lead(j)))
+            .collect();
+        let blocks: Vec<Time> = dir
+            .chunks(BLOCK)
+            .map(|b| b.iter().map(|d| d.reach).fold(Time::ZERO, Time::max))
+            .collect();
+        blocks == self.blocks
+            && dir.len() == self.dir.len()
+            && dir
+                .iter()
+                .zip(&self.dir)
+                .all(|(e, d)| d.first == e.first && d.last == e.last && d.reach == e.reach)
     }
 }
 

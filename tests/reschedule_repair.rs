@@ -271,7 +271,7 @@ fn every_structural_kind_falls_back_bit_identically() {
 }
 
 /// Deep rollback across chunked timelines: a two-processor bus chain
-/// pushes a single link lane far past `CHUNK_MAX` (256) bookings, so the
+/// pushes a single link lane far past `CHUNK_MAX` (32) bookings, so the
 /// bookings after the checkpoint span many chunk splits; rolling the undo
 /// log back must restore the exact pre-checkpoint schedule through the
 /// resulting chunk merges.
