@@ -44,13 +44,19 @@ struct Chunk<P> {
     payloads: Vec<P>,
 }
 
+/// Length of the free interval between consecutive slots `a` and `b`.
+/// Sorted, non-overlapping slots never end after their successor starts;
+/// the subtraction saturates only so the slot scans stay branch-free.
+fn gap(a: &Slot, b: &Slot) -> Time {
+    b.start.saturating_sub(a.end)
+}
+
 /// Start of the first free interval between consecutive `slots` that is at
-/// least `dur` long. Sorted, non-overlapping slots never end after their
-/// successor starts, so the subtraction cannot underflow.
+/// least `dur` long.
 fn first_fit(slots: &[Slot], dur: Time) -> Option<Time> {
     slots
         .windows(2)
-        .find(|w| w[1].start - w[0].end >= dur)
+        .find(|w| gap(&w[0], &w[1]) >= dur)
         .map(|w| w[0].end)
 }
 
@@ -73,7 +79,7 @@ impl<P> Chunk<P> {
             reach: self
                 .slots
                 .windows(2)
-                .map(|w| w[1].start - w[0].end)
+                .map(|w| gap(&w[0], &w[1]))
                 .fold(lead, Time::max),
         }
     }
@@ -238,19 +244,22 @@ impl<P> Timeline<P> {
         let Some(j) = self.next_reaching(ci + 1, dur) else {
             return last;
         };
-        let prev_end = self.dir[j - 1].last.end;
-        if self.dir[j].first.start - prev_end >= dur {
-            return prev_end;
+        let (prev, d) = (self.dir[j - 1], self.dir[j]);
+        if gap(&prev.last, &d.first) >= dur {
+            return prev.last.end;
         }
         first_fit(&self.chunks[j].slots, dur).expect("reach promised a fitting internal gap")
     }
 
     /// The first chunk at or after `from` with a `reach` of at least `dur`:
-    /// the rest of `from`'s block entry by entry, then whole blocks.
+    /// the rest of `from`'s block entry by entry (unless nothing in the
+    /// block fits), then whole blocks.
     fn next_reaching(&self, from: usize, dur: Time) -> Option<usize> {
         let end = from.next_multiple_of(BLOCK).min(self.dir.len());
-        if let Some(k) = self.dir[from..end].iter().position(|d| d.reach >= dur) {
-            return Some(from + k);
+        if self.blocks.get(from / BLOCK).is_some_and(|&m| m >= dur) {
+            if let Some(k) = self.dir[from..end].iter().position(|d| d.reach >= dur) {
+                return Some(from + k);
+            }
         }
         if end == self.dir.len() {
             return None;
@@ -265,7 +274,7 @@ impl<P> Timeline<P> {
     fn lead(&self, j: usize) -> Time {
         match j {
             0 => Time::ZERO,
-            _ => self.chunks[j].first().start - self.chunks[j - 1].last().end,
+            _ => gap(&self.chunks[j - 1].last(), &self.chunks[j].first()),
         }
     }
 
@@ -333,20 +342,32 @@ impl<P> Timeline<P> {
         // no later chunk's boundary gap moves.
         debug_assert!(si < self.chunks[ci].slots.len() || ci + 1 == self.chunks.len());
         let c = &mut self.chunks[ci];
+        let appended = (si == c.slots.len()).then(|| gap(&c.last(), &slot));
         c.slots.insert(si, slot);
         c.payloads.insert(si, payload);
-        let split = c.slots.len() >= CHUNK_MAX;
-        if split {
-            // The gap between the halves (if any) becomes a boundary gap.
-            let half = c.slots.len() / 2;
-            let tail = Chunk {
-                slots: c.slots.split_off(half),
-                payloads: c.payloads.split_off(half),
-            };
-            self.dir.insert(ci + 1, self.dir[ci]);
-            self.chunks.insert(ci + 1, tail);
+        if c.slots.len() < CHUNK_MAX {
+            match appended {
+                // An append adds one internal gap and changes no other.
+                Some(g) => {
+                    let d = &mut self.dir[ci];
+                    d.last = slot;
+                    d.reach = d.reach.max(g);
+                    let b = &mut self.blocks[ci / BLOCK];
+                    *b = (*b).max(g);
+                }
+                None => self.refresh(ci, ci + 1, false),
+            }
+            return;
         }
-        self.refresh(ci, ci + 1 + usize::from(split), split);
+        // The gap between the halves (if any) becomes a boundary gap.
+        let half = c.slots.len() / 2;
+        let tail = Chunk {
+            slots: c.slots.split_off(half),
+            payloads: c.payloads.split_off(half),
+        };
+        self.dir.insert(ci + 1, self.dir[ci]);
+        self.chunks.insert(ci + 1, tail);
+        self.refresh(ci, ci + 2, true);
     }
 
     /// Books `[t, t + dur)` at the earliest feasible `t ≥ ready` and returns
