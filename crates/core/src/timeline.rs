@@ -454,28 +454,10 @@ impl<P> Timeline<P> {
         slot
     }
 
-    /// Removes the booking holding `payload` and returns its slot, or
-    /// `None` if no booking carries it. Removing the most recent insertion
-    /// restores the timeline exactly — the mechanism behind the schedule
-    /// builder's undo-log rollback.
-    pub fn remove(&mut self, payload: &P) -> Option<Slot>
-    where
-        P: PartialEq,
-    {
-        // Rollback removes the most recent bookings, which usually sit at
-        // the tail of the time-sorted store: scan from the back.
-        for ci in (0..self.chunks.len()).rev() {
-            if let Some(si) = self.chunks[ci].payloads.iter().rposition(|p| p == payload) {
-                return Some(self.remove_pos(ci, si));
-            }
-        }
-        None
-    }
-
-    /// Removes the booking known to occupy `slot` with `payload` — the
-    /// allocation-free form the builder's undo log uses (it records every
-    /// booked slot, so the linear payload scan of [`Timeline::remove`] is
-    /// replaced by two binary searches).
+    /// Removes the booking known to occupy `slot` with `payload`, found by
+    /// two binary searches. Removing the most recent insertion restores the
+    /// timeline exactly — the mechanism behind the schedule builder's
+    /// undo-log rollback, which records every booked slot.
     ///
     /// Returns `false` (timeline unchanged) if no such booking exists.
     pub fn remove_at(&mut self, slot: Slot, payload: &P) -> bool
@@ -514,47 +496,50 @@ impl<P> Timeline<P> {
             .map(|(s, _)| s.duration())
             .fold(Time::ZERO, |a, b| a + b)
     }
-
-    /// Verifies the sorted non-overlap invariant and the chunk directory
-    /// (used by the validator and the property tests).
-    pub fn check_invariants(&self) -> bool {
-        // Sorted by `(start, end)` and pairwise disjoint: every slot ends
-        // no later than its successor starts, which `dir_entry` relies on.
-        let slots: Vec<Slot> = self.iter().map(|(s, _)| s).collect();
-        if !slots.windows(2).all(|w| {
-            let (a, b) = (&w[0], &w[1]);
-            (a.start, a.end) <= (b.start, b.end) && !a.overlaps(b)
-        }) {
-            return false;
-        }
-        if self.chunks.iter().any(|c| {
-            c.slots.is_empty() || c.slots.len() != c.payloads.len() || c.slots.len() >= CHUNK_MAX
-        }) {
-            return false;
-        }
-        if self.len != self.chunks.iter().map(|c| c.slots.len()).sum::<usize>() {
-            return false;
-        }
-        // The directory and the blocks must mirror every chunk exactly.
-        let dir: Vec<DirEntry> = (0..self.chunks.len())
-            .map(|j| self.chunks[j].dir_entry(self.lead(j)))
-            .collect();
-        let blocks: Vec<Time> = dir
-            .chunks(BLOCK)
-            .map(|b| b.iter().map(|d| d.reach).fold(Time::ZERO, Time::max))
-            .collect();
-        blocks == self.blocks
-            && dir.len() == self.dir.len()
-            && dir
-                .iter()
-                .zip(&self.dir)
-                .all(|(e, d)| d.first == e.first && d.last == e.last && d.reach == e.reach)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<P> Timeline<P> {
+        /// Verifies the sorted non-overlap invariant and the chunk directory.
+        fn check_invariants(&self) -> bool {
+            // Sorted by `(start, end)` and pairwise disjoint: every slot ends
+            // no later than its successor starts, which `dir_entry` relies on.
+            let slots: Vec<Slot> = self.iter().map(|(s, _)| s).collect();
+            if !slots.windows(2).all(|w| {
+                let (a, b) = (&w[0], &w[1]);
+                (a.start, a.end) <= (b.start, b.end) && !a.overlaps(b)
+            }) {
+                return false;
+            }
+            if self.chunks.iter().any(|c| {
+                c.slots.is_empty()
+                    || c.slots.len() != c.payloads.len()
+                    || c.slots.len() >= CHUNK_MAX
+            }) {
+                return false;
+            }
+            if self.len != self.chunks.iter().map(|c| c.slots.len()).sum::<usize>() {
+                return false;
+            }
+            // The directory and the blocks must mirror every chunk exactly.
+            let dir: Vec<DirEntry> = (0..self.chunks.len())
+                .map(|j| self.chunks[j].dir_entry(self.lead(j)))
+                .collect();
+            let blocks: Vec<Time> = dir
+                .chunks(BLOCK)
+                .map(|b| b.iter().map(|d| d.reach).fold(Time::ZERO, Time::max))
+                .collect();
+            blocks == self.blocks
+                && dir.len() == self.dir.len()
+                && dir
+                    .iter()
+                    .zip(&self.dir)
+                    .all(|(e, d)| d.first == e.first && d.last == e.last && d.reach == e.reach)
+        }
+    }
 
     fn t(u: f64) -> Time {
         Time::from_units(u)
@@ -650,10 +635,10 @@ mod tests {
         tl.insert_at(t(5.0), t(1.0), 2).unwrap();
         let before: Vec<_> = tl.iter().map(|(s, &p)| (s, p)).collect();
         let slot = tl.insert_earliest(t(0.5), t(2.0), 3);
-        assert_eq!(tl.remove(&3), Some(slot));
+        assert!(tl.remove_at(slot, &3));
         let after: Vec<_> = tl.iter().map(|(s, &p)| (s, p)).collect();
         assert_eq!(before, after);
-        assert_eq!(tl.remove(&9), None);
+        assert!(!tl.remove_at(slot, &3));
         assert!(tl.check_invariants());
     }
 
@@ -699,13 +684,19 @@ mod tests {
         // but equality ignores the counter.
         let restored = {
             let mut other = tl.clone();
-            other.insert_earliest(Time::ZERO, t(1.0), 9);
-            other.remove(&9);
+            let slot = other.insert_earliest(Time::ZERO, t(1.0), 9);
+            other.remove_at(slot, &9);
             other
         };
         assert_eq!(restored.version(), 4);
         assert_eq!(restored, tl);
-        assert_eq!(tl.remove(&42), None);
+        assert!(!tl.remove_at(
+            Slot {
+                start: t(5.0),
+                end: t(6.0)
+            },
+            &42
+        ));
         assert_eq!(tl.version(), 2);
     }
 
@@ -778,7 +769,7 @@ mod tests {
                         let (s, _) = reference.remove(pos);
                         assert!(tl.remove_at(s, &victim));
                     }
-                    None => assert_eq!(tl.remove(&victim), None),
+                    None => assert!(tl.iter().all(|(_, &p)| p != victim)),
                 }
             }
             if i % c.sweep_every == c.sweep_every - 1 && reference.len() > CHUNK_MAX + 8 {
