@@ -359,8 +359,13 @@ impl<P> Timeline<P> {
             }
             return;
         }
-        // The gap between the halves (if any) becomes a boundary gap.
-        let half = c.slots.len() / 2;
+        // The gap between the halves (if any) becomes a boundary gap. An
+        // append starts a new chunk, so lanes built in time order keep
+        // their chunks full.
+        let half = match appended {
+            Some(_) => c.slots.len() - 1,
+            None => c.slots.len() / 2,
+        };
         let tail = Chunk {
             slots: c.slots.split_off(half),
             payloads: c.payloads.split_off(half),
