@@ -1399,9 +1399,10 @@ impl<'p> ScheduleBuilder<'p> {
     /// `Minimize_start_time` at recursion `depth`. `op`'s own placements
     /// — the baseline and every trial re-placement — are only evaluated;
     /// only duplications reach the timelines (committed by the nested
-    /// calls), and a rejected trial rolls back just those. The winning
-    /// evaluation is committed once at the end, on the state it was
-    /// evaluated on.
+    /// calls), and a rejected trial rolls back just those. A trial that
+    /// provably cannot win is skipped before anything is booked. The
+    /// winning evaluation is committed once at the end, on the state it
+    /// was evaluated on.
     fn place_min_inner(
         &mut self,
         op: OpId,
