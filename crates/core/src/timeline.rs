@@ -29,9 +29,9 @@ impl Slot {
     }
 }
 
-/// Split threshold: a chunk reaching this many slots is halved, bounding
+/// Split threshold: a chunk reaching this many slots is split, bounding
 /// every slot-store memmove to `CHUNK_MAX` elements while keeping the chunk
-/// directory short (about `2 len / CHUNK_MAX` entries).
+/// directory short (at most about `2 len / CHUNK_MAX` entries).
 const CHUNK_MAX: usize = 32;
 
 /// Directory entries summarized by one entry of `Timeline::blocks`.
