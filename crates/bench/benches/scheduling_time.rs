@@ -58,6 +58,45 @@ fn bench_schedulers(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Minimize_start_time` where it costs most: FTBAR on the
+/// duplication-heavy mesh:3x2 golden instance
+/// (`tests/golden/ftbar_mesh3x2_n300_seed16.json`: layered N = 300, CCR 5,
+/// Npf 1), where one placement's comms share links, coverage augmentation
+/// adds alternative routes and most nested trials are rolled back. The
+/// `--no-dup` row is the same sweep without duplication.
+fn bench_duplication(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scheduling_time_duplication");
+    group.sample_size(10);
+    let alg = ftbar_workload::layered(&ftbar_workload::LayeredConfig {
+        n_ops: 300,
+        seed: 16,
+        ..Default::default()
+    });
+    let problem = ftbar_workload::timing(
+        alg,
+        ftbar_workload::arch::mesh(3, 2),
+        &ftbar_workload::TimingConfig {
+            ccr: 5.0,
+            npf: 1,
+            seed: 16,
+            ..Default::default()
+        },
+    )
+    .expect("valid problem");
+    let name = "mesh3x2_n300_seed16";
+    group.bench_with_input(BenchmarkId::new("FTBAR", name), &problem, |b, p| {
+        b.iter(|| ftbar_core::ftbar::schedule(p).expect("schedules"));
+    });
+    group.bench_with_input(BenchmarkId::new("FTBAR-no-dup", name), &problem, |b, p| {
+        let cfg = FtbarConfig {
+            no_duplication: true,
+            ..FtbarConfig::default()
+        };
+        b.iter(|| ftbar_core::ftbar::schedule_with(p, &cfg).expect("schedules"));
+    });
+    group.finish();
+}
+
 /// The paper attributes HBP's higher complexity to its exhaustive
 /// processor-pair search — an O(P²) factor per task. Sweep P at fixed N.
 fn bench_proc_scaling(c: &mut Criterion) {
@@ -90,5 +129,10 @@ fn bench_proc_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_schedulers, bench_proc_scaling);
+criterion_group!(
+    benches,
+    bench_duplication,
+    bench_schedulers,
+    bench_proc_scaling
+);
 criterion_main!(benches);

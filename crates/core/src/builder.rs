@@ -1247,7 +1247,7 @@ impl<'p> ScheduleBuilder<'p> {
 
         let tl = &self.proc_tl[proc.index()];
         let start = tl.probe(best_ready, dur);
-        Ok(PlacedSegment {
+        let segment = PlacedSegment {
             replica: Replica {
                 op,
                 proc,
@@ -1262,7 +1262,10 @@ impl<'p> ScheduleBuilder<'p> {
             fully,
             comms,
             lip,
-        })
+        };
+        #[cfg(test)]
+        tests::on_evaluate(self, &segment);
+        Ok(segment)
     }
 
     /// The latest planned input, in `buf` (the plan of `op`), of the
@@ -1874,7 +1877,6 @@ mod tests {
         b.place(x, ProcId(0)).unwrap();
         b.place(x, ProcId(1)).unwrap();
         let before = b.link_tl.clone();
-        let mut links = before.clone();
         let first = b.comms.len();
         // Evaluation books nothing; the commit books exactly what it
         // evaluated.
@@ -1884,15 +1886,32 @@ mod tests {
         let r = b.commit(seg);
         let comms = &b.comms[first..];
         assert_eq!(comms, &evaluated[..]);
+        assert!(comms.iter().all(|c| c.dst == r));
+        assert_eq!(
+            lays_out_sequentially(&b, &before, comms),
+            1,
+            "one hop waits for an earlier hop of its own placement"
+        );
+    }
+
+    /// Asserts that `comms`, laid out by one evaluation on the link lanes
+    /// `before`, have pairwise disjoint hops and equal what booking each
+    /// hop in turn with `Timeline::insert_earliest` gives. Returns how many
+    /// hops that booking pushed past their slot on `before` alone.
+    fn lays_out_sequentially(
+        b: &ScheduleBuilder,
+        before: &[Timeline<(CommId, usize)>],
+        comms: &[Comm],
+    ) -> usize {
         let hops: Vec<&BookedHop> = comms.iter().flat_map(|c| &c.hops).collect();
         for (i, h) in hops.iter().enumerate() {
             for g in &hops[..i] {
                 assert!(g.link != h.link || !g.slot.overlaps(&h.slot));
             }
         }
+        let mut links = before.to_vec();
         let mut pushed = 0;
         for comm in comms {
-            assert_eq!(comm.dst, r);
             let mut ready = b.replica(comm.src).end();
             for (i, hop) in comm.hops.iter().enumerate() {
                 let dur = hop.slot.duration();
@@ -1903,9 +1922,61 @@ mod tests {
                 ready = slot.end;
             }
         }
-        assert_eq!(
-            pushed, 1,
-            "one hop waits for an earlier hop of its own placement"
+        pushed
+    }
+
+    thread_local! {
+        /// While set, every segment `evaluate` lays out in full on this
+        /// thread is checked by [`lays_out_sequentially`], and the largest
+        /// number of one segment's hops on one link is kept here.
+        static MOST_OWN_HOPS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// Called by `evaluate` in test builds with every laid-out segment.
+    pub(super) fn on_evaluate(b: &ScheduleBuilder, seg: &PlacedSegment) {
+        let Some(most) = MOST_OWN_HOPS.get() else {
+            return;
+        };
+        lays_out_sequentially(b, &b.link_tl, &seg.comms);
+        let hops = || seg.comms.iter().flat_map(|c| &c.hops);
+        let own = hops().map(|h| hops().filter(|g| g.link == h.link).count());
+        MOST_OWN_HOPS.set(Some(own.fold(most, usize::max)));
+    }
+
+    #[test]
+    fn many_own_hops_on_one_link_evaluate_sequentially() {
+        // `ftbar gen --n 140 --procs 6 --topology mesh:3x2 --ccr 5 --npf 1
+        // --seed 2`: a nested duplicate's evaluation puts 17 or more of its
+        // own hops on one link. Replaying FTBAR's top-level placements
+        // (the replicas it did not duplicate, in booking order) repeats
+        // every evaluation of the run, and each must lay its hops out as
+        // sequential booking would.
+        use ftbar_workload::{arch, layered, timing, LayeredConfig, TimingConfig};
+        let alg = layered(&LayeredConfig {
+            n_ops: 140,
+            seed: 2,
+            ..Default::default()
+        });
+        let config = TimingConfig {
+            ccr: 5.0,
+            npf: 1,
+            seed: 2,
+            ..Default::default()
+        };
+        let p = timing(alg, arch::mesh(3, 2), &config).unwrap();
+        // The problem as the CLI reads it back from `gen`'s output.
+        let p = ftbar_model::spec::parse_problem(&ftbar_model::spec::print_problem(&p)).unwrap();
+        let schedule = crate::ftbar::schedule(&p).unwrap();
+        let mut b = ScheduleBuilder::new(&p);
+        MOST_OWN_HOPS.set(Some(0));
+        for rep in schedule.replicas().iter().filter(|r| !r.duplicated) {
+            b.place_min_start(rep.op, rep.proc).unwrap();
+        }
+        let most = MOST_OWN_HOPS.take().unwrap();
+        assert_eq!(b.finish(), schedule);
+        assert!(
+            most >= 17,
+            "at most {most} own hops of one placement on a link"
         );
     }
 

@@ -705,6 +705,71 @@ mod tests {
         assert_eq!(tl.version(), 2);
     }
 
+    /// 40 one-tick bookings one tick apart from tick 10 on, except a
+    /// five-tick gap before the 31st: appends fill the first chunk with
+    /// 31 slots and start a second one. The 16th is then removed again,
+    /// so the first chunk has room for an insert without a split.
+    fn two_chunks() -> Timeline<u32> {
+        let mut tl: Timeline<u32> = Timeline::new();
+        let mut second = Slot {
+            start: Time::ZERO,
+            end: Time::ZERO,
+        };
+        for i in 0..40u64 {
+            let start = 10 + 2 * i + if i >= 30 { 4 } else { 0 };
+            let slot = tl
+                .insert_at(Time::from_ticks(start), Time::from_ticks(1), i as u32)
+                .unwrap();
+            if i == 15 {
+                second = slot;
+            }
+        }
+        assert!(tl.remove_at(second, &15));
+        assert_eq!(tl.chunks.len(), 2);
+        assert_eq!(tl.chunks[0].slots.len(), CHUNK_MAX - 2);
+        assert_eq!(tl.dir[0].reach, Time::from_ticks(5));
+        assert_eq!(tl.dir[1].reach, Time::from_ticks(1));
+        assert!(tl.check_invariants());
+        tl
+    }
+
+    #[test]
+    fn insert_and_remove_before_the_first_slot_move_reach() {
+        let mut tl = two_chunks();
+        let ticks = Time::from_ticks;
+        // A new first slot opens a nine-tick gap, the longest in the chunk.
+        let first = tl.insert_at(Time::ZERO, ticks(1), 99).unwrap();
+        assert_eq!(tl.dir[0].reach, ticks(9));
+        assert_eq!(tl.blocks[0], ticks(9));
+        assert!(tl.check_invariants());
+        assert_eq!(tl.probe(Time::ZERO, ticks(8)), ticks(1));
+        // Removing it closes that gap again.
+        assert!(tl.remove_at(first, &99));
+        assert_eq!(tl.dir[0].reach, ticks(5));
+        assert_eq!(tl.blocks[0], ticks(5));
+        assert!(tl.check_invariants());
+    }
+
+    #[test]
+    fn removing_a_chunks_last_slot_moves_both_reaches() {
+        let mut tl = two_chunks();
+        let ticks = Time::from_ticks;
+        // The first chunk's last slot follows its longest gap; without it
+        // the chunk's reach shrinks to the gap the removed 16th slot left,
+        // and the next chunk's boundary gap grows from one tick to seven.
+        let last = tl.dir[0].last;
+        assert!(tl.remove_at(last, &30));
+        assert_eq!(tl.dir[0].reach, ticks(3));
+        assert_eq!(tl.dir[1].reach, ticks(7));
+        assert_eq!(tl.blocks[0], ticks(7));
+        assert!(tl.check_invariants());
+        // The second chunk's last slot is the lane's last: nothing follows.
+        let last = tl.dir[1].last;
+        assert!(tl.remove_at(last, &39));
+        assert_eq!(tl.last_end(), ticks(91));
+        assert!(tl.check_invariants());
+    }
+
     /// Deterministic LCG for the churn tests.
     fn lcg(seed: u64) -> impl FnMut() -> u32 {
         let mut state = seed;

@@ -185,6 +185,38 @@ fn reference_equals_replay_on_pinned_sweep_cases() {
     }
 }
 
+/// Characterization of a known gap between the static `route-coverage`
+/// rule and the timed replay (ROADMAP item 1): on this N = 12 ring(6)
+/// schedule at `Npf = 2`, the static rule calls the failure of {P3, P5}
+/// at 0 masked, while the replay and the reference replay both lose an
+/// operation. Fixing item 1 must flip this test: whichever side is wrong,
+/// the two verdicts must then agree.
+#[test]
+fn route_coverage_calls_masked_what_both_replays_lose() {
+    let problem = generated(arch::ring(6), 12, 0.5, 2, 12001);
+    let schedule = ftbar_schedule(&problem).expect("schedules");
+    let mask = 1 << 3 | 1 << 5;
+    let verdicts = ftbar::core::validate::route_coverage_verdicts(&problem, &schedule);
+    assert_eq!(
+        verdicts.iter().find(|&&(m, _)| m == mask),
+        Some(&(mask, true)),
+        "route-coverage says {{P3, P5}} at 0 is masked"
+    );
+    let scen = FailureScenario::multi(6, &[(ProcId(3), Time::ZERO), (ProcId(5), Time::ZERO)]);
+    assert!(
+        !replay(&problem, &schedule, &scen).all_ops_complete(),
+        "the replay loses an operation"
+    );
+    let ours = reference::run(&problem, &schedule, &scen);
+    let lost = problem.alg().ops().find(|&op| {
+        schedule
+            .replicas_of(op)
+            .iter()
+            .all(|r| ours.outcomes[r.index()].end().is_none())
+    });
+    assert!(lost.is_some(), "the reference replay loses an operation");
+}
+
 /// Golden schedule snapshots: the engine-pipeline refactor must leave both
 /// schedulers **bit-identical** on these pinned instances.
 ///
@@ -193,7 +225,7 @@ fn reference_equals_replay_on_pinned_sweep_cases() {
 /// `UPDATE_GOLDEN=1 cargo test --test cross_engine golden` — never as a
 /// side effect of making a failing test pass.
 mod golden {
-    use ftbar::core::Schedule;
+    use ftbar::core::{DuplicationStats, Schedule};
     use ftbar::model::Problem;
     use ftbar::prelude::*;
     use ftbar::workload::presets::{problem_on, Topology};
@@ -242,8 +274,9 @@ mod golden {
     /// heavily (CCR 5, N = 300). On the multi-hop topologies one
     /// placement's comms share links (relayed routes, coverage
     /// alternatives), and deep nested duplications are kept and rolled
-    /// back; the fully connected `Npf = 0` instance has one input per
-    /// dependency, so nearly every placement tries a duplication.
+    /// back; at `Npf = 2` coverage augmentation adds alternative routes
+    /// most often. The fully connected `Npf = 0` instance has one input
+    /// per dependency, so nearly every placement tries a duplication.
     fn duplication_heavy_cases() -> Vec<(&'static str, Problem)> {
         vec![
             (
@@ -257,6 +290,14 @@ mod golden {
             (
                 "full4_npf0_n300_seed40",
                 super::generated(arch::fully_connected(4), 300, 5.0, 0, 40),
+            ),
+            (
+                "ring6_npf2_n300_seed20",
+                super::generated(arch::ring(6), 300, 5.0, 2, 20),
+            ),
+            (
+                "mesh3x2_npf2_n300_seed22",
+                super::generated(arch::mesh(3, 2), 300, 5.0, 2, 22),
             ),
         ]
     }
@@ -314,6 +355,51 @@ mod golden {
         let d = out.dup_stats;
         assert!(d.pruned > 0, "no trial pruned: {d}");
         assert_eq!(d.trials, d.accepted + d.rejected);
+    }
+
+    #[test]
+    fn duplication_counters_match_the_pinned_runs() {
+        // Pruning and cheaper evaluations must not change what
+        // `Minimize_start_time` does, only what it costs: every counter
+        // of these runs is pinned.
+        let pinned = [
+            (
+                "mesh3x2_n300_seed16",
+                DuplicationStats {
+                    evaluations: 15092,
+                    trials: 7246,
+                    accepted: 3485,
+                    rejected: 3761,
+                    pruned: 137,
+                    max_depth: 24,
+                    committed_replicas: 7846,
+                    committed_comms: 33586,
+                    rolled_back_replicas: 6448,
+                    rolled_back_comms: 33460,
+                },
+            ),
+            (
+                "ring6_n300_seed17",
+                DuplicationStats {
+                    evaluations: 14284,
+                    trials: 6842,
+                    accepted: 3102,
+                    rejected: 3740,
+                    pruned: 31,
+                    max_depth: 24,
+                    committed_replicas: 7442,
+                    committed_comms: 36926,
+                    rolled_back_replicas: 6108,
+                    rolled_back_comms: 36815,
+                },
+            ),
+        ];
+        let cases = duplication_heavy_cases();
+        for (name, stats) in pinned {
+            let (_, problem) = cases.iter().find(|(n, _)| *n == name).expect("pinned case");
+            let out = ftbar_schedule_with(problem, &FtbarConfig::default()).expect("schedules");
+            assert_eq!(out.dup_stats, stats, "`{name}`: {}", out.dup_stats);
+        }
     }
 
     #[test]
