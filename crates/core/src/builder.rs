@@ -41,6 +41,13 @@
 //! compares evaluations of the operation being placed and commits only the
 //! winner; only the predecessor duplicates it tries are booked.
 //!
+//! Most trial evaluations lose, so an evaluation does as little as the
+//! decision needs (`DESIGN.md` §4): a trial re-evaluation stops at planning
+//! once its latest planned input already rules out beating the current
+//! `S_worst`; layout takes each hop's start from the plan's probe until a
+//! clash with the placement's own hops moves a hop; and each ⟨replica,
+//! route⟩ candidate is probed at most once per dependency.
+//!
 //! # Transactions
 //!
 //! Rollback (paper step Ð, "undo all the replications") is transactional
@@ -127,6 +134,9 @@ struct RemoteSource {
     arrival: Time,
     /// Bitmask over processors: the source plus the route's intermediates.
     blockers: u64,
+    /// Index of the probed start of the route's first hop in the plan's
+    /// [`ProbeScratch::hop_starts`]; the other hops follow it.
+    first_hop: u32,
 }
 
 /// How one dependency's data reaches a replica being planned. Remote
@@ -167,6 +177,9 @@ struct PlanBuf {
     pool: Vec<RemoteSource>,
     /// Latest Immediate Predecessor w.r.t. the planned processor, if any.
     lip: Option<(Time, OpId)>,
+    /// The evaluated placement's own hops on the link of the hop being
+    /// laid out.
+    clash: Vec<Slot>,
 }
 
 /// One placement as [`ScheduleBuilder::evaluate`] computed it on the
@@ -253,6 +266,13 @@ impl std::fmt::Display for DuplicationStats {
 #[derive(Debug, Clone, Default)]
 pub struct ProbeScratch {
     chosen: Vec<RemoteSource>,
+    /// Every `(replica, route)` candidate probed for the current
+    /// dependency, with what the probe found (`None`: the route cannot
+    /// carry the dependency).
+    tried: Vec<(ReplicaId, usize, Option<RemoteSource>)>,
+    /// The probed start of every hop of every candidate of the current
+    /// plan (see [`RemoteSource::first_hop`]).
+    hop_starts: Vec<Time>,
 }
 
 /// The input-plan half of a probe ([`ScheduleBuilder::probe_plan`]): what a
@@ -424,6 +444,8 @@ impl<'p> ScheduleBuilder<'p> {
         pools.plan_buf.items.clear();
         pools.plan_buf.pool.clear();
         pools.plan_scratch.chosen.clear();
+        pools.plan_scratch.tried.clear();
+        pools.plan_scratch.hop_starts.clear();
         let alg = problem.alg();
         let mut preds = Vec::with_capacity(alg.dep_count());
         let mut pred_off = Vec::with_capacity(alg.op_count() + 1);
@@ -862,7 +884,8 @@ impl<'p> ScheduleBuilder<'p> {
     /// probed arrival over their primary routes, extended along alternative
     /// routes until every tracked failure pattern is defeated, falling back
     /// to a fragile local copy where coverage is unachievable. Remote
-    /// choices are left in `chosen`, ascending by `(arrival, src, route)`.
+    /// choices are left in `scratch.chosen`, ascending by `(arrival, src,
+    /// route)`. Each `(replica, route)` candidate is probed at most once.
     ///
     /// Shared by the probing and the evaluation path, so the two can never
     /// disagree on a plan.
@@ -872,7 +895,7 @@ impl<'p> ScheduleBuilder<'p> {
         dep: DepId,
         pred: OpId,
         proc: ProcId,
-        chosen: &mut Vec<RemoteSource>,
+        scratch: &mut ProbeScratch,
         mut trace: Option<&mut Vec<ProbeEvent>>,
     ) -> Result<DepPick, ScheduleError> {
         let preds = &self.replicas_of[pred.index()];
@@ -887,14 +910,22 @@ impl<'p> ScheduleBuilder<'p> {
                 return Ok(DepPick::Local { src: l, ready });
             }
         }
+        let chosen = &mut scratch.chosen;
         chosen.clear();
         for &r in preds {
             if self.replicas[r.index()].proc == proc {
                 continue;
             }
             chosen.push(
-                self.remote_candidate(dep, r, proc, 0, trace.as_deref_mut())
-                    .expect("primary route"),
+                self.remote_candidate(
+                    dep,
+                    r,
+                    proc,
+                    0,
+                    &mut scratch.hop_starts,
+                    trace.as_deref_mut(),
+                )
+                .expect("primary route"),
             );
         }
         if chosen.is_empty() {
@@ -904,9 +935,17 @@ impl<'p> ScheduleBuilder<'p> {
             return Ok(DepPick::Local { src: l, ready });
         }
         chosen.sort_by_key(|c| (c.arrival, c.src));
+        // Coverage augmentation reuses every primary probe, the ones
+        // truncated away included.
+        scratch.tried.clear();
+        if !self.patterns.is_empty() {
+            let primaries = chosen.iter().map(|c| (c.src, c.route, Some(*c)));
+            scratch.tried.extend(primaries);
+        }
         chosen.truncate(k);
         let primary_worst = chosen.last().expect("non-empty").arrival;
-        let covered = self.augment_for_coverage(dep, proc, pred, chosen, trace);
+        let covered = self.augment_for_coverage(dep, proc, pred, scratch, trace);
+        let chosen = &mut scratch.chosen;
         if !covered {
             if let Some(l) = local {
                 // Disjoint coverage is unachievable; keep the fragile
@@ -926,29 +965,32 @@ impl<'p> ScheduleBuilder<'p> {
     /// into the reusable `buf`. Evaluation path — the probe path uses
     /// [`ScheduleBuilder::input_ready_times`]; both share
     /// [`ScheduleBuilder::pick_dep_sources`].
+    ///
+    /// With a `bar`, planning stops and returns `false` as soon as a
+    /// `dur`-long replica could not start before it even at the latest
+    /// planned input so far: laid-out arrivals are never earlier than
+    /// planned ones, so the placement's `S_worst` would be at least that
+    /// start (`DESIGN.md` §4).
     fn plan_inputs_buf(
         &self,
         op: OpId,
         proc: ProcId,
+        dur: Time,
+        bar: Option<Time>,
         buf: &mut PlanBuf,
         scratch: &mut ProbeScratch,
-        mut trace: Option<&mut Vec<ProbeEvent>>,
-    ) -> Result<(), ScheduleError> {
+    ) -> Result<bool, ScheduleError> {
         buf.items.clear();
         buf.pool.clear();
         buf.lip = None;
+        scratch.hop_starts.clear();
+        let mut worst_ready = Time::ZERO;
         for di in self.pred_off[op.index()]..self.pred_off[op.index() + 1] {
             let (dep, pred) = self.preds[di as usize];
-            match self.pick_dep_sources(
-                op,
-                dep,
-                pred,
-                proc,
-                &mut scratch.chosen,
-                trace.as_deref_mut(),
-            )? {
+            let worst = match self.pick_dep_sources(op, dep, pred, proc, scratch, None)? {
                 DepPick::Local { src, ready } => {
                     buf.items.push((dep, PlanItem::Local { src, ready }));
+                    ready
                 }
                 DepPick::Remote {
                     primary_worst,
@@ -980,10 +1022,17 @@ impl<'p> ScheduleBuilder<'p> {
                             buf.lip = Some((primary_worst, pred));
                         }
                     }
+                    chosen.last().expect("non-empty").arrival
+                }
+            };
+            if worst > worst_ready {
+                worst_ready = worst;
+                if bar.is_some_and(|bar| self.proc_probe(proc, worst_ready, dur) >= bar) {
+                    return Ok(false);
                 }
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// The best/worst input-set ready instants of a would-be replica of
@@ -999,16 +1048,10 @@ impl<'p> ScheduleBuilder<'p> {
     ) -> Result<(Time, Time), ScheduleError> {
         let mut best_ready = Time::ZERO;
         let mut worst_ready = Time::ZERO;
+        scratch.hop_starts.clear();
         for di in self.pred_off[op.index()]..self.pred_off[op.index() + 1] {
             let (dep, pred) = self.preds[di as usize];
-            match self.pick_dep_sources(
-                op,
-                dep,
-                pred,
-                proc,
-                &mut scratch.chosen,
-                trace.as_deref_mut(),
-            )? {
+            match self.pick_dep_sources(op, dep, pred, proc, scratch, trace.as_deref_mut())? {
                 DepPick::Local { ready, .. } => {
                     best_ready = best_ready.max(ready);
                     worst_ready = worst_ready.max(ready);
@@ -1024,14 +1067,16 @@ impl<'p> ScheduleBuilder<'p> {
     }
 
     /// Builds the candidate for sending `dep` from `src` to `dst_proc` over
-    /// route `route_idx` of the problem's route table. `None` if the route
-    /// does not exist or some hop cannot carry the dependency.
+    /// route `route_idx` of the problem's route table, appending the probed
+    /// start of each hop to `hop_starts`. `None` if the route does not
+    /// exist or some hop cannot carry the dependency.
     fn remote_candidate(
         &self,
         dep: DepId,
         src: ReplicaId,
         dst_proc: ProcId,
         route_idx: usize,
+        hop_starts: &mut Vec<Time>,
         mut trace: Option<&mut Vec<ProbeEvent>>,
     ) -> Option<RemoteSource> {
         let rep = &self.replicas[src.index()];
@@ -1042,9 +1087,11 @@ impl<'p> ScheduleBuilder<'p> {
             .get(route_idx)?;
         let mut t = rep.end();
         let mut blockers = 0u64;
+        let first_hop = hop_starts.len() as u32;
         for hop in route.hops() {
             let dur = self.problem.comm().get(dep, hop.link)?;
             let start = self.link_tl[hop.link.index()].probe(t, dur);
+            hop_starts.push(start);
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(ProbeEvent {
                     lane: Lane::Link(hop.link),
@@ -1063,26 +1110,30 @@ impl<'p> ScheduleBuilder<'p> {
             route: route_idx,
             arrival: t,
             blockers,
+            first_hop,
         })
     }
 
-    /// Extends `chosen` until every tracked failure pattern (excluding
-    /// those containing `dst_proc`) leaves a surviving source, drawing from
-    /// `pred`'s replicas hosted away from `dst_proc`. Returns whether full
-    /// coverage was reached.
+    /// Extends `scratch.chosen` until every tracked failure pattern
+    /// (excluding those containing `dst_proc`) leaves a surviving source,
+    /// drawing from `pred`'s replicas hosted away from `dst_proc`. Returns
+    /// whether full coverage was reached.
+    ///
+    /// The state does not change while a dependency is planned, so every
+    /// candidate already in `scratch.tried` is reused, not probed again.
     fn augment_for_coverage(
         &self,
         dep: DepId,
         dst_proc: ProcId,
         pred: OpId,
-        chosen: &mut Vec<RemoteSource>,
+        scratch: &mut ProbeScratch,
         mut trace: Option<&mut Vec<ProbeEvent>>,
     ) -> bool {
         if self.patterns.is_empty() {
             return true;
         }
         loop {
-            let Some((pi, mask)) = self.first_uncovered(dst_proc, chosen) else {
+            let Some((pi, mask)) = self.first_uncovered(dst_proc, &scratch.chosen) else {
                 return true;
             };
             let mut best: Option<RemoteSource> = None;
@@ -1096,11 +1147,20 @@ impl<'p> ScheduleBuilder<'p> {
                 let src_proc = self.replicas[r.index()].proc;
                 let n_routes = self.problem.routes().all(src_proc, dst_proc).len();
                 for ri in 0..n_routes {
-                    if chosen.iter().any(|c| c.src == r && c.route == ri) {
+                    if scratch.chosen.iter().any(|c| c.src == r && c.route == ri) {
                         continue;
                     }
-                    let Some(c) = self.remote_candidate(dep, r, dst_proc, ri, trace.as_deref_mut())
-                    else {
+                    let c = match scratch.tried.iter().find(|t| (t.0, t.1) == (r, ri)) {
+                        Some(&(_, _, c)) => c,
+                        None => {
+                            let starts = &mut scratch.hop_starts;
+                            let tr = trace.as_deref_mut();
+                            let c = self.remote_candidate(dep, r, dst_proc, ri, starts, tr);
+                            scratch.tried.push((r, ri, c));
+                            c
+                        }
+                    };
+                    let Some(c) = c else {
                         continue;
                     };
                     if c.blockers & mask != 0 {
@@ -1116,7 +1176,7 @@ impl<'p> ScheduleBuilder<'p> {
                 }
             }
             match best {
-                Some(c) => chosen.push(c),
+                Some(c) => scratch.chosen.push(c),
                 None => return false,
             }
         }
@@ -1147,8 +1207,8 @@ impl<'p> ScheduleBuilder<'p> {
     /// if `op` is already hosted on `proc`. On error the builder is
     /// unchanged.
     pub fn place(&mut self, op: OpId, proc: ProcId) -> Result<ReplicaId, ScheduleError> {
-        let seg = self.evaluate(op, proc, false)?;
-        Ok(self.commit(seg))
+        let seg = self.evaluate(op, proc, false, None)?;
+        Ok(self.commit(seg.expect("no bar to miss")))
     }
 
     /// Computes where a replica of `op` on `proc` and its incoming comms
@@ -1161,12 +1221,17 @@ impl<'p> ScheduleBuilder<'p> {
     /// would give. The replica takes the earliest processor slot at its
     /// first complete input set (`S_best`); `S_worst` waits for the latest
     /// arrival.
+    ///
+    /// With a `bar`, returns `None` once planning shows that the
+    /// placement's `S_worst` cannot be below it (a losing
+    /// `Minimize_start_time` trial); nothing is laid out for it.
     fn evaluate(
         &mut self,
         op: OpId,
         proc: ProcId,
         duplicated: bool,
-    ) -> Result<PlacedSegment, ScheduleError> {
+        bar: Option<Time>,
+    ) -> Result<Option<PlacedSegment>, ScheduleError> {
         self.dup_stats.evaluations += 1;
         if self.has_replica_on(op, proc) {
             return Err(ScheduleError::ReplicaExists { op, proc });
@@ -1180,11 +1245,11 @@ impl<'p> ScheduleBuilder<'p> {
         // `Minimize_start_time` hot path; no allocation per attempt).
         let mut buf = std::mem::take(&mut self.plan_buf);
         let mut scratch = std::mem::take(&mut self.plan_scratch);
-        let planned = self.plan_inputs_buf(op, proc, &mut buf, &mut scratch, None);
-        self.plan_scratch = scratch;
-        if let Err(e) = planned {
+        let planned = self.plan_inputs_buf(op, proc, dur, bar, &mut buf, &mut scratch);
+        if !matches!(planned, Ok(true)) {
             self.plan_buf = buf;
-            return Err(e);
+            self.plan_scratch = scratch;
+            return planned.map(|_| None);
         }
         let rid = ReplicaId(self.replicas.len() as u32);
         let mut comms = self.seg_comms_pool.pop().unwrap_or_default();
@@ -1195,7 +1260,10 @@ impl<'p> ScheduleBuilder<'p> {
         // laid-out values.
         let mut best_ready = Time::ZERO;
         let mut worst_ready = Time::ZERO;
-        for &(dep, item) in &buf.items {
+        let PlanBuf {
+            items, pool, clash, ..
+        } = &mut buf;
+        for &(dep, item) in items.iter() {
             match item {
                 PlanItem::Local { ready, .. } => {
                     best_ready = best_ready.max(ready);
@@ -1204,8 +1272,15 @@ impl<'p> ScheduleBuilder<'p> {
                 PlanItem::Remote { start, len } => {
                     let mut dep_best = Time::MAX;
                     let mut dep_worst = Time::ZERO;
-                    for c in &buf.pool[start as usize..(start + len) as usize] {
-                        let comm = self.lay_out_comm(dep, c.src, rid, proc, c.route, &comms);
+                    for c in &pool[start as usize..(start + len) as usize] {
+                        let planned = &scratch.hop_starts[c.first_hop as usize..];
+                        let hops = self.lay_out_hops(dep, c, proc, planned, &comms, clash);
+                        let comm = Comm {
+                            dep,
+                            src: c.src,
+                            dst: rid,
+                            hops,
+                        };
                         let arrival = comm.arrival();
                         comms.push(comm);
                         dep_best = dep_best.min(arrival);
@@ -1216,6 +1291,7 @@ impl<'p> ScheduleBuilder<'p> {
                 }
             }
         }
+        self.plan_scratch = scratch;
 
         // The replica survives a failure pattern iff its processor does and
         // every dependency keeps a surviving planned source.
@@ -1265,7 +1341,7 @@ impl<'p> ScheduleBuilder<'p> {
         };
         #[cfg(test)]
         tests::on_evaluate(self, &segment);
-        Ok(segment)
+        Ok(Some(segment))
     }
 
     /// The latest planned input, in `buf` (the plan of `op`), of the
@@ -1292,51 +1368,63 @@ impl<'p> ScheduleBuilder<'p> {
             .fold(Time::ZERO, Time::max)
     }
 
-    /// Lays out one comm over route `route_idx` between the hosting
-    /// processors: each hop at the earliest slot free on its link and clear
-    /// of `earlier` (the placement's comms laid out so far) and of the
-    /// comm's own earlier hops.
-    fn lay_out_comm(
+    /// Lays out the hops of candidate `c`'s comm to `dst_proc`: each hop at
+    /// the earliest slot free on its link and clear of `earlier` (the
+    /// placement's comms laid out so far) and of the comm's own earlier
+    /// hops, gathered into `clash` once per hop.
+    ///
+    /// `planned` starts with the hop starts `c`'s probe found on this same
+    /// state. While every earlier hop landed where it was planned, a hop is
+    /// ready when planned, so the link's answer is its planned start: the
+    /// link is probed again only after a clash.
+    fn lay_out_hops(
         &mut self,
         dep: DepId,
-        src: ReplicaId,
-        dst: ReplicaId,
+        c: &RemoteSource,
         dst_proc: ProcId,
-        route_idx: usize,
+        planned: &[Time],
         earlier: &[Comm],
-    ) -> Comm {
+        clash: &mut Vec<Slot>,
+    ) -> Vec<BookedHop> {
         let mut hops = self.hops_pool.pop().unwrap_or_default();
         hops.clear();
-        let src_rep = &self.replicas[src.index()];
+        let src_rep = &self.replicas[c.src.index()];
         let mut t = src_rep.end();
-        let route = &self.problem.routes().all(src_rep.proc, dst_proc)[route_idx];
-        for hop in route.hops() {
+        let route = &self.problem.routes().all(src_rep.proc, dst_proc)[c.route];
+        let mut on_plan = true;
+        for (hop, &at) in route.hops().iter().zip(planned) {
             let dur = self
                 .problem
                 .comm()
                 .get(dep, hop.link)
                 .expect("candidate routes are transmissible");
             let tl = &self.link_tl[hop.link.index()];
-            // Every start before the end of a clashing hop of this
-            // placement clashes too, so jump past it and probe again.
-            let start = loop {
-                let s = tl.probe(t, dur);
-                let want = Slot {
-                    start: s,
-                    end: s + dur,
-                };
-                let clash = earlier
+            clash.clear();
+            clash.extend(
+                earlier
                     .iter()
                     .flat_map(|c| &c.hops)
                     .chain(&hops)
-                    .filter(|h| h.link == hop.link && h.slot.overlaps(&want))
-                    .map(|h| h.slot.end)
-                    .max();
-                match clash {
-                    Some(end) => t = end,
-                    None => break s,
-                }
-            };
+                    .filter(|h| h.link == hop.link)
+                    .map(|h| h.slot),
+            );
+            let mut start = if on_plan { at } else { tl.probe(t, dur) };
+            // Every start before the end of a clashing hop of this
+            // placement clashes too, so jump past it and probe again.
+            while let Some(end) = clash
+                .iter()
+                .filter(|g| {
+                    g.overlaps(&Slot {
+                        start,
+                        end: start + dur,
+                    })
+                })
+                .map(|g| g.end)
+                .max()
+            {
+                on_plan = false;
+                start = tl.probe(end, dur);
+            }
             t = start + dur;
             hops.push(BookedHop {
                 link: hop.link,
@@ -1346,12 +1434,7 @@ impl<'p> ScheduleBuilder<'p> {
             });
         }
         debug_assert!(!hops.is_empty(), "remote comms traverse at least one link");
-        Comm {
-            dep,
-            src,
-            dst,
-            hops,
-        }
+        hops
     }
 
     /// Books an evaluated placement verbatim on the state it was evaluated
@@ -1416,7 +1499,9 @@ impl<'p> ScheduleBuilder<'p> {
         // Ê/Ë: evaluate the baseline placement (fails fast if o cannot run
         // on p). Its input plan names the first LIP; none means the
         // baseline is final.
-        let mut segment = self.evaluate(op, proc, depth > 0)?;
+        let mut segment = self
+            .evaluate(op, proc, depth > 0, None)?
+            .expect("no bar to miss");
         let mut next_lip = if depth < MAX_DUPLICATION_DEPTH {
             segment.lip
         } else {
@@ -1437,9 +1522,11 @@ impl<'p> ScheduleBuilder<'p> {
             self.dup_stats.trials += 1;
             let cur = self.checkpoint();
             // Í: duplicate it onto proc, recursively minimized, then Î:
-            // re-evaluate op's placement with the duplicate present.
+            // re-evaluate op's placement with the duplicate present. A
+            // re-placement that cannot beat `segment` stops at planning.
+            let bar = Some(segment.replica.start_worst);
             let trial = match self.place_min_inner(lip, proc, depth + 1) {
-                Ok(_) => self.evaluate(op, proc, depth > 0).ok(),
+                Ok(_) => self.evaluate(op, proc, depth > 0, bar).ok().flatten(),
                 Err(_) => None,
             };
             match trial {
@@ -1880,7 +1967,7 @@ mod tests {
         let first = b.comms.len();
         // Evaluation books nothing; the commit books exactly what it
         // evaluated.
-        let seg = b.evaluate(y, ProcId(2), false).unwrap();
+        let seg = b.evaluate(y, ProcId(2), false, None).unwrap().unwrap();
         assert!(b.link_tl == before && b.comms.len() == first);
         let evaluated = seg.comms.clone();
         let r = b.commit(seg);

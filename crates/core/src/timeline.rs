@@ -342,29 +342,45 @@ impl<P> Timeline<P> {
         // no later chunk's boundary gap moves.
         debug_assert!(si < self.chunks[ci].slots.len() || ci + 1 == self.chunks.len());
         let c = &mut self.chunks[ci];
-        let appended = (si == c.slots.len()).then(|| gap(&c.last(), &slot));
+        let appended = si == c.slots.len();
+        // The free interval an interior slot splits, from the slot before
+        // it (the previous chunk's last for a chunk's first slot); none for
+        // an append or a new first slot of the lane.
+        let split = match si {
+            _ if appended => None,
+            0 if ci == 0 => None,
+            0 => Some(gap(&self.dir[ci - 1].last, &c.slots[0])),
+            _ => Some(gap(&c.slots[si - 1], &c.slots[si])),
+        };
         c.slots.insert(si, slot);
         c.payloads.insert(si, payload);
         if c.slots.len() < CHUNK_MAX {
-            match appended {
+            let d = &mut self.dir[ci];
+            if appended {
                 // An append adds one internal gap and changes no other.
-                Some(g) => {
-                    let d = &mut self.dir[ci];
-                    d.last = slot;
-                    d.reach = d.reach.max(g);
-                    let b = &mut self.blocks[ci / BLOCK];
-                    *b = (*b).max(g);
-                }
-                None => self.refresh(ci, ci + 1, false),
+                let g = gap(&d.last, &slot);
+                d.last = slot;
+                d.reach = d.reach.max(g);
+                let b = &mut self.blocks[ci / BLOCK];
+                *b = (*b).max(g);
+            } else if split.is_some_and(|g| g < d.reach) {
+                // Both parts of a split gap are shorter than the longest
+                // gap, which stays where it was.
+                d.first = c.slots[0];
+            } else {
+                // A new first slot of the lane opens a gap, and splitting
+                // the longest gap may leave a shorter longest one.
+                self.refresh(ci, ci + 1, false);
             }
             return;
         }
         // The gap between the halves (if any) becomes a boundary gap. An
         // append starts a new chunk, so lanes built in time order keep
         // their chunks full.
-        let half = match appended {
-            Some(_) => c.slots.len() - 1,
-            None => c.slots.len() / 2,
+        let half = if appended {
+            c.slots.len() - 1
+        } else {
+            c.slots.len() / 2
         };
         let tail = Chunk {
             slots: c.slots.split_off(half),
@@ -451,10 +467,24 @@ impl<P> Timeline<P> {
             self.chunks.remove(ci);
             self.dir.remove(ci);
             self.refresh(ci, ci + 1, true);
-        } else {
-            // A removed last slot moves the next chunk's boundary gap.
+        } else if si == c.slots.len() || (ci == 0 && si == 0) {
+            // A removed last slot moves the next chunk's boundary gap, and
+            // it or the lane's first slot takes a gap away with it.
             let to = ci + 1 + usize::from(si == c.slots.len());
             self.refresh(ci, to, false);
+        } else {
+            // The gaps on either side merge into one: the longest gap can
+            // only grow.
+            let prev = match si {
+                0 => self.dir[ci - 1].last,
+                _ => c.slots[si - 1],
+            };
+            let g = gap(&prev, &c.slots[si]);
+            let d = &mut self.dir[ci];
+            d.first = c.slots[0];
+            d.reach = d.reach.max(g);
+            let b = &mut self.blocks[ci / BLOCK];
+            *b = (*b).max(g);
         }
         slot
     }
