@@ -945,7 +945,6 @@ impl<'p> ScheduleBuilder<'p> {
         chosen.truncate(k);
         let primary_worst = chosen.last().expect("non-empty").arrival;
         let covered = self.augment_for_coverage(dep, proc, pred, scratch, trace);
-        let chosen = &mut scratch.chosen;
         if !covered {
             if let Some(l) = local {
                 // Disjoint coverage is unachievable; keep the fragile
@@ -954,7 +953,7 @@ impl<'p> ScheduleBuilder<'p> {
                 return Ok(DepPick::Local { src: l, ready });
             }
         }
-        chosen.sort_by_key(|c| (c.arrival, c.src, c.route));
+        scratch.chosen.sort_by_key(|c| (c.arrival, c.src, c.route));
         Ok(DepPick::Remote {
             primary_worst,
             local: local.is_some(),
