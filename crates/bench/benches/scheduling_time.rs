@@ -4,12 +4,11 @@
 //! One Criterion group per graph size; `ftbar` vs `hbp` on identical
 //! problems (the shared `ftbar_workload::scheduling_point` presets, so the
 //! Criterion rows and the `perf_gate` medians measure the same instances).
-//! The `FTBAR-incremental` / `FTBAR-naive` and `HBP-exhaustive` rows pin
-//! the incremental pressure engine's speedup against the retained
-//! reference sweeps (the paper's complexity remark applies to the
-//! unoptimized algorithms, i.e. the naive/exhaustive rows); the plain
-//! `FTBAR` row is the adaptive default users get. Sizes extend to
-//! N = 1000, where the naive references pay their quadratic sweep.
+//! The plain `FTBAR` row is the default users get (the incremental
+//! sweep); the `FTBAR-naive` and `HBP-exhaustive` rows time the retained
+//! reference searches (the paper's complexity remark applies to the
+//! unoptimized algorithms, i.e. the naive/exhaustive rows). Sizes extend
+//! to N = 1000, where the naive references pay their quadratic sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftbar_core::{FtbarConfig, SweepStrategy};
@@ -24,17 +23,6 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("FTBAR", n), &problem, |b, p| {
             b.iter(|| ftbar_core::ftbar::schedule(p).expect("schedules"));
         });
-        group.bench_with_input(
-            BenchmarkId::new("FTBAR-incremental", n),
-            &problem,
-            |b, p| {
-                let cfg = FtbarConfig {
-                    sweep: SweepStrategy::Incremental,
-                    ..FtbarConfig::default()
-                };
-                b.iter(|| ftbar_core::ftbar::schedule_with(p, &cfg).expect("schedules"));
-            },
-        );
         group.bench_with_input(BenchmarkId::new("FTBAR-naive", n), &problem, |b, p| {
             let cfg = FtbarConfig {
                 sweep: SweepStrategy::Naive,

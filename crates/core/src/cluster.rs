@@ -129,9 +129,6 @@ pub fn schedule_clustered(
     let arch = problem.arch();
     let (cluster, n_clusters) = cluster_ops(problem, config.cluster_size);
 
-    // Inner phases run the exact engine; `Adaptive` keeps the small
-    // cluster graph on the naive sweep and the large expansion on the
-    // incremental one.
     let inner = FtbarConfig {
         sweep: SweepStrategy::Adaptive,
         trace: false,
@@ -240,7 +237,7 @@ pub fn schedule_clustered(
         .map_err(|e| ScheduleError::DerivedProblem(e.to_string()))?;
     let (mut out, pools) = schedule_with_pools(&pproblem, &inner, pools)?;
 
-    let mut stats = out.sweep_stats.unwrap_or_default();
+    let mut stats = out.sweep_stats.expect("the inner sweep records stats");
     stats.clusters = n_clusters as u64;
     out.sweep_stats = Some(stats);
     Ok((out, pools))

@@ -44,23 +44,21 @@ pub enum CostFunction {
 
 /// How micro-steps À/Á evaluate the candidate pressures.
 ///
-/// All strategies produce bit-identical schedules (asserted by the
+/// The exact strategies produce bit-identical schedules (asserted by the
 /// cross-topology property tests); the naive sweep is retained as the
-/// reference and for the benchmarks pinning the speedup.
+/// tests' reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepStrategy {
-    /// Pick [`SweepStrategy::Naive`] below
-    /// [`ADAPTIVE_SWEEP_CUTOFF`] operations and
-    /// [`SweepStrategy::Incremental`] at or above it. The probe cache's
-    /// bookkeeping only amortizes once enough pairs survive between steps;
-    /// below the crossover the naive sweep's straight-line probes win, so
-    /// the engine picks per problem instead of defaulting to either.
+    /// The default: runs the incremental sweep at every size. Kept as its
+    /// own name so cache keys and snapshot seeds that say `adaptive`
+    /// still parse and mean the default.
     #[default]
     Adaptive,
     /// Probe-cache driven: only pairs invalidated by the last placement are
     /// recomputed (see [`crate::sweep`]).
     Incremental,
-    /// Re-probe every ⟨candidate, processor⟩ pair from scratch each step.
+    /// Re-probe every ⟨candidate, processor⟩ pair from scratch each step:
+    /// the reference the tests check the incremental sweep against.
     Naive,
     /// Two-phase hierarchical clustering (see [`crate::cluster`]): group
     /// the operations into convex super-operations of at most
@@ -68,7 +66,7 @@ pub enum SweepStrategy {
     /// exactly, then re-schedule the original operations with placements
     /// pinned to the cluster's processors. The only strategy that is
     /// **not** bit-identical to the others — it trades makespan for
-    /// sweep width and is never chosen by [`SweepStrategy::Adaptive`].
+    /// sweep width and is only run when asked for by name.
     Clustered,
 }
 
@@ -98,12 +96,6 @@ impl SweepStrategy {
     }
 }
 
-/// Problem size (operation count) at which [`SweepStrategy::Adaptive`]
-/// switches from the naive to the incremental sweep: the measured
-/// incremental-vs-naive crossover on the committed `BENCH_scheduling.json`
-/// workloads (4 processors, CCR 5) sits between 50 and 80 operations.
-pub const ADAPTIVE_SWEEP_CUTOFF: usize = 64;
-
 /// Default [`FtbarConfig::cluster_size`]: big enough that the cluster
 /// graph is two orders of magnitude smaller than the operation graph,
 /// small enough that the pinned expansion keeps a meaningful choice of
@@ -123,7 +115,7 @@ pub struct FtbarConfig {
     pub no_duplication: bool,
     /// Record a [`StepTrace`] (with schedule snapshots) per main-loop step.
     pub trace: bool,
-    /// Pressure evaluation strategy (size-adaptive by default).
+    /// Pressure evaluation strategy (the incremental sweep by default).
     pub sweep: SweepStrategy,
     /// Maximum members per super-operation under
     /// [`SweepStrategy::Clustered`]; ignored by the exact strategies.
@@ -142,26 +134,6 @@ impl Default for FtbarConfig {
     }
 }
 
-impl FtbarConfig {
-    /// The concrete sweep strategy used for a problem of `n_ops`
-    /// operations: [`SweepStrategy::Adaptive`] resolves by
-    /// [`ADAPTIVE_SWEEP_CUTOFF`], the explicit strategies to
-    /// themselves. Never returns [`SweepStrategy::Adaptive`];
-    /// [`SweepStrategy::Clustered`] only when explicitly requested.
-    pub fn resolved_sweep(&self, n_ops: usize) -> SweepStrategy {
-        match self.sweep {
-            SweepStrategy::Adaptive => {
-                if n_ops >= ADAPTIVE_SWEEP_CUTOFF {
-                    SweepStrategy::Incremental
-                } else {
-                    SweepStrategy::Naive
-                }
-            }
-            explicit => explicit,
-        }
-    }
-}
-
 /// Result of [`schedule_with`]: the schedule plus an optional step trace.
 #[derive(Debug, Clone)]
 pub struct FtbarOutcome {
@@ -169,8 +141,7 @@ pub struct FtbarOutcome {
     pub schedule: Schedule,
     /// Per-step trace; empty unless [`FtbarConfig::trace`] was set.
     pub steps: Vec<StepTrace>,
-    /// Probe-cache counters; `None` when the resolved strategy is
-    /// [`SweepStrategy::Naive`] (including adaptive runs below the cutoff).
+    /// Probe-cache counters; `None` only under [`SweepStrategy::Naive`].
     pub sweep_stats: Option<crate::sweep::SweepStats>,
     /// `Minimize_start_time` and undo-log counters (the expansion phase's
     /// for [`SweepStrategy::Clustered`]).
@@ -362,8 +333,7 @@ pub fn schedule_with_pools(
     config: &FtbarConfig,
     pools: EnginePools,
 ) -> Result<(FtbarOutcome, EnginePools), ScheduleError> {
-    let n_ops = problem.alg().op_count();
-    if config.resolved_sweep(n_ops) == SweepStrategy::Clustered {
+    if config.sweep == SweepStrategy::Clustered {
         return crate::cluster::schedule_clustered(problem, config, pools);
     }
     let (policy, cache) = build_policy(problem, config);
@@ -401,11 +371,9 @@ fn build_policy_from(
     pressure: &Pressure,
     pending: Option<&[bool]>,
 ) -> (FtbarPolicy, Option<PointFocus>) {
-    let n_ops = problem.alg().op_count();
-    let (sweep, cache) = match config.resolved_sweep(n_ops) {
-        SweepStrategy::Adaptive => unreachable!("resolved_sweep never returns Adaptive"),
+    let (sweep, cache) = match config.sweep {
         SweepStrategy::Clustered => unreachable!("dispatched by the caller"),
-        SweepStrategy::Incremental => {
+        SweepStrategy::Adaptive | SweepStrategy::Incremental => {
             let engine = match pending {
                 Some(mask) => SweepEngine::new_pending(problem, pressure, config.cost, mask),
                 None => SweepEngine::new(problem, pressure, config.cost),
@@ -453,7 +421,7 @@ pub(crate) struct RetainedParts {
 
 /// Runs FTBAR with [`EngineConfig::retain`] set, keeping the placement
 /// log and the final builder state. The schedule is bit-identical to
-/// [`schedule_with`]. The resolved strategy must not be
+/// [`schedule_with`]. The strategy must not be
 /// [`SweepStrategy::Clustered`] (the two-phase expansion has no single
 /// placement log to retain — callers fall back to plain scheduling).
 pub(crate) fn run_retained(
@@ -461,7 +429,7 @@ pub(crate) fn run_retained(
     config: &FtbarConfig,
 ) -> Result<RetainedParts, ScheduleError> {
     debug_assert_ne!(
-        config.resolved_sweep(problem.alg().op_count()),
+        config.sweep,
         SweepStrategy::Clustered,
         "clustered runs cannot be retained"
     );

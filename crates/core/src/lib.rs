@@ -71,8 +71,7 @@ pub use engine::{
 };
 pub use error::ScheduleError;
 pub use ftbar::{
-    CostFunction, FtbarConfig, FtbarOutcome, StepTrace, SweepStrategy, ADAPTIVE_SWEEP_CUTOFF,
-    DEFAULT_CLUSTER_SIZE,
+    CostFunction, FtbarConfig, FtbarOutcome, StepTrace, SweepStrategy, DEFAULT_CLUSTER_SIZE,
 };
 pub use pressure::Pressure;
 pub use replay::{

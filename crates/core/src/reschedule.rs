@@ -163,8 +163,7 @@ pub fn schedule_retained(
     problem: &Problem,
     config: &FtbarConfig,
 ) -> Result<(Schedule, ScheduleArtifacts), ScheduleError> {
-    let n_ops = problem.alg().op_count();
-    if config.resolved_sweep(n_ops) == SweepStrategy::Clustered {
+    if config.sweep == SweepStrategy::Clustered {
         // Clustered expansion has no single placement log; retain nothing
         // and let every repair of these artifacts take the full-run path.
         let out = ftbar::schedule_with(problem, config)?;
@@ -208,8 +207,6 @@ pub fn reschedule(
         Some("structural edit")
     } else if prev.retained.is_none() {
         Some("no retained state (clustered run)")
-    } else if prev.config.resolved_sweep(edited.alg().op_count()) == SweepStrategy::Clustered {
-        Some("clustered strategy")
     } else {
         None
     };

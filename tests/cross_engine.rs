@@ -225,7 +225,7 @@ fn route_coverage_calls_masked_what_both_replays_lose() {
 /// `UPDATE_GOLDEN=1 cargo test --test cross_engine golden` — never as a
 /// side effect of making a failing test pass.
 mod golden {
-    use ftbar::core::{DuplicationStats, Schedule};
+    use ftbar::core::{DuplicationStats, Schedule, SweepStrategy};
     use ftbar::model::Problem;
     use ftbar::prelude::*;
     use ftbar::workload::presets::{problem_on, Topology};
@@ -254,8 +254,7 @@ mod golden {
     }
 
     /// One pinned instance per supported topology family, plus two
-    /// fully connected instances above the adaptive sweep cutoff, so the
-    /// incremental engine is pinned too.
+    /// fully connected N = 200 instances.
     fn cases() -> Vec<(&'static str, Problem)> {
         vec![
             ("paper", paper_example()),
@@ -327,8 +326,16 @@ mod golden {
 
     #[test]
     fn ftbar_matches_pinned_schedules() {
+        // The default (incremental) sweep and the naive reference sweep
+        // must both reproduce the pinned bytes.
+        let naive = FtbarConfig {
+            sweep: SweepStrategy::Naive,
+            ..FtbarConfig::default()
+        };
         for (name, problem) in cases() {
             check("ftbar", name, &ftbar_schedule(&problem).expect("schedules"));
+            let oracle = ftbar_schedule_with(&problem, &naive).expect("schedules");
+            check("ftbar", name, &oracle.schedule);
         }
     }
 

@@ -11,7 +11,7 @@
 //! the route-aware masking work).
 
 use ftbar::core::sweep::ProbeCache;
-use ftbar::core::{FtbarConfig, ScheduleBuilder, SweepStrategy, ADAPTIVE_SWEEP_CUTOFF};
+use ftbar::core::{FtbarConfig, ScheduleBuilder, SweepStrategy};
 use ftbar::hbp;
 use ftbar::model::{Alg, Arch, CommTable, ExecTable, Problem, ProcId, Time};
 use ftbar::prelude::*;
@@ -304,33 +304,24 @@ fn heterogeneous_exec_keeps_engines_bit_identical() {
     assert_hbp_engines_agree(&problem, "heterogeneous quad");
 }
 
-/// The adaptive default resolves to naive below the cutoff (64 ops) and
-/// incremental at it, and both resolutions schedule identically anyway.
+/// The default (`adaptive`) strategy runs the incremental sweep at every
+/// size, including just below and at the size where it used to switch
+/// from the naive sweep, and schedules exactly as the naive reference.
 #[test]
-fn adaptive_sweep_flips_at_the_cutoff() {
+fn adaptive_runs_the_incremental_sweep_at_every_size() {
     let config = FtbarConfig::default();
     assert_eq!(config.sweep, SweepStrategy::Adaptive);
-    assert_eq!(ADAPTIVE_SWEEP_CUTOFF, 64);
-    assert_eq!(config.resolved_sweep(63), SweepStrategy::Naive);
-    assert_eq!(config.resolved_sweep(64), SweepStrategy::Incremental);
-
-    // At exactly the cutoff the adaptive run is the incremental run.
-    let problem = problem_on(Topology::Full, 64, 2.0, 77);
-    let adaptive = ftbar_schedule_with(&problem, &config).expect("schedules");
-    assert!(
-        adaptive.sweep_stats.is_some(),
-        "adaptive at the cutoff must run the cached sweep"
-    );
-    // One below, it is the naive run (no cache, no stats)...
-    let below = problem_on(Topology::Full, 63, 2.0, 77);
-    let naive_run = ftbar_schedule_with(&below, &config).expect("schedules");
-    assert!(
-        naive_run.sweep_stats.is_none(),
-        "adaptive below the cutoff must run the naive sweep"
-    );
-    // ...and either way the schedule equals the forced strategies.
-    assert_eq!(
-        ftbar_schedule_with(&below, &naive()).unwrap().schedule,
-        naive_run.schedule
-    );
+    for n_ops in [10, 63, 64] {
+        let problem = problem_on(Topology::Full, n_ops, 2.0, 77);
+        let adaptive = ftbar_schedule_with(&problem, &config).expect("schedules");
+        assert!(
+            adaptive.sweep_stats.is_some(),
+            "N = {n_ops}: the default must run the cached sweep"
+        );
+        assert_eq!(
+            ftbar_schedule_with(&problem, &naive()).unwrap().schedule,
+            adaptive.schedule,
+            "N = {n_ops}: the default diverged from the naive sweep"
+        );
+    }
 }
