@@ -368,7 +368,10 @@ mod golden {
     fn duplication_counters_match_the_pinned_runs() {
         // Pruning and cheaper evaluations must not change what
         // `Minimize_start_time` does, only what it costs: every counter
-        // of these runs is pinned.
+        // of these runs is pinned. So are the sweep's counters, as
+        // `(probes, recomputes, skipped_ops, bound_skips, version_hits +
+        // replay_hits)`: the probe cache may serve a hit from another
+        // tier, but must never re-plan a row more often.
         let pinned = [
             (
                 "mesh3x2_n300_seed16",
@@ -384,6 +387,7 @@ mod golden {
                     rolled_back_replicas: 6448,
                     rolled_back_comms: 33460,
                 },
+                (3324, 2322, 1476, 2741, 1002),
             ),
             (
                 "ring6_n300_seed17",
@@ -399,13 +403,20 @@ mod golden {
                     rolled_back_replicas: 6108,
                     rolled_back_comms: 36815,
                 },
+                (2316, 1985, 1283, 1677, 331),
             ),
         ];
         let cases = duplication_heavy_cases();
-        for (name, stats) in pinned {
+        for (name, stats, sweep) in pinned {
             let (_, problem) = cases.iter().find(|(n, _)| *n == name).expect("pinned case");
             let out = ftbar_schedule_with(problem, &FtbarConfig::default()).expect("schedules");
             assert_eq!(out.dup_stats, stats, "`{name}`: {}", out.dup_stats);
+            let s = out
+                .sweep_stats
+                .expect("the incremental sweep records stats");
+            let hits = s.version_hits + s.replay_hits;
+            let got = (s.probes, s.recomputes, s.skipped_ops, s.bound_skips, hits);
+            assert_eq!(got, sweep, "`{name}`: {s}");
         }
     }
 

@@ -16,6 +16,7 @@ use ftbar::hbp;
 use ftbar::model::{Alg, Arch, CommTable, ExecTable, Problem, ProcId, Time};
 use ftbar::prelude::*;
 use ftbar::workload::presets::{problem_on, Topology};
+use ftbar::workload::{arch, layered, timing, LayeredConfig, TimingConfig};
 use proptest::prelude::*;
 
 fn incremental() -> FtbarConfig {
@@ -323,5 +324,40 @@ fn adaptive_runs_the_incremental_sweep_at_every_size() {
             adaptive.schedule,
             "N = {n_ops}: the default diverged from the naive sweep"
         );
+    }
+}
+
+/// A machine with more than 64 lanes: a fully connected 12-processor
+/// machine has 12 processor and 66 link lanes, so the 64-bit change mask
+/// saturates and the cache must prove its hits by replaying the recorded
+/// probe events. The incremental sweep still schedules exactly as the
+/// naive one.
+#[test]
+fn more_than_64_lanes_keeps_engines_bit_identical() {
+    for npf in [1, 2] {
+        let machine = arch::fully_connected(12);
+        assert_eq!(machine.proc_count() + machine.link_count(), 78);
+        let seed = 12_000 + u64::from(npf);
+        let alg = layered(&LayeredConfig {
+            n_ops: 60,
+            seed,
+            ..Default::default()
+        });
+        let config = TimingConfig {
+            ccr: 2.0,
+            npf,
+            seed,
+            ..Default::default()
+        };
+        let problem = timing(alg, machine, &config).expect("generated problems are valid");
+        let out = ftbar_schedule_with(&problem, &incremental()).expect("schedules");
+        let s = out
+            .sweep_stats
+            .expect("the incremental sweep records stats");
+        assert!(
+            s.version_hits + s.replay_hits > 0,
+            "Npf = {npf}: the cache served no hit ({s})"
+        );
+        assert_ftbar_engines_agree(&problem, &format!("full(12), Npf = {npf}"));
     }
 }
