@@ -489,10 +489,7 @@ fn main() {
         .expect("schedules");
         let cs = clustered.sweep_stats.expect("clustered records stats");
         if stats {
-            println!(
-                "  cache n={n}: probes {} version-hits {} replay-hits {} recomputes {} skipped-ops {}",
-                s.probes, s.version_hits, s.replay_hits, s.recomputes, s.skipped_ops
-            );
+            println!("  sweep n={n}: {s}");
             println!(
                 "  clustered n={n}: clusters {} expansion-probes {}",
                 cs.clusters, cs.probes

@@ -338,10 +338,10 @@ fn cmd_schedule(rest: &[String]) -> Result<String, CliError> {
     let sweep = parse_strategy(strategy.as_deref())?;
 
     // Duplication counters exist for FTBAR runs only (HBP never
-    // duplicates).
-    let (schedule, dup_stats) = if use_hbp {
+    // duplicates); sweep counters only for the sweeps that keep a cache.
+    let (schedule, dup_stats, sweep_stats) = if use_hbp {
         let schedule = ftbar_hbp::schedule(&problem).map_err(|e| err(e.to_string()))?;
-        (schedule, None)
+        (schedule, None, None)
     } else {
         ftbar::schedule_with(
             &problem,
@@ -356,7 +356,7 @@ fn cmd_schedule(rest: &[String]) -> Result<String, CliError> {
                 ..FtbarConfig::default()
             },
         )
-        .map(|o| (o.schedule, Some(o.dup_stats)))
+        .map(|o| (o.schedule, Some(o.dup_stats), o.sweep_stats))
         .map_err(|e| err(e.to_string()))?
     };
 
@@ -398,6 +398,9 @@ fn cmd_schedule(rest: &[String]) -> Result<String, CliError> {
         );
         if let Some(d) = dup_stats {
             let _ = writeln!(out, "duplication: {d}");
+        }
+        if let Some(s) = sweep_stats {
+            let _ = writeln!(out, "sweep: {s}");
         }
         for p in problem.arch().procs() {
             let _ = writeln!(
@@ -1290,6 +1293,7 @@ mod tests {
         assert!(out.contains("avg replication"));
         assert!(out.contains("utilization"));
         assert!(out.contains("duplication: evaluations = "));
+        assert!(out.contains("sweep: probes = "));
     }
 
     #[test]

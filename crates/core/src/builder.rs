@@ -74,13 +74,13 @@ pub enum Lane {
     Link(LinkId),
 }
 
-/// One timeline probe performed while evaluating [`ScheduleBuilder::probe`],
-/// recorded by [`ScheduleBuilder::probe_traced`].
+/// One link-timeline probe performed while planning a placement's inputs,
+/// recorded by [`ScheduleBuilder::probe_plan`].
 ///
-/// A probed placement is a pure function of (a) the static problem tables,
-/// (b) the predecessor replica sets (guarded by
-/// [`ScheduleBuilder::op_replicas_version`]), and (c) the answers the lane
-/// timelines gave to exactly these probe calls — so a cached [`ProbePoint`]
+/// A probed input plan is a pure function of (a) the static problem
+/// tables, (b) the predecessor replica sets (guarded by
+/// [`ScheduleBuilder::op_replicas_version`]), and (c) the answers the link
+/// timelines gave to exactly these probe calls — so a cached [`PlanProbe`]
 /// is still exact whenever every recorded event reproduces
 /// ([`ScheduleBuilder::replay_probe`]). The sweep engine builds its
 /// invalidation on this.
@@ -261,8 +261,8 @@ impl std::fmt::Display for DuplicationStats {
 }
 
 /// Reusable buffers for the allocation-free probe path
-/// ([`ScheduleBuilder::probe_traced_with`]). Callers on the hot sweep keep
-/// one per worker; contents are meaningless between calls.
+/// ([`ScheduleBuilder::probe_plan`]). Callers on the hot sweep keep one
+/// per worker; contents are meaningless between calls.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeScratch {
     chosen: Vec<RemoteSource>,
@@ -671,8 +671,8 @@ impl<'p> ScheduleBuilder<'p> {
 
     /// Re-runs a recorded probe event against the current timelines and
     /// reports whether the answer is unchanged. When every event of a
-    /// [`ScheduleBuilder::probe_traced`] call replays (and the involved
-    /// replica sets are unchanged), the recorded [`ProbePoint`] is still
+    /// [`ScheduleBuilder::probe_plan`] call replays (and the involved
+    /// replica sets are unchanged), the recorded [`PlanProbe`] is still
     /// exact even though lane versions moved.
     pub fn replay_probe(&self, ev: &ProbeEvent) -> bool {
         let got = match ev.lane {
@@ -745,48 +745,7 @@ impl<'p> ScheduleBuilder<'p> {
     /// * [`ScheduleError::PredNotScheduled`] if a predecessor has no replica
     ///   yet.
     pub fn probe(&self, op: OpId, proc: ProcId) -> Result<ProbePoint, ScheduleError> {
-        self.probe_with(op, proc, &mut ProbeScratch::default(), None)
-    }
-
-    /// [`ScheduleBuilder::probe`] that additionally appends every timeline
-    /// probe it performs to `events` (in deterministic evaluation order).
-    /// The recorded events, together with the replica-set versions of `op`
-    /// and its predecessors, fully determine the result — the contract the
-    /// sweep engine's cache invalidation relies on (`DESIGN.md` §7).
-    ///
-    /// # Errors
-    ///
-    /// As [`ScheduleBuilder::probe`]. `events` content is unspecified on
-    /// error.
-    pub fn probe_traced(
-        &self,
-        op: OpId,
-        proc: ProcId,
-        events: &mut Vec<ProbeEvent>,
-    ) -> Result<ProbePoint, ScheduleError> {
-        self.probe_with(op, proc, &mut ProbeScratch::default(), Some(events))
-    }
-
-    /// As [`ScheduleBuilder::probe_traced`], reusing the caller's scratch
-    /// buffers — the allocation-free form of a traced probe.
-    pub fn probe_traced_with(
-        &self,
-        op: OpId,
-        proc: ProcId,
-        events: &mut Vec<ProbeEvent>,
-        scratch: &mut ProbeScratch,
-    ) -> Result<ProbePoint, ScheduleError> {
-        self.probe_with(op, proc, scratch, Some(events))
-    }
-
-    fn probe_with(
-        &self,
-        op: OpId,
-        proc: ProcId,
-        scratch: &mut ProbeScratch,
-        mut trace: Option<&mut Vec<ProbeEvent>>,
-    ) -> Result<ProbePoint, ScheduleError> {
-        match self.probe_plan_with(op, proc, scratch, trace.as_deref_mut())? {
+        match self.probe_plan_with(op, proc, &mut ProbeScratch::default(), None)? {
             PlanProbe::Fixed(point) => Ok(point),
             PlanProbe::Ready {
                 best_ready,
@@ -795,20 +754,6 @@ impl<'p> ScheduleBuilder<'p> {
             } => {
                 let start_best = self.proc_tl[proc.index()].probe(best_ready, dur);
                 let start_worst = self.proc_tl[proc.index()].probe(worst_ready, dur);
-                if let Some(tr) = trace {
-                    tr.push(ProbeEvent {
-                        lane: Lane::Proc(proc),
-                        ready: best_ready,
-                        dur,
-                        start: start_best,
-                    });
-                    tr.push(ProbeEvent {
-                        lane: Lane::Proc(proc),
-                        ready: worst_ready,
-                        dur,
-                        start: start_worst,
-                    });
-                }
                 Ok(ProbePoint {
                     start_best,
                     start_worst,

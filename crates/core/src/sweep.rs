@@ -5,39 +5,42 @@
 //! pair from scratch at every step, although one placement only perturbs
 //! the few lanes (processor and link timelines) and replica sets it
 //! touched. This module caches probe results per pair and re-validates
-//! them in three tiers, cheapest first:
+//! them in tiers, cheapest first:
 //!
+//! 0. **Change mask** — the bit image of the lanes (processor and link
+//!    timelines) whose monotone [`Timeline`](crate::Timeline) version
+//!    moved in the last quiescent span. A row validated in the current or
+//!    previous span whose stamp matches and whose consulted lanes all miss
+//!    the image is trivially still exact.
 //! 1. **Replica-set stamp** — the sum of the monotone
 //!    [`ScheduleBuilder::op_replicas_version`] counters of the operation
 //!    and its scheduling predecessors. A moved stamp means the set of
 //!    source replicas changed (a placement, an LIP duplication, or a
 //!    rollback): the plan space itself changed, recompute.
-//! 2. **Lane versions** — the monotone [`Timeline`](crate::Timeline)
-//!    version of every lane the cached probe consulted. All unchanged ⇒
-//!    the cached result is trivially still exact.
-//! 3. **Probe-event replay** — when versions moved (placements elsewhere,
-//!    or speculative book-then-rollback churn that restored the contents),
-//!    re-ask each recorded [`ProbeEvent`] and compare answers. A probed
-//!    placement is a pure function of the static tables, the replica sets
-//!    (tier 1) and exactly these timeline answers, so full agreement
-//!    proves the cached [`ProbePoint`] exact — at the cost of bare
-//!    timeline scans, without re-running source selection, route
-//!    enumeration, or failure-pattern coverage.
+//! 2. **Probe-event replay** — when the mask cannot vouch for a row
+//!    (placements elsewhere, speculative book-then-rollback churn that
+//!    restored the contents, or a stale span), re-ask each recorded
+//!    [`ProbeEvent`] and compare answers. A probed placement is a pure
+//!    function of the static tables, the replica sets (tier 1) and exactly
+//!    these timeline answers, so full agreement proves the cached
+//!    [`ProbePoint`] exact — at the cost of bare timeline scans, without
+//!    re-running source selection, route enumeration, or failure-pattern
+//!    coverage. A row whose consulted lanes all kept their versions
+//!    always replays (equal versions mean equal bookings).
 //!
 //! # Flat row storage
 //!
 //! Rows are stored struct-of-arrays: the per-pair validation scalars
-//! (stamp, consulted-lane mask, sync span, point, generation) live in
-//! dense parallel arrays indexed by `op × procs + proc`, so the hit path
-//! of a sweep touches a handful of cache lines instead of hopping through
-//! per-pair heap nodes. The variable-length parts — the recorded probe
-//! events and the consulted lanes (as `u32` flat lane ids) — keep one
-//! persistent buffer per row that recomputes reuse **in place**: after the
-//! first visit of a pair, the steady-state cache allocates nothing, no
-//! matter how often plans are recomputed. See `DESIGN.md` §9.
+//! (stamp, consulted-lane mask, sync span, point) live in dense parallel
+//! arrays indexed by `op × procs + proc`, so the hit path of a sweep
+//! touches a handful of cache lines instead of hopping through per-pair
+//! heap nodes. The recorded probe events keep one persistent buffer per
+//! row that recomputes reuse **in place**: after the first visit of a
+//! pair, the steady-state cache allocates nothing, no matter how often
+//! plans are recomputed. See `DESIGN.md` §9.
 //!
-//! Only pairs that fail all three tiers are recomputed
-//! ([`ScheduleBuilder::probe_traced`]).
+//! Only pairs that fail every tier are recomputed
+//! ([`ScheduleBuilder::probe_plan`]).
 //!
 //! On top of the cache, [`SweepEngine`] maintains per-candidate kept sets
 //! (the `Npf + 1` lowest-pressure processors, found by
@@ -58,8 +61,9 @@ use crate::ftbar::CostFunction;
 use crate::pressure::Pressure;
 
 /// Sentinel lane mask for entries whose lanes do not fit the 64-bit image
-/// (architectures with more than 64 lanes): never skipped by the mask
-/// fast path, always validated the slow way.
+/// (architectures with more than 64 lanes): such a row passes the mask
+/// fast path only in a span where no lane changed, and is otherwise
+/// validated by replay.
 const LANES_MASK_ALL: u64 = u64::MAX;
 
 /// Which processor-lane probes the point layer completes. The selection
@@ -83,7 +87,8 @@ pub enum PointFocus {
 pub struct SweepStats {
     /// Total probe requests served.
     pub probes: u64,
-    /// Served from cache because no consulted lane changed version.
+    /// Served from cache by the change mask: no lane the row consulted
+    /// changed version.
     pub version_hits: u64,
     /// Served from cache after replaying the recorded probe events.
     pub replay_hits: u64,
@@ -106,11 +111,29 @@ pub struct SweepStats {
     pub clusters: u64,
 }
 
+/// One line, as `schedule --stats` and `perf_gate --stats` print it.
+impl std::fmt::Display for SweepStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "probes = {}, hits = {} version / {} replay, recomputes = {}, \
+             skipped ops = {}, bound skips = {}, clusters = {}",
+            self.probes,
+            self.version_hits,
+            self.replay_hits,
+            self.recomputes,
+            self.skipped_ops,
+            self.bound_skips,
+            self.clusters
+        )
+    }
+}
+
 /// The shared per-⟨operation, processor⟩ probe cache.
 ///
 /// [`ProbeCache::probe`] returns exactly what
 /// [`ScheduleBuilder::probe`] would, but reuses cached results where the
-/// three-tier validation proves them still exact. Both FTBAR's sweep and
+/// tiered validation proves them still exact. Both FTBAR's sweep and
 /// HBP's pair search sit on top of it.
 ///
 /// Rows are flat struct-of-arrays storage — see the module docs.
@@ -119,7 +142,7 @@ pub struct ProbeCache {
     procs: usize,
     // --- SoA pair rows, indexed `op.index() * procs + proc.index()` ---
     /// Row occupancy. A false row has unspecified scalar fields; its
-    /// event/lane buffers are still valid (and reused by the next compute).
+    /// event buffer is still valid (and reused by the next compute).
     present: Vec<bool>,
     /// Replica-set stamp at plan-compute time (tier 1).
     stamps: Vec<u64>,
@@ -138,22 +161,15 @@ pub struct ProbeCache {
     proc_vers: Vec<u64>,
     /// The completed probe results.
     points: Vec<ProbePoint>,
-    /// Bumped whenever a point's *value* changes; lets kept-set caching
-    /// skip rebuilds when refreshes reproduced the same numbers.
-    gens: Vec<u64>,
     /// Every link probe a row's plan performed, in evaluation order
-    /// (tier 3). Persistent per-row buffers, reused in place.
+    /// (tier 2). Persistent per-row buffers, reused in place.
     row_events: Vec<Vec<ProbeEvent>>,
-    /// Lanes each row's plan consulted — flat `u32` lane ids with the
-    /// versions seen at validation (tier 2). Persistent, reused in place.
-    row_lanes: Vec<Vec<(u32, u64)>>,
     /// Flattened scheduling-predecessor adjacency
     /// (`preds[preds_off[op]..preds_off[op + 1]]`), cached to keep stamp
     /// computation allocation-free.
     preds: Vec<OpId>,
     preds_off: Vec<u32>,
     stats: SweepStats,
-    next_gen: u64,
     scratch: ProbeScratch,
     // --- change-mask fast path (see `sync`) ---
     /// Builder mutation count at the last sync; equal ⇒ masks current.
@@ -169,14 +185,13 @@ pub struct ProbeCache {
     focus: PointFocus,
 }
 
-/// Recyclable buffers of a retired [`ProbeCache`]: the per-row event and
-/// lane buffers its rows accumulated. Problem-agnostic, like
+/// Recyclable buffers of a retired [`ProbeCache`]: the per-row event
+/// buffers its rows accumulated. Problem-agnostic, like
 /// [`crate::builder::BuilderPools`] — reclaim with [`ProbeCache::reclaim`]
 /// and seed the next cache with [`ProbeCache::new_focused_with_pools`].
 #[derive(Debug, Default)]
 pub struct CachePools {
     events: Vec<Vec<ProbeEvent>>,
-    lanes: Vec<Vec<(u32, u64)>>,
 }
 
 impl ProbeCache {
@@ -210,14 +225,10 @@ impl ProbeCache {
         let procs = problem.arch().proc_count();
         let rows = n_ops * procs;
         let mut row_events = Vec::with_capacity(rows);
-        let mut row_lanes = Vec::with_capacity(rows);
         for _ in 0..rows {
             let mut ev = pools.events.pop().unwrap_or_default();
             ev.clear();
             row_events.push(ev);
-            let mut ln = pools.lanes.pop().unwrap_or_default();
-            ln.clear();
-            row_lanes.push(ln);
         }
         let never = ProbePoint {
             start_best: Time::MAX,
@@ -233,13 +244,10 @@ impl ProbeCache {
             checked_syncs: vec![0; rows],
             proc_vers: vec![u64::MAX; rows],
             points: vec![never; rows],
-            gens: vec![0; rows],
             row_events,
-            row_lanes,
             preds,
             preds_off,
             stats: SweepStats::default(),
-            next_gen: 0,
             scratch: ProbeScratch::default(),
             synced_mutations: u64::MAX,
             sync_count: 0,
@@ -250,10 +258,9 @@ impl ProbeCache {
     }
 
     /// Retires the cache, reclaiming its recyclable per-row buffers.
-    pub fn reclaim(mut self) -> CachePools {
+    pub fn reclaim(self) -> CachePools {
         CachePools {
-            events: std::mem::take(&mut self.row_events),
-            lanes: std::mem::take(&mut self.row_lanes),
+            events: self.row_events,
         }
     }
 
@@ -264,11 +271,6 @@ impl ProbeCache {
 
     fn idx(&self, op: OpId, proc: ProcId) -> usize {
         op.index() * self.procs + proc.index()
-    }
-
-    /// Current builder version of a flat lane.
-    fn lane_version_flat(&self, b: &ScheduleBuilder<'_>, flat: u32) -> u64 {
-        lane_version_of(b, self.procs, flat)
     }
 
     /// Tier-1 stamp: moved iff the replica set of `op` or of any of its
@@ -290,8 +292,8 @@ impl ProbeCache {
     /// exactly the lane delta of the last span, so an entry validated in
     /// the current *or previous* quiescent span whose stamp matches and
     /// whose consulted-lane mask misses it is still exact — an integer
-    /// compare and an AND instead of per-lane version scans (tier 0;
-    /// replica-set changes are covered by the per-op stamp, not a mask).
+    /// compare and an AND instead of a replay (tier 0; replica-set changes
+    /// are covered by the per-op stamp, not a mask).
     fn sync(&mut self, b: &ScheduleBuilder<'_>) {
         let mc = b.mutation_count();
         if self.synced_mutations == mc {
@@ -301,7 +303,7 @@ impl ProbeCache {
         self.sync_count += 1;
         let mut changed = 0u64;
         for i in 0..self.lane_vers.len() {
-            let v = self.lane_version_flat(b, i as u32);
+            let v = lane_version_of(b, self.procs, i as u32);
             if v != self.lane_vers[i] {
                 self.lane_vers[i] = v;
                 changed |= if i < 64 { 1u64 << i } else { LANES_MASK_ALL };
@@ -324,61 +326,39 @@ impl ProbeCache {
     ) -> Result<ProbePoint, ScheduleError> {
         self.sync(b);
         let stamp = self.stamp(b, op);
-        Ok(self.probe_entry(b, op, proc, stamp)?.0)
-    }
-
-    /// True if the row's plan layer passes tier 0 (stamp + change mask) or
-    /// tier 2 (full per-lane version scan); refreshes the row's sync span
-    /// on success. Does **not** try tier-3 replay.
-    fn plan_version_valid(&mut self, b: &ScheduleBuilder<'_>, idx: usize, stamp: u64) -> bool {
-        if !self.present[idx] || self.stamps[idx] != stamp {
-            return false;
-        }
-        if (self.checked_syncs[idx] + 1 >= self.sync_count
-            && self.lanes_masks[idx] & self.changed_lanes == 0)
-            || self.row_lanes[idx]
-                .iter()
-                .all(|&(l, v)| self.lane_version_flat(b, l) == v)
-        {
-            self.checked_syncs[idx] = self.sync_count;
-            true
-        } else {
-            false
-        }
+        self.probe_entry(b, op, proc, stamp)
     }
 
     /// As [`ProbeCache::probe`], with the caller having hoisted
-    /// [`ProbeCache::sync`]-equivalent state and the per-op stamp, also
-    /// returning the row generation (bumped whenever the value actually
-    /// changed).
+    /// [`ProbeCache::sync`] and the per-op stamp.
     fn probe_entry(
         &mut self,
         b: &ScheduleBuilder<'_>,
         op: OpId,
         proc: ProcId,
         stamp: u64,
-    ) -> Result<(ProbePoint, u64), ScheduleError> {
+    ) -> Result<ProbePoint, ScheduleError> {
         self.stats.probes += 1;
         let idx = self.idx(op, proc);
-        // Plan layer: tier 0 (stamp + change mask), then tiers 2-3.
+        // Plan layer: the stamp, then the change mask or the replay.
         let mut plan_valid = false;
-        if self.plan_version_valid(b, idx, stamp) {
-            self.stats.version_hits += 1;
-            plan_valid = true;
-        } else if self.present[idx]
-            && self.stamps[idx] == stamp
-            && self.row_events[idx]
+        if self.present[idx] && self.stamps[idx] == stamp {
+            if self.checked_syncs[idx] + 1 >= self.sync_count
+                && self.lanes_masks[idx] & self.changed_lanes == 0
+            {
+                self.stats.version_hits += 1;
+                plan_valid = true;
+            } else if self.row_events[idx]
                 .iter()
                 .rev()
                 .all(|ev| b.replay_probe(ev))
-        {
-            let procs = self.procs;
-            for (flat, ver) in &mut self.row_lanes[idx] {
-                *ver = lane_version_of(b, procs, *flat);
+            {
+                self.stats.replay_hits += 1;
+                plan_valid = true;
             }
-            self.checked_syncs[idx] = self.sync_count;
-            self.stats.replay_hits += 1;
-            plan_valid = true;
+            if plan_valid {
+                self.checked_syncs[idx] = self.sync_count;
+            }
         }
         if !plan_valid {
             // Recompute straight into the row's persistent event buffer —
@@ -389,21 +369,15 @@ impl ProbeCache {
             let events = &mut self.row_events[idx];
             events.clear();
             let plan = b.probe_plan(op, proc, events, &mut self.scratch)?;
-            self.install_plan(b, idx, stamp, plan);
+            self.install_plan(idx, stamp, plan);
         }
         Ok(self.complete_point(b, idx, proc))
     }
 
     /// Point layer: completes the row's plan against the (volatile)
     /// processor lane, reusing the completed value while the lane version
-    /// is unchanged, and bumps the row generation when the value moved.
-    /// The row's plan must be valid.
-    fn complete_point(
-        &mut self,
-        b: &ScheduleBuilder<'_>,
-        idx: usize,
-        proc: ProcId,
-    ) -> (ProbePoint, u64) {
+    /// is unchanged. The row's plan must be valid.
+    fn complete_point(&mut self, b: &ScheduleBuilder<'_>, idx: usize, proc: ProcId) -> ProbePoint {
         let pv = b.lane_version(Lane::Proc(proc));
         let point = match self.plans[idx] {
             PlanProbe::Fixed(p) => p,
@@ -446,48 +420,28 @@ impl ProbeCache {
                 }
             }
         };
-        if point != self.points[idx] {
-            self.points[idx] = point;
-            self.gens[idx] = self.next_gen;
-            self.next_gen += 1;
-        }
-        (point, self.gens[idx])
+        self.points[idx] = point;
+        point
     }
 
     /// Installs a freshly computed plan for the pair at `idx`, whose
     /// recorded events are already in `row_events[idx]`: derives the
-    /// consulted lanes and their mask in place, preserves the previous
-    /// point/generation for value-change detection, and stamps the row as
-    /// validated in the current sync span.
-    fn install_plan(&mut self, b: &ScheduleBuilder<'_>, idx: usize, stamp: u64, plan: PlanProbe) {
+    /// consulted-lane mask and stamps the row as validated in the current
+    /// sync span.
+    fn install_plan(&mut self, idx: usize, stamp: u64, plan: PlanProbe) {
         self.stats.recomputes += 1;
-        if !self.present[idx] && self.gens[idx] == 0 && self.points[idx].start_best == Time::MAX {
-            // First compute of this row: reserve a fresh generation so the
-            // first completion always bumps it (the placeholder point can
-            // never equal a real probe).
-            self.gens[idx] = self.next_gen;
-            self.next_gen += 1;
+        let mut mask = 0u64;
+        for ev in &self.row_events[idx] {
+            let flat = match ev.lane {
+                Lane::Proc(p) => p.index(),
+                Lane::Link(l) => self.procs + l.index(),
+            };
+            mask |= if flat < 64 {
+                1u64 << flat
+            } else {
+                LANES_MASK_ALL
+            };
         }
-        let mask = {
-            let lanes = &mut self.row_lanes[idx];
-            lanes.clear();
-            let mut mask = 0u64;
-            for ev in &self.row_events[idx] {
-                let flat = match ev.lane {
-                    Lane::Proc(p) => p.index(),
-                    Lane::Link(l) => self.procs + l.index(),
-                };
-                if !lanes.iter().any(|&(l, _)| l as usize == flat) {
-                    lanes.push((flat as u32, b.lane_version(ev.lane)));
-                    mask |= if flat < 64 {
-                        1u64 << flat
-                    } else {
-                        LANES_MASK_ALL
-                    };
-                }
-            }
-            mask
-        };
         self.stamps[idx] = stamp;
         self.plans[idx] = plan;
         self.lanes_masks[idx] = mask;
@@ -848,7 +802,7 @@ impl SweepEngine {
                     let idx = cache.idx(op, proc);
                     if let PlanProbe::Ready { .. } = cache.plans[idx] {
                         if cache.proc_vers[idx] != b.lane_version(Lane::Proc(proc)) {
-                            let (point, _) = cache.complete_point(b, idx, proc);
+                            let point = cache.complete_point(b, idx, proc);
                             let sigma = self.sigma_of(op, point);
                             if sigma != self.sig[pi] {
                                 self.sig[pi] = sigma;
@@ -868,7 +822,7 @@ impl SweepEngine {
                 for pi in self.allowed_off[op.index()]..self.allowed_off[op.index() + 1] {
                     let pi = pi as usize;
                     let proc = self.allowed[pi];
-                    let (point, _) = cache.probe_entry(b, op, proc, stamp)?;
+                    let point = cache.probe_entry(b, op, proc, stamp)?;
                     plan_mask |= cache.lanes_masks[cache.idx(op, proc)];
                     let sigma = self.sigma_of(op, point);
                     if sigma != self.sig[pi] {
