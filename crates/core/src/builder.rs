@@ -86,8 +86,8 @@ pub enum Lane {
 /// invalidation on this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeEvent {
-    /// The probed lane.
-    pub lane: Lane,
+    /// The probed link.
+    pub link: LinkId,
     /// The ready instant the probe started from.
     pub ready: Time,
     /// The requested duration.
@@ -675,11 +675,7 @@ impl<'p> ScheduleBuilder<'p> {
     /// replica sets are unchanged), the recorded [`PlanProbe`] is still
     /// exact even though lane versions moved.
     pub fn replay_probe(&self, ev: &ProbeEvent) -> bool {
-        let got = match ev.lane {
-            Lane::Proc(p) => self.proc_tl[p.index()].probe(ev.ready, ev.dur),
-            Lane::Link(l) => self.link_tl[l.index()].probe(ev.ready, ev.dur),
-        };
-        got == ev.start
+        self.link_tl[ev.link.index()].probe(ev.ready, ev.dur) == ev.start
     }
 
     /// Marks the current transaction point. Everything booked after the
@@ -1038,7 +1034,7 @@ impl<'p> ScheduleBuilder<'p> {
             hop_starts.push(start);
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(ProbeEvent {
-                    lane: Lane::Link(hop.link),
+                    link: hop.link,
                     ready: t,
                     dur,
                     start,

@@ -432,10 +432,7 @@ impl ProbeCache {
         self.stats.recomputes += 1;
         let mut mask = 0u64;
         for ev in &self.row_events[idx] {
-            let flat = match ev.lane {
-                Lane::Proc(p) => p.index(),
-                Lane::Link(l) => self.procs + l.index(),
-            };
+            let flat = self.procs + ev.link.index();
             mask |= if flat < 64 {
                 1u64 << flat
             } else {
