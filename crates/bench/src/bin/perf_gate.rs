@@ -979,6 +979,7 @@ fn main() {
             .raw("dup_accepted", d.accepted)
             .raw("dup_rejected", d.rejected)
             .raw("dup_pruned", d.pruned)
+            .raw("dup_aborted", d.aborted)
             .raw("dup_max_depth", d.max_depth)
             .raw("committed_replicas", d.committed_replicas)
             .raw("committed_comms", d.committed_comms)

@@ -196,10 +196,21 @@ struct PlacedSegment {
     fully: bool,
     comms: Vec<Comm>,
     /// Latest Immediate Predecessor of the placement's input plan, if any,
-    /// with the floor duplicating it cannot lower: the latest planned input
-    /// of the dependencies whose producers the duplication cannot touch
-    /// (see [`ScheduleBuilder::untouched_ready`]).
+    /// with the floor duplicating it cannot lower (see
+    /// [`ScheduleBuilder::trial_floor`]).
     lip: Option<(OpId, Time)>,
+}
+
+/// The trial a nested `Minimize_start_time` call runs for: its direct
+/// parent duplicates the call's operation (the parent's LIP) to re-place
+/// `op`, and keeps the duplication only if the re-placement starts, at
+/// worst, before `start_worst`.
+#[derive(Debug, Clone, Copy)]
+struct ParentTrial {
+    op: OpId,
+    start_worst: Time,
+    /// Execution time of `op` on the shared processor.
+    dur: Time,
 }
 
 /// Work counters of predecessor duplication (`Minimize_start_time`) and of
@@ -208,9 +219,10 @@ struct PlacedSegment {
 /// zero).
 ///
 /// `trials = accepted + rejected`; trials skipped by the exact bound are
-/// counted in `pruned` only. For a run that keeps nothing it rolled
-/// back, `committed_replicas - rolled_back_replicas` is the schedule's
-/// replica count (and likewise for comms).
+/// counted in `pruned` only. A nested call that `aborted` ends its
+/// parent's trial, which counts as rejected. For a run that keeps nothing
+/// it rolled back, `committed_replicas - rolled_back_replicas` is the
+/// schedule's replica count (and likewise for comms).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DuplicationStats {
     /// Placements evaluated: baselines, trial re-placements and plain
@@ -226,6 +238,10 @@ pub struct DuplicationStats {
     /// `S_worst` already failed to beat the current one: they would have
     /// been rejected, and nothing was booked for them.
     pub pruned: u64,
+    /// Nested calls cut short because their direct parent's trial had
+    /// provably lost on the state built so far: the parent rolls the
+    /// call's duplicates back, as the rejection it would have reached.
+    pub aborted: u64,
     /// Deepest nested `Minimize_start_time` call (0: no duplication tried).
     pub max_depth: u64,
     /// Replicas booked into the timelines.
@@ -244,13 +260,14 @@ impl std::fmt::Display for DuplicationStats {
         write!(
             f,
             "evaluations = {}, trials = {} ({} accepted, {} rejected), pruned = {}, \
-             max depth = {}, committed = {} replicas / {} comms, \
+             aborted = {}, max depth = {}, committed = {} replicas / {} comms, \
              rolled back = {} replicas / {} comms",
             self.evaluations,
             self.trials,
             self.accepted,
             self.rejected,
             self.pruned,
+            self.aborted,
             self.max_depth,
             self.committed_replicas,
             self.committed_comms,
@@ -299,6 +316,16 @@ pub enum PlanProbe {
         dur: Time,
     },
 }
+
+/// Whether an abort at `depth` lets its call run on anyway: never, except
+/// in the test that checks every abort's parent trial is rejected.
+#[cfg(not(test))]
+fn run_lost_subtree(_depth: usize) -> bool {
+    false
+}
+
+#[cfg(test)]
+use tests::run_lost_subtree;
 
 /// Bitmasks limit pattern tracking to this many processors; larger
 /// architectures degrade to the classic distinct-source rule.
@@ -1258,7 +1285,7 @@ impl<'p> ScheduleBuilder<'p> {
         }
         let lip = buf
             .lip
-            .map(|(_, lip)| (lip, self.untouched_ready(op, lip, &buf)));
+            .map(|(_, lip)| (lip, self.trial_floor(op, lip, proc, &buf)));
         self.plan_buf = buf;
 
         let tl = &self.proc_tl[proc.index()];
@@ -1284,28 +1311,106 @@ impl<'p> ScheduleBuilder<'p> {
         Ok(Some(segment))
     }
 
-    /// The latest planned input, in `buf` (the plan of `op`), of the
-    /// dependencies whose producer duplicating `lip` cannot touch: not
-    /// `lip`, and with a top level at least `lip`'s, so not an ancestor of
-    /// it either. A local input counts with its ready time, a remote one
-    /// with the largest planned arrival in its pool.
-    ///
-    /// Duplicating `lip` adds replicas of `lip` and its ancestors plus
-    /// comms, and nothing else; so no re-plan of `op` after it can be
-    /// ready before this instant (`DESIGN.md` §4).
-    fn untouched_ready(&self, op: OpId, lip: OpId, buf: &PlanBuf) -> Time {
+    /// The instant no re-plan of `op` on `proc` after duplicating `lip`
+    /// there can be ready before, read off `buf` (the plan of `op` on the
+    /// current state): the latest floor [`ScheduleBuilder::input_floor`]
+    /// gives a planned input. A local input counts with its ready time, a
+    /// remote one with the largest planned arrival in its pool
+    /// (`DESIGN.md` §4).
+    fn trial_floor(&self, op: OpId, lip: OpId, proc: ProcId, buf: &PlanBuf) -> Time {
         let preds =
             &self.preds[self.pred_off[op.index()] as usize..self.pred_off[op.index() + 1] as usize];
-        let lip_top = self.top[lip.index()];
+        let lip_end = self.dup_end_floor(lip, proc);
         preds
             .iter()
             .zip(&buf.items)
-            .filter(|&(&(_, pred), _)| pred != lip && self.top[pred.index()] >= lip_top)
-            .map(|(_, &(_, item))| match item {
-                PlanItem::Local { ready, .. } => ready,
-                PlanItem::Remote { start, len } => buf.pool[(start + len - 1) as usize].arrival,
+            .filter_map(|(&(_, pred), &(_, item))| {
+                self.input_floor(pred, lip, lip_end, || match item {
+                    PlanItem::Local { ready, .. } => ready,
+                    PlanItem::Remote { start, len } => buf.pool[(start + len - 1) as usize].arrival,
+                })
             })
             .fold(Time::ZERO, Time::max)
+    }
+
+    /// What the planned worst input from `pred` (`worst()`, asked only
+    /// when it counts) guarantees for every re-plan after duplicating
+    /// `lip`, whose duplicate ends no earlier than `lip_end`. Duplicating
+    /// `lip` adds replicas of `lip` and its ancestors plus comms, and
+    /// nothing else. So an *untouched* producer (not `lip`, and with a top
+    /// level at least `lip`'s, so not an ancestor of it either) keeps its
+    /// worst input as a floor; `lip`'s own input arrives either as planned
+    /// or from the duplicate; any other producer gives no floor.
+    fn input_floor(
+        &self,
+        pred: OpId,
+        lip: OpId,
+        lip_end: Time,
+        worst: impl FnOnce() -> Time,
+    ) -> Option<Time> {
+        if pred == lip {
+            Some(worst().min(lip_end))
+        } else if self.top[pred.index()] >= self.top[lip.index()] {
+            Some(worst())
+        } else {
+            None
+        }
+    }
+
+    /// A floor under the end of a duplicate of `lip` that
+    /// `Minimize_start_time` books on `proc` from the current state on.
+    /// Every fully live replica of a predecessor of `lip` already on `proc`
+    /// stays its `Local` input, and the processor lane only fills up.
+    fn dup_end_floor(&self, lip: OpId, proc: ProcId) -> Time {
+        let dur = self
+            .problem
+            .exec()
+            .get(lip, proc)
+            .expect("a LIP may run on the processor");
+        let preds = &self.preds
+            [self.pred_off[lip.index()] as usize..self.pred_off[lip.index() + 1] as usize];
+        let ready = preds
+            .iter()
+            .filter_map(|&(_, pred)| self.replica_on(pred, proc))
+            .filter(|r| self.fully_live[r.index()])
+            .map(|r| self.replicas[r.index()].end())
+            .fold(Time::ZERO, Time::max);
+        self.proc_probe(proc, ready, dur) + dur
+    }
+
+    /// True when `parent`'s trial, re-placing `parent.op` on `proc` once
+    /// `lip` is duplicated there, provably cannot win: its inputs, planned
+    /// on the current state and floored as in
+    /// [`ScheduleBuilder::trial_floor`], already rule out a worst-case
+    /// start before `parent.start_worst`. Sound only while the state the
+    /// trial is evaluated on will contain the current one (`DESIGN.md`
+    /// §4).
+    fn parent_lost(&mut self, lip: OpId, proc: ProcId, parent: ParentTrial) -> bool {
+        let op = parent.op;
+        let lip_end = self.dup_end_floor(lip, proc);
+        let mut scratch = std::mem::take(&mut self.plan_scratch);
+        scratch.hop_starts.clear();
+        let mut floor = Time::ZERO;
+        let mut lost = false;
+        for di in self.pred_off[op.index()]..self.pred_off[op.index() + 1] {
+            let (dep, pred) = self.preds[di as usize];
+            let worst = self.input_floor(pred, lip, lip_end, || {
+                match self.pick_dep_sources(op, dep, pred, proc, &mut scratch, None) {
+                    Ok(DepPick::Local { ready, .. }) => ready,
+                    Ok(DepPick::Remote { .. }) => scratch.chosen.last().expect("non-empty").arrival,
+                    Err(_) => unreachable!("the parent planned every input of its operation"),
+                }
+            });
+            if let Some(worst) = worst.filter(|&w| w > floor) {
+                floor = worst;
+                if self.proc_probe(proc, floor, parent.dur) >= parent.start_worst {
+                    lost = true;
+                    break;
+                }
+            }
+        }
+        self.plan_scratch = scratch;
+        lost
     }
 
     /// Lays out the hops of candidate `c`'s comm to `dst_proc`: each hop at
@@ -1419,7 +1524,8 @@ impl<'p> ScheduleBuilder<'p> {
     ///
     /// As [`ScheduleBuilder::place`].
     pub fn place_min_start(&mut self, op: OpId, proc: ProcId) -> Result<ReplicaId, ScheduleError> {
-        self.place_min_inner(op, proc, 0)
+        let placed = self.place_min_inner(op, proc, 0, None)?;
+        Ok(placed.expect("a call without a parent trial runs to the end"))
     }
 
     /// `Minimize_start_time` at recursion `depth`. `op`'s own placements
@@ -1429,12 +1535,17 @@ impl<'p> ScheduleBuilder<'p> {
     /// provably cannot win is skipped before anything is booked. The
     /// winning evaluation is committed once at the end, on the state it
     /// was evaluated on.
+    ///
+    /// A nested call duplicates `op` for its `parent`'s trial. It returns
+    /// `Ok(None)`, booking nothing more, once that trial has provably lost;
+    /// the parent then rolls back everything the call booked.
     fn place_min_inner(
         &mut self,
         op: OpId,
         proc: ProcId,
         depth: usize,
-    ) -> Result<ReplicaId, ScheduleError> {
+        parent: Option<ParentTrial>,
+    ) -> Result<Option<ReplicaId>, ScheduleError> {
         self.dup_stats.max_depth = self.dup_stats.max_depth.max(depth as u64);
         // Ê/Ë: evaluate the baseline placement (fails fast if o cannot run
         // on p). Its input plan names the first LIP; none means the
@@ -1449,7 +1560,18 @@ impl<'p> ScheduleBuilder<'p> {
         };
         // Ì: while there is a remote predecessor whose (k-th) arrival is
         // latest, try duplicating it locally.
+        let mut grown = false;
         while let Some((lip, floor)) = next_lip {
+            // Exact abort: an accepted trial grew the state, the state the
+            // parent's trial is evaluated on will contain this one, and on
+            // it that trial has already lost (DESIGN.md §4).
+            if grown && parent.is_some_and(|t| self.parent_lost(op, proc, t)) {
+                self.dup_stats.aborted += 1;
+                if !run_lost_subtree(depth) {
+                    self.recycle_segment(segment);
+                    return Ok(None);
+                }
+            }
             // Exact skip: no re-placement after duplicating `lip` can be
             // ready before `floor`, and the processor lane only fills up,
             // so a trial starting no earlier than `segment` would be
@@ -1464,16 +1586,24 @@ impl<'p> ScheduleBuilder<'p> {
             // Í: duplicate it onto proc, recursively minimized, then Î:
             // re-evaluate op's placement with the duplicate present. A
             // re-placement that cannot beat `segment` stops at planning.
-            let bar = Some(segment.replica.start_worst);
-            let trial = match self.place_min_inner(lip, proc, depth + 1) {
-                Ok(_) => self.evaluate(op, proc, depth > 0, bar).ok().flatten(),
-                Err(_) => None,
+            let start_worst = segment.replica.start_worst;
+            let parent_trial = ParentTrial {
+                op,
+                start_worst,
+                dur,
+            };
+            let trial = match self.place_min_inner(lip, proc, depth + 1, Some(parent_trial)) {
+                Ok(Some(_)) => self.evaluate(op, proc, depth > 0, Some(start_worst)),
+                Ok(None) | Err(_) => Ok(None),
             };
             match trial {
-                Some(trial) if trial.replica.start_worst < segment.replica.start_worst => {
+                Ok(Some(trial)) if trial.replica.start_worst < start_worst => {
                     // Ñ: keep the duplication; the trial's plan, made on
                     // the post-duplication state, names the next LIP.
                     self.dup_stats.accepted += 1;
+                    #[cfg(test)]
+                    tests::on_trial_decided(depth, true);
+                    grown = true;
                     next_lip = trial.lip;
                     let old = std::mem::replace(&mut segment, trial);
                     self.recycle_segment(old);
@@ -1482,7 +1612,9 @@ impl<'p> ScheduleBuilder<'p> {
                     // Ï/Ð: undo the duplication (restoring the state
                     // `segment` was evaluated on) and stop.
                     self.dup_stats.rejected += 1;
-                    if let Some(trial) = rejected {
+                    #[cfg(test)]
+                    tests::on_trial_decided(depth, false);
+                    if let Ok(Some(trial)) = rejected {
                         self.recycle_segment(trial);
                     }
                     self.rollback(cur);
@@ -1490,7 +1622,7 @@ impl<'p> ScheduleBuilder<'p> {
                 }
             }
         }
-        Ok(self.commit(segment))
+        Ok(Some(self.commit(segment)))
     }
 
     /// Returns an evaluated but uncommitted segment's buffers to the pools.
@@ -1968,6 +2100,72 @@ mod tests {
         let hops = || seg.comms.iter().flat_map(|c| &c.hops);
         let own = hops().map(|h| hops().filter(|g| g.link == h.link).count());
         MOST_OWN_HOPS.set(Some(own.fold(most, usize::max)));
+    }
+
+    /// The depths of the calls whose pending trial an abort called lost,
+    /// innermost last, and the number of aborts so far.
+    type LostTrials = (Vec<usize>, usize);
+
+    thread_local! {
+        /// While set, an abort lets its call run on and is recorded here
+        /// until its parent's trial is decided.
+        static LOST_TRIALS: std::cell::RefCell<Option<LostTrials>> = const { std::cell::RefCell::new(None) };
+    }
+
+    /// Called by `place_min_inner` in test builds when a call at `depth`
+    /// finds its parent's trial lost; true lets the call run on.
+    pub(super) fn run_lost_subtree(depth: usize) -> bool {
+        LOST_TRIALS.with_borrow_mut(|lost| {
+            let Some((parents, aborts)) = lost else {
+                return false;
+            };
+            *aborts += 1;
+            if parents.last() != Some(&(depth - 1)) {
+                parents.push(depth - 1);
+            }
+            true
+        })
+    }
+
+    /// Called by `place_min_inner` in test builds when a trial at `depth`
+    /// is decided.
+    pub(super) fn on_trial_decided(depth: usize, accepted: bool) {
+        LOST_TRIALS.with_borrow_mut(|lost| {
+            if let Some((parents, _)) = lost {
+                if parents.last() == Some(&depth) {
+                    parents.pop();
+                    assert!(!accepted, "a trial at depth {depth} won after an abort");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn every_aborted_call_belongs_to_a_rejected_trial() {
+        // The `mesh3x2_n300_seed16` golden problem duplicates heavily.
+        // Letting every abort run its subtree anyway gives the run without
+        // aborts: each aborted call's parent trial must then be rejected,
+        // and the schedule must be the golden one.
+        use ftbar_workload::{arch, layered, timing, LayeredConfig, TimingConfig};
+        let alg = layered(&LayeredConfig {
+            n_ops: 300,
+            seed: 16,
+            ..Default::default()
+        });
+        let config = TimingConfig {
+            ccr: 5.0,
+            npf: 1,
+            seed: 16,
+            ..Default::default()
+        };
+        let p = timing(alg, arch::mesh(3, 2), &config).unwrap();
+        LOST_TRIALS.set(Some((Vec::new(), 0)));
+        let schedule = crate::ftbar::schedule(&p).unwrap();
+        let (parents, aborts) = LOST_TRIALS.take().unwrap();
+        assert!(parents.is_empty(), "undecided trials at depths {parents:?}");
+        assert!(aborts > 0, "no abort fired");
+        let golden = include_str!("../../../tests/golden/ftbar_mesh3x2_n300_seed16.json");
+        assert!(serde_json::to_string_pretty(&schedule).unwrap() + "\n" == golden);
     }
 
     #[test]

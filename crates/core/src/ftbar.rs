@@ -648,6 +648,7 @@ mod tests {
             accepted: 4,
             rejected: 3,
             pruned: 0,
+            aborted: 0,
             max_depth: 2,
             committed_replicas: 25,
             committed_comms: 8,

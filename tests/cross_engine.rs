@@ -381,6 +381,7 @@ mod golden {
                     accepted: 3485,
                     rejected: 3761,
                     pruned: 137,
+                    aborted: 0,
                     max_depth: 24,
                     committed_replicas: 7846,
                     committed_comms: 33586,
@@ -397,6 +398,7 @@ mod golden {
                     accepted: 3102,
                     rejected: 3740,
                     pruned: 31,
+                    aborted: 0,
                     max_depth: 24,
                     committed_replicas: 7442,
                     committed_comms: 36926,
