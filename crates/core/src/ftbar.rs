@@ -643,17 +643,17 @@ mod tests {
     fn paper_example_duplication_counters_are_pinned() {
         let p = paper_example();
         let pinned = crate::DuplicationStats {
-            evaluations: 32,
-            trials: 7,
+            evaluations: 26,
+            trials: 4,
             accepted: 4,
-            rejected: 3,
-            pruned: 0,
+            rejected: 0,
+            pruned: 2,
             aborted: 0,
             max_depth: 2,
-            committed_replicas: 25,
-            committed_comms: 8,
-            rolled_back_replicas: 3,
-            rolled_back_comms: 2,
+            committed_replicas: 22,
+            committed_comms: 6,
+            rolled_back_replicas: 0,
+            rolled_back_comms: 0,
         };
         // Selection only probes, so every exact sweep does the same
         // duplication work.

@@ -366,7 +366,7 @@ mod golden {
 
     #[test]
     fn duplication_counters_match_the_pinned_runs() {
-        // Pruning and cheaper evaluations must not change what
+        // Pruning, aborts and cheaper evaluations must not change what
         // `Minimize_start_time` does, only what it costs: every counter
         // of these runs is pinned. So are the sweep's counters, as
         // `(probes, recomputes, skipped_ops, bound_skips, version_hits +
@@ -376,34 +376,34 @@ mod golden {
             (
                 "mesh3x2_n300_seed16",
                 DuplicationStats {
-                    evaluations: 15092,
-                    trials: 7246,
-                    accepted: 3485,
-                    rejected: 3761,
-                    pruned: 137,
-                    aborted: 0,
+                    evaluations: 10517,
+                    trials: 5021,
+                    accepted: 2502,
+                    rejected: 2519,
+                    pruned: 127,
+                    aborted: 125,
                     max_depth: 24,
-                    committed_replicas: 7846,
-                    committed_comms: 33586,
-                    rolled_back_replicas: 6448,
-                    rolled_back_comms: 33460,
+                    committed_replicas: 5496,
+                    committed_comms: 21803,
+                    rolled_back_replicas: 4098,
+                    rolled_back_comms: 21677,
                 },
                 (3324, 2322, 1476, 2741, 1002),
             ),
             (
                 "ring6_n300_seed17",
                 DuplicationStats {
-                    evaluations: 14284,
-                    trials: 6842,
-                    accepted: 3102,
-                    rejected: 3740,
-                    pruned: 31,
-                    aborted: 0,
+                    evaluations: 12774,
+                    trials: 6143,
+                    accepted: 2835,
+                    rejected: 3308,
+                    pruned: 39,
+                    aborted: 112,
                     max_depth: 24,
-                    committed_replicas: 7442,
-                    committed_comms: 36926,
-                    rolled_back_replicas: 6108,
-                    rolled_back_comms: 36815,
+                    committed_replicas: 6631,
+                    committed_comms: 32059,
+                    rolled_back_replicas: 5297,
+                    rolled_back_comms: 31948,
                 },
                 (2316, 1985, 1283, 1677, 331),
             ),
