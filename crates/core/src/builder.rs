@@ -44,8 +44,9 @@
 //! Most trial evaluations lose, so an evaluation does as little as the
 //! decision needs (`DESIGN.md` §4): a trial re-evaluation stops at planning
 //! once its latest planned input already rules out beating the current
-//! `S_worst`; layout takes each hop's start from the plan's probe until a
-//! clash with the placement's own hops moves a hop; and each ⟨replica,
+//! `S_worst`; a nested duplication stops as soon as its parent's trial can
+//! no longer win; layout takes each hop's start from the plan's probe until
+//! a clash with the placement's own hops moves a hop; and each ⟨replica,
 //! route⟩ candidate is probed at most once per dependency.
 //!
 //! # Transactions
@@ -98,6 +99,11 @@ pub struct ProbeEvent {
 
 /// Maximum recursion depth of `Minimize_start_time` (bounds the cost of
 /// duplicating whole ancestor chains on deep graphs).
+///
+/// The cost concentrates at the cap: on the `cli-large` mesh spec
+/// (N = 1500, mesh:3x2) 50 of the 3,000 top-level placements took 92 % of
+/// `place_min_start`'s time before nested calls could abort, and every one
+/// of them reached depth 24 on an underloaded processor.
 const MAX_DUPLICATION_DEPTH: usize = 24;
 
 /// Probed (non-mutating) placement estimate for an ⟨operation, processor⟩
@@ -1313,48 +1319,36 @@ impl<'p> ScheduleBuilder<'p> {
 
     /// The instant no re-plan of `op` on `proc` after duplicating `lip`
     /// there can be ready before, read off `buf` (the plan of `op` on the
-    /// current state): the latest floor [`ScheduleBuilder::input_floor`]
-    /// gives a planned input. A local input counts with its ready time, a
-    /// remote one with the largest planned arrival in its pool
-    /// (`DESIGN.md` §4).
+    /// current state). A local input counts with its ready time, a remote
+    /// one with the largest planned arrival in its pool (`DESIGN.md` §4).
+    ///
+    /// Duplicating `lip` adds replicas of `lip` and its ancestors plus
+    /// comms, and nothing else. So the input of an *untouched* producer
+    /// (not `lip`, and with a top level at least `lip`'s, so not an
+    /// ancestor of it either) is a floor as planned. `lip`'s own input
+    /// arrives either as planned or from the duplicate, so it is a floor
+    /// only up to [`ScheduleBuilder::dup_end_floor`]. Other inputs give no
+    /// floor.
     fn trial_floor(&self, op: OpId, lip: OpId, proc: ProcId, buf: &PlanBuf) -> Time {
         let preds =
             &self.preds[self.pred_off[op.index()] as usize..self.pred_off[op.index() + 1] as usize];
-        let lip_end = self.dup_end_floor(lip, proc);
-        preds
-            .iter()
-            .zip(&buf.items)
-            .filter_map(|(&(_, pred), &(_, item))| {
-                self.input_floor(pred, lip, lip_end, || match item {
-                    PlanItem::Local { ready, .. } => ready,
-                    PlanItem::Remote { start, len } => buf.pool[(start + len - 1) as usize].arrival,
-                })
-            })
-            .fold(Time::ZERO, Time::max)
-    }
-
-    /// What the planned worst input from `pred` (`worst()`, asked only
-    /// when it counts) guarantees for every re-plan after duplicating
-    /// `lip`, whose duplicate ends no earlier than `lip_end`. Duplicating
-    /// `lip` adds replicas of `lip` and its ancestors plus comms, and
-    /// nothing else. So an *untouched* producer (not `lip`, and with a top
-    /// level at least `lip`'s, so not an ancestor of it either) keeps its
-    /// worst input as a floor; `lip`'s own input arrives either as planned
-    /// or from the duplicate; any other producer gives no floor.
-    fn input_floor(
-        &self,
-        pred: OpId,
-        lip: OpId,
-        lip_end: Time,
-        worst: impl FnOnce() -> Time,
-    ) -> Option<Time> {
-        if pred == lip {
-            Some(worst().min(lip_end))
-        } else if self.top[pred.index()] >= self.top[lip.index()] {
-            Some(worst())
-        } else {
-            None
+        let lip_top = self.top[lip.index()];
+        let (mut untouched, mut from_lip) = (Time::ZERO, Time::ZERO);
+        for (&(_, pred), &(_, item)) in preds.iter().zip(&buf.items) {
+            let worst = match item {
+                PlanItem::Local { ready, .. } => ready,
+                PlanItem::Remote { start, len } => buf.pool[(start + len - 1) as usize].arrival,
+            };
+            if pred == lip {
+                from_lip = from_lip.max(worst);
+            } else if self.top[pred.index()] >= lip_top {
+                untouched = untouched.max(worst);
+            }
         }
+        if from_lip <= untouched {
+            return untouched;
+        }
+        untouched.max(from_lip.min(self.dup_end_floor(lip, proc)))
     }
 
     /// A floor under the end of a duplicate of `lip` that
@@ -1379,36 +1373,38 @@ impl<'p> ScheduleBuilder<'p> {
     }
 
     /// True when `parent`'s trial, re-placing `parent.op` on `proc` once
-    /// `lip` is duplicated there, provably cannot win: its inputs, planned
-    /// on the current state and floored as in
-    /// [`ScheduleBuilder::trial_floor`], already rule out a worst-case
+    /// `lip` is duplicated there, provably cannot win: one of its inputs,
+    /// planned on the current state and floored as in
+    /// [`ScheduleBuilder::trial_floor`], already rules out a worst-case
     /// start before `parent.start_worst`. Sound only while the state the
     /// trial is evaluated on will contain the current one (`DESIGN.md`
     /// §4).
     fn parent_lost(&mut self, lip: OpId, proc: ProcId, parent: ParentTrial) -> bool {
         let op = parent.op;
-        let lip_end = self.dup_end_floor(lip, proc);
         let mut scratch = std::mem::take(&mut self.plan_scratch);
         scratch.hop_starts.clear();
-        let mut floor = Time::ZERO;
-        let mut lost = false;
-        for di in self.pred_off[op.index()]..self.pred_off[op.index() + 1] {
+        let lost_at = |ready| self.proc_probe(proc, ready, parent.dur) >= parent.start_worst;
+        // `lip`'s input is floored by the duplicate's end, so it can only
+        // decide when that end does; only then is it worth planning.
+        let plan_lip = lost_at(self.dup_end_floor(lip, proc));
+        let lip_top = self.top[lip.index()];
+        let lost = (self.pred_off[op.index()]..self.pred_off[op.index() + 1]).any(|di| {
             let (dep, pred) = self.preds[di as usize];
-            let worst = self.input_floor(pred, lip, lip_end, || {
-                match self.pick_dep_sources(op, dep, pred, proc, &mut scratch, None) {
-                    Ok(DepPick::Local { ready, .. }) => ready,
-                    Ok(DepPick::Remote { .. }) => scratch.chosen.last().expect("non-empty").arrival,
-                    Err(_) => unreachable!("the parent planned every input of its operation"),
-                }
-            });
-            if let Some(worst) = worst.filter(|&w| w > floor) {
-                floor = worst;
-                if self.proc_probe(proc, floor, parent.dur) >= parent.start_worst {
-                    lost = true;
-                    break;
-                }
+            let floors = if pred == lip {
+                plan_lip
+            } else {
+                self.top[pred.index()] >= lip_top
+            };
+            if !floors {
+                return false;
             }
-        }
+            let worst = match self.pick_dep_sources(op, dep, pred, proc, &mut scratch, None) {
+                Ok(DepPick::Local { ready, .. }) => ready,
+                Ok(DepPick::Remote { .. }) => scratch.chosen.last().expect("non-empty").arrival,
+                Err(_) => unreachable!("the parent planned every input of its operation"),
+            };
+            lost_at(worst)
+        });
         self.plan_scratch = scratch;
         lost
     }
