@@ -362,11 +362,11 @@ pub(crate) fn failure_patterns(proc_count: usize, npf: usize) -> Vec<u64> {
     out
 }
 
-fn bit_get(bits: &[u64], i: usize) -> bool {
+pub(crate) fn bit_get(bits: &[u64], i: usize) -> bool {
     bits[i / 64] >> (i % 64) & 1 == 1
 }
 
-fn bit_set(bits: &mut [u64], i: usize) {
+pub(crate) fn bit_set(bits: &mut [u64], i: usize) {
     bits[i / 64] |= 1 << (i % 64);
 }
 
@@ -392,8 +392,8 @@ pub struct ScheduleBuilder<'p> {
     /// internal probe paths.
     plan_scratch: ProbeScratch,
     /// Flattened scheduling-predecessor adjacency: `preds[pred_off[op] ..
-    /// pred_off[op + 1]]` — the boxed `Alg::sched_preds` iterator is too
-    /// expensive for the planning hot paths.
+    /// pred_off[op + 1]]` — one slice read, where `Alg::sched_preds` walks
+    /// the graph's edge records on every call of the planning hot paths.
     preds: Vec<(DepId, OpId)>,
     pred_off: Vec<u32>,
     /// Per operation: its top level, the edge count of the longest

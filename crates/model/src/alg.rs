@@ -307,12 +307,9 @@ impl Alg {
 
     /// Dependencies entering `op` that constrain it *within* an iteration:
     /// empty when `op` is a `mem` (its inputs are next-iteration state).
-    pub fn sched_preds(&self, op: OpId) -> Box<dyn Iterator<Item = (DepId, OpId)> + '_> {
-        if self.op(op).kind() == OpKind::Mem {
-            Box::new(std::iter::empty())
-        } else {
-            Box::new(self.preds(op))
-        }
+    pub fn sched_preds(&self, op: OpId) -> impl Iterator<Item = (DepId, OpId)> + '_ {
+        let mem = self.op(op).kind() == OpKind::Mem;
+        self.preds(op).take(if mem { 0 } else { usize::MAX })
     }
 
     /// Dependencies leaving `op` that constrain the consumer within the
