@@ -11,7 +11,7 @@
 use ftbar_model::{Problem, ProcId, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::replay::{replay, FailureScenario, ReplayResult};
+use crate::replay::{FailureScenario, ReplayConfig, ReplayPlan, ReplayResult};
 use crate::schedule::Schedule;
 
 /// Configuration of [`analyze`].
@@ -101,22 +101,22 @@ pub fn analyze_with(
     schedule: &Schedule,
     config: &AnalysisConfig,
 ) -> ToleranceReport {
-    let nominal = replay(
-        problem,
-        schedule,
+    let plan = ReplayPlan::new(problem, schedule);
+    let nominal = plan.run(
         &FailureScenario::none(problem.arch().proc_count()),
+        &ReplayConfig::default(),
     );
-    analyze_from_nominal(problem, schedule, config, &nominal)
+    analyze_from_nominal(&plan, config, &nominal)
 }
 
-/// [`analyze_with`] given the schedule's fault-free replay, so a caller
-/// that already ran it (the validator) does not replay it twice.
+/// [`analyze_with`] over `plan`, given the schedule's fault-free replay, so
+/// a caller that already ran it (the validator) does not replay it twice.
 pub(crate) fn analyze_from_nominal(
-    problem: &Problem,
-    schedule: &Schedule,
+    plan: &ReplayPlan,
     config: &AnalysisConfig,
     nominal: &ReplayResult,
 ) -> ToleranceReport {
+    let (problem, schedule) = (plan.problem, plan.schedule);
     let n = problem.arch().proc_count();
     let nominal = nominal
         .completion()
@@ -144,7 +144,7 @@ pub(crate) fn analyze_from_nominal(
         for &at in &instants {
             let failures: Vec<(ProcId, Time)> = subset.iter().map(|&p| (p, at)).collect();
             let scen = FailureScenario::multi(n, &failures);
-            let completion = replay(problem, schedule, &scen).completion();
+            let completion = plan.run(&scen, &ReplayConfig::default()).completion();
             worst = match (worst, completion) {
                 (Some(w), Some(c)) => Some(w.max(c)),
                 _ => None,
@@ -201,11 +201,12 @@ pub struct LinkToleranceReport {
 /// failures for free — on a shared bus they cannot.
 pub fn analyze_link_failures(problem: &Problem, schedule: &Schedule) -> LinkToleranceReport {
     let n = problem.arch().proc_count();
+    let plan = ReplayPlan::new(problem, schedule);
     let mut scenarios = Vec::new();
     let mut worst: Option<Time> = Some(Time::ZERO);
     for link in problem.arch().links() {
         let scen = FailureScenario::none(n).with_link_failure(link, Time::ZERO);
-        let completion = replay(problem, schedule, &scen).completion();
+        let completion = plan.run(&scen, &ReplayConfig::default()).completion();
         worst = match (worst, completion) {
             (Some(w), Some(c)) => Some(w.max(c)),
             _ => None,

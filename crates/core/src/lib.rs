@@ -75,7 +75,7 @@ pub use ftbar::{
 };
 pub use pressure::Pressure;
 pub use replay::{
-    replay, replay_with, FailureScenario, ReplayConfig, ReplayResult, ReplicaOutcome,
+    replay, replay_with, FailureScenario, ReplayConfig, ReplayPlan, ReplayResult, ReplicaOutcome,
 };
 pub use reschedule::{
     reschedule, schedule_retained, RepairReport, RescheduleError, RescheduleOutcome,

@@ -28,7 +28,7 @@
 use ftbar_model::{Problem, ProcId, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::replay::{replay, FailureScenario};
+use crate::replay::{FailureScenario, ReplayConfig, ReplayPlan};
 use crate::schedule::Schedule;
 
 /// Per-processor failure rates (per time unit).
@@ -116,6 +116,7 @@ pub fn estimate(problem: &Problem, schedule: &Schedule, rates: &FailureRates) ->
         .map(|p| rates.survival(p, horizon))
         .collect();
 
+    let plan = ReplayPlan::new(problem, schedule);
     let mut reliability = 0.0;
     let mut surviving_patterns = 0usize;
     for mask in 0u32..(1 << n) {
@@ -137,7 +138,7 @@ pub fn estimate(problem: &Problem, schedule: &Schedule, rates: &FailureRates) ->
             true
         } else {
             let scen = FailureScenario::multi(n, &failures);
-            replay(problem, schedule, &scen).completion().is_some()
+            plan.run(&scen, &ReplayConfig::default()).all_ops_complete()
         };
         if ok {
             reliability += prob;

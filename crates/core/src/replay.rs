@@ -32,7 +32,7 @@
 //! In the **absence** of failures the replay reproduces the booked times
 //! exactly; the validator asserts this invariant.
 
-use ftbar_model::{Problem, ProcId, Time};
+use ftbar_model::{DepId, OpId, Problem, ProcId, Time};
 use serde::{Deserialize, Serialize};
 
 use crate::schedule::{CommId, CommIndex, ReplicaId, Schedule};
@@ -251,51 +251,175 @@ pub fn replay_with(
     scenario: &FailureScenario,
     config: &ReplayConfig,
 ) -> ReplayResult {
-    assert_eq!(
-        schedule.proc_count(),
-        problem.arch().proc_count(),
-        "schedule/problem mismatch"
-    );
-    let mut r = Replay::new(problem, schedule, scenario, config);
-    if !config.suppress_comms_to.is_empty() {
-        for c in 0..schedule.comm_count() {
-            let dst_proc = schedule.replica(schedule.comm(CommId(c as u32)).dst).proc;
-            if config.suppress_comms_to[dst_proc.index()] {
-                r.cancel(CommId(c as u32));
-            }
-        }
-    }
-    r.run()
+    ReplayPlan::new(problem, schedule).run(scenario, config)
 }
 
-struct Replay<'a> {
-    problem: &'a Problem,
-    schedule: &'a Schedule,
-    scenario: &'a FailureScenario,
-    config: &'a ReplayConfig,
+/// Where one dependency slot of a replica reads its input from: the
+/// statically wired sources (DESIGN.md §7 rule 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DepSource {
+    /// Comms were booked for the dependency; the first delivery feeds it.
+    Comms,
+    /// No comm was booked; the producer's replica on the same processor
+    /// feeds it.
+    Local(ReplicaId),
+    /// Neither: the replica can never start.
+    Unwired,
+}
+
+/// The wiring of one `(problem, schedule)` pair, flattened once and shared
+/// by every replay of that schedule: [`ReplayPlan::run`] only reads it, so
+/// one plan serves the nominal replay, every failure pattern, and worker
+/// threads alike.
+///
+/// A replica's *dependency slots* are one per scheduling dependency of its
+/// operation, in `Alg::sched_preds` order, numbered consecutively across
+/// replicas.
+#[derive(Debug)]
+pub struct ReplayPlan<'a> {
+    pub(crate) problem: &'a Problem,
+    pub(crate) schedule: &'a Schedule,
     /// Per-replica comm adjacency (outgoing comms at each replica end).
-    comms_of: CommIndex,
+    pub(crate) comms_of: CommIndex,
+    /// Scheduling predecessors `(dep, producer op)` of operation `o`:
+    /// `preds[pred_off[o] .. pred_off[o + 1]]`, in `sched_preds` order.
+    preds: Vec<(DepId, OpId)>,
+    pred_off: Vec<u32>,
+    /// Dependency slots of replica `r`: `dep_off[r] .. dep_off[r + 1]`.
+    dep_off: Vec<u32>,
+    /// Per slot: its statically wired source.
+    pub(crate) dep_src: Vec<DepSource>,
+    /// Per comm: the consumer's slot its delivery feeds (`None` when its
+    /// dependency does not constrain the consumer within the iteration).
+    pub(crate) comm_slot: Vec<Option<u32>>,
+    /// Hops of comm `c` in the flat per-hop run state: `hop_off[c] ..
+    /// hop_off[c + 1]`.
+    hop_off: Vec<u32>,
+}
+
+impl<'a> ReplayPlan<'a> {
+    /// Flattens the wiring of `schedule` for replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `schedule` does not belong to `problem` (mismatched counts).
+    pub fn new(problem: &'a Problem, schedule: &'a Schedule) -> Self {
+        assert_eq!(
+            schedule.proc_count(),
+            problem.arch().proc_count(),
+            "schedule/problem mismatch"
+        );
+        let alg = problem.alg();
+        let mut preds = Vec::with_capacity(alg.dep_count());
+        let mut pred_off = Vec::with_capacity(alg.op_count() + 1);
+        pred_off.push(0);
+        for op in alg.ops() {
+            preds.extend(alg.sched_preds(op));
+            pred_off.push(preds.len() as u32);
+        }
+        let mut dep_off = Vec::with_capacity(schedule.replica_count() + 1);
+        dep_off.push(0u32);
+        let mut dep_src = Vec::new();
+        for rep in schedule.replicas() {
+            let o = rep.op.index();
+            for &(_, pred) in &preds[pred_off[o] as usize..pred_off[o + 1] as usize] {
+                dep_src.push(match schedule.replica_on(pred, rep.proc) {
+                    Some(local) => DepSource::Local(local),
+                    None => DepSource::Unwired,
+                });
+            }
+            dep_off.push(dep_src.len() as u32);
+        }
+        let mut comm_slot = Vec::with_capacity(schedule.comm_count());
+        let mut hop_off = Vec::with_capacity(schedule.comm_count() + 1);
+        hop_off.push(0u32);
+        for comm in schedule.comms() {
+            let o = schedule.replica(comm.dst).op.index();
+            let slot = preds[pred_off[o] as usize..pred_off[o + 1] as usize]
+                .iter()
+                .position(|&(d, _)| d == comm.dep)
+                .map(|i| dep_off[comm.dst.index()] + i as u32);
+            if let Some(s) = slot {
+                dep_src[s as usize] = DepSource::Comms;
+            }
+            comm_slot.push(slot);
+            hop_off.push(hop_off[hop_off.len() - 1] + comm.hops.len() as u32);
+        }
+        ReplayPlan {
+            problem,
+            schedule,
+            comms_of: CommIndex::new(schedule),
+            preds,
+            pred_off,
+            dep_off,
+            dep_src,
+            comm_slot,
+            hop_off,
+        }
+    }
+
+    /// The problem this plan replays against.
+    pub fn problem(&self) -> &'a Problem {
+        self.problem
+    }
+
+    /// The schedule this plan replays.
+    pub fn schedule(&self) -> &'a Schedule {
+        self.schedule
+    }
+
+    /// Scheduling predecessors `(dep, producer op)` of `op`, in
+    /// `Alg::sched_preds` order.
+    pub(crate) fn sched_preds(&self, op: OpId) -> &[(DepId, OpId)] {
+        &self.preds[self.pred_off[op.index()] as usize..self.pred_off[op.index() + 1] as usize]
+    }
+
+    /// The dependency slots of `r`, in `sched_preds` order of its op.
+    pub(crate) fn dep_slots(&self, r: ReplicaId) -> std::ops::Range<usize> {
+        self.dep_off[r.index()] as usize..self.dep_off[r.index() + 1] as usize
+    }
+
+    /// Replays the schedule under `scenario` with `config`. Every call
+    /// starts from fresh run state, so calls are independent of each
+    /// other and of their order.
+    pub fn run(&self, scenario: &FailureScenario, config: &ReplayConfig) -> ReplayResult {
+        let mut r = Run::new(self, scenario, config);
+        if !config.suppress_comms_to.is_empty() {
+            for c in 0..self.schedule.comm_count() {
+                let cid = CommId(c as u32);
+                let dst_proc = self.schedule.replica(self.schedule.comm(cid).dst).proc;
+                if config.suppress_comms_to[dst_proc.index()] {
+                    r.cancel(cid);
+                }
+            }
+        }
+        r.run()
+    }
+}
+
+/// The state of one replay: flat per-replica, per-slot, per-comm, per-hop
+/// and per-link tables over a [`ReplayPlan`].
+struct Run<'p, 'a> {
+    plan: &'p ReplayPlan<'a>,
+    schedule: &'a Schedule,
+    scenario: &'p FailureScenario,
+    config: &'p ReplayConfig,
 
     rstate: Vec<RState>,
-    /// Per replica: for each intra-iteration dependency of its op (in
-    /// `sched_preds` order), earliest available arrival.
-    dep_ready: Vec<Vec<Option<Time>>>,
-    /// Per replica, per dependency: whether comms were booked for it. A
-    /// replica reads exactly the statically wired sources: booked comms if
-    /// any, the local predecessor replica otherwise.
-    dep_has_comms: Vec<Vec<bool>>,
-    /// Per comm: next hop to transmit, or usize::MAX if cancelled.
+    /// Per dependency slot: earliest wired comm arrival.
+    dep_ready: Vec<Option<Time>>,
+    /// Per comm: next hop to transmit.
     comm_next_hop: Vec<usize>,
-    /// Per comm, per hop: delivery time at hop end.
-    hop_done: Vec<Vec<Option<Time>>>,
+    /// Per hop (flat, see [`ReplayPlan`]): delivery time at hop end.
+    hop_done: Vec<Option<Time>>,
     comm_cancelled: Vec<bool>,
     comm_arrival: Vec<Option<Time>>,
 
     /// Per proc: index into proc_order of the next replica to start.
     proc_next: Vec<usize>,
     proc_dead: Vec<bool>,
-    /// Per comm, per hop: transmission has been granted.
-    hop_started: Vec<Vec<bool>>,
+    /// Per hop (flat): transmission has been granted.
+    hop_started: Vec<bool>,
     link_busy_until: Vec<Time>,
     /// Per link: true while a hop is in flight.
     link_in_flight: Vec<bool>,
@@ -342,57 +466,28 @@ impl EventKey {
     }
 }
 
-impl<'a> Replay<'a> {
+impl<'p, 'a> Run<'p, 'a> {
     fn new(
-        problem: &'a Problem,
-        schedule: &'a Schedule,
-        scenario: &'a FailureScenario,
-        config: &'a ReplayConfig,
+        plan: &'p ReplayPlan<'a>,
+        scenario: &'p FailureScenario,
+        config: &'p ReplayConfig,
     ) -> Self {
-        let alg = problem.alg();
-        let dep_ready = schedule
-            .replicas()
-            .iter()
-            .map(|r| vec![None; alg.sched_preds(r.op).count()])
-            .collect();
-        let hop_done = schedule
-            .comms()
-            .iter()
-            .map(|c| vec![None; c.hops.len()])
-            .collect();
-        let mut dep_has_comms: Vec<Vec<bool>> = schedule
-            .replicas()
-            .iter()
-            .map(|r| vec![false; alg.sched_preds(r.op).count()])
-            .collect();
-        for comm in schedule.comms() {
-            let dst_op = schedule.replica(comm.dst).op;
-            for (i, (d, _)) in alg.sched_preds(dst_op).enumerate() {
-                if d == comm.dep {
-                    dep_has_comms[comm.dst.index()][i] = true;
-                }
-            }
-        }
-        Replay {
-            problem,
+        let schedule = plan.schedule;
+        let hops = *plan.hop_off.last().expect("offsets start at 0") as usize;
+        Run {
+            plan,
             schedule,
             scenario,
             config,
-            comms_of: CommIndex::new(schedule),
             rstate: vec![RState::Pending; schedule.replica_count()],
-            dep_ready,
-            dep_has_comms,
+            dep_ready: vec![None; plan.dep_src.len()],
             comm_next_hop: vec![0; schedule.comm_count()],
-            hop_done,
+            hop_done: vec![None; hops],
             comm_cancelled: vec![false; schedule.comm_count()],
             comm_arrival: vec![None; schedule.comm_count()],
             proc_next: vec![0; schedule.proc_count()],
             proc_dead: vec![false; schedule.proc_count()],
-            hop_started: schedule
-                .comms()
-                .iter()
-                .map(|c| vec![false; c.hops.len()])
-                .collect(),
+            hop_started: vec![false; hops],
             link_busy_until: vec![Time::ZERO; schedule.link_count()],
             link_in_flight: vec![false; schedule.link_count()],
             link_head: vec![0; schedule.link_count()],
@@ -405,6 +500,11 @@ impl<'a> Replay<'a> {
         }
     }
 
+    /// Index of hop `hop` of `cid` in the flat per-hop tables.
+    fn hop_index(&self, cid: CommId, hop: usize) -> usize {
+        self.plan.hop_off[cid.index()] as usize + hop
+    }
+
     fn push(&mut self, t: Time, e: Event) {
         let (prio, key) = EventKey::encode(e);
         self.seq += 1;
@@ -412,7 +512,7 @@ impl<'a> Replay<'a> {
     }
 
     fn run(mut self) -> ReplayResult {
-        for p in self.problem.arch().procs() {
+        for p in self.plan.problem.arch().procs() {
             if let Some(t) = self.scenario.fail_time(p) {
                 self.push(t, Event::ProcFail(p));
             }
@@ -484,30 +584,23 @@ impl<'a> Replay<'a> {
         };
         // First complete input set: every dependency has one arrival from
         // its statically wired sources (booked comms, or the local replica).
-        let rep = self.schedule.replica(rid);
         let mut ready = Time::ZERO;
-        let n_deps = self.dep_ready[rid.index()].len();
-        for i in 0..n_deps {
-            if self.dep_has_comms[rid.index()][i] {
-                match self.dep_ready[rid.index()][i] {
-                    Some(t) => ready = ready.max(t),
-                    None => return, // no wired arrival yet
-                }
-            } else {
-                let (_, pred) = self
-                    .problem
-                    .alg()
-                    .sched_preds(rep.op)
-                    .nth(i)
-                    .expect("dep index in range");
-                match self.local_pred_end(rid, pred) {
-                    Some(t) => ready = ready.max(t),
-                    None => return, // local producer not finished yet
-                }
+        for slot in self.plan.dep_slots(rid) {
+            let arrival = match self.plan.dep_src[slot] {
+                DepSource::Comms => self.dep_ready[slot],
+                DepSource::Local(local) => match self.rstate[local.index()] {
+                    RState::Done { end, .. } => Some(end),
+                    _ => None,
+                },
+                DepSource::Unwired => None,
+            };
+            match arrival {
+                Some(t) => ready = ready.max(t),
+                None => return, // no wired arrival yet
             }
         }
         let start = prev_end.max(ready);
-        let dur = rep.slot.duration()
+        let dur = self.schedule.replica(rid).slot.duration()
             + self
                 .config
                 .extend_durations
@@ -519,24 +612,14 @@ impl<'a> Replay<'a> {
         self.push(end, Event::ReplicaEnd(rid));
     }
 
-    /// End time of a completed local replica of `pred` on the same
-    /// processor as `rid`, if any.
-    fn local_pred_end(&self, rid: ReplicaId, pred: ftbar_model::OpId) -> Option<Time> {
-        let proc = self.schedule.replica(rid).proc;
-        let local = self.schedule.replica_on(pred, proc)?;
-        match self.rstate[local.index()] {
-            RState::Done { end, .. } => Some(end),
-            _ => None,
-        }
-    }
-
     fn on_replica_end(&mut self, rid: ReplicaId) {
         let RState::Running { start, end } = self.rstate[rid.index()] else {
             return; // lost at a processor failure in the meantime
         };
         self.rstate[rid.index()] = RState::Done { start, end };
         // Outgoing comms may now transmit.
-        for &c in self.comms_of.outgoing(rid) {
+        let plan = self.plan;
+        for &c in plan.comms_of.outgoing(rid) {
             if !self.comm_cancelled[c.index()] {
                 self.link_ready[self.schedule.comm(c).hops[0].link.index()] += 1;
             }
@@ -544,8 +627,7 @@ impl<'a> Replay<'a> {
         let p = self.schedule.replica(rid).proc;
         self.proc_next[p.index()] += 1;
         self.try_start_proc(p);
-        for i in 0..self.comms_of.outgoing(rid).len() {
-            let c = self.comms_of.outgoing(rid)[i];
+        for &c in plan.comms_of.outgoing(rid) {
             self.mark_link(self.schedule.comm(c).hops[0].link.index());
         }
     }
@@ -559,23 +641,19 @@ impl<'a> Replay<'a> {
             return;
         }
         let comm = self.schedule.comm(cid);
-        self.hop_done[cid.index()][hop] = Some(t);
+        let h = self.hop_index(cid, hop);
+        self.hop_done[h] = Some(t);
         self.comm_next_hop[cid.index()] = hop + 1;
         let l = comm.hops[hop].link.index();
         self.link_in_flight[l] = false;
         if hop + 1 == comm.hops.len() {
             // Final delivery: satisfy the consumer's dependency.
             self.comm_arrival[cid.index()] = Some(t);
-            let dst = comm.dst;
-            let dep = comm.dep;
-            let dst_op = self.schedule.replica(dst).op;
-            for (i, (d, _)) in self.problem.alg().sched_preds(dst_op).enumerate() {
-                if d == dep {
-                    let slot = &mut self.dep_ready[dst.index()][i];
-                    *slot = Some(slot.map_or(t, |old| old.min(t)));
-                }
+            if let Some(s) = self.plan.comm_slot[cid.index()] {
+                let slot = &mut self.dep_ready[s as usize];
+                *slot = Some(slot.map_or(t, |old| old.min(t)));
             }
-            self.try_start_proc(self.schedule.replica(dst).proc);
+            self.try_start_proc(self.schedule.replica(comm.dst).proc);
         } else {
             let next_l = comm.hops[hop + 1].link.index();
             self.link_ready[next_l] += 1;
@@ -587,15 +665,9 @@ impl<'a> Replay<'a> {
     fn on_proc_fail(&mut self, p: ProcId) {
         self.proc_dead[p.index()] = true;
         // Kill everything not yet completed on p.
-        let order: Vec<ReplicaId> = self.schedule.proc_order(p).to_vec();
-        let mut newly_lost = Vec::new();
-        for rid in order {
-            match self.rstate[rid.index()] {
-                RState::Done { .. } | RState::Lost => {}
-                _ => {
-                    self.rstate[rid.index()] = RState::Lost;
-                    newly_lost.push(rid);
-                }
+        for &rid in self.schedule.proc_order(p) {
+            if !matches!(self.rstate[rid.index()], RState::Done { .. }) {
+                self.rstate[rid.index()] = RState::Lost;
             }
         }
         // Cancel comms sourced from the lost replicas, and comms currently
@@ -635,7 +707,7 @@ impl<'a> Replay<'a> {
                 _ => None,
             }
         } else {
-            self.hop_done[cid.index()][hop - 1]
+            self.hop_done[self.hop_index(cid, hop - 1)]
         }
     }
 
@@ -649,19 +721,17 @@ impl<'a> Replay<'a> {
         }
         let hop = self.comm_next_hop[c];
         if let Some(h) = self.schedule.comm(cid).hops.get(hop) {
-            if !self.hop_started[c][hop] && self.ready_at(cid, hop).is_some() {
+            if !self.hop_started[self.hop_index(cid, hop)] && self.ready_at(cid, hop).is_some() {
                 self.link_ready[h.link.index()] -= 1;
             }
         }
         self.comm_cancelled[c] = true;
         // The comm's later hops stop holding their booked slots now: their
         // links arbitrate again at this instant (DESIGN.md §7).
-        let schedule = self.schedule;
-        for h in schedule.comm(cid).hops.iter().skip(hop + 1) {
+        for h in self.schedule.comm(cid).hops.iter().skip(hop + 1) {
             self.mark_link(h.link.index());
         }
     }
-
     /// Tries to transmit one pending hop on `link`, at logical time `now`.
     ///
     /// Grant rule ("forfeit arbitration"): pending hops are considered in
@@ -690,7 +760,8 @@ impl<'a> Replay<'a> {
             // flags only ever turn on, so those hops never pend again.
             let mut head = self.link_head[link];
             while let Some(&(cid, hop)) = order.get(head) {
-                if !self.comm_cancelled[cid.index()] && !self.hop_started[cid.index()][hop] {
+                if !self.comm_cancelled[cid.index()] && !self.hop_started[self.hop_index(cid, hop)]
+                {
                     break;
                 }
                 head += 1;
@@ -707,7 +778,7 @@ impl<'a> Replay<'a> {
                 if unseen == 0 {
                     break;
                 }
-                if self.comm_cancelled[cid.index()] || self.hop_started[cid.index()][hop] {
+                if self.comm_cancelled[cid.index()] || self.hop_started[self.hop_index(cid, hop)] {
                     continue;
                 }
                 if matches!(
@@ -773,7 +844,8 @@ impl<'a> Replay<'a> {
             _ => {
                 self.link_busy_until[link] = end;
                 self.link_in_flight[link] = true;
-                self.hop_started[cid.index()][hop] = true;
+                let hi = self.hop_index(cid, hop);
+                self.hop_started[hi] = true;
                 self.link_ready[link] -= 1;
                 self.push(end, Event::HopEnd(cid, hop));
                 true

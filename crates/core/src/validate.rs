@@ -29,8 +29,11 @@ use core::fmt;
 use ftbar_model::{Problem, Time};
 
 use crate::analysis::{analyze_from_nominal, AnalysisConfig};
-use crate::replay::{replay, FailureScenario, ReplayResult, ReplicaOutcome};
-use crate::schedule::{CommIndex, Schedule};
+use crate::builder::{bit_get, bit_set, failure_patterns};
+use crate::replay::{
+    DepSource, FailureScenario, ReplayConfig, ReplayPlan, ReplayResult, ReplicaOutcome,
+};
+use crate::schedule::{ReplicaId, Schedule};
 
 /// A violated invariant, with a human-readable description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,17 +57,18 @@ pub fn validate(problem: &Problem, schedule: &Schedule) -> Vec<Violation> {
     check_coverage(problem, schedule, &mut v);
     check_resources(problem, schedule, &mut v);
     check_comms(problem, schedule, &mut v);
-    check_wiring(problem, schedule, &mut v);
-    check_route_coverage(problem, schedule, &mut v);
-    // One fault-free replay serves both the equivalence check and the
-    // masking analysis.
-    let nominal = replay(
-        problem,
-        schedule,
+    // One flattened wiring serves the wiring and route-coverage checks and
+    // every replay; one fault-free replay serves both the equivalence
+    // check and the masking analysis.
+    let plan = ReplayPlan::new(problem, schedule);
+    check_wiring(&plan, &mut v);
+    check_route_coverage(&plan, &mut v);
+    let nominal = plan.run(
         &FailureScenario::none(problem.arch().proc_count()),
+        &ReplayConfig::default(),
     );
     check_nominal_replay(problem, schedule, &nominal, &mut v);
-    check_masking(problem, schedule, &nominal, &mut v);
+    check_masking(&plan, &nominal, &mut v);
     v
 }
 
@@ -228,65 +232,72 @@ fn check_comms(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) {
     }
 }
 
-fn check_wiring(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) {
+fn check_wiring(plan: &ReplayPlan, v: &mut Vec<Violation>) {
+    let (problem, schedule) = (plan.problem, plan.schedule);
     let k = problem.replication();
-    let index = CommIndex::new(schedule);
     for (ri, rep) in schedule.replicas().iter().enumerate() {
-        let rid = crate::schedule::ReplicaId(ri as u32);
-        for (dep, pred) in problem.alg().sched_preds(rep.op) {
-            let incoming: Vec<_> = index
-                .incoming(rid)
-                .iter()
-                .copied()
-                .filter(|&c| schedule.comm(c).dep == dep)
-                .collect();
-            if incoming.is_empty() {
-                if schedule.replica_on(pred, rep.proc).is_none() {
-                    v.push(Violation {
-                        rule: "wiring",
-                        detail: format!(
-                            "{} of {} on {} has neither comms nor a local producer",
-                            problem.alg().dep_name(dep),
-                            problem.alg().op(rep.op).name(),
-                            rep.proc
-                        ),
-                    });
-                }
-            } else {
-                let mut src_procs: Vec<_> = incoming
-                    .iter()
-                    .map(|&c| schedule.replica(schedule.comm(c).src).proc)
-                    .collect();
-                src_procs.sort();
-                src_procs.dedup();
-                let expected = k.min(schedule.replicas_of(pred).len());
-                if src_procs.len() < expected {
-                    v.push(Violation {
-                        rule: "wiring-redundancy",
-                        detail: format!(
-                            "{} into {} on {}: {} distinct sources, expected {}",
-                            problem.alg().dep_name(dep),
-                            problem.alg().op(rep.op).name(),
-                            rep.proc,
-                            src_procs.len(),
-                            expected
-                        ),
-                    });
+        let rid = ReplicaId(ri as u32);
+        let preds = plan.sched_preds(rep.op);
+        for (&(dep, pred), slot) in preds.iter().zip(plan.dep_slots(rid)) {
+            match plan.dep_src[slot] {
+                DepSource::Local(_) => {}
+                DepSource::Unwired => v.push(Violation {
+                    rule: "wiring",
+                    detail: format!(
+                        "{} of {} on {} has neither comms nor a local producer",
+                        problem.alg().dep_name(dep),
+                        problem.alg().op(rep.op).name(),
+                        rep.proc
+                    ),
+                }),
+                DepSource::Comms => {
+                    let mut src_procs: Vec<_> = plan
+                        .comms_of
+                        .incoming(rid)
+                        .iter()
+                        .filter(|c| plan.comm_slot[c.index()] == Some(slot as u32))
+                        .map(|&c| schedule.replica(schedule.comm(c).src).proc)
+                        .collect();
+                    src_procs.sort();
+                    src_procs.dedup();
+                    let expected = k.min(schedule.replicas_of(pred).len());
+                    if src_procs.len() < expected {
+                        v.push(Violation {
+                            rule: "wiring-redundancy",
+                            detail: format!(
+                                "{} into {} on {}: {} distinct sources, expected {}",
+                                problem.alg().dep_name(dep),
+                                problem.alg().op(rep.op).name(),
+                                rep.proc,
+                                src_procs.len(),
+                                expected
+                            ),
+                        });
+                    }
                 }
             }
         }
     }
 }
 
-/// The static route-coverage data-flow result: per failure pattern, the
-/// survival of every replica's whole support chain.
+/// The static route-coverage data-flow result.
 struct RouteCoverage {
     /// Failure patterns as processor bitmasks, every non-empty subset of
     /// size ≤ `Npf`.
     patterns: Vec<u64>,
-    /// `surv[replica][pattern]`: the replica keeps a surviving support
-    /// (sources, routes, transitive inputs) under the pattern.
-    surv: Vec<Vec<bool>>,
+    /// Words per pattern bitset: `ceil(patterns / 64)`.
+    words: usize,
+    /// Per operation, a bitset over `patterns` (`words` words from
+    /// `op * words`): the patterns under which some replica of the
+    /// operation keeps a surviving support (sources, routes, transitive
+    /// inputs).
+    op_surv: Vec<u64>,
+}
+
+impl RouteCoverage {
+    fn op_bits(&self, op: ftbar_model::OpId) -> &[u64] {
+        &self.op_surv[op.index() * self.words..][..self.words]
+    }
 }
 
 /// Per-failure-pattern verdict of the static **route-coverage** rule: for
@@ -297,97 +308,90 @@ struct RouteCoverage {
 /// This is the validator's rule 5 exposed pattern by pattern, so the
 /// contingency engine can cross-check the *static* verdict against the
 /// *behavioural* one from the DES replay — any disagreement is a bug in
-/// one of them. Empty when `Npf = 0`, on architectures with more than 64
-/// processors (where the builder degrades pattern tracking too), or on a
-/// cyclic scheduling graph.
+/// one of them. Empty when `Npf = 0`, or on architectures with more than
+/// 64 processors (where the builder degrades pattern tracking too).
 pub fn route_coverage_verdicts(problem: &Problem, schedule: &Schedule) -> Vec<(u64, bool)> {
-    let Some(cov) = route_coverage(problem, schedule) else {
+    let Some(cov) = route_coverage(&ReplayPlan::new(problem, schedule)) else {
         return Vec::new();
     };
+    let mut all = vec![!0u64; cov.words];
+    for op in problem.alg().ops() {
+        for (a, &b) in all.iter_mut().zip(cov.op_bits(op)) {
+            *a &= b;
+        }
+    }
     cov.patterns
         .iter()
         .enumerate()
-        .map(|(pi, &mask)| {
-            let covered = problem.alg().ops().all(|op| {
-                schedule
-                    .replicas_of(op)
-                    .iter()
-                    .any(|&r| cov.surv[r.index()][pi])
-            });
-            (mask, covered)
-        })
+        .map(|(pi, &mask)| (mask, bit_get(&all, pi)))
         .collect()
 }
 
-fn route_coverage(problem: &Problem, schedule: &Schedule) -> Option<RouteCoverage> {
+/// Evaluates the data-flow rule over every pattern at once: one bitset of
+/// surviving patterns per replica, computed in topological order of the
+/// operations, so every producer replica is settled before its consumers.
+fn route_coverage(plan: &ReplayPlan) -> Option<RouteCoverage> {
+    let (problem, schedule) = (plan.problem, plan.schedule);
     let n = problem.arch().proc_count();
-    let patterns = crate::builder::failure_patterns(n, problem.npf() as usize);
+    let patterns = failure_patterns(n, problem.npf() as usize);
     if patterns.is_empty() {
         return None; // npf = 0, or too many processors to track (builder degraded too)
     }
-
-    // Operations in topological order of scheduling dependencies (Kahn), so
-    // every producer replica is evaluated before its consumers.
-    let alg = problem.alg();
-    let mut indeg: Vec<usize> = alg.ops().map(|o| alg.sched_preds(o).count()).collect();
-    let mut queue: std::collections::VecDeque<_> =
-        alg.ops().filter(|&o| indeg[o.index()] == 0).collect();
-    let mut order = Vec::with_capacity(alg.op_count());
-    while let Some(op) = queue.pop_front() {
-        order.push(op);
-        for (_, succ) in alg.sched_succs(op) {
-            indeg[succ.index()] -= 1;
-            if indeg[succ.index()] == 0 {
-                queue.push_back(succ);
-            }
-        }
-    }
-    if order.len() != alg.op_count() {
-        return None; // cyclic scheduling graph: reported elsewhere
-    }
-
-    // Per replica, per dependency (in sched_preds order): its booked comms.
-    let mut incoming: Vec<Vec<Vec<&crate::schedule::Comm>>> = schedule
-        .replicas()
-        .iter()
-        .map(|r| vec![Vec::new(); alg.sched_preds(r.op).count()])
-        .collect();
-    for comm in schedule.comms() {
-        let dst_op = schedule.replica(comm.dst).op;
-        for (i, (d, _)) in alg.sched_preds(dst_op).enumerate() {
-            if d == comm.dep {
-                incoming[comm.dst.index()][i].push(comm);
-            }
+    let words = patterns.len().div_ceil(64);
+    let row = |i: usize| i * words..(i + 1) * words;
+    // Per processor: the patterns it survives.
+    let mut proc_alive = vec![0u64; n * words];
+    for (pi, &mask) in patterns.iter().enumerate() {
+        for p in (0..n).filter(|&p| mask >> p & 1 == 0) {
+            bit_set(&mut proc_alive[row(p)], pi);
         }
     }
 
-    let mut surv = vec![vec![false; patterns.len()]; schedule.replica_count()];
-    for &op in &order {
+    let mut surv = vec![0u64; schedule.replica_count() * words];
+    let mut op_surv = vec![0u64; problem.alg().op_count() * words];
+    // Per dependency slot of the current replica: the patterns under which
+    // one of its comms survives (source replica and every sending
+    // processor of the route alive).
+    let mut via_comms: Vec<u64> = Vec::new();
+    for &op in problem.alg().topo_order() {
         for &rid in schedule.replicas_of(op) {
-            let rep = schedule.replica(rid);
-            let pbit = 1u64 << rep.proc.index();
-            for (pi, &mask) in patterns.iter().enumerate() {
-                if mask & pbit != 0 {
+            let slots = plan.dep_slots(rid);
+            via_comms.clear();
+            via_comms.resize(slots.len() * words, 0);
+            for &c in plan.comms_of.incoming(rid) {
+                let Some(slot) = plan.comm_slot[c.index()] else {
                     continue;
+                };
+                let comm = schedule.comm(c);
+                let at = (slot as usize - slots.start) * words;
+                for w in 0..words {
+                    let route = comm
+                        .hops
+                        .iter()
+                        .fold(!0u64, |m, h| m & proc_alive[h.from.index() * words + w]);
+                    via_comms[at + w] |= surv[comm.src.index() * words + w] & route;
                 }
-                let ok = alg.sched_preds(op).enumerate().all(|(i, (_, pred))| {
-                    let comms = &incoming[rid.index()][i];
-                    if comms.is_empty() {
-                        schedule
-                            .replica_on(pred, rep.proc)
-                            .is_some_and(|l| surv[l.index()][pi])
-                    } else {
-                        comms.iter().any(|c| {
-                            surv[c.src.index()][pi]
-                                && c.hops.iter().all(|h| mask >> h.from.index() & 1 == 0)
-                        })
-                    }
-                });
-                surv[rid.index()][pi] = ok;
+            }
+            let proc = schedule.replica(rid).proc.index();
+            for w in 0..words {
+                let mut bits = proc_alive[proc * words + w];
+                for (i, slot) in slots.clone().enumerate() {
+                    bits &= match plan.dep_src[slot] {
+                        DepSource::Comms => via_comms[i * words + w],
+                        DepSource::Local(l) => surv[l.index() * words + w],
+                        DepSource::Unwired => 0,
+                    };
+                }
+                surv[rid.index() * words + w] = bits;
+                op_surv[op.index() * words + w] |= bits;
             }
         }
     }
-    Some(RouteCoverage { patterns, surv })
+    Some(RouteCoverage {
+        patterns,
+        words,
+        op_surv,
+    })
 }
 
 /// Static failure-disjointness check (`DESIGN.md`): for every failure
@@ -398,18 +402,15 @@ fn route_coverage(problem: &Problem, schedule: &Schedule) -> Option<RouteCoverag
 /// local producer replica (the replay's source rule). Unlike the replay
 /// masking check this is purely structural, so a violation names the exact
 /// data-flow cut rather than a timed starvation.
-fn check_route_coverage(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) {
+fn check_route_coverage(plan: &ReplayPlan, v: &mut Vec<Violation>) {
+    let problem = plan.problem;
     let n = problem.arch().proc_count();
-    let Some(RouteCoverage { patterns, surv }) = route_coverage(problem, schedule) else {
+    let Some(cov) = route_coverage(plan) else {
         return;
     };
     for op in problem.alg().ops() {
-        for (pi, &mask) in patterns.iter().enumerate() {
-            let alive = schedule
-                .replicas_of(op)
-                .iter()
-                .any(|&r| surv[r.index()][pi]);
-            if !alive {
+        for (pi, &mask) in cov.patterns.iter().enumerate() {
+            if !bit_get(cov.op_bits(op), pi) {
                 let names: Vec<String> = (0..n)
                     .filter(|i| mask >> i & 1 == 1)
                     .map(|i| {
@@ -462,13 +463,9 @@ fn check_nominal_replay(
     }
 }
 
-fn check_masking(
-    problem: &Problem,
-    schedule: &Schedule,
-    nominal: &ReplayResult,
-    v: &mut Vec<Violation>,
-) {
-    let report = analyze_from_nominal(problem, schedule, &AnalysisConfig::default(), nominal);
+fn check_masking(plan: &ReplayPlan, nominal: &ReplayResult, v: &mut Vec<Violation>) {
+    let problem = plan.problem;
+    let report = analyze_from_nominal(plan, &AnalysisConfig::default(), nominal);
     for s in &report.scenarios {
         if s.completion.is_none() {
             let names: Vec<_> = s
