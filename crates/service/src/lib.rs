@@ -59,7 +59,7 @@ use std::sync::mpsc;
 use ftbar_core::engine::EnginePools;
 use ftbar_core::json::JsonObject;
 use ftbar_core::reschedule::{schedule_retained, ScheduleArtifacts};
-use ftbar_core::{ftbar, FtbarConfig, Schedule, SweepStrategy};
+use ftbar_core::{ftbar, FtbarConfig, ReplayPlan, Schedule, SweepStrategy};
 use ftbar_model::{spec, Problem};
 use ftbar_sim::scenario;
 
@@ -285,9 +285,10 @@ pub fn run_campaign(
 ) -> scenario::ReliabilityReport {
     let scenarios = scenario::generate(problem, schedule, config);
     let deadline = config.deadline.unwrap_or_else(|| schedule.completion());
+    let plan = ReplayPlan::new(problem, schedule);
     let results: Vec<scenario::ScenarioResult> =
         run_indexed(scenarios.len(), workers, |i, (): &mut ()| {
-            scenario::evaluate(problem, schedule, &scenarios[i], deadline)
+            scenario::evaluate(&plan, &scenarios[i], deadline)
         });
     scenario::assemble(problem, schedule, config, &scenarios, &results)
 }

@@ -18,7 +18,7 @@
 //!   iteration on — and a recovered processor stays excluded forever (the
 //!   paper's §5 drawback, observable in the metrics).
 
-use ftbar_core::{replay_with, FailureScenario, ReplayConfig, Schedule};
+use ftbar_core::{FailureScenario, ReplayConfig, ReplayPlan, Schedule};
 use ftbar_model::{LinkId, Problem, ProcId, Time};
 use serde::{Deserialize, Serialize};
 
@@ -115,6 +115,7 @@ pub fn simulate(
     let mut detected = vec![false; n];
     let mut clock = Time::ZERO;
     let mut iterations = Vec::with_capacity(config.iterations);
+    let replay_plan = ReplayPlan::new(problem, schedule);
 
     for _ in 0..config.iterations {
         // Horizon estimate for mapping absolute fault windows onto this
@@ -153,7 +154,7 @@ pub fn simulate(
             },
             extend_durations: Vec::new(),
         };
-        let result = replay_with(problem, schedule, &scenario, &replay_cfg);
+        let result = replay_plan.run(&scenario, &replay_cfg);
 
         let delivered = (0..schedule.comm_count())
             .filter(|&c| result.comm_arrival(ftbar_core::CommId(c as u32)).is_some())

@@ -12,8 +12,8 @@
 //! deterministic RNG, so a campaign is a pure function of
 //! `(problem, schedule, config)`.
 //!
-//! Each scenario is [`evaluate`]d with the analytic replay
-//! ([`ftbar_core::replay_with`]); [`assemble`] folds the per-scenario
+//! Each scenario is [`evaluate`]d with the analytic replay, over one
+//! [`ReplayPlan`] built per schedule; [`assemble`] folds the per-scenario
 //! results into a [`ReliabilityReport`] whose [`Certificate`] compares the
 //! empirical maximum fault count survived against the two
 //! Goemans/Lynch/Saias-style bounds (see `DESIGN.md` §10):
@@ -29,7 +29,7 @@
 //! the rendered report is byte-identical for any job count.
 
 use ftbar_core::json::JsonObject;
-use ftbar_core::{replay_with, FailureScenario, ReplayConfig, ReplicaOutcome, Schedule};
+use ftbar_core::{FailureScenario, ReplayConfig, ReplayPlan, ReplicaOutcome, Schedule};
 use ftbar_model::{LinkId, Problem, ProcId, Time};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -312,14 +312,11 @@ impl ScenarioResult {
     }
 }
 
-/// Replays one scenario. Pure: safe to fan out across threads.
-pub fn evaluate(
-    problem: &Problem,
-    schedule: &Schedule,
-    scenario: &Scenario,
-    deadline: Time,
-) -> ScenarioResult {
-    let n = problem.arch().proc_count();
+/// Replays one scenario over `plan`, the schedule's flattened wiring.
+/// Pure: safe to fan out across threads sharing one plan.
+pub fn evaluate(plan: &ReplayPlan, scenario: &Scenario, deadline: Time) -> ScenarioResult {
+    let schedule = plan.schedule();
+    let n = plan.problem().arch().proc_count();
     let mut failure = FailureScenario::multi(n, &scenario.procs);
     for &(l, t) in &scenario.links {
         failure = failure.with_link_failure(l, t);
@@ -328,7 +325,7 @@ pub fn evaluate(
         suppress_comms_to: Vec::new(),
         extend_durations: scenario.jitter.clone(),
     };
-    let result = replay_with(problem, schedule, &failure, &config);
+    let result = plan.run(&failure, &config);
 
     let mut dropped = 0usize;
     let mut useful = Time::ZERO;
@@ -648,9 +645,10 @@ pub fn render_json(report: &ReliabilityReport) -> String {
 pub fn run(problem: &Problem, schedule: &Schedule, config: &ScenarioConfig) -> ReliabilityReport {
     let scenarios = generate(problem, schedule, config);
     let deadline = config.deadline.unwrap_or_else(|| schedule.completion());
+    let plan = ReplayPlan::new(problem, schedule);
     let results: Vec<ScenarioResult> = scenarios
         .iter()
-        .map(|s| evaluate(problem, schedule, s, deadline))
+        .map(|s| evaluate(&plan, s, deadline))
         .collect();
     assemble(problem, schedule, config, &scenarios, &results)
 }
@@ -760,7 +758,7 @@ mod tests {
     fn nominal_scenario_meets_deadline_with_zero_waste_structure() {
         let (p, s) = setup();
         let scenarios = generate(&p, &s, &ScenarioConfig::default());
-        let r = evaluate(&p, &s, &scenarios[0], s.completion());
+        let r = evaluate(&ReplayPlan::new(&p, &s), &scenarios[0], s.completion());
         assert!(r.survived());
         assert!(r.deadline_met);
         assert_eq!(r.dropped_ops, 0);
