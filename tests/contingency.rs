@@ -192,3 +192,100 @@ fn beyond_64_processors_falls_back_without_losing_masking() {
     assert_eq!(report.sizes[0].group.scenarios, 65);
     assert!(report.certificate.pass, "{:?}", report.certificate);
 }
+
+/// The data-flow rule of `route_coverage_verdicts`, evaluated the naive
+/// way: one pattern at a time, one `bool` per replica and pattern, each
+/// dependency's comms found by scanning every comm.
+fn naive_route_coverage(problem: &Problem, schedule: &Schedule, masks: &[u64]) -> Vec<bool> {
+    let alg = problem.alg();
+    let mut surv = vec![vec![false; masks.len()]; schedule.replica_count()];
+    for &op in alg.topo_order() {
+        for &rid in schedule.replicas_of(op) {
+            let rep = schedule.replica(rid);
+            for (pi, &mask) in masks.iter().enumerate() {
+                if mask >> rep.proc.index() & 1 == 1 {
+                    continue;
+                }
+                surv[rid.index()][pi] = alg.sched_preds(op).all(|(dep, pred)| {
+                    let comms: Vec<_> = schedule
+                        .comms()
+                        .iter()
+                        .filter(|c| c.dst == rid && c.dep == dep)
+                        .collect();
+                    if comms.is_empty() {
+                        schedule
+                            .replica_on(pred, rep.proc)
+                            .is_some_and(|l| surv[l.index()][pi])
+                    } else {
+                        comms.iter().any(|c| {
+                            surv[c.src.index()][pi]
+                                && c.hops.iter().all(|h| mask >> h.from.index() & 1 == 0)
+                        })
+                    }
+                });
+            }
+        }
+    }
+    (0..masks.len())
+        .map(|pi| {
+            alg.ops().all(|op| {
+                schedule
+                    .replicas_of(op)
+                    .iter()
+                    .any(|&r| surv[r.index()][pi])
+            })
+        })
+        .collect()
+}
+
+/// The bitset route-coverage rule equals the naive per-pattern oracle on
+/// seeded full(5), ring(6), mesh:3x2 and hypercube:3 specs at Npf 1 and 2,
+/// and on full(12) at Npf 2, whose 78 patterns fill a second bitset word.
+#[test]
+fn route_coverage_verdicts_equal_a_naive_per_pattern_oracle() {
+    let machines = [
+        ("full5", arch::fully_connected(5)),
+        ("ring6", arch::ring(6)),
+        ("mesh3x2", arch::mesh(3, 2)),
+        ("hypercube3", arch::hypercube(3)),
+    ];
+    let mut cases = Vec::new();
+    for (i, (name, machine)) in machines.into_iter().enumerate() {
+        for npf in [1, 2] {
+            for seed in [0u64, 1] {
+                cases.push((name, machine.clone(), 40, npf, 8_000 + 10 * i as u64 + seed));
+            }
+        }
+    }
+    cases.push(("full12", arch::fully_connected(12), 30, 2, 8_100));
+    let mut uncovered = 0;
+    for (name, machine, n_ops, npf, seed) in cases {
+        let alg = layered(&LayeredConfig {
+            n_ops,
+            seed,
+            ..Default::default()
+        });
+        let config = TimingConfig {
+            ccr: 2.0,
+            npf,
+            seed,
+            ..Default::default()
+        };
+        let problem = timing(alg, machine, &config).expect("generated problems are valid");
+        let schedule = ftbar_schedule(&problem).expect("schedules");
+        let verdicts = route_coverage_verdicts(&problem, &schedule);
+        let n = problem.arch().proc_count();
+        let expected_patterns = n + if npf == 2 { n * (n - 1) / 2 } else { 0 };
+        assert_eq!(verdicts.len(), expected_patterns, "{name}: pattern count");
+        let masks: Vec<u64> = verdicts.iter().map(|&(m, _)| m).collect();
+        let oracle = naive_route_coverage(&problem, &schedule, &masks);
+        for ((mask, covered), want) in verdicts.into_iter().zip(oracle) {
+            assert_eq!(
+                covered, want,
+                "{name} Npf {npf} seed {seed}: pattern {mask:#b}"
+            );
+            uncovered += usize::from(!covered);
+        }
+    }
+    assert!(uncovered > 0, "the suite exercises uncovered patterns too");
+}

@@ -429,3 +429,90 @@ mod golden {
         }
     }
 }
+
+/// One `ReplayPlan` replays every scenario — processor patterns at 0 and
+/// mid-schedule, link failures, `suppress_comms_to` and
+/// `extend_durations` — forward, then in reverse, then split across two
+/// threads; every result equals a fresh `replay_with`, so no run state
+/// leaks from one run into the next.
+#[test]
+fn one_replay_plan_equals_fresh_replays_in_any_order() {
+    use ftbar::core::{replay_with, ReplayConfig, ReplayPlan};
+
+    let mut unmasked = 0;
+    for (machine, npf, seed) in [
+        (arch::ring(6), 2, 61),
+        (arch::mesh(3, 2), 1, 62),
+        (arch::fully_connected(5), 2, 63),
+    ] {
+        let problem = generated(machine, 40, 2.0, npf, seed);
+        let schedule = ftbar_schedule(&problem).expect("schedules");
+        let procs = problem.arch().proc_count();
+        let mid = Time::from_ticks(schedule.makespan().ticks() / 2);
+        let quiet = ReplayConfig::default();
+        let suppress_p0 = ReplayConfig {
+            suppress_comms_to: (0..procs).map(|p| p == 0).collect(),
+            ..Default::default()
+        };
+        let jitter = ReplayConfig {
+            extend_durations: (0..schedule.replica_count())
+                .map(|r| Time::from_ticks(r as u64 % 7 * 300))
+                .collect(),
+            ..Default::default()
+        };
+        let mut runs = vec![(FailureScenario::none(procs), jitter.clone())];
+        for p in problem.arch().procs() {
+            for at in [Time::ZERO, mid] {
+                runs.push((FailureScenario::single(procs, p, at), quiet.clone()));
+                if npf == 2 {
+                    for q in problem.arch().procs().filter(|&q| q > p) {
+                        let pair = FailureScenario::multi(procs, &[(p, at), (q, mid)]);
+                        runs.push((pair, quiet.clone()));
+                    }
+                }
+            }
+        }
+        runs.push((
+            FailureScenario::single(procs, ProcId(0), Time::ZERO),
+            suppress_p0,
+        ));
+        runs.push((FailureScenario::single(procs, ProcId(1), mid), jitter));
+        for l in problem.arch().links() {
+            let link_down = FailureScenario::none(procs).with_link_failure(l, mid);
+            runs.push((link_down.clone(), quiet.clone()));
+            runs.push((
+                FailureScenario::single(procs, ProcId(2), Time::ZERO)
+                    .with_link_failure(l, Time::ZERO),
+                quiet.clone(),
+            ));
+        }
+
+        let fresh: Vec<_> = runs
+            .iter()
+            .map(|(scen, cfg)| replay_with(&problem, &schedule, scen, cfg))
+            .collect();
+        let plan = ReplayPlan::new(&problem, &schedule);
+        for (i, (scen, cfg)) in runs.iter().enumerate() {
+            assert_eq!(plan.run(scen, cfg), fresh[i], "forward run {i}: {scen:?}");
+        }
+        for (i, (scen, cfg)) in runs.iter().enumerate().rev() {
+            assert_eq!(plan.run(scen, cfg), fresh[i], "reverse run {i}: {scen:?}");
+        }
+        let half = runs.len() / 2;
+        std::thread::scope(|s| {
+            let plan = &plan;
+            let (front, back) = runs.split_at(half);
+            let t = s.spawn(move || {
+                front
+                    .iter()
+                    .map(|(sc, c)| plan.run(sc, c))
+                    .collect::<Vec<_>>()
+            });
+            let tail: Vec<_> = back.iter().map(|(sc, c)| plan.run(sc, c)).collect();
+            let head = t.join().expect("the worker replays");
+            assert_eq!([head, tail].concat(), fresh, "runs split across threads");
+        });
+        unmasked += fresh.iter().filter(|r| !r.all_ops_complete()).count();
+    }
+    assert!(unmasked > 0, "the scenarios include unmasked ones");
+}
