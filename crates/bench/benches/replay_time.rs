@@ -44,29 +44,35 @@ fn bench_replay(c: &mut Criterion) {
             },
         );
     }
-    // `ftbar gen --n 2000 --procs 6 --ccr 5 --npf 1 --seed 1`: every
-    // validator rule, seven replays included, on 10k replicas.
-    let alg = layered(&LayeredConfig {
-        n_ops: 2000,
-        seed: 1,
-        ..Default::default()
-    });
-    let config = TimingConfig {
-        ccr: 5.0,
-        npf: 1,
-        seed: 1,
-        ..Default::default()
-    };
-    let problem = timing(alg, arch::fully_connected(6), &config).expect("valid problem");
-    let schedule = ftbar::schedule(&problem).expect("schedules");
+    // `ftbar gen --n 2000 --procs 6 --ccr 5 --npf N --seed 1`: every
+    // validator rule on 10k replicas — seven replays at Npf 1, 22 at Npf 2.
     group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::from_parameter("validate_gen_full6_2000"),
-        &(&problem, &schedule),
-        |b, (p, s)| {
-            b.iter(|| assert!(validate::validate(p, s).is_empty()));
-        },
-    );
+    for npf in [1, 2] {
+        let alg = layered(&LayeredConfig {
+            n_ops: 2000,
+            seed: 1,
+            ..Default::default()
+        });
+        let config = TimingConfig {
+            ccr: 5.0,
+            npf,
+            seed: 1,
+            ..Default::default()
+        };
+        let problem = timing(alg, arch::fully_connected(6), &config).expect("valid problem");
+        let schedule = ftbar::schedule(&problem).expect("schedules");
+        let name = match npf {
+            1 => "validate_gen_full6_2000".to_owned(),
+            _ => format!("validate_gen_full6_2000_npf{npf}"),
+        };
+        group.bench_with_input(
+            BenchmarkId::from_parameter(name),
+            &(&problem, &schedule),
+            |b, (p, s)| {
+                b.iter(|| assert!(validate::validate(p, s).is_empty()));
+            },
+        );
+    }
     group.finish();
 }
 
