@@ -116,7 +116,7 @@ pub(crate) fn analyze_from_nominal(
     config: &AnalysisConfig,
     nominal: &ReplayResult,
 ) -> ToleranceReport {
-    let (problem, schedule) = (plan.problem, plan.schedule);
+    let (problem, schedule) = (plan.problem(), plan.schedule());
     let n = problem.arch().proc_count();
     let nominal = nominal
         .completion()

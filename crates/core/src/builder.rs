@@ -60,7 +60,7 @@
 //! probing) rolls back instead of deep-cloning the whole builder per
 //! attempt. [`DuplicationStats`] counts this work.
 
-use ftbar_model::{DepId, LinkId, OpId, Problem, ProcId, Time};
+use ftbar_model::{Alg, DepId, LinkId, OpId, Problem, ProcId, Time};
 
 use crate::error::ScheduleError;
 use crate::schedule::{BookedHop, Comm, CommId, Replica, ReplicaId, Schedule};
@@ -362,6 +362,20 @@ pub(crate) fn failure_patterns(proc_count: usize, npf: usize) -> Vec<u64> {
     out
 }
 
+/// Every operation's scheduling predecessors `(dep, producer op)` in one
+/// flat table: those of `op` are `preds[pred_off[op] .. pred_off[op + 1]]`,
+/// in `Alg::sched_preds` order.
+pub(crate) fn flat_sched_preds(alg: &Alg) -> (Vec<(DepId, OpId)>, Vec<u32>) {
+    let mut preds = Vec::with_capacity(alg.dep_count());
+    let mut pred_off = Vec::with_capacity(alg.op_count() + 1);
+    pred_off.push(0);
+    for op in alg.ops() {
+        preds.extend(alg.sched_preds(op));
+        pred_off.push(preds.len() as u32);
+    }
+    (preds, pred_off)
+}
+
 pub(crate) fn bit_get(bits: &[u64], i: usize) -> bool {
     bits[i / 64] >> (i % 64) & 1 == 1
 }
@@ -480,13 +494,7 @@ impl<'p> ScheduleBuilder<'p> {
         pools.plan_scratch.tried.clear();
         pools.plan_scratch.hop_starts.clear();
         let alg = problem.alg();
-        let mut preds = Vec::with_capacity(alg.dep_count());
-        let mut pred_off = Vec::with_capacity(alg.op_count() + 1);
-        pred_off.push(0);
-        for op in alg.ops() {
-            preds.extend(alg.sched_preds(op));
-            pred_off.push(preds.len() as u32);
-        }
+        let (preds, pred_off) = flat_sched_preds(alg);
         let mut top = vec![0u32; alg.op_count()];
         for &op in alg.topo_order() {
             let i = op.index();

@@ -255,7 +255,7 @@ pub fn replay_with(
 }
 
 /// Where one dependency slot of a replica reads its input from: the
-/// statically wired sources (DESIGN.md §7 rule 2).
+/// statically wired sources (DESIGN.md §7 rule 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DepSource {
     /// Comms were booked for the dependency; the first delivery feeds it.
@@ -277,8 +277,8 @@ pub(crate) enum DepSource {
 /// replicas.
 #[derive(Debug)]
 pub struct ReplayPlan<'a> {
-    pub(crate) problem: &'a Problem,
-    pub(crate) schedule: &'a Schedule,
+    problem: &'a Problem,
+    schedule: &'a Schedule,
     /// Per-replica comm adjacency (outgoing comms at each replica end).
     pub(crate) comms_of: CommIndex,
     /// Scheduling predecessors `(dep, producer op)` of operation `o`:
@@ -309,20 +309,14 @@ impl<'a> ReplayPlan<'a> {
             problem.arch().proc_count(),
             "schedule/problem mismatch"
         );
-        let alg = problem.alg();
-        let mut preds = Vec::with_capacity(alg.dep_count());
-        let mut pred_off = Vec::with_capacity(alg.op_count() + 1);
-        pred_off.push(0);
-        for op in alg.ops() {
-            preds.extend(alg.sched_preds(op));
-            pred_off.push(preds.len() as u32);
-        }
+        let (preds, pred_off) = crate::builder::flat_sched_preds(problem.alg());
+        let preds_of =
+            |o: OpId| &preds[pred_off[o.index()] as usize..pred_off[o.index() + 1] as usize];
         let mut dep_off = Vec::with_capacity(schedule.replica_count() + 1);
         dep_off.push(0u32);
         let mut dep_src = Vec::new();
         for rep in schedule.replicas() {
-            let o = rep.op.index();
-            for &(_, pred) in &preds[pred_off[o] as usize..pred_off[o + 1] as usize] {
+            for &(_, pred) in preds_of(rep.op) {
                 dep_src.push(match schedule.replica_on(pred, rep.proc) {
                     Some(local) => DepSource::Local(local),
                     None => DepSource::Unwired,
@@ -334,8 +328,7 @@ impl<'a> ReplayPlan<'a> {
         let mut hop_off = Vec::with_capacity(schedule.comm_count() + 1);
         hop_off.push(0u32);
         for comm in schedule.comms() {
-            let o = schedule.replica(comm.dst).op.index();
-            let slot = preds[pred_off[o] as usize..pred_off[o + 1] as usize]
+            let slot = preds_of(schedule.replica(comm.dst).op)
                 .iter()
                 .position(|&(d, _)| d == comm.dep)
                 .map(|i| dep_off[comm.dst.index()] + i as u32);

@@ -233,7 +233,7 @@ fn check_comms(problem: &Problem, schedule: &Schedule, v: &mut Vec<Violation>) {
 }
 
 fn check_wiring(plan: &ReplayPlan, v: &mut Vec<Violation>) {
-    let (problem, schedule) = (plan.problem, plan.schedule);
+    let (problem, schedule) = (plan.problem(), plan.schedule());
     let k = problem.replication();
     for (ri, rep) in schedule.replicas().iter().enumerate() {
         let rid = ReplicaId(ri as u32);
@@ -331,7 +331,7 @@ pub fn route_coverage_verdicts(problem: &Problem, schedule: &Schedule) -> Vec<(u
 /// surviving patterns per replica, computed in topological order of the
 /// operations, so every producer replica is settled before its consumers.
 fn route_coverage(plan: &ReplayPlan) -> Option<RouteCoverage> {
-    let (problem, schedule) = (plan.problem, plan.schedule);
+    let (problem, schedule) = (plan.problem(), plan.schedule());
     let n = problem.arch().proc_count();
     let patterns = failure_patterns(n, problem.npf() as usize);
     if patterns.is_empty() {
@@ -403,7 +403,7 @@ fn route_coverage(plan: &ReplayPlan) -> Option<RouteCoverage> {
 /// masking check this is purely structural, so a violation names the exact
 /// data-flow cut rather than a timed starvation.
 fn check_route_coverage(plan: &ReplayPlan, v: &mut Vec<Violation>) {
-    let problem = plan.problem;
+    let problem = plan.problem();
     let n = problem.arch().proc_count();
     let Some(cov) = route_coverage(plan) else {
         return;
@@ -464,7 +464,7 @@ fn check_nominal_replay(
 }
 
 fn check_masking(plan: &ReplayPlan, nominal: &ReplayResult, v: &mut Vec<Violation>) {
-    let problem = plan.problem;
+    let problem = plan.problem();
     let report = analyze_from_nominal(plan, &AnalysisConfig::default(), nominal);
     for s in &report.scenarios {
         if s.completion.is_none() {
