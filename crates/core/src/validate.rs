@@ -338,12 +338,11 @@ fn route_coverage(plan: &ReplayPlan) -> Option<RouteCoverage> {
         return None; // npf = 0, or too many processors to track (builder degraded too)
     }
     let words = patterns.len().div_ceil(64);
-    let row = |i: usize| i * words..(i + 1) * words;
     // Per processor: the patterns it survives.
     let mut proc_alive = vec![0u64; n * words];
     for (pi, &mask) in patterns.iter().enumerate() {
         for p in (0..n).filter(|&p| mask >> p & 1 == 0) {
-            bit_set(&mut proc_alive[row(p)], pi);
+            bit_set(&mut proc_alive[p * words..][..words], pi);
         }
     }
 
