@@ -279,7 +279,8 @@ pub(crate) enum DepSource {
 pub struct ReplayPlan<'a> {
     problem: &'a Problem,
     schedule: &'a Schedule,
-    /// Per-replica comm adjacency (outgoing comms at each replica end).
+    /// Per-replica comm adjacency: outgoing comms at each replica end,
+    /// incoming ones for the validator's static checks.
     pub(crate) comms_of: CommIndex,
     /// Scheduling predecessors `(dep, producer op)` of operation `o`:
     /// `preds[pred_off[o] .. pred_off[o + 1]]`, in `sched_preds` order.
