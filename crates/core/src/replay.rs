@@ -201,7 +201,7 @@ enum RState {
     Lost,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// Replica finished (priority 0 — completes before a same-instant fail).
     ReplicaEnd(ReplicaId),
@@ -422,8 +422,7 @@ struct Run<'p, 'a> {
     /// can never become pending again.
     link_head: Vec<usize>,
     /// Per link: number of hops that are ready to transmit (data arrived,
-    /// not started, not cancelled), so arbitration can stop scanning the
-    /// booked order once it has met them all.
+    /// not started, not cancelled), so arbitration skips a link with none.
     link_ready: Vec<usize>,
 
     /// Links to arbitrate once the current instant's ends and failures are
@@ -431,31 +430,20 @@ struct Run<'p, 'a> {
     dirty: Vec<usize>,
     link_dirty: Vec<bool>,
 
-    queue: std::collections::BinaryHeap<std::cmp::Reverse<(Time, u8, u64, EventKey)>>,
+    /// Pending events by `(time, priority, seq)`; `seq` is unique, so the
+    /// event itself never decides the order.
+    queue: std::collections::BinaryHeap<std::cmp::Reverse<(Time, u8, u64, Event)>>,
     seq: u64,
     last_event: Time,
 }
 
-/// Orderable encoding of [`Event`] for the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EventKey(u32, u32, u8);
-
-impl EventKey {
-    fn encode(e: Event) -> (u8, EventKey) {
-        match e {
-            Event::ReplicaEnd(r) => (0, EventKey(r.0, 0, 0)),
-            Event::HopEnd(c, h) => (0, EventKey(c.0, h as u32, 1)),
-            Event::ProcFail(p) => (1, EventKey(p.0, 0, 2)),
-            Event::LinkProbe(l) => (2, EventKey(l, 0, 3)),
-        }
-    }
-
-    fn decode(self) -> Event {
-        match self.2 {
-            0 => Event::ReplicaEnd(ReplicaId(self.0)),
-            1 => Event::HopEnd(CommId(self.0), self.1 as usize),
-            2 => Event::ProcFail(ProcId(self.0)),
-            _ => Event::LinkProbe(self.0),
+impl Event {
+    /// Same-instant priority: ends, then failures, then link probes.
+    fn prio(self) -> u8 {
+        match self {
+            Event::ReplicaEnd(_) | Event::HopEnd(..) => 0,
+            Event::ProcFail(_) => 1,
+            Event::LinkProbe(_) => 2,
         }
     }
 }
@@ -500,9 +488,9 @@ impl<'p, 'a> Run<'p, 'a> {
     }
 
     fn push(&mut self, t: Time, e: Event) {
-        let (prio, key) = EventKey::encode(e);
         self.seq += 1;
-        self.queue.push(std::cmp::Reverse((t, prio, self.seq, key)));
+        self.queue
+            .push(std::cmp::Reverse((t, e.prio(), self.seq, e)));
     }
 
     fn run(mut self) -> ReplayResult {
@@ -533,11 +521,11 @@ impl<'p, 'a> Run<'p, 'a> {
                 }
                 continue;
             }
-            let Some(std::cmp::Reverse((t, _, _, key))) = self.queue.pop() else {
+            let Some(std::cmp::Reverse((t, _, _, event))) = self.queue.pop() else {
                 break;
             };
             self.last_event = self.last_event.max(t);
-            match key.decode() {
+            match event {
                 Event::ReplicaEnd(r) => self.on_replica_end(r),
                 Event::HopEnd(c, h) => self.on_hop_end(c, h, t),
                 Event::ProcFail(p) => self.on_proc_fail(p),
@@ -740,16 +728,19 @@ impl<'p, 'a> Run<'p, 'a> {
     ///
     /// One pass over the live part of the booked order decides it: events
     /// run in time order, so every ready hop's data arrived at or before
-    /// `now` and all candidates share one effective start. A candidate is
-    /// blocked exactly when an earlier pending hop is booked at or after
-    /// that start, and the pass stops once it has met every ready hop of
-    /// the link.
+    /// `now` and all candidates share one effective start. Booked starts
+    /// never decrease along the order, so a pending hop booked at or after
+    /// that start blocks every ready hop after it, and a ready hop with no
+    /// such hop ahead of it is granted. The pass therefore stops at the
+    /// first ready hop (grant it) or the first pending hop booked at or
+    /// after the start (wake just after its booked start), whichever comes
+    /// first.
     fn try_start_link(&mut self, link: usize, now: Time) {
         if self.link_in_flight[link] {
             return;
         }
         let order = self.schedule.link_order(ftbar_model::LinkId(link as u32));
-        'grant: loop {
+        'grant: while self.link_ready[link] > 0 {
             // Skip the prefix of hops already started or cancelled: both
             // flags only ever turn on, so those hops never pend again.
             let mut head = self.link_head[link];
@@ -762,50 +753,26 @@ impl<'p, 'a> Run<'p, 'a> {
             }
             self.link_head[link] = head;
             let start = self.link_busy_until[link].max(now);
-            // Earliest booked start, among the pending hops passed so far,
-            // that `start` does not clear: every later candidate waits for
-            // that reservation to expire.
-            let mut blocked_until: Option<Time> = None;
-            let mut wake: Option<Time> = None;
-            let mut unseen = self.link_ready[link];
             for &(cid, hop) in &order[head..] {
-                if unseen == 0 {
-                    break;
-                }
                 if self.comm_cancelled[cid.index()] || self.hop_started[self.hop_index(cid, hop)] {
                     continue;
                 }
-                if matches!(
-                    self.rstate[self.schedule.comm(cid).src.index()],
-                    RState::Lost
-                ) {
-                    // Doomed: the producer is lost.
-                    self.cancel(cid);
-                    continue;
-                }
-                let booked = self.schedule.comm(cid).hops[hop].slot.start;
                 if let Some(ready) = self.ready_at(cid, hop) {
                     debug_assert!(ready <= now, "hop data arrives at an event");
-                    unseen -= 1;
-                    match blocked_until {
-                        // Blocked by a still-live reservation: wake just
-                        // after it. `blocked_until` only decreases along
-                        // the pass, so the last candidate's wake is the
-                        // earliest.
-                        Some(bs) => wake = Some(bs + Time::from_ticks(1)),
-                        None if self.grant(link, cid, hop, start) => return,
-                        // Cut by a failure: arbitrate again.
-                        None => continue 'grant,
+                    if self.grant(link, cid, hop, start) {
+                        return;
                     }
+                    // Cut by a failure: arbitrate again.
+                    continue 'grant;
                 }
+                let booked = self.schedule.comm(cid).hops[hop].slot.start;
                 if start <= booked {
-                    blocked_until = Some(blocked_until.map_or(booked, |w: Time| w.min(booked)));
+                    // A still-live reservation ahead of every ready hop.
+                    self.push(booked + Time::from_ticks(1), Event::LinkProbe(link as u32));
+                    return;
                 }
             }
-            if let Some(w) = wake {
-                self.push(w, Event::LinkProbe(link as u32));
-            }
-            return;
+            unreachable!("a ready hop pends on the link");
         }
     }
 
