@@ -385,9 +385,57 @@ pub(crate) fn bit_set(bits: &mut [u64], i: usize) {
 }
 
 /// Incremental schedule state. See the module docs.
+///
+/// The builder is its booking [`BuilderState`] attached to a problem, plus
+/// the scratch [`BuilderPools`] evaluation and rollback recycle through.
 #[derive(Debug, Clone)]
 pub struct ScheduleBuilder<'p> {
     problem: &'p Problem,
+    state: BuilderState,
+    pools: BuilderPools,
+    /// Duplication and undo-log work counters.
+    dup_stats: DuplicationStats,
+}
+
+/// Recyclable buffers of a [`ScheduleBuilder`]: the input-plan arena, the
+/// probe scratch, and the undo-log pools. Problem-agnostic and never part
+/// of the schedule — reclaim them from one builder
+/// ([`ScheduleBuilder::finish_reclaim`], [`ScheduleBuilder::into_parts`])
+/// and attach them to the next one ([`ScheduleBuilder::from_state`]), even
+/// for a different [`Problem`]. The batch service and the daemon thread
+/// these through every job a worker runs, so steady-state scheduling
+/// allocates nothing per job beyond the problem-sized state itself.
+#[derive(Debug, Clone, Default)]
+pub struct BuilderPools {
+    /// Recycled input-plan buffer for evaluation (placements allocate
+    /// nothing per attempt).
+    plan_buf: PlanBuf,
+    /// Recycled per-dependency source buffer shared by evaluation and the
+    /// internal probe paths.
+    plan_scratch: ProbeScratch,
+    /// Recycled hop buffers (rollback and discarded evaluations return
+    /// their allocations here; evaluation reuses them — the speculation
+    /// loop allocates nothing in steady state).
+    hops: Vec<Vec<BookedHop>>,
+    /// Recycled survival bitsets, same lifecycle.
+    surv: Vec<Vec<u64>>,
+    /// Recycled segment comm buffers, same lifecycle.
+    seg_comms: Vec<Vec<Comm>>,
+}
+
+/// The booking state of a [`ScheduleBuilder`], detached from its problem
+/// reference — every timeline, booked replica and comm, and survival
+/// bitset, exactly as the builder left them. It holds no scratch buffers.
+///
+/// [`BuilderState::new`] is the empty state a run starts from;
+/// [`ScheduleBuilder::into_parts`] captures the state at the end of a run
+/// and [`ScheduleBuilder::from_state`] re-attaches it later. This is the
+/// retained substrate of incremental re-scheduling: cloning the state,
+/// re-attaching it to an edited (timing-compatible) problem, and rolling
+/// back to a recorded [`Checkpoint`] reproduces the exact builder a
+/// from-scratch run of the edited problem would have at that step.
+#[derive(Debug, Clone)]
+pub struct BuilderState {
     proc_tl: Vec<Timeline<ReplicaId>>,
     link_tl: Vec<Timeline<(CommId, usize)>>,
     replicas: Vec<Replica>,
@@ -399,12 +447,6 @@ pub struct ScheduleBuilder<'p> {
     surv: Vec<Vec<u64>>,
     /// Per replica: survives every pattern not containing its processor.
     fully_live: Vec<bool>,
-    /// Recycled input-plan buffer for evaluation (placements allocate
-    /// nothing per attempt).
-    plan_buf: PlanBuf,
-    /// Recycled per-dependency source buffer shared by evaluation and the
-    /// internal probe paths.
-    plan_scratch: ProbeScratch,
     /// Flattened scheduling-predecessor adjacency: `preds[pred_off[op] ..
     /// pred_off[op + 1]]` — one slice read, where `Alg::sched_preds` walks
     /// the graph's edge records on every call of the planning hot paths.
@@ -418,81 +460,11 @@ pub struct ScheduleBuilder<'p> {
     /// rollbacks); lets observers detect quiescence cheaply. See
     /// [`ScheduleBuilder::mutation_count`].
     mutations: u64,
-    /// Recycled hop buffers (rollback and discarded evaluations return
-    /// their allocations here; evaluation reuses them — the speculation
-    /// loop allocates nothing in steady state).
-    hops_pool: Vec<Vec<BookedHop>>,
-    /// Recycled survival bitsets, same lifecycle.
-    surv_pool: Vec<Vec<u64>>,
-    /// Recycled segment comm buffers, same lifecycle.
-    seg_comms_pool: Vec<Vec<Comm>>,
-    /// Duplication and undo-log work counters.
-    dup_stats: DuplicationStats,
 }
 
-/// Recyclable buffers of a finished [`ScheduleBuilder`]: the input-plan
-/// arena, the probe scratch, and the undo-log pools. Problem-agnostic —
-/// reclaim them from one builder ([`ScheduleBuilder::finish_reclaim`]) and
-/// seed the next one ([`ScheduleBuilder::new_with_pools`]), even for a
-/// different [`Problem`]. The batch service threads these through every
-/// job a worker runs, so steady-state scheduling allocates nothing per
-/// job beyond the problem-sized state itself.
-#[derive(Debug, Default)]
-pub struct BuilderPools {
-    plan_buf: PlanBuf,
-    plan_scratch: ProbeScratch,
-    hops: Vec<Vec<BookedHop>>,
-    surv: Vec<Vec<u64>>,
-    seg_comms: Vec<Vec<Comm>>,
-}
-
-/// The entire mutable state of a [`ScheduleBuilder`], detached from its
-/// problem reference — every timeline, booked replica and comm, survival
-/// bitset, and recycling pool, exactly as the builder left them.
-///
-/// Captured with [`ScheduleBuilder::into_state`] at the end of a run and
-/// re-attached later with [`ScheduleBuilder::from_state`], this is the
-/// retained substrate of incremental re-scheduling: cloning the state,
-/// re-attaching it to an edited (timing-compatible) problem, and rolling
-/// back to a recorded [`Checkpoint`] reproduces the exact builder a
-/// from-scratch run of the edited problem would have at that step.
-#[derive(Debug, Clone)]
-pub struct BuilderState {
-    proc_tl: Vec<Timeline<ReplicaId>>,
-    link_tl: Vec<Timeline<(CommId, usize)>>,
-    replicas: Vec<Replica>,
-    comms: Vec<Comm>,
-    replicas_of: Vec<Vec<ReplicaId>>,
-    patterns: Vec<u64>,
-    surv: Vec<Vec<u64>>,
-    fully_live: Vec<bool>,
-    plan_buf: PlanBuf,
-    plan_scratch: ProbeScratch,
-    preds: Vec<(DepId, OpId)>,
-    pred_off: Vec<u32>,
-    top: Vec<u32>,
-    mutations: u64,
-    hops_pool: Vec<Vec<BookedHop>>,
-    surv_pool: Vec<Vec<u64>>,
-    seg_comms_pool: Vec<Vec<Comm>>,
-}
-
-impl<'p> ScheduleBuilder<'p> {
-    /// Creates an empty builder for `problem`.
-    pub fn new(problem: &'p Problem) -> Self {
-        Self::new_with_pools(problem, BuilderPools::default())
-    }
-
-    /// As [`ScheduleBuilder::new`], seeded with recycled buffer `pools`.
-    ///
-    /// Purely an allocation optimization: the pools never carry schedule
-    /// state, so a pooled builder behaves bit-identically to a fresh one.
-    pub fn new_with_pools(problem: &'p Problem, mut pools: BuilderPools) -> Self {
-        pools.plan_buf.items.clear();
-        pools.plan_buf.pool.clear();
-        pools.plan_scratch.chosen.clear();
-        pools.plan_scratch.tried.clear();
-        pools.plan_scratch.hop_starts.clear();
+impl BuilderState {
+    /// The empty state of `problem`: nothing booked yet.
+    pub fn new(problem: &Problem) -> Self {
         let alg = problem.alg();
         let (preds, pred_off) = flat_sched_preds(alg);
         let mut top = vec![0u32; alg.op_count()];
@@ -511,61 +483,96 @@ impl<'p> ScheduleBuilder<'p> {
         // coverage augmentation never fires (DESIGN.md §2 point 1). Skip
         // pattern tracking entirely — the booking decisions, and hence the
         // schedules, are bit-identical, only cheaper.
-        let patterns = if Self::fully_connected(problem) {
+        let patterns = if fully_connected(problem) {
             Vec::new()
         } else {
             failure_patterns(problem.arch().proc_count(), problem.npf() as usize)
         };
-        ScheduleBuilder {
-            problem,
+        BuilderState {
             proc_tl: vec![Timeline::new(); problem.arch().proc_count()],
             link_tl: vec![Timeline::new(); problem.arch().link_count()],
             replicas: Vec::new(),
             comms: Vec::new(),
-            replicas_of: vec![Vec::new(); problem.alg().op_count()],
+            replicas_of: vec![Vec::new(); alg.op_count()],
             patterns,
             surv: Vec::new(),
             fully_live: Vec::new(),
-            plan_buf: pools.plan_buf,
-            plan_scratch: pools.plan_scratch,
             preds,
             pred_off,
             top,
             mutations: 0,
-            hops_pool: pools.hops,
-            surv_pool: pools.surv,
-            seg_comms_pool: pools.seg_comms,
-            dup_stats: DuplicationStats::default(),
         }
     }
 
-    /// Detaches the builder's entire mutable state from its problem
-    /// reference (see [`BuilderState`]). The inverse of
-    /// [`ScheduleBuilder::from_state`].
-    pub fn into_state(self) -> BuilderState {
-        BuilderState {
-            proc_tl: self.proc_tl,
-            link_tl: self.link_tl,
-            replicas: self.replicas,
-            comms: self.comms,
-            replicas_of: self.replicas_of,
-            patterns: self.patterns,
-            surv: self.surv,
-            fully_live: self.fully_live,
-            plan_buf: self.plan_buf,
-            plan_scratch: self.plan_scratch,
-            preds: self.preds,
-            pred_off: self.pred_off,
-            top: self.top,
-            mutations: self.mutations,
-            hops_pool: self.hops_pool,
-            surv_pool: self.surv_pool,
-            seg_comms_pool: self.seg_comms_pool,
-        }
+    /// Scheduling predecessors `(dep, producer op)` of `op`, in
+    /// `Alg::sched_preds` order.
+    fn preds_of(&self, op: OpId) -> &[(DepId, OpId)] {
+        &self.preds[self.pred_off[op.index()] as usize..self.pred_off[op.index() + 1] as usize]
     }
 
-    /// Re-attaches a detached [`BuilderState`] to `problem`, restoring a
-    /// fully usable builder.
+    /// Unwinds every replica push, comm booking, and timeline insertion
+    /// made since `mark` (see [`ScheduleBuilder::rollback`]), returning the
+    /// freed hop and survival buffers to `pools`.
+    pub(crate) fn rollback(&mut self, mark: Checkpoint, pools: &mut BuilderPools) {
+        self.mutations += 1;
+        for cid in (mark.comms..self.comms.len()).rev() {
+            for (i, hop) in self.comms[cid].hops.iter().enumerate() {
+                let removed =
+                    self.link_tl[hop.link.index()].remove_at(hop.slot, &(CommId(cid as u32), i));
+                debug_assert!(removed, "booked hop present on its link");
+            }
+        }
+        for comm in self.comms.drain(mark.comms..) {
+            let mut hops = comm.hops;
+            hops.clear();
+            pools.hops.push(hops);
+        }
+        for rid in (mark.replicas..self.replicas.len()).rev() {
+            let rep = &self.replicas[rid];
+            let removed =
+                self.proc_tl[rep.proc.index()].remove_at(rep.slot, &ReplicaId(rid as u32));
+            debug_assert!(removed, "booked replica present on its processor");
+            let list = &mut self.replicas_of[rep.op.index()];
+            debug_assert_eq!(list.last(), Some(&ReplicaId(rid as u32)));
+            list.pop();
+        }
+        self.replicas.truncate(mark.replicas);
+        pools.surv.extend(self.surv.drain(mark.replicas..));
+        self.fully_live.truncate(mark.replicas);
+    }
+}
+
+/// True when every ordered processor pair is one hop apart (the paper's
+/// fully connected model; includes bus topologies — links do not fail in
+/// this model, only processors do).
+fn fully_connected(problem: &Problem) -> bool {
+    let n = problem.arch().proc_count();
+    for s in 0..n {
+        for d in 0..n {
+            if s == d {
+                continue;
+            }
+            let routes = problem
+                .routes()
+                .all(ProcId::from_index(s), ProcId::from_index(d));
+            if routes.first().is_none_or(|r| r.hop_count() != 1) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+impl<'p> ScheduleBuilder<'p> {
+    /// Creates an empty builder for `problem`.
+    pub fn new(problem: &'p Problem) -> Self {
+        Self::from_state(problem, BuilderState::new(problem), BuilderPools::default())
+    }
+
+    /// Attaches a [`BuilderState`] to `problem` with the scratch `pools`
+    /// (recycled, or [`BuilderPools::default`]), restoring a fully usable
+    /// builder. The pools never carry schedule state, so a pooled builder
+    /// behaves bit-identically to a fresh one.
     ///
     /// `problem` need not be the instance the state was captured from, but
     /// it must be *booking-compatible* with it: same operation / processor
@@ -580,32 +587,24 @@ impl<'p> ScheduleBuilder<'p> {
     ///
     /// Panics (in debug builds) if the problem's dimensions do not match
     /// the state's.
-    pub fn from_state(problem: &'p Problem, state: BuilderState) -> Self {
+    pub fn from_state(problem: &'p Problem, state: BuilderState, pools: BuilderPools) -> Self {
         debug_assert_eq!(state.proc_tl.len(), problem.arch().proc_count());
         debug_assert_eq!(state.link_tl.len(), problem.arch().link_count());
         debug_assert_eq!(state.replicas_of.len(), problem.alg().op_count());
         debug_assert_eq!(state.pred_off.len(), problem.alg().op_count() + 1);
         ScheduleBuilder {
             problem,
-            proc_tl: state.proc_tl,
-            link_tl: state.link_tl,
-            replicas: state.replicas,
-            comms: state.comms,
-            replicas_of: state.replicas_of,
-            patterns: state.patterns,
-            surv: state.surv,
-            fully_live: state.fully_live,
-            plan_buf: state.plan_buf,
-            plan_scratch: state.plan_scratch,
-            preds: state.preds,
-            pred_off: state.pred_off,
-            top: state.top,
-            mutations: state.mutations,
-            hops_pool: state.hops_pool,
-            surv_pool: state.surv_pool,
-            seg_comms_pool: state.seg_comms_pool,
+            state,
+            pools,
             dup_stats: DuplicationStats::default(),
         }
+    }
+
+    /// Detaches the builder's booking state from its problem reference and
+    /// hands back its scratch pools. The inverse of
+    /// [`ScheduleBuilder::from_state`].
+    pub fn into_parts(self) -> (BuilderState, BuilderPools) {
+        (self.state, self.pools)
     }
 
     /// The duplication and undo-log work counters so far (see
@@ -619,28 +618,7 @@ impl<'p> ScheduleBuilder<'p> {
     /// which no timeline or replica store changed — the sweep engine's
     /// cue that its per-step change masks are current.
     pub fn mutation_count(&self) -> u64 {
-        self.mutations
-    }
-
-    /// True when every ordered processor pair is one hop apart (the
-    /// paper's fully connected model; includes bus topologies — links do
-    /// not fail in this model, only processors do).
-    fn fully_connected(problem: &Problem) -> bool {
-        let n = problem.arch().proc_count();
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                let routes = problem
-                    .routes()
-                    .all(ProcId::from_index(s), ProcId::from_index(d));
-                if routes.first().is_none_or(|r| r.hop_count() != 1) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.state.mutations
     }
 
     /// The problem being scheduled.
@@ -660,20 +638,20 @@ impl<'p> ScheduleBuilder<'p> {
 
     /// The replica of `op` on `proc`, if any.
     pub fn replica_on(&self, op: OpId, proc: ProcId) -> Option<ReplicaId> {
-        self.replicas_of[op.index()]
+        self.state.replicas_of[op.index()]
             .iter()
             .copied()
-            .find(|&r| self.replicas[r.index()].proc == proc)
+            .find(|&r| self.state.replicas[r.index()].proc == proc)
     }
 
     /// Replicas of `op` booked so far.
     pub fn replicas_of(&self, op: OpId) -> &[ReplicaId] {
-        &self.replicas_of[op.index()]
+        &self.state.replicas_of[op.index()]
     }
 
     /// A booked replica.
     pub fn replica(&self, id: ReplicaId) -> &Replica {
-        &self.replicas[id.index()]
+        &self.state.replicas[id.index()]
     }
 
     /// The monotone mutation counter of a lane's timeline (see
@@ -681,8 +659,8 @@ impl<'p> ScheduleBuilder<'p> {
     /// identical bookings. Rollback churn bumps it conservatively.
     pub fn lane_version(&self, lane: Lane) -> u64 {
         match lane {
-            Lane::Proc(p) => self.proc_tl[p.index()].version(),
-            Lane::Link(l) => self.link_tl[l.index()].version(),
+            Lane::Proc(p) => self.state.proc_tl[p.index()].version(),
+            Lane::Link(l) => self.state.link_tl[l.index()].version(),
         }
     }
 
@@ -697,7 +675,7 @@ impl<'p> ScheduleBuilder<'p> {
     /// observations must therefore happen at committed states, which is
     /// how the sweep engine drives it.
     pub fn op_replicas_version(&self, op: OpId) -> u64 {
-        self.replicas_of[op.index()].len() as u64
+        self.state.replicas_of[op.index()].len() as u64
     }
 
     /// The latest booked end over *all* lanes (processor and link
@@ -705,8 +683,8 @@ impl<'p> ScheduleBuilder<'p> {
     /// on the current state is `≤ max(ready, max_lane_end())`, which is
     /// what makes the sweep engine's urgency upper bound sound.
     pub fn max_lane_end(&self) -> Time {
-        let p = self.proc_tl.iter().map(|t| t.last_end());
-        let l = self.link_tl.iter().map(|t| t.last_end());
+        let p = self.state.proc_tl.iter().map(|t| t.last_end());
+        let l = self.state.link_tl.iter().map(|t| t.last_end());
         p.chain(l).fold(Time::ZERO, Time::max)
     }
 
@@ -716,15 +694,15 @@ impl<'p> ScheduleBuilder<'p> {
     /// replica sets are unchanged), the recorded [`PlanProbe`] is still
     /// exact even though lane versions moved.
     pub fn replay_probe(&self, ev: &ProbeEvent) -> bool {
-        self.link_tl[ev.link.index()].probe(ev.ready, ev.dur) == ev.start
+        self.state.link_tl[ev.link.index()].probe(ev.ready, ev.dur) == ev.start
     }
 
     /// Marks the current transaction point. Everything booked after the
     /// mark can be unwound with [`ScheduleBuilder::rollback`].
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
-            replicas: self.replicas.len(),
-            comms: self.comms.len(),
+            replicas: self.state.replicas.len(),
+            comms: self.state.comms.len(),
         }
     }
 
@@ -738,37 +716,13 @@ impl<'p> ScheduleBuilder<'p> {
     /// own past — marks are not transferable across builders and cannot be
     /// replayed after an earlier rollback already consumed them.
     pub fn rollback(&mut self, mark: Checkpoint) {
-        self.mutations += 1;
         debug_assert!(
-            mark.replicas <= self.replicas.len() && mark.comms <= self.comms.len(),
+            mark.replicas <= self.state.replicas.len() && mark.comms <= self.state.comms.len(),
             "rollback mark is ahead of the builder state"
         );
-        self.dup_stats.rolled_back_replicas += (self.replicas.len() - mark.replicas) as u64;
-        self.dup_stats.rolled_back_comms += (self.comms.len() - mark.comms) as u64;
-        for cid in (mark.comms..self.comms.len()).rev() {
-            for (i, hop) in self.comms[cid].hops.iter().enumerate() {
-                let removed =
-                    self.link_tl[hop.link.index()].remove_at(hop.slot, &(CommId(cid as u32), i));
-                debug_assert!(removed, "booked hop present on its link");
-            }
-        }
-        for comm in self.comms.drain(mark.comms..) {
-            let mut hops = comm.hops;
-            hops.clear();
-            self.hops_pool.push(hops);
-        }
-        for rid in (mark.replicas..self.replicas.len()).rev() {
-            let rep = &self.replicas[rid];
-            let removed =
-                self.proc_tl[rep.proc.index()].remove_at(rep.slot, &ReplicaId(rid as u32));
-            debug_assert!(removed, "booked replica present on its processor");
-            let list = &mut self.replicas_of[rep.op.index()];
-            debug_assert_eq!(list.last(), Some(&ReplicaId(rid as u32)));
-            list.pop();
-        }
-        self.replicas.truncate(mark.replicas);
-        self.surv_pool.extend(self.surv.drain(mark.replicas..));
-        self.fully_live.truncate(mark.replicas);
+        self.dup_stats.rolled_back_replicas += (self.state.replicas.len() - mark.replicas) as u64;
+        self.dup_stats.rolled_back_comms += (self.state.comms.len() - mark.comms) as u64;
+        self.state.rollback(mark, &mut self.pools);
     }
 
     /// Probes where a replica of `op` would land on `proc` without booking
@@ -789,8 +743,8 @@ impl<'p> ScheduleBuilder<'p> {
                 worst_ready,
                 dur,
             } => {
-                let start_best = self.proc_tl[proc.index()].probe(best_ready, dur);
-                let start_worst = self.proc_tl[proc.index()].probe(worst_ready, dur);
+                let start_best = self.state.proc_tl[proc.index()].probe(best_ready, dur);
+                let start_worst = self.state.proc_tl[proc.index()].probe(worst_ready, dur);
                 Ok(ProbePoint {
                     start_best,
                     start_worst,
@@ -830,7 +784,7 @@ impl<'p> ScheduleBuilder<'p> {
             // Recorded times of a booked replica: no timelines consulted
             // (replica slots are immutable; the set is guarded by
             // `op_replicas_version`).
-            let rep = &self.replicas[r.index()];
+            let rep = &self.state.replicas[r.index()];
             return Ok(PlanProbe::Fixed(ProbePoint {
                 start_best: rep.start(),
                 start_worst: rep.start_worst,
@@ -854,7 +808,7 @@ impl<'p> ScheduleBuilder<'p> {
     /// execution timeline (the point-completion half of the split probe;
     /// see [`PlanProbe`]).
     pub fn proc_probe(&self, proc: ProcId, ready: Time, dur: Time) -> Time {
-        self.proc_tl[proc.index()].probe(ready, dur)
+        self.state.proc_tl[proc.index()].probe(ready, dur)
     }
 
     /// Chooses how dependency `dep` (produced by `pred`) reaches `proc`:
@@ -880,22 +834,22 @@ impl<'p> ScheduleBuilder<'p> {
         scratch: &mut ProbeScratch,
         mut trace: Option<&mut Vec<ProbeEvent>>,
     ) -> Result<DepPick, ScheduleError> {
-        let preds = &self.replicas_of[pred.index()];
+        let preds = &self.state.replicas_of[pred.index()];
         if preds.is_empty() {
             return Err(ScheduleError::PredNotScheduled { op, pred });
         }
         let k = self.replication();
         let local = self.replica_on(pred, proc);
         if let Some(l) = local {
-            if self.fully_live[l.index()] {
-                let ready = self.replicas[l.index()].end();
+            if self.state.fully_live[l.index()] {
+                let ready = self.state.replicas[l.index()].end();
                 return Ok(DepPick::Local { src: l, ready });
             }
         }
         let chosen = &mut scratch.chosen;
         chosen.clear();
         for &r in preds {
-            if self.replicas[r.index()].proc == proc {
+            if self.state.replicas[r.index()].proc == proc {
                 continue;
             }
             chosen.push(
@@ -913,14 +867,14 @@ impl<'p> ScheduleBuilder<'p> {
         if chosen.is_empty() {
             // Only the (fragile) local copy exists: nothing to book.
             let l = local.expect("a predecessor replica exists on this processor");
-            let ready = self.replicas[l.index()].end();
+            let ready = self.state.replicas[l.index()].end();
             return Ok(DepPick::Local { src: l, ready });
         }
         chosen.sort_by_key(|c| (c.arrival, c.src));
         // Coverage augmentation reuses every primary probe, the ones
         // truncated away included.
         scratch.tried.clear();
-        if !self.patterns.is_empty() {
+        if !self.state.patterns.is_empty() {
             let primaries = chosen.iter().map(|c| (c.src, c.route, Some(*c)));
             scratch.tried.extend(primaries);
         }
@@ -931,7 +885,7 @@ impl<'p> ScheduleBuilder<'p> {
             if let Some(l) = local {
                 // Disjoint coverage is unachievable; keep the fragile
                 // local copy (pre-routing behaviour, best effort).
-                let ready = self.replicas[l.index()].end();
+                let ready = self.state.replicas[l.index()].end();
                 return Ok(DepPick::Local { src: l, ready });
             }
         }
@@ -966,8 +920,7 @@ impl<'p> ScheduleBuilder<'p> {
         buf.lip = None;
         scratch.hop_starts.clear();
         let mut worst_ready = Time::ZERO;
-        for di in self.pred_off[op.index()]..self.pred_off[op.index() + 1] {
-            let (dep, pred) = self.preds[di as usize];
+        for &(dep, pred) in self.state.preds_of(op) {
             let worst = match self.pick_dep_sources(op, dep, pred, proc, scratch, None)? {
                 DepPick::Local { src, ready } => {
                     buf.items.push((dep, PlanItem::Local { src, ready }));
@@ -1030,8 +983,7 @@ impl<'p> ScheduleBuilder<'p> {
         let mut best_ready = Time::ZERO;
         let mut worst_ready = Time::ZERO;
         scratch.hop_starts.clear();
-        for di in self.pred_off[op.index()]..self.pred_off[op.index() + 1] {
-            let (dep, pred) = self.preds[di as usize];
+        for &(dep, pred) in self.state.preds_of(op) {
             match self.pick_dep_sources(op, dep, pred, proc, scratch, trace.as_deref_mut())? {
                 DepPick::Local { ready, .. } => {
                     best_ready = best_ready.max(ready);
@@ -1060,7 +1012,7 @@ impl<'p> ScheduleBuilder<'p> {
         hop_starts: &mut Vec<Time>,
         mut trace: Option<&mut Vec<ProbeEvent>>,
     ) -> Option<RemoteSource> {
-        let rep = &self.replicas[src.index()];
+        let rep = &self.state.replicas[src.index()];
         let route = self
             .problem
             .routes()
@@ -1071,7 +1023,7 @@ impl<'p> ScheduleBuilder<'p> {
         let first_hop = hop_starts.len() as u32;
         for hop in route.hops() {
             let dur = self.problem.comm().get(dep, hop.link)?;
-            let start = self.link_tl[hop.link.index()].probe(t, dur);
+            let start = self.state.link_tl[hop.link.index()].probe(t, dur);
             hop_starts.push(start);
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(ProbeEvent {
@@ -1110,7 +1062,7 @@ impl<'p> ScheduleBuilder<'p> {
         scratch: &mut ProbeScratch,
         mut trace: Option<&mut Vec<ProbeEvent>>,
     ) -> bool {
-        if self.patterns.is_empty() {
+        if self.state.patterns.is_empty() {
             return true;
         }
         loop {
@@ -1118,14 +1070,14 @@ impl<'p> ScheduleBuilder<'p> {
                 return true;
             };
             let mut best: Option<RemoteSource> = None;
-            for &r in &self.replicas_of[pred.index()] {
-                if self.replicas[r.index()].proc == dst_proc {
+            for &r in &self.state.replicas_of[pred.index()] {
+                if self.state.replicas[r.index()].proc == dst_proc {
                     continue; // not remote
                 }
-                if !bit_get(&self.surv[r.index()], pi) {
+                if !bit_get(&self.state.surv[r.index()], pi) {
                     continue; // the source replica itself dies under F
                 }
-                let src_proc = self.replicas[r.index()].proc;
+                let src_proc = self.state.replicas[r.index()].proc;
                 let n_routes = self.problem.routes().all(src_proc, dst_proc).len();
                 for ri in 0..n_routes {
                     if scratch.chosen.iter().any(|c| c.src == r && c.route == ri) {
@@ -1167,7 +1119,8 @@ impl<'p> ScheduleBuilder<'p> {
     /// `dst_proc`) under which no chosen source survives.
     fn first_uncovered(&self, dst_proc: ProcId, chosen: &[RemoteSource]) -> Option<(usize, u64)> {
         let pbit = 1u64 << dst_proc.index();
-        self.patterns
+        self.state
+            .patterns
             .iter()
             .copied()
             .enumerate()
@@ -1175,7 +1128,7 @@ impl<'p> ScheduleBuilder<'p> {
             .find(|&(pi, mask)| {
                 !chosen
                     .iter()
-                    .any(|c| c.blockers & mask == 0 && bit_get(&self.surv[c.src.index()], pi))
+                    .any(|c| c.blockers & mask == 0 && bit_get(&self.state.surv[c.src.index()], pi))
             })
     }
 
@@ -1224,16 +1177,16 @@ impl<'p> ScheduleBuilder<'p> {
             .ok_or(ScheduleError::Forbidden { op, proc })?;
         // Recycle the builder-owned plan buffers (evaluation is on the
         // `Minimize_start_time` hot path; no allocation per attempt).
-        let mut buf = std::mem::take(&mut self.plan_buf);
-        let mut scratch = std::mem::take(&mut self.plan_scratch);
+        let mut buf = std::mem::take(&mut self.pools.plan_buf);
+        let mut scratch = std::mem::take(&mut self.pools.plan_scratch);
         let planned = self.plan_inputs_buf(op, proc, dur, bar, &mut buf, &mut scratch);
         if !matches!(planned, Ok(true)) {
-            self.plan_buf = buf;
-            self.plan_scratch = scratch;
+            self.pools.plan_buf = buf;
+            self.pools.plan_scratch = scratch;
             return planned.map(|_| None);
         }
-        let rid = ReplicaId(self.replicas.len() as u32);
-        let mut comms = self.seg_comms_pool.pop().unwrap_or_default();
+        let rid = ReplicaId(self.state.replicas.len() as u32);
+        let mut comms = self.pools.seg_comms.pop().unwrap_or_default();
         comms.clear();
 
         // Laid-out arrivals may differ from the planned ones because this
@@ -1272,24 +1225,26 @@ impl<'p> ScheduleBuilder<'p> {
                 }
             }
         }
-        self.plan_scratch = scratch;
+        self.pools.plan_scratch = scratch;
 
         // The replica survives a failure pattern iff its processor does and
         // every dependency keeps a surviving planned source.
         let pbit = 1u64 << (proc.index().min(MAX_TRACKED_PROCS - 1));
-        let mut surv = self.surv_pool.pop().unwrap_or_default();
+        let mut surv = self.pools.surv.pop().unwrap_or_default();
         surv.clear();
-        surv.resize(self.patterns.len().div_ceil(64), 0);
+        surv.resize(self.state.patterns.len().div_ceil(64), 0);
         let mut fully = true;
-        for (pi, &mask) in self.patterns.iter().enumerate() {
+        for (pi, &mask) in self.state.patterns.iter().enumerate() {
             if mask & pbit != 0 {
                 continue;
             }
             let ok = buf.items.iter().all(|&(_, item)| match item {
-                PlanItem::Local { src, .. } => bit_get(&self.surv[src.index()], pi),
+                PlanItem::Local { src, .. } => bit_get(&self.state.surv[src.index()], pi),
                 PlanItem::Remote { start, len } => buf.pool[start as usize..(start + len) as usize]
                     .iter()
-                    .any(|c| c.blockers & mask == 0 && bit_get(&self.surv[c.src.index()], pi)),
+                    .any(|c| {
+                        c.blockers & mask == 0 && bit_get(&self.state.surv[c.src.index()], pi)
+                    }),
             });
             if ok {
                 bit_set(&mut surv, pi);
@@ -1300,9 +1255,9 @@ impl<'p> ScheduleBuilder<'p> {
         let lip = buf
             .lip
             .map(|(_, lip)| (lip, self.trial_floor(op, lip, proc, &buf)));
-        self.plan_buf = buf;
+        self.pools.plan_buf = buf;
 
-        let tl = &self.proc_tl[proc.index()];
+        let tl = &self.state.proc_tl[proc.index()];
         let start = tl.probe(best_ready, dur);
         let segment = PlacedSegment {
             replica: Replica {
@@ -1338,18 +1293,16 @@ impl<'p> ScheduleBuilder<'p> {
     /// only up to [`ScheduleBuilder::dup_end_floor`]. Other inputs give no
     /// floor.
     fn trial_floor(&self, op: OpId, lip: OpId, proc: ProcId, buf: &PlanBuf) -> Time {
-        let preds =
-            &self.preds[self.pred_off[op.index()] as usize..self.pred_off[op.index() + 1] as usize];
-        let lip_top = self.top[lip.index()];
+        let lip_top = self.state.top[lip.index()];
         let (mut untouched, mut from_lip) = (Time::ZERO, Time::ZERO);
-        for (&(_, pred), &(_, item)) in preds.iter().zip(&buf.items) {
+        for (&(_, pred), &(_, item)) in self.state.preds_of(op).iter().zip(&buf.items) {
             let worst = match item {
                 PlanItem::Local { ready, .. } => ready,
                 PlanItem::Remote { start, len } => buf.pool[(start + len - 1) as usize].arrival,
             };
             if pred == lip {
                 from_lip = from_lip.max(worst);
-            } else if self.top[pred.index()] >= lip_top {
+            } else if self.state.top[pred.index()] >= lip_top {
                 untouched = untouched.max(worst);
             }
         }
@@ -1369,13 +1322,13 @@ impl<'p> ScheduleBuilder<'p> {
             .exec()
             .get(lip, proc)
             .expect("a LIP may run on the processor");
-        let preds = &self.preds
-            [self.pred_off[lip.index()] as usize..self.pred_off[lip.index() + 1] as usize];
-        let ready = preds
+        let ready = self
+            .state
+            .preds_of(lip)
             .iter()
             .filter_map(|&(_, pred)| self.replica_on(pred, proc))
-            .filter(|r| self.fully_live[r.index()])
-            .map(|r| self.replicas[r.index()].end())
+            .filter(|r| self.state.fully_live[r.index()])
+            .map(|r| self.state.replicas[r.index()].end())
             .fold(Time::ZERO, Time::max);
         self.proc_probe(proc, ready, dur) + dur
     }
@@ -1389,19 +1342,18 @@ impl<'p> ScheduleBuilder<'p> {
     /// §4).
     fn parent_lost(&mut self, lip: OpId, proc: ProcId, parent: ParentTrial) -> bool {
         let op = parent.op;
-        let mut scratch = std::mem::take(&mut self.plan_scratch);
+        let mut scratch = std::mem::take(&mut self.pools.plan_scratch);
         scratch.hop_starts.clear();
         let lost_at = |ready| self.proc_probe(proc, ready, parent.dur) >= parent.start_worst;
         // `lip`'s input is floored by the duplicate's end, so it can only
         // decide when that end does; only then is it worth planning.
         let plan_lip = lost_at(self.dup_end_floor(lip, proc));
-        let lip_top = self.top[lip.index()];
-        let lost = (self.pred_off[op.index()]..self.pred_off[op.index() + 1]).any(|di| {
-            let (dep, pred) = self.preds[di as usize];
+        let lip_top = self.state.top[lip.index()];
+        let lost = self.state.preds_of(op).iter().any(|&(dep, pred)| {
             let floors = if pred == lip {
                 plan_lip
             } else {
-                self.top[pred.index()] >= lip_top
+                self.state.top[pred.index()] >= lip_top
             };
             if !floors {
                 return false;
@@ -1413,7 +1365,7 @@ impl<'p> ScheduleBuilder<'p> {
             };
             lost_at(worst)
         });
-        self.plan_scratch = scratch;
+        self.pools.plan_scratch = scratch;
         lost
     }
 
@@ -1435,9 +1387,9 @@ impl<'p> ScheduleBuilder<'p> {
         earlier: &[Comm],
         clash: &mut Vec<Slot>,
     ) -> Vec<BookedHop> {
-        let mut hops = self.hops_pool.pop().unwrap_or_default();
+        let mut hops = self.pools.hops.pop().unwrap_or_default();
         hops.clear();
-        let src_rep = &self.replicas[c.src.index()];
+        let src_rep = &self.state.replicas[c.src.index()];
         let mut t = src_rep.end();
         let route = &self.problem.routes().all(src_rep.proc, dst_proc)[c.route];
         let mut on_plan = true;
@@ -1447,7 +1399,7 @@ impl<'p> ScheduleBuilder<'p> {
                 .comm()
                 .get(dep, hop.link)
                 .expect("candidate routes are transmissible");
-            let tl = &self.link_tl[hop.link.index()];
+            let tl = &self.state.link_tl[hop.link.index()];
             clash.clear();
             clash.extend(
                 earlier
@@ -1491,29 +1443,29 @@ impl<'p> ScheduleBuilder<'p> {
     /// `insert_at` lands in a free gap; a wrong evaluation panics here
     /// instead of drifting silently.
     fn commit(&mut self, mut seg: PlacedSegment) -> ReplicaId {
-        self.mutations += 1;
+        self.state.mutations += 1;
         self.dup_stats.committed_replicas += 1;
         self.dup_stats.committed_comms += seg.comms.len() as u64;
-        let rid = ReplicaId(self.replicas.len() as u32);
+        let rid = ReplicaId(self.state.replicas.len() as u32);
         let slot = seg.replica.slot;
-        self.proc_tl[seg.replica.proc.index()]
+        self.state.proc_tl[seg.replica.proc.index()]
             .insert_at(slot.start, slot.duration(), rid)
             .expect("a placement commits on the state it was evaluated on");
-        self.replicas_of[seg.replica.op.index()].push(rid);
-        self.replicas.push(seg.replica);
-        self.surv.push(seg.surv);
-        self.fully_live.push(seg.fully);
+        self.state.replicas_of[seg.replica.op.index()].push(rid);
+        self.state.replicas.push(seg.replica);
+        self.state.surv.push(seg.surv);
+        self.state.fully_live.push(seg.fully);
         for comm in seg.comms.drain(..) {
             debug_assert_eq!(comm.dst, rid, "evaluated for this replica id");
-            let cid = CommId(self.comms.len() as u32);
+            let cid = CommId(self.state.comms.len() as u32);
             for (i, hop) in comm.hops.iter().enumerate() {
-                self.link_tl[hop.link.index()]
+                self.state.link_tl[hop.link.index()]
                     .insert_at(hop.slot.start, hop.slot.duration(), (cid, i))
                     .expect("a placement commits on the state it was evaluated on");
             }
-            self.comms.push(comm);
+            self.state.comms.push(comm);
         }
-        self.seg_comms_pool.push(seg.comms);
+        self.pools.seg_comms.push(seg.comms);
         rid
     }
 
@@ -1631,24 +1583,26 @@ impl<'p> ScheduleBuilder<'p> {
 
     /// Returns an evaluated but uncommitted segment's buffers to the pools.
     fn recycle_segment(&mut self, mut seg: PlacedSegment) {
-        self.surv_pool.push(seg.surv);
+        self.pools.surv.push(seg.surv);
         for comm in seg.comms.drain(..) {
             let mut hops = comm.hops;
             hops.clear();
-            self.hops_pool.push(hops);
+            self.pools.hops.push(hops);
         }
-        self.seg_comms_pool.push(seg.comms);
+        self.pools.seg_comms.push(seg.comms);
     }
 
     /// Per-resource static orders, derived from the timelines.
     #[allow(clippy::type_complexity)]
     fn resource_orders(&self) -> (Vec<Vec<ReplicaId>>, Vec<Vec<(CommId, usize)>>) {
         let proc_order = self
+            .state
             .proc_tl
             .iter()
             .map(|tl| tl.iter().map(|(_, &r)| r).collect())
             .collect();
         let link_order = self
+            .state
             .link_tl
             .iter()
             .map(|tl| tl.iter().map(|(_, &c)| c).collect())
@@ -1663,26 +1617,19 @@ impl<'p> ScheduleBuilder<'p> {
 
     /// As [`ScheduleBuilder::finish`], also reclaiming the recyclable
     /// buffer pools for the next builder (see [`BuilderPools`]).
-    pub fn finish_reclaim(mut self) -> (Schedule, BuilderPools) {
+    pub fn finish_reclaim(self) -> (Schedule, BuilderPools) {
         let (proc_order, link_order) = self.resource_orders();
-        // Stale hop/survival buffers from unwound speculation recycle just
-        // as well as empty ones; each is cleared at reuse time.
-        let pools = BuilderPools {
-            plan_buf: std::mem::take(&mut self.plan_buf),
-            plan_scratch: std::mem::take(&mut self.plan_scratch),
-            hops: std::mem::take(&mut self.hops_pool),
-            surv: std::mem::take(&mut self.surv_pool),
-            seg_comms: std::mem::take(&mut self.seg_comms_pool),
-        };
         let schedule = Schedule {
             npf: self.problem.npf(),
-            replicas: self.replicas,
-            comms: self.comms,
-            replicas_of: self.replicas_of,
+            replicas: self.state.replicas,
+            comms: self.state.comms,
+            replicas_of: self.state.replicas_of,
             proc_order,
             link_order,
         };
-        (schedule, pools)
+        // Stale hop/survival buffers from unwound speculation recycle just
+        // as well as empty ones; each is cleared at reuse time.
+        (schedule, self.pools)
     }
 
     /// A [`Schedule`] snapshot of the current state, leaving the builder
@@ -1694,9 +1641,9 @@ impl<'p> ScheduleBuilder<'p> {
         let (proc_order, link_order) = self.resource_orders();
         Schedule {
             npf: self.problem.npf(),
-            replicas: self.replicas.clone(),
-            comms: self.comms.clone(),
-            replicas_of: self.replicas_of.clone(),
+            replicas: self.state.replicas.clone(),
+            comms: self.state.comms.clone(),
+            replicas_of: self.state.replicas_of.clone(),
             proc_order,
             link_order,
         }
@@ -2039,15 +1986,15 @@ mod tests {
         b.place(z, ProcId(1)).unwrap();
         b.place(x, ProcId(0)).unwrap();
         b.place(x, ProcId(1)).unwrap();
-        let before = b.link_tl.clone();
-        let first = b.comms.len();
+        let before = b.state.link_tl.clone();
+        let first = b.state.comms.len();
         // Evaluation books nothing; the commit books exactly what it
         // evaluated.
         let seg = b.evaluate(y, ProcId(2), false, None).unwrap().unwrap();
-        assert!(b.link_tl == before && b.comms.len() == first);
+        assert!(b.state.link_tl == before && b.state.comms.len() == first);
         let evaluated = seg.comms.clone();
         let r = b.commit(seg);
-        let comms = &b.comms[first..];
+        let comms = &b.state.comms[first..];
         assert_eq!(comms, &evaluated[..]);
         assert!(comms.iter().all(|c| c.dst == r));
         assert_eq!(
@@ -2100,7 +2047,7 @@ mod tests {
         let Some(most) = MOST_OWN_HOPS.get() else {
             return;
         };
-        lays_out_sequentially(b, &b.link_tl, &seg.comms);
+        lays_out_sequentially(b, &b.state.link_tl, &seg.comms);
         let hops = || seg.comms.iter().flat_map(|c| &c.hops);
         let own = hops().map(|h| hops().filter(|g| g.link == h.link).count());
         MOST_OWN_HOPS.set(Some(own.fold(most, usize::max)));

@@ -17,7 +17,10 @@
 //! * undo-log transactions ([`EngineCx::trial`]: checkpoint, speculate,
 //!   roll back — the only rollback call site in the pipeline);
 //! * per-step tracing ([`StepTrace`]) and arena recycling
-//!   ([`EnginePools`], for the batch service's worker threads).
+//!   ([`EnginePools`], for the batch and daemon worker threads).
+//!
+//! Every run starts through [`Engine::resume`]: a fresh run is the resume
+//! of an empty [`BuilderState`] from step 0.
 //!
 //! What remains per scheduler is a [`PlacementPolicy`]: *which* ready
 //! operation to take ([`PlacementPolicy::select`] — FTBAR's
@@ -132,9 +135,9 @@ pub struct EngineConfig {
     pub trace: bool,
     /// Retain the run for incremental re-scheduling: record a per-step
     /// `(op, checkpoint)` placement log and keep the finished builder
-    /// state ([`EngineOutcome::retained`]). The schedule is unchanged;
-    /// retained pools are kept inside the state instead of being
-    /// reclaimed.
+    /// state ([`EngineOutcome::retained`]). The schedule is unchanged, and
+    /// the builder's pools come back in [`EngineOutcome::pools`] as in an
+    /// unretained run: the retained [`BuilderState`] holds no pools.
     pub retain: bool,
 }
 
@@ -173,11 +176,12 @@ pub struct EngineOutcome {
 
 /// Recyclable, problem-agnostic arenas of a finished [`Engine`]: the
 /// builder's plan/undo pools and the probe cache's entry buffers. The
-/// batch service keeps one per worker thread and threads it through every
-/// job, so steady-state scheduling does not re-grow these between jobs.
+/// batch service and the daemon keep one per worker thread and thread it
+/// through every job (fresh, retained or resumed run alike), so
+/// steady-state scheduling does not re-grow these between jobs.
 #[derive(Debug, Default)]
 pub struct EnginePools {
-    builder: BuilderPools,
+    pub(crate) builder: BuilderPools,
     cache: CachePools,
 }
 
@@ -276,59 +280,33 @@ pub struct Engine<'p, P> {
 }
 
 impl<'p, P: PlacementPolicy> Engine<'p, P> {
-    /// An engine for `problem` driven by `policy`.
+    /// An engine for `problem` driven by `policy`: a resume from step 0
+    /// on an empty state, with fresh arenas.
     pub fn new(problem: &'p Problem, policy: P, config: EngineConfig) -> Self {
-        Self::with_pools(problem, policy, config, EnginePools::default())
+        let state = BuilderState::new(problem);
+        Self::resume(problem, state, &[], policy, config, EnginePools::default())
     }
 
-    /// As [`Engine::new`], seeded with arenas recycled from a previous
-    /// engine ([`EngineOutcome::pools`]). Bit-identical to a fresh engine.
-    pub fn with_pools(
+    /// An engine that continues the main loop on `state`, which carries
+    /// the placements of exactly the operations in `completed` (in that
+    /// step order): the pending counters and the ready set are rebuilt as
+    /// if the loop itself had just committed `completed`. A fresh run is
+    /// the resume of an empty [`BuilderState`] from step 0.
+    ///
+    /// `pools` are arenas recycled from a previous engine
+    /// ([`EngineOutcome::pools`]) or [`EnginePools::default`]; the probe
+    /// cache (if configured) starts cold on them. Neither pools nor cache
+    /// state ever affect results, only speed, so a resumed run selects and
+    /// places exactly as a from-scratch run that reached this state. This
+    /// is the replay half of [`crate::reschedule()`].
+    pub fn resume(
         problem: &'p Problem,
+        state: BuilderState,
+        completed: &[OpId],
         policy: P,
         config: EngineConfig,
         pools: EnginePools,
     ) -> Self {
-        let alg = problem.alg();
-        let pending: Vec<u32> = alg
-            .ops()
-            .map(|o| alg.sched_preds(o).count() as u32)
-            .collect();
-        let mut ready: Vec<OpId> = alg.entry_ops().into_iter().collect();
-        ready.sort_unstable();
-        Engine {
-            cx: EngineCx {
-                builder: ScheduleBuilder::new_with_pools(problem, pools.builder),
-                cache: config
-                    .cache
-                    .map(|focus| ProbeCache::new_focused_with_pools(problem, focus, pools.cache)),
-            },
-            policy,
-            pending,
-            ready,
-            trace: config.trace,
-            retain: config.retain,
-            step_base: 0,
-        }
-    }
-
-    /// An engine that picks up a partially built schedule: `builder`
-    /// already carries the placements of exactly the operations in
-    /// `completed` (in that step order), and the engine continues the main
-    /// loop from there — the pending counters and the ready set are
-    /// rebuilt as if the loop itself had just committed `completed`.
-    ///
-    /// The probe cache (if configured) starts cold; cache state never
-    /// affects results, only speed, so a resumed run selects and places
-    /// exactly as a from-scratch run that reached this state. This is the
-    /// replay half of [`crate::reschedule()`].
-    pub fn resume(
-        builder: ScheduleBuilder<'p>,
-        completed: &[OpId],
-        policy: P,
-        config: EngineConfig,
-    ) -> Self {
-        let problem = builder.problem();
         let alg = problem.alg();
         let mut pending: Vec<u32> = alg
             .ops()
@@ -342,17 +320,16 @@ impl<'p, P: PlacementPolicy> Engine<'p, P> {
                 pending[succ.index()] -= 1;
             }
         }
-        let mut ready: Vec<OpId> = alg
+        let ready: Vec<OpId> = alg
             .ops()
             .filter(|o| !done[o.index()] && pending[o.index()] == 0)
             .collect();
-        ready.sort_unstable();
         Engine {
             cx: EngineCx {
+                builder: ScheduleBuilder::from_state(problem, state, pools.builder),
                 cache: config
                     .cache
-                    .map(|focus| ProbeCache::new_focused(problem, focus)),
-                builder,
+                    .map(|focus| ProbeCache::new_focused_with_pools(problem, focus, pools.cache)),
             },
             policy,
             pending,
@@ -429,18 +406,15 @@ impl<'p, P: PlacementPolicy> Engine<'p, P> {
         let dup_stats = self.cx.builder.dup_stats();
         let cache_pools = self.cx.cache.map(ProbeCache::reclaim).unwrap_or_default();
         let (schedule, builder_pools, retained) = if self.retain {
-            // Keep the builder alive as a detached state; its recycling
-            // pools travel inside the state instead of being reclaimed.
+            // Keep the booking state alive, detached; the pools go back to
+            // the caller either way.
             let schedule = self.cx.builder.finish_snapshot();
-            let state = self.cx.builder.into_state();
-            (
-                schedule,
-                BuilderPools::default(),
-                Some(RetainedRun {
-                    steps: marks,
-                    state,
-                }),
-            )
+            let (state, pools) = self.cx.builder.into_parts();
+            let retained = RetainedRun {
+                steps: marks,
+                state,
+            };
+            (schedule, pools, Some(retained))
         } else {
             let (schedule, pools) = self.cx.builder.finish_reclaim();
             (schedule, pools, None)
@@ -562,8 +536,10 @@ mod tests {
         )
         .run()
         .unwrap();
-        let second = Engine::with_pools(
+        let second = Engine::resume(
             &p,
+            BuilderState::new(&p),
+            &[],
             FirstFit,
             EngineConfig {
                 cache: Some(PointFocus::Full),

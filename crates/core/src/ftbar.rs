@@ -23,8 +23,8 @@
 
 use ftbar_model::{OpId, Problem, ProcId};
 
-use crate::builder::{BuilderState, Checkpoint, ScheduleBuilder};
-use crate::engine::{Engine, EngineConfig, EngineCx, EnginePools, PlacementPolicy};
+use crate::builder::BuilderState;
+use crate::engine::{Engine, EngineConfig, EngineCx, EngineOutcome, EnginePools, PlacementPolicy};
 use crate::error::ScheduleError;
 use crate::pressure::Pressure;
 use crate::schedule::Schedule;
@@ -336,13 +336,9 @@ pub fn schedule_with_pools(
     if config.sweep == SweepStrategy::Clustered {
         return crate::cluster::schedule_clustered(problem, config, pools);
     }
-    let (policy, cache) = build_policy(problem, config);
-    let engine_config = EngineConfig {
-        cache,
-        trace: config.trace,
-        retain: false,
-    };
-    let out = Engine::with_pools(problem, policy, engine_config, pools).run()?;
+    let state = BuilderState::new(problem);
+    let pressure = Pressure::new(problem);
+    let out = run(problem, state, &[], config, &pressure, false, pools)?;
     Ok((
         FtbarOutcome {
             schedule: out.schedule,
@@ -354,30 +350,50 @@ pub fn schedule_with_pools(
     ))
 }
 
-/// Builds the FTBAR policy and the engine cache focus for `problem`. The
-/// caller has already dispatched [`SweepStrategy::Clustered`] elsewhere.
-fn build_policy(problem: &Problem, config: &FtbarConfig) -> (FtbarPolicy, Option<PointFocus>) {
-    let pressure = Pressure::new(problem);
-    build_policy_from(problem, config, &pressure, None)
+/// The one FTBAR run: resumes the main loop on `state`, whose placements
+/// are exactly the operations of `completed` in that step order, with a
+/// fresh policy (bottom levels from `pressure`, the sweep engine's static
+/// bounds restricted to the still-pending operations) and a cold probe
+/// cache on `pools`. A fresh run is the resume of an empty
+/// [`BuilderState`] from step 0. With `retain`, the outcome carries the
+/// suffix placement log and the final state (the caller stitches
+/// `completed`'s log back on) and no step trace. The strategy must not be
+/// [`SweepStrategy::Clustered`]: the two-phase expansion has no single
+/// placement log to resume.
+pub(crate) fn run(
+    problem: &Problem,
+    state: BuilderState,
+    completed: &[OpId],
+    config: &FtbarConfig,
+    pressure: &Pressure,
+    retain: bool,
+    pools: EnginePools,
+) -> Result<EngineOutcome, ScheduleError> {
+    let mut pending = vec![true; problem.alg().op_count()];
+    for &op in completed {
+        pending[op.index()] = false;
+    }
+    let (policy, cache) = build_policy(problem, config, pressure, &pending);
+    let engine_config = EngineConfig {
+        cache,
+        trace: config.trace && !retain,
+        retain,
+    };
+    Engine::resume(problem, state, completed, policy, engine_config, pools).run()
 }
 
-/// [`build_policy`] with a caller-supplied [`Pressure`] (avoiding a
-/// recompute when the caller already has one) and, for resumed runs, the
-/// pending-operation mask that lets the sweep engine restrict its static
-/// slack bounds to operations that can still become candidates.
-fn build_policy_from(
+/// Builds the FTBAR policy and the engine cache focus for a run whose
+/// still-to-place operations are the `pending` ones.
+fn build_policy(
     problem: &Problem,
     config: &FtbarConfig,
     pressure: &Pressure,
-    pending: Option<&[bool]>,
+    pending: &[bool],
 ) -> (FtbarPolicy, Option<PointFocus>) {
     let (sweep, cache) = match config.sweep {
         SweepStrategy::Clustered => unreachable!("dispatched by the caller"),
         SweepStrategy::Adaptive | SweepStrategy::Incremental => {
-            let engine = match pending {
-                Some(mask) => SweepEngine::new_pending(problem, pressure, config.cost, mask),
-                None => SweepEngine::new(problem, pressure, config.cost),
-            };
+            let engine = SweepEngine::new(problem, pressure, config.cost, pending);
             // The selection sweep only ranks by the cost function's field,
             // so the cache completes just that probe (see `PointFocus`).
             let focus = match config.cost {
@@ -403,85 +419,6 @@ fn build_policy_from(
         sigmas: Vec::new(),
     };
     (policy, cache)
-}
-
-/// A retained FTBAR run: the schedule plus everything
-/// [`crate::reschedule()`] needs to repair it later.
-pub(crate) struct RetainedParts {
-    pub schedule: Schedule,
-    /// `(op, checkpoint before its commit)` per main-loop step.
-    pub steps: Vec<(OpId, Checkpoint)>,
-    /// The final builder state, detached from the problem.
-    pub state: BuilderState,
-    /// Bit patterns of the problem's bottom levels, indexed by operation —
-    /// kept so a later repair can diff them against the edited problem's
-    /// levels without recomputing this problem's [`Pressure`].
-    pub bottom_bits: Vec<u64>,
-}
-
-/// Runs FTBAR with [`EngineConfig::retain`] set, keeping the placement
-/// log and the final builder state. The schedule is bit-identical to
-/// [`schedule_with`]. The strategy must not be
-/// [`SweepStrategy::Clustered`] (the two-phase expansion has no single
-/// placement log to retain — callers fall back to plain scheduling).
-pub(crate) fn run_retained(
-    problem: &Problem,
-    config: &FtbarConfig,
-) -> Result<RetainedParts, ScheduleError> {
-    debug_assert_ne!(
-        config.sweep,
-        SweepStrategy::Clustered,
-        "clustered runs cannot be retained"
-    );
-    let (policy, cache) = build_policy(problem, config);
-    let bottom_bits = policy.bottom.iter().map(|b| b.to_bits()).collect();
-    let engine_config = EngineConfig {
-        cache,
-        trace: false,
-        retain: true,
-    };
-    let out = Engine::new(problem, policy, engine_config).run()?;
-    let retained = out.retained.expect("retain was requested");
-    Ok(RetainedParts {
-        schedule: out.schedule,
-        steps: retained.steps,
-        state: retained.state,
-        bottom_bits,
-    })
-}
-
-/// Resumes FTBAR on a partially built `builder` whose placements are
-/// exactly the operations of `completed`, in that step order, finishing
-/// the run with a fresh policy (bottom levels from the caller-supplied
-/// `pressure`, the sweep engine's static bounds restricted to the
-/// still-pending operations) and a cold probe cache. Returns the suffix
-/// placement log only — the caller stitches `completed`'s log back on.
-pub(crate) fn resume_retained(
-    builder: ScheduleBuilder<'_>,
-    completed: &[OpId],
-    config: &FtbarConfig,
-    pressure: &Pressure,
-) -> Result<RetainedParts, ScheduleError> {
-    let problem = builder.problem();
-    let mut pending = vec![true; problem.alg().op_count()];
-    for &op in completed {
-        pending[op.index()] = false;
-    }
-    let (policy, cache) = build_policy_from(problem, config, pressure, Some(&pending));
-    let bottom_bits = policy.bottom.iter().map(|b| b.to_bits()).collect();
-    let engine_config = EngineConfig {
-        cache,
-        trace: false,
-        retain: true,
-    };
-    let out = Engine::resume(builder, completed, policy, engine_config).run()?;
-    let retained = out.retained.expect("retain was requested");
-    Ok(RetainedParts {
-        schedule: out.schedule,
-        steps: retained.steps,
-        state: retained.state,
-        bottom_bits,
-    })
 }
 
 /// Schedules `problem` with the incremental engine and returns the probe

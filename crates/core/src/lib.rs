@@ -78,8 +78,8 @@ pub use replay::{
     replay, replay_with, FailureScenario, ReplayConfig, ReplayPlan, ReplayResult, ReplicaOutcome,
 };
 pub use reschedule::{
-    reschedule, schedule_retained, RepairReport, RescheduleError, RescheduleOutcome,
-    ScheduleArtifacts,
+    reschedule, reschedule_with_pools, schedule_retained, schedule_retained_with_pools,
+    RepairReport, RescheduleError, RescheduleOutcome, ScheduleArtifacts,
 };
 pub use schedule::{BookedHop, Comm, CommId, CommIndex, Replica, ReplicaId, Schedule};
 pub use sweep::{CachePools, PointFocus, ProbeCache, SweepEngine, SweepStats};

@@ -4,7 +4,8 @@
 //! A normal run retains, at negligible cost, three things (see
 //! [`ScheduleArtifacts`]): the placement log (the operation chosen at each
 //! main-loop step plus the undo-log checkpoint taken just before its
-//! commit), the final [`ScheduleBuilder`] state, and the configuration.
+//! commit), the final booking [`BuilderState`] (no scratch pools), and
+//! the configuration.
 //! [`reschedule`] then repairs an edit in three moves:
 //!
 //! 1. **Affected set.** For a timing tweak, the operations whose probe
@@ -18,7 +19,7 @@
 //!    selection and placement before `F` read only unaffected inputs, so
 //!    the prefix is byte-for-byte what a from-scratch run on the edited
 //!    problem would produce. §14 of DESIGN.md gives the full argument.
-//! 3. **Rollback + resume.** Roll the retained builder back to the
+//! 3. **Rollback + resume.** Roll the retained state back to the
 //!    checkpoint of step `F` and resume the engine over the remaining
 //!    operations with a fresh policy (bottom levels from the edited
 //!    problem) and a cold probe cache — both exact, so the suffix too is
@@ -28,12 +29,13 @@
 //! runs fall back to a full retained run on the edited problem. Either
 //! way the result is **bit-identical to `ftbar::schedule_with` on the
 //! edited problem** — by construction here, and by property test in
-//! `tests/reschedule_prop.rs`.
+//! `tests/reschedule_repair.rs`.
 
 use ftbar_model::{OpId, Problem};
 
-use crate::builder::{BuilderState, Checkpoint, ScheduleBuilder};
+use crate::builder::{BuilderState, Checkpoint};
 use crate::edit::{EditError, ProblemEdit};
+use crate::engine::EnginePools;
 use crate::error::ScheduleError;
 use crate::ftbar::{self, FtbarConfig, SweepStrategy};
 use crate::pressure::Pressure;
@@ -163,26 +165,37 @@ pub fn schedule_retained(
     problem: &Problem,
     config: &FtbarConfig,
 ) -> Result<(Schedule, ScheduleArtifacts), ScheduleError> {
+    schedule_retained_with_pools(problem, config, EnginePools::default())
+        .map(|(schedule, artifacts, _)| (schedule, artifacts))
+}
+
+/// As [`schedule_retained`], seeded with recycled engine arenas and
+/// returning them for the next run, as [`ftbar::schedule_with_pools`]
+/// does. The artifacts hold no pools.
+///
+/// # Errors
+///
+/// Exactly those of [`ftbar::schedule_with`].
+pub fn schedule_retained_with_pools(
+    problem: &Problem,
+    config: &FtbarConfig,
+    pools: EnginePools,
+) -> Result<(Schedule, ScheduleArtifacts, EnginePools), ScheduleError> {
     if config.sweep == SweepStrategy::Clustered {
         // Clustered expansion has no single placement log; retain nothing
         // and let every repair of these artifacts take the full-run path.
-        let out = ftbar::schedule_with(problem, config)?;
+        let (out, pools) = ftbar::schedule_with_pools(problem, config, pools)?;
         let artifacts = ScheduleArtifacts {
             problem: problem.clone(),
             config: config.clone(),
             retained: None,
             bottom_bits: Vec::new(),
         };
-        return Ok((out.schedule, artifacts));
+        return Ok((out.schedule, artifacts, pools));
     }
-    let parts = ftbar::run_retained(problem, config)?;
-    let artifacts = ScheduleArtifacts {
-        problem: problem.clone(),
-        config: config.clone(),
-        retained: Some((parts.steps, parts.state)),
-        bottom_bits: parts.bottom_bits,
-    };
-    Ok((parts.schedule, artifacts))
+    let state = BuilderState::new(problem);
+    let pressure = Pressure::new(problem);
+    run_retained(problem.clone(), config, &pressure, state, &[], pools)
 }
 
 /// Applies `edit` to the previously scheduled problem and produces the
@@ -201,6 +214,20 @@ pub fn reschedule(
     prev: &ScheduleArtifacts,
     edit: &ProblemEdit,
 ) -> Result<RescheduleOutcome, RescheduleError> {
+    reschedule_with_pools(prev, edit, EnginePools::default()).map(|(out, _)| out)
+}
+
+/// As [`reschedule`], seeded with recycled engine arenas and returning
+/// them for the next run. An error drops the arenas.
+///
+/// # Errors
+///
+/// As [`reschedule`].
+pub fn reschedule_with_pools(
+    prev: &ScheduleArtifacts,
+    edit: &ProblemEdit,
+    mut pools: EnginePools,
+) -> Result<(RescheduleOutcome, EnginePools), RescheduleError> {
     let edited = edit.apply(&prev.problem)?;
 
     let fallback_reason = if edit.is_structural() {
@@ -210,52 +237,69 @@ pub fn reschedule(
     } else {
         None
     };
-    if let Some(reason) = fallback_reason {
-        let (schedule, artifacts) = schedule_retained(&edited, &prev.config)?;
-        let steps_total = artifacts.step_count();
-        return Ok(RescheduleOutcome {
-            schedule,
-            artifacts,
-            report: RepairReport {
-                fell_back: true,
-                reason: Some(reason),
-                frontier: 0,
-                steps_total,
-            },
-        });
-    }
-
-    let (steps, state) = prev.retained.as_ref().expect("checked above");
-    let pressure = Pressure::new(&edited);
-    let affected = affected_ops(prev, &pressure, edit);
-    let frontier = invalidation_frontier(&prev.problem, steps, &affected);
-
-    let mut builder = ScheduleBuilder::from_state(&edited, state.clone());
-    if frontier < steps.len() {
-        builder.rollback(steps[frontier].1);
-    }
-    let completed: Vec<OpId> = steps[..frontier].iter().map(|&(op, _)| op).collect();
-    let parts = ftbar::resume_retained(builder, &completed, &prev.config, &pressure)?;
-
-    let mut full_steps = steps[..frontier].to_vec();
-    full_steps.extend(parts.steps);
-    let steps_total = full_steps.len();
-    let artifacts = ScheduleArtifacts {
-        problem: edited,
-        config: prev.config.clone(),
-        retained: Some((full_steps, parts.state)),
-        bottom_bits: parts.bottom_bits,
+    let (schedule, artifacts, pools, frontier) = match fallback_reason {
+        Some(_) => {
+            let (schedule, artifacts, pools) =
+                schedule_retained_with_pools(&edited, &prev.config, pools)?;
+            (schedule, artifacts, pools, 0)
+        }
+        None => {
+            let (steps, state) = prev.retained.as_ref().expect("checked above");
+            let pressure = Pressure::new(&edited);
+            let affected = affected_ops(prev, &pressure, edit);
+            let frontier = invalidation_frontier(&prev.problem, steps, &affected);
+            let mut state = state.clone();
+            if frontier < steps.len() {
+                state.rollback(steps[frontier].1, &mut pools.builder);
+            }
+            let prefix = &steps[..frontier];
+            let (schedule, artifacts, pools) =
+                run_retained(edited, &prev.config, &pressure, state, prefix, pools)?;
+            (schedule, artifacts, pools, frontier)
+        }
     };
-    Ok(RescheduleOutcome {
-        schedule: parts.schedule,
+    let report = RepairReport {
+        fell_back: fallback_reason.is_some(),
+        reason: fallback_reason,
+        frontier,
+        steps_total: artifacts.step_count(),
+    };
+    let outcome = RescheduleOutcome {
+        schedule,
         artifacts,
-        report: RepairReport {
-            fell_back: false,
-            reason: None,
-            frontier,
-            steps_total,
-        },
-    })
+        report,
+    };
+    Ok((outcome, pools))
+}
+
+/// Runs FTBAR on `problem` from `state`, whose placements are exactly the
+/// steps of `prefix`, retaining the run: the artifacts' placement log is
+/// `prefix` followed by the resumed steps.
+fn run_retained(
+    problem: Problem,
+    config: &FtbarConfig,
+    pressure: &Pressure,
+    state: BuilderState,
+    prefix: &[(OpId, Checkpoint)],
+    pools: EnginePools,
+) -> Result<(Schedule, ScheduleArtifacts, EnginePools), ScheduleError> {
+    let completed: Vec<OpId> = prefix.iter().map(|&(op, _)| op).collect();
+    let out = ftbar::run(&problem, state, &completed, config, pressure, true, pools)?;
+    let run = out.retained.expect("retain was requested");
+    let mut steps = prefix.to_vec();
+    steps.extend(run.steps);
+    let bottom_bits = problem
+        .alg()
+        .ops()
+        .map(|op| pressure.bottom_level(op).to_bits())
+        .collect();
+    let artifacts = ScheduleArtifacts {
+        problem,
+        config: config.clone(),
+        retained: Some((steps, run.state)),
+        bottom_bits,
+    };
+    Ok((out.schedule, artifacts, out.pools))
 }
 
 /// The operations whose selection or placement inputs the timing tweak

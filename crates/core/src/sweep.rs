@@ -534,13 +534,9 @@ pub struct SweepEngine {
 }
 
 impl SweepEngine {
-    /// A fresh engine for `problem`.
-    pub fn new(problem: &Problem, pressure: &Pressure, cost: CostFunction) -> Self {
-        Self::new_masked(problem, pressure, cost, None)
-    }
-
-    /// A fresh engine for a resumed run: the static slack bounds are
-    /// computed only for operations still `pending` (indexed by operation).
+    /// A fresh engine for a run whose operations still to place are the
+    /// `pending` ones (indexed by operation; all of them for a run from
+    /// step 0): the static slack bounds are computed only for those.
     ///
     /// Sound because the bounds are only consulted for candidates, and only
     /// pending operations ever become candidates; restricting the
@@ -549,20 +545,11 @@ impl SweepEngine {
     /// only when its bound is **strictly** below the incumbent σ — a
     /// tighter sound bound therefore never changes which candidate wins,
     /// only how many probes the sweep avoids.
-    pub fn new_pending(
+    pub fn new(
         problem: &Problem,
         pressure: &Pressure,
         cost: CostFunction,
         pending: &[bool],
-    ) -> Self {
-        Self::new_masked(problem, pressure, cost, Some(pending))
-    }
-
-    fn new_masked(
-        problem: &Problem,
-        pressure: &Pressure,
-        cost: CostFunction,
-        pending: Option<&[bool]>,
     ) -> Self {
         let alg = problem.alg();
         let mut allowed = Vec::with_capacity(alg.op_count() * problem.arch().proc_count());
@@ -582,12 +569,11 @@ impl SweepEngine {
         let arch = problem.arch();
         let routes = problem.routes();
         let comm = problem.comm();
-        let is_pending = |op: OpId| pending.is_none_or(|m| m[op.index()]);
         // Only dependencies feeding a pending operation contribute to any
         // consulted `in_slack`; skip the worst-route scan for the rest.
         let mut needed = vec![false; alg.dep_count()];
         for op in alg.ops() {
-            if is_pending(op) {
+            if pending[op.index()] {
                 for (d, _) in alg.sched_preds(op) {
                     needed[d.index()] = true;
                 }
@@ -621,7 +607,7 @@ impl SweepEngine {
         let in_slack: Vec<Time> = alg
             .ops()
             .map(|op| {
-                if !is_pending(op) {
+                if !pending[op.index()] {
                     return Time::ZERO;
                 }
                 alg.sched_preds(op)

@@ -47,7 +47,7 @@
 #![warn(missing_docs)]
 
 use ftbar_core::engine::{Engine, EngineConfig, EngineCx, EnginePools, PlacementPolicy};
-use ftbar_core::{PointFocus, Schedule, ScheduleError};
+use ftbar_core::{BuilderState, PointFocus, Schedule, ScheduleError};
 use ftbar_graph::node_levels;
 use ftbar_model::{OpId, Problem, ProcId, Time};
 
@@ -119,7 +119,8 @@ pub fn schedule_with_pools(
         trace: false,
         retain: false,
     };
-    let out = Engine::with_pools(problem, policy, engine_config, pools).run()?;
+    let state = BuilderState::new(problem);
+    let out = Engine::resume(problem, state, &[], policy, engine_config, pools).run()?;
     Ok((out.schedule, out.pools))
 }
 

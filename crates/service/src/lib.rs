@@ -20,9 +20,14 @@
 //!   unschedulable problem, or a worker panic caught at the job boundary)
 //!   yields an `Err` in *its* slot; every other job completes normally.
 //! * **Steady-state allocation** — each worker thread recycles one
-//!   [`EnginePools`] arena through all the jobs it runs
-//!   ([`ftbar_core::ftbar::schedule_with_pools`]), so per-job setup does
-//!   not re-grow the plan/undo/cache buffers.
+//!   [`EnginePools`] arena through all the jobs it runs, so per-job setup
+//!   does not re-grow the plan/undo/cache buffers. That holds for batch
+//!   jobs ([`ftbar_core::ftbar::schedule_with_pools`]) and for the
+//!   daemon's FTBAR requests, repairs and snapshot seed replay, which run
+//!   through the pooled retained entries
+//!   ([`ftbar_core::schedule_retained_with_pools`],
+//!   [`ftbar_core::reschedule_with_pools`]); retained artifacts hold no
+//!   pools.
 //!
 //! Work is distributed over `std::thread::scope` threads by an
 //! atomic job cursor; ordering is restored by submission index, so the
@@ -58,7 +63,7 @@ use std::sync::mpsc;
 
 use ftbar_core::engine::EnginePools;
 use ftbar_core::json::JsonObject;
-use ftbar_core::reschedule::{schedule_retained, ScheduleArtifacts};
+use ftbar_core::reschedule::{schedule_retained_with_pools, ScheduleArtifacts};
 use ftbar_core::{ftbar, FtbarConfig, ReplayPlan, Schedule, SweepStrategy};
 use ftbar_model::{spec, Problem};
 use ftbar_sim::scenario;
@@ -369,10 +374,10 @@ pub(crate) fn parse_problem(text: &str, npf: Option<u32>) -> Result<Problem, Str
 /// Runs `scheduler` on `problem` with the `sweep` strategy (FTBAR only),
 /// recycling `pools`: the one scheduler dispatch of batch jobs, daemon
 /// requests and snapshot seed replay. With `retain`, FTBAR also keeps its
-/// engine state for later repair ([`schedule_retained`], bit-identical to
-/// the pooled run) when the run had steps to keep; HBP never retains. A
-/// failed run restarts the arena; `Err` carries the message the job fails
-/// with.
+/// engine state for later repair ([`schedule_retained_with_pools`],
+/// bit-identical to the unretained run) when the run had steps to keep;
+/// HBP never retains. A failed run restarts the arena; `Err` carries the
+/// message the job fails with.
 pub(crate) fn run_scheduler(
     problem: &Problem,
     scheduler: SchedulerKind,
@@ -388,12 +393,11 @@ pub(crate) fn run_scheduler(
         ..FtbarConfig::default()
     };
     let run = match scheduler {
-        SchedulerKind::Ftbar if retain => {
-            schedule_retained(problem, &config).map(|(schedule, artifacts)| {
+        SchedulerKind::Ftbar if retain => schedule_retained_with_pools(problem, &config, pools)
+            .map(|(schedule, artifacts, pools)| {
                 let keep = (artifacts.step_count() > 0).then_some(artifacts);
                 ((schedule, keep), pools)
-            })
-        }
+            }),
         SchedulerKind::Ftbar => ftbar::schedule_with_pools(problem, &config, pools)
             .map(|(outcome, pools)| ((outcome.schedule, None), pools)),
         SchedulerKind::Hbp => {

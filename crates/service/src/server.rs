@@ -39,7 +39,7 @@ use ftbar_core::edit::{EditError, ProblemEdit};
 use ftbar_core::engine::EnginePools;
 use ftbar_core::ftbar::SweepStrategy;
 use ftbar_core::json::JsonObject;
-use ftbar_core::reschedule::{reschedule, RescheduleError, ScheduleArtifacts};
+use ftbar_core::reschedule::{reschedule_with_pools, RescheduleError, ScheduleArtifacts};
 use ftbar_model::Problem;
 
 use crate::cache::{canonical_key, CacheStats, ResponseCache};
@@ -648,14 +648,18 @@ impl ServerState {
                 poisoned.insert(raw);
             }
         }
+        // One arena serves every replay, as a worker's serves its jobs.
+        let mut pools = EnginePools::default();
         for seed in restore.data.seeds {
             // Replay through the deterministic scheduler instead of
             // trusting serialized engine state. `catch_unwind` so an
             // adversarial snapshot can cost us artifacts, never the
             // daemon.
-            let replayed = catch_unwind(AssertUnwindSafe(|| rehydrate_seed(&seed, &self.config)))
-                .ok()
-                .flatten();
+            let replayed = catch_unwind(AssertUnwindSafe(|| {
+                rehydrate_seed(&seed, &self.config, &mut pools)
+            }))
+            .ok()
+            .flatten();
             match replayed {
                 Some((canonical, artifacts)) => {
                     self.artifacts.lock().unwrap().insert(
@@ -773,11 +777,13 @@ impl ServerState {
 /// Replays an [`ArtifactSeed`] into live retained artifacts: parse the
 /// base spec, apply the npf override and the edit chain, and re-run the
 /// retaining scheduler. Deterministic engines make the result
-/// byte-equivalent to the artifacts the seed was taken from. `None`
-/// drops the seed (stale spec, inapplicable edit, failed run).
+/// byte-equivalent to the artifacts the seed was taken from. The run
+/// recycles `pools` (left fresh if it fails). `None` drops the seed
+/// (stale spec, inapplicable edit, failed run).
 fn rehydrate_seed(
     seed: &ArtifactSeed,
     config: &ServerConfig,
+    pools: &mut EnginePools,
 ) -> Option<(String, ScheduleArtifacts)> {
     if seed.scheduler != SchedulerKind::Ftbar || config.artifact_slots == 0 {
         return None;
@@ -787,13 +793,9 @@ fn rehydrate_seed(
     for edit in &seed.edits {
         problem = edit.apply(&problem).ok()?;
     }
-    let (scheduled, _pools) = run_scheduler(
-        &problem,
-        seed.scheduler,
-        strategy,
-        true,
-        EnginePools::default(),
-    );
+    let taken = std::mem::take(pools);
+    let (scheduled, recycled) = run_scheduler(&problem, seed.scheduler, strategy, true, taken);
+    *pools = recycled;
     let (_schedule, artifacts) = scheduled.ok()?;
     let artifacts = artifacts?;
     let canonical = canonical_key(
@@ -1051,12 +1053,16 @@ pub(crate) fn compute_reschedule(
     };
     let (computed, pools, repaired) = match parent {
         Some(prev) => {
-            let out = match reschedule(&prev, edit) {
-                Ok(out) => out,
-                Err(RescheduleError::Edit(e)) => return (Err(bad_edit(e)), pools),
+            // A failed repair drops the arena, as a failed run does.
+            let (out, pools) = match reschedule_with_pools(&prev, edit, pools) {
+                Ok(done) => done,
+                Err(RescheduleError::Edit(e)) => return (Err(bad_edit(e)), EnginePools::default()),
                 Err(RescheduleError::Schedule(e)) => {
                     let message = format!("schedule error: {e}");
-                    return (Err((ErrorCode::ScheduleError, message)), pools);
+                    return (
+                        Err((ErrorCode::ScheduleError, message)),
+                        EnginePools::default(),
+                    );
                 }
             };
             let computed = render_scheduled(req, out.artifacts.problem(), out.schedule, false);

@@ -12,11 +12,15 @@
 //! `CHUNK_MAX` chunk splits and merges.
 
 use ftbar::core::edit::ProblemEdit;
+use ftbar::core::engine::EnginePools;
 use ftbar::core::ftbar as ftbar_sched;
-use ftbar::core::reschedule::{reschedule, schedule_retained, RescheduleError, ScheduleArtifacts};
+use ftbar::core::reschedule::{
+    reschedule, reschedule_with_pools, schedule_retained, schedule_retained_with_pools,
+    RescheduleError, ScheduleArtifacts,
+};
 use ftbar::core::{FtbarConfig, Schedule, ScheduleBuilder};
 use ftbar::model::Problem;
-use ftbar::workload::{problem_on, Topology};
+use ftbar::workload::{arch, layered, problem_on, timing, LayeredConfig, TimingConfig, Topology};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Serialized form — the "byte-identical" witness. Two schedules with
@@ -203,6 +207,112 @@ fn chained_repairs_stay_bit_identical() {
             "{}: only {applied} edits applied",
             topology.name()
         );
+    }
+}
+
+/// Six seeded edits for a chain on `problem`: timing tweaks of ops on
+/// processors they may run on and of real dependencies, with one
+/// structural edit in the middle so the fallback path runs too.
+fn seeded_chain(problem: &Problem, seed: u64) -> Vec<ProblemEdit> {
+    let alg = problem.alg();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ops: Vec<_> = alg.ops().collect();
+    let deps: Vec<_> = alg.deps().collect();
+    let name = |op| alg.op(op).name().to_owned();
+    let tweak = |rng: &mut StdRng, i: usize| {
+        let units = (rng.gen_range(1u32..80) as f64) / 8.0;
+        if i.is_multiple_of(2) {
+            let op = ops[rng.gen_range(0usize..ops.len())];
+            let proc = problem
+                .exec()
+                .allowed_procs(op)
+                .next()
+                .expect("runs somewhere");
+            ProblemEdit::TweakExec {
+                op: name(op),
+                proc: problem.arch().proc(proc).name().to_owned(),
+                units,
+            }
+        } else {
+            let (src, dst) = alg.dep_endpoints(deps[rng.gen_range(0usize..deps.len())]);
+            ProblemEdit::TweakComm {
+                src: name(src),
+                dst: name(dst),
+                units,
+            }
+        }
+    };
+    let mut edits: Vec<_> = (0..5).map(|i| tweak(&mut rng, i)).collect();
+    let p0 = problem.arch().procs().next().expect("a processor");
+    let on_p0: Vec<_> = ops
+        .iter()
+        .copied()
+        .filter(|&op| problem.exec().allows(op, p0))
+        .collect();
+    let op = on_p0[rng.gen_range(0usize..on_p0.len())];
+    edits.insert(
+        3,
+        ProblemEdit::ForbidProc {
+            op: name(op),
+            proc: problem.arch().proc(p0).name().to_owned(),
+        },
+    );
+    edits
+}
+
+/// The daemon's path: one [`EnginePools`] arena threaded through every
+/// retained run and repair of chains on ring(6) and mesh:3x2 (N = 150,
+/// CCR 5) gives the same schedules, repair reports and step counts as
+/// fresh pools per call, and every schedule equals a from-scratch run of
+/// the edited problem.
+#[test]
+fn pooled_chains_equal_fresh_chains() {
+    let config = FtbarConfig::default();
+    let mut pools = EnginePools::default();
+    for (i, machine) in [arch::ring(6), arch::mesh(3, 2)].into_iter().enumerate() {
+        let seed = 3_300 + i as u64;
+        let alg = layered(&LayeredConfig {
+            n_ops: 150,
+            seed,
+            ..Default::default()
+        });
+        let ccr = TimingConfig {
+            ccr: 5.0,
+            npf: 1,
+            seed,
+            ..Default::default()
+        };
+        let problem = timing(alg, machine, &ccr).expect("generated problems are valid");
+        let (fresh, mut fresh_art) = schedule_retained(&problem, &config).expect("schedules");
+        let (pooled, mut pooled_art, recycled) =
+            schedule_retained_with_pools(&problem, &config, pools).expect("schedules");
+        pools = recycled;
+        assert_eq!(bytes(&fresh), bytes(&pooled));
+        assert_eq!(fresh_art.step_count(), pooled_art.step_count());
+        let mut repaired = 0;
+        for (k, edit) in seeded_chain(&problem, seed).iter().enumerate() {
+            let context = format!("machine {i} edit {k}: {edit:?}");
+            let fresh = reschedule(&fresh_art, edit).expect("edit applies");
+            let (pooled, recycled) =
+                reschedule_with_pools(&pooled_art, edit, pools).expect("edit applies");
+            pools = recycled;
+            assert_eq!(bytes(&fresh.schedule), bytes(&pooled.schedule), "{context}");
+            assert_eq!(fresh.report, pooled.report, "{context}");
+            assert_eq!(edit.is_structural(), pooled.report.fell_back, "{context}");
+            repaired += usize::from(!pooled.report.fell_back);
+            let steps = pooled.artifacts.step_count();
+            assert_eq!(fresh.artifacts.step_count(), steps, "{context}");
+            let scratch =
+                ftbar_sched::schedule_with(pooled.artifacts.problem(), &config).expect("schedules");
+            assert_eq!(
+                bytes(&scratch.schedule),
+                bytes(&pooled.schedule),
+                "{context}"
+            );
+            fresh_art = fresh.artifacts;
+            pooled_art = pooled.artifacts;
+        }
+        assert_eq!(repaired, 5, "machine {i}: every tweak repairs");
     }
 }
 
