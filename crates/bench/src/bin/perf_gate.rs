@@ -509,30 +509,42 @@ fn main() {
         // warm run grows the pools, the measured rerun reuses them. The
         // count divided by N (one main-loop step per operation) must stay
         // O(1) as N grows — per-probe/per-plan buffer churn would show up
-        // as a superlinear count here.
+        // as a superlinear count here. `FTBAR-steady` is the batch path;
+        // `FTBAR-retained-steady` the daemon's, which also keeps the
+        // placement log and the final state for repair.
         let config = FtbarConfig {
             sweep: SweepStrategy::Incremental,
             ..FtbarConfig::default()
         };
-        let (_, pools) = ftbar::schedule_with_pools(&problem, &config, EnginePools::default())
-            .expect("warm run");
-        let mut reused = Some(pools);
-        let (alloc_count, peak_bytes) = count_allocs(|| {
-            let (_, p) =
-                ftbar::schedule_with_pools(&problem, &config, reused.take().expect("pools"))
-                    .expect("steady-state run");
-            reused = Some(p);
-        });
-        println!(
-            "allocations/FTBAR-steady/{n}: {alloc_count} allocs ({:.2}/step), peak {peak_bytes} B",
-            alloc_count as f64 / n as f64
-        );
-        allocs.push(AllocPoint {
-            variant: "FTBAR-steady",
-            n_ops: n,
-            alloc_count,
-            peak_bytes,
-        });
+        type PooledRun = fn(&Problem, &FtbarConfig, EnginePools) -> EnginePools;
+        let runs: [(&str, PooledRun); 2] = [
+            ("FTBAR-steady", |p, c, pools| {
+                ftbar::schedule_with_pools(p, c, pools)
+                    .expect("schedules")
+                    .1
+            }),
+            ("FTBAR-retained-steady", |p, c, pools| {
+                ftbar_core::schedule_retained_with_pools(p, c, pools)
+                    .expect("schedules")
+                    .2
+            }),
+        ];
+        for (variant, run) in runs {
+            let mut reused = Some(run(&problem, &config, EnginePools::default()));
+            let (alloc_count, peak_bytes) = count_allocs(|| {
+                reused = Some(run(&problem, &config, reused.take().expect("pools")));
+            });
+            println!(
+                "allocations/{variant}/{n}: {alloc_count} allocs ({:.2}/step), peak {peak_bytes} B",
+                alloc_count as f64 / n as f64
+            );
+            allocs.push(AllocPoint {
+                variant,
+                n_ops: n,
+                alloc_count,
+                peak_bytes,
+            });
+        }
     }
 
     // Batch throughput: the service layer scheduling many independent
