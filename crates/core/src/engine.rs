@@ -147,7 +147,7 @@ pub struct EngineConfig {
 /// commit — plus the finished builder state. Rolling the state back to
 /// `steps[t].1` reproduces the exact builder the run had entering step
 /// `t`, which is what [`crate::reschedule()`] resumes from.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RetainedRun {
     /// `(committed op, checkpoint before its commit)` per step, in step
     /// order.

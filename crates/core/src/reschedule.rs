@@ -35,7 +35,7 @@ use ftbar_model::{OpId, Problem};
 
 use crate::builder::{BuilderState, Checkpoint};
 use crate::edit::{EditError, ProblemEdit};
-use crate::engine::EnginePools;
+use crate::engine::{EnginePools, RetainedRun};
 use crate::error::ScheduleError;
 use crate::ftbar::{self, FtbarConfig, SweepStrategy};
 use crate::pressure::Pressure;
@@ -52,9 +52,9 @@ use crate::schedule::Schedule;
 pub struct ScheduleArtifacts {
     problem: Problem,
     config: FtbarConfig,
-    /// `(op, checkpoint before its commit)` per step; empty for
-    /// clustered runs (no single placement log exists).
-    retained: Option<(Vec<(OpId, Checkpoint)>, BuilderState)>,
+    /// The placement log and final booking state; `None` for clustered
+    /// runs (no single placement log exists).
+    retained: Option<RetainedRun>,
     /// Bit patterns of this problem's bottom levels, per operation — the
     /// "old" side of the repair-time [`Pressure`] diff, retained so a
     /// repair computes only the edited problem's levels. Empty exactly
@@ -76,7 +76,7 @@ impl ScheduleArtifacts {
     /// Number of recorded placement steps (0 for clustered runs, which
     /// retain no placement log).
     pub fn step_count(&self) -> usize {
-        self.retained.as_ref().map_or(0, |(steps, _)| steps.len())
+        self.retained.as_ref().map_or(0, |run| run.steps.len())
     }
 }
 
@@ -244,7 +244,7 @@ pub fn reschedule_with_pools(
             (schedule, artifacts, pools, 0)
         }
         None => {
-            let (steps, state) = prev.retained.as_ref().expect("checked above");
+            let RetainedRun { steps, state } = prev.retained.as_ref().expect("checked above");
             let pressure = Pressure::new(&edited);
             let affected = affected_ops(prev, &pressure, edit);
             let frontier = invalidation_frontier(&prev.problem, steps, &affected);
@@ -285,9 +285,8 @@ fn run_retained(
 ) -> Result<(Schedule, ScheduleArtifacts, EnginePools), ScheduleError> {
     let completed: Vec<OpId> = prefix.iter().map(|&(op, _)| op).collect();
     let out = ftbar::run(&problem, state, &completed, config, pressure, true, pools)?;
-    let run = out.retained.expect("retain was requested");
-    let mut steps = prefix.to_vec();
-    steps.extend(run.steps);
+    let mut run = out.retained.expect("retain was requested");
+    run.steps.splice(0..0, prefix.iter().copied());
     let bottom_bits = problem
         .alg()
         .ops()
@@ -296,7 +295,7 @@ fn run_retained(
     let artifacts = ScheduleArtifacts {
         problem,
         config: config.clone(),
-        retained: Some((steps, run.state)),
+        retained: Some(run),
         bottom_bits,
     };
     Ok((out.schedule, artifacts, out.pools))
