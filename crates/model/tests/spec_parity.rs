@@ -142,3 +142,270 @@ fn duplicate_names_are_model_errors() {
         }
     }
 }
+
+// --------------------------------------------------------------------------
+// Seeded corpus: every spec's full result, pinned byte for byte
+// --------------------------------------------------------------------------
+
+/// The mutation base shared with the workspace's fuzz suite.
+const BASE: &str = "algorithm a { op X; op Y kind extio; dep X -> Y size 2; }
+architecture m { proc P1; proc P2; link L: P1 -- P2; }
+exec { X on P1 = 1; X on P2 = 1.5; Y on P1 = 2; Y on P2 = inf; }
+comm { X -> Y on L = 0.5; }
+rtc 10; npf 1;";
+
+/// Fragments spliced into specs: structure characters, digits, keywords
+/// and multi-byte UTF-8 sequences that stress char-boundary handling.
+const GARBAGE: &[&str] = &[
+    "{", "}", ";", "->", "--", "=", ":", "0", "9", ".", "inf", "op", "dep", "exec", "\u{0}",
+    "\u{e9}", "\u{2206}", "\n", "\t", "\"", "\\",
+];
+
+/// splitmix64: a seeded stream that needs no dependency.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+fn floor_char_boundary(s: &str, mut at: usize) -> usize {
+    while !s.is_char_boundary(at) {
+        at -= 1;
+    }
+    at
+}
+
+/// `base` with one to seven fragments of `garbage` spliced in.
+fn splice(base: &str, seed: u64, garbage: &[&str]) -> String {
+    let mut rng = SplitMix(seed);
+    let mut spec = base.to_owned();
+    for _ in 0..1 + rng.below(7) {
+        let frag = garbage[rng.below(garbage.len())];
+        let at = floor_char_boundary(&spec, rng.below(spec.len() + 1));
+        spec.insert_str(at, frag);
+    }
+    spec
+}
+
+/// The four braced sections of a printed or hand-written spec, in order,
+/// plus what follows the last one (`rtc`/`npf`).
+fn sections(spec: &str) -> ([&str; 4], &str) {
+    let mut parts = [""; 4];
+    let mut rest = spec;
+    for part in &mut parts {
+        let end = rest.find('}').expect("four sections") + 1;
+        *part = rest[..end].trim();
+        rest = &rest[end..];
+    }
+    (parts, rest.trim())
+}
+
+/// The `name = value;` statements of one braced section, and the section
+/// rebuilt from them in `order`.
+fn shuffled_section(section: &str, rng: &mut SplitMix) -> String {
+    let open = section.find('{').expect("braced section") + 1;
+    let close = section.rfind('}').expect("braced section");
+    let mut entries: Vec<&str> = section[open..close]
+        .split(';')
+        .map(str::trim)
+        .filter(|e| !e.is_empty())
+        .collect();
+    for i in (1..entries.len()).rev() {
+        entries.swap(i, rng.below(i + 1));
+    }
+    let body: String = entries.iter().map(|e| format!(" {e};")).collect();
+    format!("{}{body} }}", &section[..open])
+}
+
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for p in permutations(n - 1) {
+        for at in 0..=p.len() {
+            let mut q = p.clone();
+            q.insert(at, n - 1);
+            out.push(q);
+        }
+    }
+    out
+}
+
+/// The seeded corpus: truncations, garbage splices, hostile numbers,
+/// reordered sections (`exec`/`comm` before `algorithm` included) and
+/// shuffled table entries, of the fuzz base and of the paper's example.
+fn corpus() -> Vec<(String, String)> {
+    let paper = ftbar_model::spec::print_problem(&ftbar_model::paper_example());
+    let mut cases = Vec::new();
+    for at in 0..=BASE.len() {
+        cases.push((
+            format!("trunc-base-{at}"),
+            BASE[..floor_char_boundary(BASE, at)].to_owned(),
+        ));
+    }
+    for at in (0..=paper.len()).step_by(53) {
+        cases.push((
+            format!("trunc-paper-{at}"),
+            paper[..floor_char_boundary(&paper, at)].to_owned(),
+        ));
+    }
+    // With `npf 1` the base cannot replicate `Y`, so most of its mutants
+    // stop at validation; its `npf 0` twin and the paper's example reach
+    // the resolved tables.
+    let base_npf0 = BASE.replace("npf 1", "npf 0");
+    for seed in 0..300 {
+        cases.push((format!("splice-base-{seed}"), splice(BASE, seed, GARBAGE)));
+        cases.push((
+            format!("splice-base-npf0-{seed}"),
+            splice(&base_npf0, 500 + seed, GARBAGE),
+        ));
+        cases.push((
+            format!("splice-paper-{seed}"),
+            splice(&paper, 1_000 + seed, GARBAGE),
+        ));
+    }
+    // Digits, dots and blanks: mutants that mostly stay well-formed and
+    // change the numbers the tables resolve to.
+    for seed in 0..150 {
+        let mild = &["0", "1", "9", ".", " ", "\n"];
+        cases.push((
+            format!("digits-paper-{seed}"),
+            splice(&paper, 2_000 + seed, mild),
+        ));
+    }
+    let mut literals = Vec::new();
+    for zeros in [1, 3, 15, 16, 17, 18, 19, 20, 21, 40, 308, 309, 400] {
+        literals.push(format!("1{}", "0".repeat(zeros)));
+    }
+    for frac in 0..6 {
+        literals.push(format!("0.{}1", "0".repeat(frac)));
+    }
+    literals.extend(
+        [
+            "0",
+            "0.0",
+            "00000000000000000000007",
+            "18446744073709551.615",
+            "18446744073709551.616",
+        ]
+        .map(String::from),
+    );
+    for lit in &literals {
+        for (slot, spec) in [
+            ("rtc", format!("{base_npf0} rtc {lit};")),
+            ("size", base_npf0.replace("size 2", &format!("size {lit}"))),
+            ("npf", base_npf0.replace("npf 0", &format!("npf {lit}"))),
+            ("exec", base_npf0.replace("= 1.5", &format!("= {lit}"))),
+            ("comm", base_npf0.replace("= 0.5", &format!("= {lit}"))),
+        ] {
+            cases.push((format!("number-{slot}-{lit}"), spec));
+        }
+    }
+    for (name, spec) in [("base", base_npf0.as_str()), ("paper", paper.as_str())] {
+        let (parts, tail) = sections(spec);
+        for perm in permutations(4) {
+            let order: String = perm.iter().map(|&i| i.to_string()).collect();
+            let body: Vec<&str> = perm.iter().map(|&i| parts[i]).collect();
+            cases.push((
+                format!("order-{name}-{order}-tail-last"),
+                format!("{}\n{tail}", body.join("\n")),
+            ));
+            cases.push((
+                format!("order-{name}-{order}-tail-first"),
+                format!("{tail}\n{}", body.join("\n")),
+            ));
+        }
+        let mut rng = SplitMix(7);
+        for round in 0..12 {
+            let exec = shuffled_section(parts[2], &mut rng);
+            let comm = shuffled_section(parts[3], &mut rng);
+            cases.push((
+                format!("shuffle-{name}-{round}"),
+                format!("{}\n{}\n{exec}\n{comm}\n{tail}", parts[0], parts[1]),
+            ));
+        }
+    }
+    cases
+}
+
+/// FNV-1a: names each spec text in the record, so a changed generator
+/// shows as a changed hash rather than as a changed result.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Renders the corpus record: one line per spec (`id hash result`, the
+/// result being `ok #k` or the escaped error text), then every distinct
+/// printed problem under its `#k`.
+fn corpus_record() -> String {
+    let mut lines = String::new();
+    let mut problems: Vec<String> = Vec::new();
+    for (id, spec) in corpus() {
+        let result = match parse_problem(&spec) {
+            Ok(p) => {
+                let printed = ftbar_model::spec::print_problem(&p);
+                let k = problems
+                    .iter()
+                    .position(|q| *q == printed)
+                    .unwrap_or_else(|| {
+                        problems.push(printed);
+                        problems.len() - 1
+                    });
+                format!("ok #{k}")
+            }
+            Err(e) => format!("err {}", e.to_string().escape_debug()),
+        };
+        lines.push_str(&format!("{id} {:016x} {result}\n", fnv1a(&spec)));
+    }
+    for (k, printed) in problems.iter().enumerate() {
+        lines.push_str(&format!("=== #{k}\n{printed}"));
+    }
+    lines
+}
+
+/// Regenerate deliberately with `UPDATE_GOLDEN=1 cargo test -p ftbar-model
+/// --test spec_parity corpus` — never as a reflex to a failure.
+#[test]
+fn corpus_results_match_the_pinned_record() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("spec_corpus.golden");
+    let record = corpus_record();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &record).unwrap();
+        return;
+    }
+    let pinned = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+    let wrong: Vec<String> = record
+        .lines()
+        .zip(pinned.lines())
+        .filter(|(got, want)| got != want)
+        .take(10)
+        .map(|(got, want)| format!("got  {got}\nwant {want}"))
+        .collect();
+    assert!(
+        wrong.is_empty(),
+        "corpus results changed:\n{}",
+        wrong.join("\n")
+    );
+    assert_eq!(
+        record.lines().count(),
+        pinned.lines().count(),
+        "corpus size changed"
+    );
+}

@@ -140,3 +140,97 @@ fn parse_inverts_print_on_generated_topologies() {
         }
     }
 }
+
+/// The compact and pretty JSON of a schedule, a problem and a hand-built
+/// `Value` are pinned byte for byte in `tests/golden/serde_*.json`.
+/// Regenerate deliberately with `UPDATE_GOLDEN=1 cargo test --test
+/// spec_and_serde pinned` — never as a reflex to a failure.
+#[test]
+fn serializer_output_matches_pinned_bytes() {
+    use serde::{Number, Value};
+
+    fn check<T: serde::Serialize>(name: &str, value: &T) {
+        for (layout, text) in [
+            ("compact", serde_json::to_string(value).unwrap()),
+            ("pretty", serde_json::to_string_pretty(value).unwrap()),
+        ] {
+            let file = format!("serde_{name}_{layout}.json");
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("tests")
+                .join("golden")
+                .join(&file);
+            if std::env::var_os("UPDATE_GOLDEN").is_some() {
+                std::fs::write(&path, &text).unwrap();
+                continue;
+            }
+            let pinned = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+            assert!(text == pinned, "pinned bytes of `{file}` changed");
+        }
+    }
+
+    let ring = {
+        let alg = layered(&LayeredConfig {
+            n_ops: 12,
+            seed: 3,
+            ..Default::default()
+        });
+        let config = TimingConfig {
+            ccr: 2.0,
+            npf: 1,
+            forbid_prob: 0.1,
+            seed: 3,
+            ..Default::default()
+        };
+        timing(alg, arch::ring(4), &config).expect("valid problem")
+    };
+    let schedule = ftbar::core::ftbar::schedule(&ring).expect("ring schedules");
+    check("schedule_ring4", &schedule);
+    check("problem_ring4", &ring);
+    check("problem_paper", &ftbar::model::paper_example());
+
+    let number = |n| Value::Number(n);
+    let value = Value::Object(vec![
+        ("empty_object".into(), Value::Object(Vec::new())),
+        ("empty_array".into(), Value::Array(Vec::new())),
+        ("null".into(), Value::Null),
+        (
+            "flags".into(),
+            Value::Array(vec![Value::Bool(true), Value::Bool(false)]),
+        ),
+        (
+            "numbers".into(),
+            Value::Array(vec![
+                number(Number::UInt(0)),
+                number(Number::UInt(u64::MAX)),
+                number(Number::Int(-1)),
+                number(Number::Int(i64::MIN)),
+                number(Number::Float(0.0)),
+                number(Number::Float(-0.0)),
+                number(Number::Float(1.5)),
+                number(Number::Float(-2.25e-7)),
+                number(Number::Float(1e300)),
+                number(Number::Float(0.1 + 0.2)),
+                number(Number::Float(f64::NAN)),
+                number(Number::Float(f64::INFINITY)),
+            ]),
+        ),
+        (
+            "text".into(),
+            Value::String("quote \" backslash \\ slash / newline \n tab \t cr \r".into()),
+        ),
+        (
+            "control".into(),
+            Value::String("\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}".into()),
+        ),
+        ("non_ascii".into(), Value::String("é ∆ 漢字 🦀".into())),
+        (
+            "key \"quoted\"\n".into(),
+            Value::Array(vec![
+                Value::Array(Vec::new()),
+                Value::Object(vec![("a".into(), Value::Null)]),
+            ]),
+        ),
+    ]);
+    check("value", &value);
+}
