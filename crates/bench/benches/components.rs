@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the substrate components: timelines, graph
-//! algorithms, the spec front end and the daemon's canonical keys.
+//! algorithms, the spec front end, schedule JSON and the daemon's
+//! canonical keys.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ftbar_core::Timeline;
+use ftbar_core::{ftbar, Timeline};
 use ftbar_model::{paper_example, spec, Arch, Problem, Time};
 use ftbar_service::cache::canonical_key;
 use ftbar_service::SchedulerKind;
@@ -90,6 +91,10 @@ fn bench_spec(c: &mut Criterion) {
     });
     // Generated specs, printed once outside the timed loops: a daemon-sized
     // ring (~100 KB) and a CLI-sized fully connected machine (~3 MB).
+    let small = spec::print_problem(&generated(arch::fully_connected(4), 45, 5.0, 2));
+    c.bench_function("spec/parse_gen_full4_45", |b| {
+        b.iter(|| spec::parse_problem(&small).expect("parses"));
+    });
     let ring = spec::print_problem(&generated(arch::ring(6), 155, 5.0, 3));
     c.bench_function("spec/parse_gen_ring6_155", |b| {
         b.iter(|| spec::parse_problem(&ring).expect("parses"));
@@ -98,6 +103,28 @@ fn bench_spec(c: &mut Criterion) {
     c.bench_function("spec/parse_gen_full6_2000", |b| {
         b.iter(|| spec::parse_problem(&full).expect("parses"));
     });
+}
+
+fn bench_json(c: &mut Criterion) {
+    // The compact schedule JSON of a daemon `include_schedule` response
+    // and of a CLI-sized run.
+    for (name, machine, n_ops) in [
+        (
+            "json/schedule_compact_full4_45",
+            arch::fully_connected(4),
+            45,
+        ),
+        (
+            "json/schedule_compact_full6_2000",
+            arch::fully_connected(6),
+            2000,
+        ),
+    ] {
+        let schedule = ftbar::schedule(&generated(machine, n_ops, 5.0, 1)).expect("schedules");
+        c.bench_function(name, |b| {
+            b.iter(|| serde_json::to_string(&schedule).expect("schedules serialize"));
+        });
+    }
 }
 
 fn bench_service(c: &mut Criterion) {
@@ -127,6 +154,6 @@ fn generated(machine: Arch, n_ops: usize, ccr: f64, seed: u64) -> Problem {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_timeline, bench_graph, bench_spec, bench_service
+    targets = bench_timeline, bench_graph, bench_spec, bench_json, bench_service
 }
 criterion_main!(benches);

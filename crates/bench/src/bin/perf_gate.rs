@@ -30,7 +30,10 @@
 //! still written (values are then indicative only). `--out PATH` overrides
 //! the output path. `--check BASELINE` exits non-zero if the fresh output
 //! is missing the schema, a section, or any `(bench, variant, n_ops)`
-//! point the committed baseline has — the CI perf-regression smoke. When
+//! point the committed baseline has, or when the `alloc_count` of a
+//! committed allocation row is missing or more than 10 % away from the
+//! fresh count (counts are deterministic, so smoke runs check them too) —
+//! the CI perf-regression smoke. When
 //! neither side is a smoke run, `--check` additionally enforces a
 //! per-point regression tolerance: a fresh median more than 1.5× its
 //! baseline (override with `--tolerance F`) fails the gate;
@@ -248,23 +251,26 @@ fn hbp_with(problem: &Problem, pair_search: PairSearch) -> Schedule {
     ftbar_hbp::schedule_with(problem, &HbpConfig { pair_search }).expect("schedules")
 }
 
+/// The value of field `name` on one row line of a `BENCH_scheduling.json`
+/// (the file is hand-rolled, one row per line): a string's content or a
+/// run of digits.
+fn field(line: &str, name: &str) -> Option<String> {
+    let tag = format!("\"{name}\": ");
+    let at = line.find(&tag)? + tag.len();
+    let rest = &line[at..];
+    if let Some(stripped) = rest.strip_prefix('"') {
+        Some(stripped[..stripped.find('"')?].to_string())
+    } else {
+        let end = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        (end > 0).then(|| rest[..end].to_string())
+    }
+}
+
 /// Extracts the `(bench, variant, n_ops)` key and `median_ns` of every
-/// point line of a `BENCH_scheduling.json` (the file is hand-rolled, one
-/// point per line).
+/// point line of a `BENCH_scheduling.json`.
 fn point_keys(json: &str) -> Vec<((String, String, usize), u128)> {
-    let field = |line: &str, name: &str| -> Option<String> {
-        let tag = format!("\"{name}\": ");
-        let at = line.find(&tag)? + tag.len();
-        let rest = &line[at..];
-        if let Some(stripped) = rest.strip_prefix('"') {
-            Some(stripped[..stripped.find('"')?].to_string())
-        } else {
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            (end > 0).then(|| rest[..end].to_string())
-        }
-    };
     json.lines()
         .filter_map(|line| {
             Some((
@@ -278,6 +284,25 @@ fn point_keys(json: &str) -> Vec<((String, String, usize), u128)> {
         })
         .collect()
 }
+
+/// Extracts the `(variant, n_ops)` key and `alloc_count` of every
+/// allocation row of a `BENCH_scheduling.json`.
+fn alloc_keys(json: &str) -> Vec<((String, usize), u64)> {
+    json.lines()
+        .filter(|line| field(line, "bench").as_deref() == Some("allocations"))
+        .filter_map(|line| {
+            Some((
+                (field(line, "variant")?, field(line, "n_ops")?.parse().ok()?),
+                field(line, "alloc_count")?.parse().ok()?,
+            ))
+        })
+        .collect()
+}
+
+/// How far a fresh allocation count may drift from its committed row
+/// (toolchain and std changes move counts a little; a stale row or a
+/// real change in the engine's allocation behaviour moves them more).
+const ALLOC_DRIFT: f64 = 0.10;
 
 /// Section arrays present in `json` that hold no rows — e.g. a baseline
 /// committed from a filtered or partial run. `--check` warns on these
@@ -305,8 +330,9 @@ fn empty_sections(json: &str) -> Vec<&'static str> {
 }
 
 /// The perf-regression smoke: every point key of the committed baseline
-/// must still exist in the fresh output, and the fresh output must carry
-/// the schema header and every section. With `tolerance = Some(k)` (both
+/// must still exist in the fresh output, every committed allocation row
+/// must match its fresh count within [`ALLOC_DRIFT`], and the fresh
+/// output must carry the schema header and every section. With `tolerance = Some(k)` (both
 /// runs timed, not smoke) a fresh median above `k ×` its baseline is a
 /// timing regression. Returns `(hard_failures, timing_regressions)` —
 /// the caller decides whether the latter fail or warn (`--check-warn`).
@@ -352,6 +378,26 @@ fn check_against_baseline(
                     fresh_ns
                 ));
             }
+        }
+    }
+    let fresh_allocs = alloc_keys(fresh);
+    for ((variant, n_ops), base) in alloc_keys(baseline) {
+        let key = (variant, n_ops);
+        match fresh_allocs.iter().find(|(k, _)| *k == key) {
+            None => failures.push(format!(
+                "allocation row ({}, {}) disappeared from the gate",
+                key.0, key.1
+            )),
+            Some(&(_, count)) if (count as f64 - base as f64).abs() > base as f64 * ALLOC_DRIFT => {
+                failures.push(format!(
+                    "allocation row ({}, {}) counts {count} allocations against {base} \
+                     committed (more than {}% apart)",
+                    key.0,
+                    key.1,
+                    ALLOC_DRIFT * 100.0
+                ))
+            }
+            Some(_) => {}
         }
     }
     (failures, regressions)
@@ -516,10 +562,13 @@ fn main() {
             sweep: SweepStrategy::Incremental,
             ..FtbarConfig::default()
         };
-        type PooledRun = fn(&Problem, &FtbarConfig, EnginePools) -> EnginePools;
+        // The retained run keeps the problem it is given, as the daemon's
+        // keeps the one it parsed; each measured run gets a copy made
+        // before counting starts.
+        type PooledRun = fn(Problem, &FtbarConfig, EnginePools) -> EnginePools;
         let runs: [(&str, PooledRun); 2] = [
             ("FTBAR-steady", |p, c, pools| {
-                ftbar::schedule_with_pools(p, c, pools)
+                ftbar::schedule_with_pools(&p, c, pools)
                     .expect("schedules")
                     .1
             }),
@@ -530,9 +579,10 @@ fn main() {
             }),
         ];
         for (variant, run) in runs {
-            let mut reused = Some(run(&problem, &config, EnginePools::default()));
+            let mut reused = Some(run(problem.clone(), &config, EnginePools::default()));
+            let owned = problem.clone();
             let (alloc_count, peak_bytes) = count_allocs(|| {
-                reused = Some(run(&problem, &config, reused.take().expect("pools")));
+                reused = Some(run(owned, &config, reused.take().expect("pools")));
             });
             println!(
                 "allocations/{variant}/{n}: {alloc_count} allocs ({:.2}/step), peak {peak_bytes} B",
@@ -1068,5 +1118,40 @@ fn main() {
             eprintln!("perf gate FAILED: timed schedule is invalid: {i}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SECTIONS: &str =
+        "\"schema\": 7, \"points\": [ \"scenarios\": [ \"service_throughput\": [ \
+        \"reschedule\": [ \"sweep_stats\": [ \"allocations\": [ \"persistence\": [\n";
+
+    fn alloc_row(variant: &str, n_ops: usize, count: u64) -> String {
+        format!(
+            "{{\"bench\": \"allocations\", \"variant\": \"{variant}\", \"n_ops\": {n_ops}, \
+             \"alloc_count\": {count}, \"peak_bytes\": 100}}\n"
+        )
+    }
+
+    #[test]
+    fn allocation_counts_must_stay_within_the_drift() {
+        let baseline = format!("{SECTIONS}{}", alloc_row("FTBAR-steady", 20, 200));
+        for (count, ok) in [
+            (200, true),
+            (219, true),
+            (181, true),
+            (221, false),
+            (179, false),
+        ] {
+            let fresh = format!("{SECTIONS}{}", alloc_row("FTBAR-steady", 20, count));
+            let (failures, _) = check_against_baseline(&fresh, &baseline, None);
+            assert_eq!(failures.is_empty(), ok, "{count}: {failures:?}");
+        }
+        let fresh = format!("{SECTIONS}{}", alloc_row("FTBAR-steady", 50, 200));
+        let (failures, _) = check_against_baseline(&fresh, &baseline, None);
+        assert!(failures[0].contains("disappeared"), "{failures:?}");
     }
 }

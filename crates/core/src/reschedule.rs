@@ -165,37 +165,38 @@ pub fn schedule_retained(
     problem: &Problem,
     config: &FtbarConfig,
 ) -> Result<(Schedule, ScheduleArtifacts), ScheduleError> {
-    schedule_retained_with_pools(problem, config, EnginePools::default())
+    schedule_retained_with_pools(problem.clone(), config, EnginePools::default())
         .map(|(schedule, artifacts, _)| (schedule, artifacts))
 }
 
-/// As [`schedule_retained`], seeded with recycled engine arenas and
-/// returning them for the next run, as [`ftbar::schedule_with_pools`]
-/// does. The artifacts hold no pools.
+/// As [`schedule_retained`], taking the problem by value — the artifacts
+/// keep it, read back through [`ScheduleArtifacts::problem`] — and seeded
+/// with recycled engine arenas, returned for the next run as
+/// [`ftbar::schedule_with_pools`] does. The artifacts hold no pools.
 ///
 /// # Errors
 ///
 /// Exactly those of [`ftbar::schedule_with`].
 pub fn schedule_retained_with_pools(
-    problem: &Problem,
+    problem: Problem,
     config: &FtbarConfig,
     pools: EnginePools,
 ) -> Result<(Schedule, ScheduleArtifacts, EnginePools), ScheduleError> {
     if config.sweep == SweepStrategy::Clustered {
         // Clustered expansion has no single placement log; retain nothing
         // and let every repair of these artifacts take the full-run path.
-        let (out, pools) = ftbar::schedule_with_pools(problem, config, pools)?;
+        let (out, pools) = ftbar::schedule_with_pools(&problem, config, pools)?;
         let artifacts = ScheduleArtifacts {
-            problem: problem.clone(),
+            problem,
             config: config.clone(),
             retained: None,
             bottom_bits: Vec::new(),
         };
         return Ok((out.schedule, artifacts, pools));
     }
-    let state = BuilderState::new(problem);
-    let pressure = Pressure::new(problem);
-    run_retained(problem.clone(), config, &pressure, state, &[], pools)
+    let state = BuilderState::new(&problem);
+    let pressure = Pressure::new(&problem);
+    run_retained(problem, config, &pressure, state, &[], pools)
 }
 
 /// Applies `edit` to the previously scheduled problem and produces the
@@ -240,7 +241,7 @@ pub fn reschedule_with_pools(
     let (schedule, artifacts, pools, frontier) = match fallback_reason {
         Some(_) => {
             let (schedule, artifacts, pools) =
-                schedule_retained_with_pools(&edited, &prev.config, pools)?;
+                schedule_retained_with_pools(edited, &prev.config, pools)?;
             (schedule, artifacts, pools, 0)
         }
         None => {

@@ -1,7 +1,6 @@
 //! Recursive-descent parser for the spec language.
 
 use core::fmt;
-use core::str::FromStr;
 use std::collections::HashMap;
 
 use crate::alg::{Alg, OpKind};
@@ -12,7 +11,7 @@ use crate::ids::{DepId, LinkId, OpId, ProcId};
 use crate::problem::Problem;
 use crate::time::Time;
 
-use super::lexer::{LexError, Lexer, Token, TokenKind};
+use super::lexer::{line_col, LexError, Lexer, Token, TokenKind};
 
 /// Error produced while parsing a problem spec.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,6 +125,33 @@ pub fn parse_problem(input: &str) -> Result<Problem, ParseError> {
 struct AlgNames<'a> {
     ops: HashMap<&'a str, OpId>,
     deps: HashMap<(OpId, OpId), DepId>,
+    /// Per dep: whether it is the first dep between its endpoints, the
+    /// one a comm entry naming them resolves to.
+    first_of_pair: Vec<bool>,
+}
+
+impl AlgNames<'_> {
+    /// The dep a comm entry `src -> dst` names: dep `guess` when it is the
+    /// first between ops of those names, else the one the index gives.
+    fn dep(&self, alg: &Alg, src: &str, dst: &str, guess: usize) -> Result<DepId, ParseError> {
+        if self.first_of_pair.get(guess) == Some(&true) {
+            let dep = DepId::from_index(guess);
+            let (s, d) = alg.dep_endpoints(dep);
+            if alg.op(s).name() == src && alg.op(d).name() == dst {
+                return Ok(dep);
+            }
+        }
+        self.ops
+            .get(src)
+            .zip(self.ops.get(dst))
+            .and_then(|(s, d)| self.deps.get(&(*s, *d)).copied())
+            .ok_or_else(|| {
+                ParseError::Model(ModelError::UnknownName {
+                    name: format!("{src} -> {dst}"),
+                    kind: "dependency",
+                })
+            })
+    }
 }
 
 /// Processors and links by name (first declaration wins).
@@ -139,74 +165,65 @@ type RawExec<'a> = (&'a str, &'a str, Option<Time>);
 /// Raw comm entry: (src op, dst op, link, time or None for `inf`).
 type RawComm<'a> = (&'a str, &'a str, &'a str, Option<Time>);
 
-/// Pulls tokens from the lexer one at a time; `tok` is the lookahead.
+/// Recursive descent over the lexer: each step asks for the token the
+/// grammar expects there, and lexes whatever came instead only to report
+/// it. After a lexical error the lexer shows `Eof` at the offending
+/// character, which stops the parse.
 struct Parser<'a> {
+    input: &'a str,
     lexer: Lexer<'a>,
-    tok: Token<'a>,
-    /// The lexer's error, once it hit one; `tok` is then an `Eof` at the
-    /// offending character, which stops the parse.
-    lex_error: Option<LexError>,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        let mut parser = Parser {
+        Parser {
+            input,
             lexer: Lexer::new(input),
-            tok: Token {
-                kind: TokenKind::Eof,
-                line: 1,
-                col: 1,
-            },
-            lex_error: None,
-        };
-        parser.tok = parser.next_token();
-        parser
-    }
-
-    fn next_token(&mut self) -> Token<'a> {
-        self.lexer.next_token().unwrap_or_else(|e| {
-            let eof = Token {
-                kind: TokenKind::Eof,
-                line: e.line,
-                col: e.col,
-            };
-            self.lex_error = Some(e);
-            eof
-        })
+        }
     }
 
     /// The first lexical error in the input, if any. It outranks every
     /// parse or model error, so after a failed parse this lexes the rest
     /// of the input looking for one.
     fn first_lex_error(&mut self) -> Option<LexError> {
-        while self.lex_error.is_none() && self.tok.kind != TokenKind::Eof {
-            self.tok = self.next_token();
-        }
-        self.lex_error.take()
-    }
-
-    fn peek(&self) -> TokenKind<'a> {
-        self.tok.kind
-    }
-
-    fn bump(&mut self) {
-        if self.tok.kind != TokenKind::Eof {
-            self.tok = self.next_token();
+        loop {
+            let tok = self.lexer.peek();
+            if tok.kind == TokenKind::Eof {
+                return self.lexer.error();
+            }
+            self.lexer.bump(tok);
         }
     }
 
-    fn unexpected(&self, expected: &str) -> ParseError {
+    /// `tok` was found where `expected` belongs.
+    fn error_at(&self, tok: Token<'_>, expected: &str) -> ParseError {
+        let (line, col) = line_col(self.input, tok.pos);
         ParseError::Unexpected {
-            found: self.tok.kind.to_string(),
+            found: tok.kind.to_string(),
             expected: expected.to_owned(),
-            line: self.tok.line,
-            col: self.tok.col,
+            line,
+            col,
         }
     }
 
-    fn expect(&mut self, kind: TokenKind<'_>, what: &str) -> Result<(), ParseError> {
-        if self.peek() == kind {
-            self.bump();
+    /// Whatever comes next was found where `expected` belongs.
+    fn unexpected(&mut self, expected: &str) -> ParseError {
+        let tok = self.lexer.peek();
+        self.error_at(tok, expected)
+    }
+
+    /// The number `text`, just consumed, was rejected as `expected`.
+    fn rejected(&self, text: &str, expected: &str) -> ParseError {
+        let tok = Token {
+            kind: TokenKind::Number(text),
+            pos: self.lexer.pos() - text.len(),
+        };
+        self.error_at(tok, expected)
+    }
+
+    /// Consumes the punctuation `punct`, reported as `what` if missing.
+    fn expect(&mut self, punct: &[u8], what: &str) -> Result<(), ParseError> {
+        if self.lexer.eat(punct) {
             Ok(())
         } else {
             Err(self.unexpected(what))
@@ -214,46 +231,37 @@ impl<'a> Parser<'a> {
     }
 
     fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
-        match self.peek() {
-            TokenKind::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            _ => Err(self.unexpected(what)),
+        match self.lexer.ident() {
+            Some(s) => Ok(s),
+            None => Err(self.unexpected(what)),
         }
     }
 
-    fn keyword(&mut self, kw: &str) -> bool {
-        if self.peek() == TokenKind::Ident(kw) {
-            self.bump();
-            return true;
-        }
-        false
+    /// A `NUMBER` token as an `f64`, reported as `what` if it is missing
+    /// or does not parse.
+    fn float(&mut self, what: &str) -> Result<f64, ParseError> {
+        let text = self.lexer.number().ok_or_else(|| self.unexpected(what))?;
+        text.parse().map_err(|_| self.rejected(text, what))
     }
 
-    /// A `NUMBER` token parsed as `T`; a literal `T` rejects is reported
-    /// at the literal as `what`.
-    fn number<T: FromStr>(&mut self, what: &str) -> Result<T, ParseError> {
-        match self.peek() {
-            TokenKind::Number(s) => {
-                let v = s.parse().map_err(|_| self.unexpected(what))?;
-                self.bump();
-                Ok(v)
-            }
-            _ => Err(self.unexpected(what)),
-        }
+    /// A `NUMBER` token as a [`Time`], converted byte by byte; a literal
+    /// out of range or finer than a tick is reported at the literal as
+    /// `what`, never a panic.
+    fn time(&mut self, what: &str) -> Result<Time, ParseError> {
+        let text = self.lexer.number().ok_or_else(|| self.unexpected(what))?;
+        Time::parse_decimal(text.as_bytes()).ok_or_else(|| self.rejected(text, what))
     }
 
-    /// `NUMBER | inf` — `None` encodes `inf`. Times go through `Time`'s
-    /// checked parser, so out-of-range literals become parse errors
-    /// instead of panics.
+    /// `NUMBER | inf` — `None` encodes `inf`.
     fn time_or_inf(&mut self) -> Result<Option<Time>, ParseError> {
-        if self.keyword("inf") {
+        if self.lexer.keyword("inf") {
             return Ok(None);
         }
-        match self.peek() {
-            TokenKind::Number(_) => self.number("time literal").map(Some),
-            _ => Err(self.unexpected("time literal or `inf`")),
+        match self.lexer.number() {
+            Some(text) => Time::parse_decimal(text.as_bytes())
+                .map(Some)
+                .ok_or_else(|| self.rejected(text, "time literal")),
+            None => Err(self.unexpected("time literal or `inf`")),
         }
     }
 
@@ -266,56 +274,42 @@ impl<'a> Parser<'a> {
         let mut npf: Option<u32> = None;
 
         loop {
-            let line = self.tok.line;
-            if self.peek() == TokenKind::Eof {
-                break;
+            let tok = self.lexer.peek();
+            let (section, seen) = match tok.kind {
+                TokenKind::Eof => break,
+                TokenKind::Ident("algorithm") => ("algorithm", alg.is_some()),
+                TokenKind::Ident("architecture") => ("architecture", arch.is_some()),
+                TokenKind::Ident("exec") => ("exec", raw_exec.is_some()),
+                TokenKind::Ident("comm") => ("comm", raw_comm.is_some()),
+                TokenKind::Ident("rtc") => ("rtc", false),
+                TokenKind::Ident("npf") => ("npf", false),
+                _ => {
+                    return Err(self
+                        .unexpected("`algorithm`, `architecture`, `exec`, `comm`, `rtc` or `npf`"))
+                }
+            };
+            if seen {
+                let line = line_col(self.input, tok.pos).0;
+                return Err(ParseError::DuplicateSection { section, line });
             }
-            if self.keyword("algorithm") {
-                if alg.is_some() {
-                    return Err(ParseError::DuplicateSection {
-                        section: "algorithm",
-                        line,
-                    });
+            self.lexer.bump(tok);
+            match section {
+                "algorithm" => alg = Some(self.algorithm()?),
+                "architecture" => arch = Some(self.architecture()?),
+                "exec" => raw_exec = Some(self.exec_section()?),
+                "comm" => raw_comm = Some(self.comm_section()?),
+                "rtc" => {
+                    rtc = Some(self.time("deadline")?);
+                    self.expect(b";", "`;`")?;
                 }
-                alg = Some(self.algorithm()?);
-            } else if self.keyword("architecture") {
-                if arch.is_some() {
-                    return Err(ParseError::DuplicateSection {
-                        section: "architecture",
-                        line,
-                    });
+                _ => {
+                    let v = self.float("failure count")?;
+                    if v.fract() != 0.0 || v < 0.0 {
+                        return Err(self.unexpected("non-negative integer"));
+                    }
+                    npf = Some(v as u32);
+                    self.expect(b";", "`;`")?;
                 }
-                arch = Some(self.architecture()?);
-            } else if self.keyword("exec") {
-                if raw_exec.is_some() {
-                    return Err(ParseError::DuplicateSection {
-                        section: "exec",
-                        line,
-                    });
-                }
-                raw_exec = Some(self.exec_section()?);
-            } else if self.keyword("comm") {
-                if raw_comm.is_some() {
-                    return Err(ParseError::DuplicateSection {
-                        section: "comm",
-                        line,
-                    });
-                }
-                raw_comm = Some(self.comm_section()?);
-            } else if self.keyword("rtc") {
-                rtc = Some(self.number("deadline")?);
-                self.expect(TokenKind::Semi, "`;`")?;
-            } else if self.keyword("npf") {
-                let v: f64 = self.number("failure count")?;
-                if v.fract() != 0.0 || v < 0.0 {
-                    return Err(self.unexpected("non-negative integer"));
-                }
-                npf = Some(v as u32);
-                self.expect(TokenKind::Semi, "`;`")?;
-            } else {
-                return Err(
-                    self.unexpected("`algorithm`, `architecture`, `exec`, `comm`, `rtc` or `npf`")
-                );
             }
         }
 
@@ -327,41 +321,54 @@ impl<'a> Parser<'a> {
         })?;
         let raw_exec = raw_exec.ok_or(ParseError::MissingSection { section: "exec" })?;
 
+        // Entries usually come in declaration order: each name is first
+        // compared with the one after the previous entry's, and looked up
+        // in the index only when that guess misses.
         let mut exec = ExecTable::new(alg.op_count(), arch.proc_count());
+        let mut op = Guess::default();
+        let mut proc = Guess::default();
         for (op_name, proc_name, t) in raw_exec {
-            let op = resolve(&alg_names.ops, op_name, "operation")?;
-            let proc = resolve(&arch_names.procs, proc_name, "processor")?;
+            let o = op.resolve(
+                op_name,
+                alg.op_count(),
+                |i| alg.op(OpId(i)).name(),
+                || resolve(&alg_names.ops, op_name, "operation").map(|id| id.0),
+            )?;
+            let p = proc.resolve(
+                proc_name,
+                arch.proc_count(),
+                |i| arch.proc(ProcId(i)).name(),
+                || resolve(&arch_names.procs, proc_name, "processor").map(|id| id.0),
+            )?;
             match t {
-                Some(t) => exec.set(op, proc, t),
-                None => exec.forbid(op, proc),
+                Some(t) => exec.set(OpId(o), ProcId(p), t),
+                None => exec.forbid(OpId(o), ProcId(p)),
             }
         }
         let mut comm = CommTable::new(alg.dep_count(), arch.link_count());
         // A dep's entries usually come in a row, one per link: resolve
-        // each run of equal `src -> dst` names once.
+        // each run of equal `src -> dst` names once, guessing the dep
+        // after the previous run's.
         let mut last: Option<(&str, &str, DepId)> = None;
+        let mut link = Guess::default();
         for (src, dst, link_name, t) in raw_comm.unwrap_or_default() {
             let dep = match last {
                 Some((s, d, dep)) if (s, d) == (src, dst) => dep,
                 _ => {
-                    let ops = &alg_names.ops;
-                    let dep = ops
-                        .get(src)
-                        .zip(ops.get(dst))
-                        .and_then(|(&s, &d)| alg_names.deps.get(&(s, d)).copied())
-                        .ok_or_else(|| {
-                            ParseError::Model(ModelError::UnknownName {
-                                name: format!("{src} -> {dst}"),
-                                kind: "dependency",
-                            })
-                        })?;
+                    let guess = last.map_or(0, |(_, _, dep)| dep.index() + 1);
+                    let dep = alg_names.dep(&alg, src, dst, guess)?;
                     last = Some((src, dst, dep));
                     dep
                 }
             };
-            let link = resolve(&arch_names.links, link_name, "link")?;
+            let l = link.resolve(
+                link_name,
+                arch.link_count(),
+                |i| arch.link(LinkId(i)).name(),
+                || resolve(&arch_names.links, link_name, "link").map(|id| id.0),
+            )?;
             if let Some(t) = t {
-                comm.set(dep, link, t);
+                comm.set(dep, LinkId(l), t);
             }
         }
 
@@ -375,20 +382,22 @@ impl<'a> Parser<'a> {
 
     fn algorithm(&mut self) -> Result<(Alg, AlgNames<'a>), ParseError> {
         let name = self.ident("algorithm name")?;
-        self.expect(TokenKind::LBrace, "`{`")?;
+        self.expect(b"{", "`{`")?;
         let mut b = Alg::builder(name);
         let mut names = AlgNames {
             ops: HashMap::new(),
             deps: HashMap::new(),
+            first_of_pair: Vec::new(),
         };
+        // Deps are usually grouped by source: reuse the previous source.
+        let mut last_src: Option<(&str, OpId)> = None;
         loop {
-            if self.peek() == TokenKind::RBrace {
-                self.bump();
+            if self.lexer.eat(b"}") {
                 break;
             }
-            if self.keyword("op") {
+            if self.lexer.keyword("op") {
                 let name = self.ident("operation name")?;
-                let kind = if self.keyword("kind") {
+                let kind = if self.lexer.keyword("kind") {
                     match self.ident("operation kind")? {
                         "comp" => OpKind::Comp,
                         "mem" => OpKind::Mem,
@@ -400,13 +409,13 @@ impl<'a> Parser<'a> {
                 };
                 let id = b.op(name, kind);
                 names.ops.entry(name).or_insert(id);
-                self.expect(TokenKind::Semi, "`;`")?;
-            } else if self.keyword("dep") {
+                self.expect(b";", "`;`")?;
+            } else if self.lexer.keyword("dep") {
                 let src = self.ident("source operation")?;
-                self.expect(TokenKind::Arrow, "`->`")?;
+                self.expect(b"->", "`->`")?;
                 let dst = self.ident("destination operation")?;
-                let size = if self.keyword("size") {
-                    let v: f64 = self.number("data size")?;
+                let size = if self.lexer.keyword("size") {
+                    let v = self.float("data size")?;
                     if !v.is_finite() || v <= 0.0 {
                         return Err(self.unexpected("positive finite data size"));
                     }
@@ -414,11 +423,16 @@ impl<'a> Parser<'a> {
                 } else {
                     1.0
                 };
-                let s = resolve(&names.ops, src, "operation")?;
+                let s = match last_src {
+                    Some((name, id)) if name == src => id,
+                    _ => resolve(&names.ops, src, "operation")?,
+                };
+                last_src = Some((src, s));
                 let d = resolve(&names.ops, dst, "operation")?;
                 let id = b.dep_sized(s, d, size);
-                names.deps.entry((s, d)).or_insert(id);
-                self.expect(TokenKind::Semi, "`;`")?;
+                let first = *names.deps.entry((s, d)).or_insert(id) == id;
+                names.first_of_pair.push(first);
+                self.expect(b";", "`;`")?;
             } else {
                 return Err(self.unexpected("`op`, `dep` or `}`"));
             }
@@ -428,38 +442,36 @@ impl<'a> Parser<'a> {
 
     fn architecture(&mut self) -> Result<(Arch, ArchNames<'a>), ParseError> {
         let name = self.ident("architecture name")?;
-        self.expect(TokenKind::LBrace, "`{`")?;
+        self.expect(b"{", "`{`")?;
         let mut b = Arch::builder(name);
         let mut names = ArchNames {
             procs: HashMap::new(),
             links: HashMap::new(),
         };
+        let mut endpoints = Vec::new();
         loop {
-            if self.peek() == TokenKind::RBrace {
-                self.bump();
+            if self.lexer.eat(b"}") {
                 break;
             }
-            if self.keyword("proc") {
+            if self.lexer.keyword("proc") {
                 let name = self.ident("processor name")?;
                 let id = b.proc(name);
                 names.procs.entry(name).or_insert(id);
-                self.expect(TokenKind::Semi, "`;`")?;
-            } else if self.keyword("link") {
+                self.expect(b";", "`;`")?;
+            } else if self.lexer.keyword("link") {
                 let name = self.ident("link name")?;
-                self.expect(TokenKind::Colon, "`:`")?;
-                let mut endpoints = Vec::new();
+                self.expect(b":", "`:`")?;
+                endpoints.clear();
                 loop {
                     let pn = self.ident("processor name")?;
                     endpoints.push(resolve(&names.procs, pn, "processor")?);
-                    if self.peek() == TokenKind::DashDash {
-                        self.bump();
-                    } else {
+                    if !self.lexer.eat(b"--") {
                         break;
                     }
                 }
                 let id = b.link(name, &endpoints);
                 names.links.entry(name).or_insert(id);
-                self.expect(TokenKind::Semi, "`;`")?;
+                self.expect(b";", "`;`")?;
             } else {
                 return Err(self.unexpected("`proc`, `link` or `}`"));
             }
@@ -467,48 +479,82 @@ impl<'a> Parser<'a> {
         Ok((b.build()?, names))
     }
 
-    fn exec_section(&mut self) -> Result<Vec<RawExec<'a>>, ParseError> {
-        self.expect(TokenKind::LBrace, "`{`")?;
+    /// The `{ … }` body of a table section, one entry per `= time;`.
+    fn table<E>(
+        &mut self,
+        mut entry: impl FnMut(&mut Self) -> Result<E, ParseError>,
+    ) -> Result<Vec<E>, ParseError> {
+        self.expect(b"{", "`{`")?;
         let mut entries = Vec::new();
         loop {
-            if self.peek() == TokenKind::RBrace {
-                self.bump();
-                break;
+            if self.lexer.eat(b"}") {
+                return Ok(entries);
             }
-            let op = self.ident("operation name")?;
-            if !self.keyword("on") {
-                return Err(self.unexpected("`on`"));
-            }
-            let proc = self.ident("processor name")?;
-            self.expect(TokenKind::Eq, "`=`")?;
-            let t = self.time_or_inf()?;
-            self.expect(TokenKind::Semi, "`;`")?;
-            entries.push((op, proc, t));
+            entries.push(entry(self)?);
         }
-        Ok(entries)
+    }
+
+    /// `on NAME = TIME;`, the tail of a table entry.
+    fn on_name_time(&mut self, what: &str) -> Result<(&'a str, Option<Time>), ParseError> {
+        if !self.lexer.keyword("on") {
+            return Err(self.unexpected("`on`"));
+        }
+        let name = self.ident(what)?;
+        self.expect(b"=", "`=`")?;
+        let t = self.time_or_inf()?;
+        self.expect(b";", "`;`")?;
+        Ok((name, t))
+    }
+
+    fn exec_section(&mut self) -> Result<Vec<RawExec<'a>>, ParseError> {
+        self.table(|p| {
+            let op = p.ident("operation name")?;
+            let (proc, t) = p.on_name_time("processor name")?;
+            Ok((op, proc, t))
+        })
     }
 
     fn comm_section(&mut self) -> Result<Vec<RawComm<'a>>, ParseError> {
-        self.expect(TokenKind::LBrace, "`{`")?;
-        let mut entries = Vec::new();
-        loop {
-            if self.peek() == TokenKind::RBrace {
-                self.bump();
-                break;
-            }
-            let src = self.ident("source operation")?;
-            self.expect(TokenKind::Arrow, "`->`")?;
-            let dst = self.ident("destination operation")?;
-            if !self.keyword("on") {
-                return Err(self.unexpected("`on`"));
-            }
-            let link = self.ident("link name")?;
-            self.expect(TokenKind::Eq, "`=`")?;
-            let t = self.time_or_inf()?;
-            self.expect(TokenKind::Semi, "`;`")?;
-            entries.push((src, dst, link, t));
-        }
-        Ok(entries)
+        self.table(|p| {
+            let src = p.ident("source operation")?;
+            p.expect(b"->", "`->`")?;
+            let dst = p.ident("destination operation")?;
+            let (link, t) = p.on_name_time("link name")?;
+            Ok((src, dst, link, t))
+        })
+    }
+}
+
+/// The index of the name a table entry used last, to guess the next
+/// entry's: the same name again, or the one declared after it (the first
+/// after the last). Starts from the first declared name.
+#[derive(Default)]
+struct Guess(Option<u32>);
+
+impl Guess {
+    /// Resolves `name` among `count` declared names (`name_of(i)` is the
+    /// `i`-th), comparing it with the guesses before calling `lookup`.
+    fn resolve<'n>(
+        &mut self,
+        name: &str,
+        count: usize,
+        name_of: impl Fn(u32) -> &'n str,
+        lookup: impl FnOnce() -> Result<u32, ParseError>,
+    ) -> Result<u32, ParseError> {
+        let guesses = match self.0 {
+            Some(last) if last as usize + 1 < count => [last, last + 1],
+            Some(last) => [last, 0],
+            None => [0, 0],
+        };
+        let i = match guesses
+            .into_iter()
+            .find(|&i| (i as usize) < count && name_of(i) == name)
+        {
+            Some(i) => i,
+            None => lookup()?,
+        };
+        self.0 = Some(i);
+        Ok(i)
     }
 }
 

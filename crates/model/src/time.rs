@@ -208,34 +208,46 @@ impl FromStr for Time {
     ///
     /// At most three fractional digits are accepted (the tick resolution).
     fn from_str(s: &str) -> Result<Time, ParseTimeError> {
-        let err = || ParseTimeError {
+        Time::parse_decimal(s.as_bytes()).ok_or_else(|| ParseTimeError {
             input: s.to_owned(),
+        })
+    }
+}
+
+impl Time {
+    /// Parses decimal time units from bytes, as [`FromStr`] does: an
+    /// optional `+`, whole digits, then optionally a dot and at most three
+    /// fractional digits; either side of the dot may be empty, not both.
+    /// `None` on any other text or when the time overflows.
+    pub(crate) fn parse_decimal(s: &[u8]) -> Option<Time> {
+        let (whole, frac) = match s.iter().position(|&b| b == b'.') {
+            Some(dot) => (&s[..dot], &s[dot + 1..]),
+            None => (s, &[][..]),
         };
-        let (whole_str, frac_str) = match s.split_once('.') {
-            Some((w, fr)) => (w, fr),
-            None => (s, ""),
-        };
-        if whole_str.is_empty() && frac_str.is_empty() {
-            return Err(err());
+        let digits = whole.strip_prefix(b"+").unwrap_or(whole);
+        if (digits.is_empty() && (whole.len() == 1 || frac.is_empty())) || frac.len() > 3 {
+            return None;
         }
-        let whole: u64 = if whole_str.is_empty() {
-            0
-        } else {
-            whole_str.parse().map_err(|_| err())?
-        };
-        if frac_str.len() > 3 || frac_str.chars().any(|c| !c.is_ascii_digit()) {
-            return Err(err());
+        let mut units: u64 = 0;
+        for &b in digits {
+            if !b.is_ascii_digit() {
+                return None;
+            }
+            units = units.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
         }
-        let mut frac: u64 = 0;
-        if !frac_str.is_empty() {
-            frac = frac_str.parse().map_err(|_| err())?;
-            frac *= 10u64.pow(3 - frac_str.len() as u32);
+        let mut ticks: u64 = 0;
+        for i in 0..3 {
+            let digit = match frac.get(i) {
+                Some(&b) if b.is_ascii_digit() => u64::from(b - b'0'),
+                Some(_) => return None,
+                None => 0,
+            };
+            ticks = ticks * 10 + digit;
         }
-        whole
+        units
             .checked_mul(TICKS_PER_UNIT)
-            .and_then(|t| t.checked_add(frac))
+            .and_then(|t| t.checked_add(ticks))
             .map(Time)
-            .ok_or_else(err)
     }
 }
 
@@ -266,11 +278,33 @@ mod tests {
         assert_eq!(".5".parse::<Time>().unwrap(), Time::from_units(0.5));
         assert_eq!("3.".parse::<Time>().unwrap(), Time::from_units(3.0));
         assert_eq!("0.005".parse::<Time>().unwrap(), Time::from_ticks(5));
+        assert_eq!("+1.5".parse::<Time>().unwrap(), Time::from_ticks(1500));
+        assert_eq!("007.010".parse::<Time>().unwrap(), Time::from_ticks(7010));
+        assert_eq!(
+            "18446744073709551.615".parse::<Time>().unwrap(),
+            Time::from_ticks(u64::MAX)
+        );
     }
 
     #[test]
     fn parse_invalid() {
-        for s in ["", ".", "-1", "1.2345", "abc", "1.x", "1e3"] {
+        for s in [
+            "",
+            ".",
+            "-1",
+            "1.2345",
+            "abc",
+            "1.x",
+            "1e3",
+            "+",
+            "+.5",
+            "++1",
+            "1+",
+            "1.+5",
+            "1.2.3",
+            "18446744073709551616",
+            "18446744073709552",
+        ] {
             assert!(s.parse::<Time>().is_err(), "{s} should not parse");
         }
     }

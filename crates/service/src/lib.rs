@@ -340,14 +340,19 @@ fn job_result(
         Err(e) => return (Err(e), pools),
     };
     let (scheduled, pools) = run_scheduler(
-        &problem,
+        problem,
         job.scheduler,
         SweepStrategy::default(),
         false,
         pools,
     );
-    let result = scheduled.map(|(schedule, _)| {
-        JobResult::new(job.scheduler, &problem, schedule, config.keep_schedules)
+    let result = scheduled.map(|(schedule, run)| {
+        JobResult::new(
+            job.scheduler,
+            run.problem(),
+            schedule,
+            config.keep_schedules,
+        )
     });
     (result, pools)
 }
@@ -371,38 +376,65 @@ pub(crate) fn parse_problem(text: &str, npf: Option<u32>) -> Result<Problem, Str
     override_npf(Cow::Owned(problem), npf).map(Cow::into_owned)
 }
 
+/// The problem a run scheduled. A retaining FTBAR run moves it into its
+/// artifacts, which keep it for later repair; the others hand it back.
+/// A short-lived return value, so the large variant stays unboxed: a box
+/// would cost every retained run one more allocation.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Scheduled<'p> {
+    /// The problem as the caller gave it.
+    Plain(Cow<'p, Problem>),
+    /// The retained run, which holds the problem.
+    Retained(ScheduleArtifacts),
+}
+
+impl Scheduled<'_> {
+    /// The problem the run scheduled.
+    pub(crate) fn problem(&self) -> &Problem {
+        match self {
+            Scheduled::Plain(problem) => problem,
+            Scheduled::Retained(artifacts) => artifacts.problem(),
+        }
+    }
+
+    /// The retained artifacts, when the run had steps to keep.
+    pub(crate) fn artifacts(self) -> Option<ScheduleArtifacts> {
+        match self {
+            Scheduled::Retained(artifacts) if artifacts.step_count() > 0 => Some(artifacts),
+            _ => None,
+        }
+    }
+}
+
 /// Runs `scheduler` on `problem` with the `sweep` strategy (FTBAR only),
 /// recycling `pools`: the one scheduler dispatch of batch jobs, daemon
 /// requests and snapshot seed replay. With `retain`, FTBAR also keeps its
 /// engine state for later repair ([`schedule_retained_with_pools`],
-/// bit-identical to the unretained run) when the run had steps to keep;
-/// HBP never retains. A failed run restarts the arena; `Err` carries the
-/// message the job fails with.
+/// bit-identical to the unretained run), moving an owned problem into the
+/// artifacts instead of copying it; HBP never retains. A failed run
+/// restarts the arena; `Err` carries the message the job fails with.
 pub(crate) fn run_scheduler(
-    problem: &Problem,
+    problem: Cow<'_, Problem>,
     scheduler: SchedulerKind,
     sweep: SweepStrategy,
     retain: bool,
     pools: EnginePools,
-) -> (
-    Result<(Schedule, Option<ScheduleArtifacts>), String>,
-    EnginePools,
-) {
+) -> (Result<(Schedule, Scheduled<'_>), String>, EnginePools) {
     let config = FtbarConfig {
         sweep,
         ..FtbarConfig::default()
     };
     let run = match scheduler {
-        SchedulerKind::Ftbar if retain => schedule_retained_with_pools(problem, &config, pools)
-            .map(|(schedule, artifacts, pools)| {
-                let keep = (artifacts.step_count() > 0).then_some(artifacts);
-                ((schedule, keep), pools)
-            }),
-        SchedulerKind::Ftbar => ftbar::schedule_with_pools(problem, &config, pools)
-            .map(|(outcome, pools)| ((outcome.schedule, None), pools)),
+        SchedulerKind::Ftbar if retain => {
+            schedule_retained_with_pools(problem.into_owned(), &config, pools).map(
+                |(schedule, artifacts, pools)| ((schedule, Scheduled::Retained(artifacts)), pools),
+            )
+        }
+        SchedulerKind::Ftbar => ftbar::schedule_with_pools(&problem, &config, pools)
+            .map(|(outcome, pools)| ((outcome.schedule, Scheduled::Plain(problem)), pools)),
         SchedulerKind::Hbp => {
-            ftbar_hbp::schedule_with_pools(problem, &ftbar_hbp::HbpConfig::default(), pools)
-                .map(|(schedule, pools)| ((schedule, None), pools))
+            ftbar_hbp::schedule_with_pools(&problem, &ftbar_hbp::HbpConfig::default(), pools)
+                .map(|(schedule, pools)| ((schedule, Scheduled::Plain(problem)), pools))
         }
     };
     match run {

@@ -25,6 +25,7 @@
 //! flagged `"degraded": true`. Degraded responses are never cached, so
 //! cached bytes always equal the un-pressured direct response.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpListener;
@@ -794,10 +795,10 @@ fn rehydrate_seed(
         problem = edit.apply(&problem).ok()?;
     }
     let taken = std::mem::take(pools);
-    let (scheduled, recycled) = run_scheduler(&problem, seed.scheduler, strategy, true, taken);
+    let (scheduled, recycled) =
+        run_scheduler(Cow::Owned(problem), seed.scheduler, strategy, true, taken);
     *pools = recycled;
-    let (_schedule, artifacts) = scheduled.ok()?;
-    let artifacts = artifacts?;
+    let artifacts = scheduled.ok()?.1.artifacts()?;
     let canonical = canonical_key(
         artifacts.problem(),
         seed.scheduler,
@@ -951,9 +952,10 @@ pub(crate) fn compute_response(
     // Retain the engine state so a later `reschedule` of this problem
     // repairs instead of re-running.
     let retain = !degraded && config.artifact_slots > 0;
-    let (scheduled, pools) = run_scheduler(&problem, req.scheduler, strategy, retain, pools);
-    let computed = scheduled.map(|(schedule, artifacts)| {
-        render_scheduled(req, &problem, schedule, degraded).keep(artifacts, || {
+    let (scheduled, pools) =
+        run_scheduler(Cow::Owned(problem), req.scheduler, strategy, retain, pools);
+    let computed = scheduled.map(|(schedule, run)| {
+        render_scheduled(req, run.problem(), schedule, degraded).keep(run.artifacts(), || {
             Some(ArtifactSeed::of_request(req, Vec::new()))
         })
     });
@@ -1086,15 +1088,17 @@ pub(crate) fn compute_reschedule(
                 Err(e) => return (Err(bad_edit(e)), pools),
             };
             let strategy = req.strategy.unwrap_or_default();
-            let (scheduled, pools) = run_scheduler(&edited, req.scheduler, strategy, retain, pools);
-            let (schedule, artifacts) = match scheduled {
+            let (scheduled, pools) =
+                run_scheduler(Cow::Owned(edited), req.scheduler, strategy, retain, pools);
+            let (schedule, run) = match scheduled {
                 Ok(s) => s,
                 Err(e) => return (Err((ErrorCode::ScheduleError, e)), pools),
             };
             // A fallback run starts a fresh lineage from the base request.
-            let computed = render_scheduled(req, &edited, schedule, false).keep(artifacts, || {
-                Some(ArtifactSeed::of_request(req, vec![edit.clone()]))
-            });
+            let computed = render_scheduled(req, run.problem(), schedule, false)
+                .keep(run.artifacts(), || {
+                    Some(ArtifactSeed::of_request(req, vec![edit.clone()]))
+                });
             (computed, pools, false)
         }
     };

@@ -285,7 +285,7 @@ fn pooled_chains_equal_fresh_chains() {
         let problem = timing(alg, machine, &ccr).expect("generated problems are valid");
         let (fresh, mut fresh_art) = schedule_retained(&problem, &config).expect("schedules");
         let (pooled, mut pooled_art, recycled) =
-            schedule_retained_with_pools(&problem, &config, pools).expect("schedules");
+            schedule_retained_with_pools(problem.clone(), &config, pools).expect("schedules");
         pools = recycled;
         assert_eq!(bytes(&fresh), bytes(&pooled));
         assert_eq!(fresh_art.step_count(), pooled_art.step_count());
