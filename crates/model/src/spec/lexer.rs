@@ -100,17 +100,10 @@ pub(crate) fn line_col(input: &str, pos: usize) -> (u32, u32) {
     (line as u32, col as u32)
 }
 
-/// Bytes that may continue an identifier.
-const IDENT: [bool; 256] = {
-    let mut table = [false; 256];
-    let mut b = 0;
-    while b < 256 {
-        let c = b as u8;
-        table[b] = c.is_ascii_alphanumeric() || c == b'_' || c == b'.';
-        b += 1;
-    }
-    table
-};
+/// Whether `c` may continue an identifier.
+fn is_ident_byte(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_' || c == b'.'
+}
 
 /// Length of the identifier at the start of `rest`, or 0.
 fn ident_len(rest: &[u8]) -> usize {
@@ -118,7 +111,7 @@ fn ident_len(rest: &[u8]) -> usize {
         Some(b'a'..=b'z' | b'A'..=b'Z' | b'_') => {
             1 + rest[1..]
                 .iter()
-                .position(|&c| !IDENT[usize::from(c)])
+                .position(|&c| !is_ident_byte(c))
                 .unwrap_or(rest.len() - 1)
         }
         _ => 0,

@@ -322,8 +322,8 @@ impl<'a> Parser<'a> {
         let raw_exec = raw_exec.ok_or(ParseError::MissingSection { section: "exec" })?;
 
         // Entries usually come in declaration order: each name is first
-        // compared with the one after the previous entry's, and looked up
-        // in the index only when that guess misses.
+        // compared with the previous entry's and the one declared after
+        // it, and looked up in the index only when both guesses miss.
         let mut exec = ExecTable::new(alg.op_count(), arch.proc_count());
         let mut op = Guess::default();
         let mut proc = Guess::default();
