@@ -185,10 +185,7 @@ impl RescheduleRequest {
 /// serialization used by snapshot artifact seeds. Round-trip exact:
 /// `parse_edit_json(&render_edit(e)) == Ok(e)` for every edit.
 pub fn render_edit(e: &ProblemEdit) -> String {
-    let units = |units: f64| {
-        serde_json::to_string(&Value::Number(serde::Number::Float(units)))
-            .expect("numbers serialize")
-    };
+    let units = |units: f64| serde_json::to_string(&units).expect("numbers serialize");
     let mut out = JsonObject::new();
     out.str("kind", e.kind());
     match e {
