@@ -764,6 +764,85 @@ mod tests {
         assert_eq!(key, reference_key(&paper));
     }
 
+    /// A problem drawn from `seed`: ranked (separator-free) names that
+    /// prefix each other, parallel deps with distinct sizes, and comm
+    /// cells of 9, 10 and 100 ticks, so parallel deps tie on every rank
+    /// and only their text orders them. Three seeds in four replace one
+    /// op, proc or link name with one that contains its separator.
+    fn tie_run_problem(seed: u64) -> Problem {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut pick = |pool: &[&'static str], n: usize| {
+            let mut pool = pool.to_vec();
+            (0..n)
+                .map(|_| pool.swap_remove(next(pool.len())).to_owned())
+                .collect::<Vec<_>>()
+        };
+        let mut ops = pick(&["A", "A1", "A10", "A_", "B", "Ba", "a", "T1", "T10", "T2"], 6);
+        let mut procs = pick(&["P", "P1", "P10", "P_", "Q", "p"], 4);
+        let mut links = pick(&["L", "L1", "L10", "L_", "M"], 4);
+        match seed % 4 {
+            1 => ops[2] = ["A@B", "A>x", "A#1", "A/c"][(seed / 4 % 4) as usize].to_owned(),
+            2 => procs[1] = "P=1".to_owned(),
+            3 => links[0] = "L=x".to_owned(),
+            _ => {}
+        }
+        let mut b = ftbar_model::Alg::builder("ties");
+        let ids: Vec<OpId> = ops.iter().map(|n| b.comp(n.as_str())).collect();
+        for (i, &src) in ids.iter().enumerate() {
+            for &dst in &ids[i + 1..] {
+                match next(4) {
+                    0 => {
+                        b.dep(src, dst);
+                    }
+                    1 => {
+                        b.dep_sized(src, dst, 2.0);
+                        b.dep_sized(src, dst, 10.0);
+                        b.dep_sized(src, dst, 1.5);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let alg = b.build().unwrap();
+        let mut b = ftbar_model::Arch::builder("m");
+        let pids: Vec<ProcId> = procs.iter().map(|n| b.proc(n.as_str())).collect();
+        b.link(links[0].as_str(), &pids[..2]);
+        b.link(links[1].as_str(), &pids[1..3]);
+        b.link(links[2].as_str(), &pids[2..]);
+        b.link(links[3].as_str(), &[pids[0], pids[3]]);
+        let arch = b.build().unwrap();
+        let mut exec = ftbar_model::ExecTable::new(alg.op_count(), arch.proc_count());
+        for op in alg.ops() {
+            for proc in arch.procs().skip(next(2)) {
+                exec.set(op, proc, Time::from_ticks([9, 10, 100, 1][next(4)]));
+            }
+        }
+        let mut comm = ftbar_model::CommTable::new(alg.dep_count(), arch.link_count());
+        for link in arch.links() {
+            // Consecutive deps, so every parallel triple, get distinct values.
+            let shift = next(3);
+            for (i, dep) in alg.deps().enumerate() {
+                comm.set(dep, link, Time::from_ticks([9, 10, 100][(i + shift) % 3]));
+            }
+        }
+        Problem::builder(alg, arch, exec, comm).build().unwrap()
+    }
+
+    #[test]
+    fn key_matches_its_definition_on_seeded_tie_runs() {
+        for seed in 0..64 {
+            let p = tie_run_problem(seed);
+            let key = canonical_key(&p, SchedulerKind::Ftbar, "adaptive", false);
+            assert_eq!(key, reference_key(&p), "seed {seed}");
+        }
+    }
+
     #[test]
     fn distinct_parameters_never_collide() {
         let p = paper_example();

@@ -450,6 +450,66 @@ mod pinned_keys {
         check_file("render_edits_and_seeds.json", &out);
     }
 
+    /// Every decision a `ResponseCache` makes under a tight budget: a
+    /// seeded stream of raw lookups with an insert after each miss (raw
+    /// texts share canonical keys, so entries outlive their memos and
+    /// memos dangle), then the export restored into a tighter cache. Each
+    /// outcome, the byte and entry counts after it, the final stats and
+    /// the export order are recorded.
+    #[test]
+    fn cache_decisions_match_pinned_bytes() {
+        use ftbar::service::cache::ResponseCache;
+        use std::fmt::Write;
+        use std::sync::Arc;
+
+        let raw = |i: usize| format!("raw-{i}|{}", "r".repeat(i * 53 % 700));
+        let canon = |j: usize| format!("canon-{j}|{}", "c".repeat(j * 37 % 400));
+        let body = |j: usize| format!("body-{j},{}", "b".repeat(j * 91 % 900));
+        let label = |s: &str| s[..s.find([',', '|']).unwrap()].to_owned();
+        let counts = |c: &ResponseCache| {
+            format!("used {} len {} memo {}", c.used_bytes(), c.len(), c.memo_len())
+        };
+        let mut out = String::new();
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut cache = ResponseCache::new(8 * 1024);
+        for step in 0..600 {
+            let i = rng.gen_range(0usize..24);
+            let r = raw(i);
+            let outcome = match cache.get_raw(&r) {
+                Some(b) => format!("hit {}", label(&b)),
+                None => {
+                    let j = i % 17;
+                    cache.insert(&r, &canon(j), &Arc::from(body(j).as_str()));
+                    format!("miss, insert canon-{j}")
+                }
+            };
+            writeln!(out, "{step} raw-{i} {outcome}; {}", counts(&cache)).unwrap();
+        }
+        writeln!(out, "stats {:?}", cache.stats()).unwrap();
+        let (entries, memos) = cache.export();
+        for (k, b) in &entries {
+            writeln!(out, "export entry {} {}", label(k), label(b)).unwrap();
+        }
+        for (r, k) in &memos {
+            writeln!(out, "export memo {} {}", label(r), label(k)).unwrap();
+        }
+        let mut tight = ResponseCache::new(5 * 1024);
+        for (k, b) in &entries {
+            tight.restore_entry(k, b);
+            writeln!(out, "restore entry {}; {}", label(k), counts(&tight)).unwrap();
+        }
+        for (r, k) in &memos {
+            tight.restore_memo(r, k);
+            writeln!(out, "restore memo {}; {}", label(r), counts(&tight)).unwrap();
+        }
+        for i in 0..24 {
+            let outcome = tight.get_raw(&raw(i)).map_or("miss".into(), |b| label(&b));
+            writeln!(out, "restored raw-{i} {outcome}; {}", counts(&tight)).unwrap();
+        }
+        writeln!(out, "restored stats {:?}", tight.stats()).unwrap();
+        check_file("cache_decisions.txt", &out);
+    }
+
     /// The contingency report with the link and jitter sweeps on.
     #[test]
     fn scenario_report_matches_pinned_bytes() {
