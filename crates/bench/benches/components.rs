@@ -5,7 +5,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ftbar_core::{ftbar, Timeline};
 use ftbar_model::{paper_example, spec, Arch, Problem, Time};
-use ftbar_service::cache::canonical_key;
+use std::sync::Arc;
+
+use ftbar_service::cache::{canonical_key, CacheKey, ResponseCache};
+use ftbar_service::proto::ScheduleRequest;
 use ftbar_service::SchedulerKind;
 use ftbar_workload::{arch, layered, timing, LayeredConfig, TimingConfig};
 
@@ -131,6 +134,43 @@ fn bench_service(c: &mut Criterion) {
     let p = generated(arch::ring(6), 155, 5.0, 3);
     c.bench_function("service/canonical_key_ring6_155", |b| {
         b.iter(|| canonical_key(&p, SchedulerKind::Ftbar, "adaptive", false));
+    });
+    // Inserts into a cache at the daemon's default 8 MiB budget, so each
+    // one evicts. The keys are this problem's raw and canonical keys,
+    // made distinct by a suffix, as the server holds them; the cycle is
+    // longer than the cache holds, so every insert is a new entry.
+    let request = ScheduleRequest {
+        id: None,
+        spec: spec::print_problem(&p),
+        scheduler: SchedulerKind::Ftbar,
+        npf: None,
+        strategy: None,
+        timeout_ms: None,
+        include_schedule: false,
+    };
+    let (raw, canonical) = (
+        request.raw_key(),
+        canonical_key(&p, SchedulerKind::Ftbar, "adaptive", false),
+    );
+    let keys: Vec<(CacheKey, CacheKey)> = (0..64)
+        .map(|i| {
+            (
+                format!("{raw}|{i}").into(),
+                format!("{canonical}|{i}").into(),
+            )
+        })
+        .collect();
+    let body: Arc<str> = Arc::from("x".repeat(600).as_str());
+    let mut cache = ResponseCache::new(8 * 1024 * 1024);
+    for (raw, canonical) in &keys {
+        cache.insert(raw, canonical, &body);
+    }
+    let mut next = keys.iter().cycle();
+    c.bench_function("service/cache_insert_at_budget_ring6_155", |b| {
+        b.iter(|| {
+            let (raw, canonical) = next.next().expect("cycle");
+            cache.insert(raw, canonical, &body);
+        });
     });
 }
 

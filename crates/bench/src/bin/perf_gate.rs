@@ -873,13 +873,18 @@ fn main() {
             cache_entries: (0..entries)
                 .map(|i| {
                     (
-                        format!("canon-key-{i:06}"),
+                        format!("canon-key-{i:06}").into(),
                         std::sync::Arc::from(body.as_str()),
                     )
                 })
                 .collect(),
             memos: (0..entries)
-                .map(|i| (format!("raw-key-{i:06}"), format!("canon-key-{i:06}")))
+                .map(|i| {
+                    (
+                        format!("raw-key-{i:06}").into(),
+                        format!("canon-key-{i:06}").into(),
+                    )
+                })
                 .collect(),
             poisoned: Vec::new(),
             seeds: Vec::new(),

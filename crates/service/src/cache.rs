@@ -1,8 +1,8 @@
 //! Canonical request keys and the byte-budget LRU response cache.
 //!
 //! The daemon serves *millions of near-duplicate requests*: the same
-//! problem text arrives re-ordered, re-indented, or re-labelled, and must
-//! hit the same cache slot. Two layers make that cheap and exact:
+//! problem text arrives re-ordered, re-indented, or re-labelled. Two
+//! layers make answering them cheap and exact:
 //!
 //! 1. **Canonical keys** ([`canonical_key`]) — a deterministic
 //!    serialization of the *parsed* problem (ops, deps, architecture,
@@ -14,25 +14,170 @@
 //!    distinct problems to one response.
 //! 2. **A raw-text memo** — maps the exact raw request fields to the
 //!    canonical key, so the steady-state hit path never re-parses the
-//!    spec: one string hash, two map lookups, done.
+//!    spec: two map lookups on hashes computed once, done.
 //!
-//! Both layers share one byte budget. Eviction is LRU by access stamp;
-//! canonical entries and memo entries are evicted together, oldest first.
-//! A memo entry whose canonical entry has been evicted resolves lazily to
-//! a miss and is dropped.
+//! The server looks answers up by raw key only ([`ResponseCache::get_raw`])
+//! and never calls [`ResponseCache::get_canonical`]. A reordered spec
+//! misses, is scheduled again, and its insert finds the canonical entry
+//! already there: the new memo shares that entry instead of adding one.
+//!
+//! Every key is a [`CacheKey`]: its text is shared, never copied, by the
+//! entry, its memos and the server's artifact store, and its hash is
+//! computed once. Both layers share one byte budget, which charges every
+//! memo its key bytes as if they were its own. Eviction is LRU by access
+//! stamp; canonical entries and memo entries are evicted together, oldest
+//! first. A memo entry whose canonical entry has been evicted resolves
+//! lazily to a miss and is dropped.
 
-use std::collections::HashMap;
-use std::fmt::Write;
-use std::ops::Range;
-use std::sync::Arc;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
 
-use ftbar_model::{DepId, LinkId, OpId, Problem, ProcId, Time};
+use ftbar_model::{DepId, LinkId, OpId, Problem, ProcId};
 
 use crate::SchedulerKind;
 
 /// Fixed per-entry bookkeeping cost charged against the byte budget, on
 /// top of the key/value bytes (map node, stamp, `Arc` header).
 const ENTRY_OVERHEAD: usize = 64;
+
+/// A cache key: shared text plus its hash, computed once.
+///
+/// Clones share the text. Keys are equal when their texts are, so two
+/// keys whose hashes collide stay distinct. The hash is keyed by one
+/// process-wide [`RandomState`], so maps of these keys resist HashDoS as
+/// std's own maps do.
+#[derive(Clone)]
+pub struct CacheKey {
+    text: Arc<str>,
+    hash: u64,
+}
+
+impl CacheKey {
+    /// The key of `text`, hashed now.
+    pub fn new(text: Arc<str>) -> CacheKey {
+        static STATE: OnceLock<RandomState> = OnceLock::new();
+        let hash = STATE.get_or_init(RandomState::new).hash_one(&*text);
+        CacheKey { text, hash }
+    }
+
+    /// The key's text.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// A key of `text` with a chosen hash, to force collisions.
+    #[cfg(test)]
+    fn with_hash(text: &str, hash: u64) -> CacheKey {
+        CacheKey {
+            text: text.into(),
+            hash,
+        }
+    }
+}
+
+impl From<Arc<str>> for CacheKey {
+    fn from(text: Arc<str>) -> CacheKey {
+        CacheKey::new(text)
+    }
+}
+
+impl From<String> for CacheKey {
+    fn from(text: String) -> CacheKey {
+        CacheKey::new(text.into())
+    }
+}
+
+impl From<&String> for CacheKey {
+    fn from(text: &String) -> CacheKey {
+        CacheKey::new(text.as_str().into())
+    }
+}
+
+impl From<&str> for CacheKey {
+    fn from(text: &str) -> CacheKey {
+        CacheKey::new(text.into())
+    }
+}
+
+impl From<&CacheKey> for CacheKey {
+    fn from(key: &CacheKey) -> CacheKey {
+        key.clone()
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &CacheKey) -> bool {
+        self.hash == other.hash && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl PartialEq<str> for CacheKey {
+    fn eq(&self, other: &str) -> bool {
+        *self.text == *other
+    }
+}
+
+impl PartialEq<&str> for CacheKey {
+    fn eq(&self, other: &&str) -> bool {
+        *self.text == **other
+    }
+}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl Deref for CacheKey {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl fmt::Debug for CacheKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.text, f)
+    }
+}
+
+impl fmt::Display for CacheKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text)
+    }
+}
+
+/// The hasher of [`KeyMap`]s: it passes a [`CacheKey`]'s hash through.
+#[derive(Default)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only a CacheKey's hash is written to a KeyHasher");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// A map keyed by [`CacheKey`]s, which hashes no text.
+pub type KeyMap<V> = HashMap<CacheKey, V, BuildHasherDefault<KeyHasher>>;
+
+/// A set of [`CacheKey`]s, which hashes no text.
+pub type KeySet = HashSet<CacheKey, BuildHasherDefault<KeyHasher>>;
 
 /// Cache observability counters, reported by the `status` request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,24 +201,28 @@ struct Entry {
 
 #[derive(Debug)]
 struct MemoEntry {
-    canonical: String,
+    canonical: CacheKey,
     stamp: u64,
     cost: usize,
 }
 
 /// A snapshot export: `(canonical, body)` cache entries and
 /// `(raw, canonical)` memo records, each oldest access first.
-pub type CacheExport = (Vec<(String, Arc<str>)>, Vec<(String, String)>);
+pub type CacheExport = (Vec<(CacheKey, Arc<str>)>, Vec<(CacheKey, CacheKey)>);
 
 /// Byte-budget LRU cache of rendered responses, keyed by canonical
 /// problem keys with a raw-text memo in front.
+///
+/// Every method takes its keys as `impl Into<CacheKey>`: a [`CacheKey`]
+/// (or a reference to one) is shared as it is, a string is copied and
+/// hashed once.
 #[derive(Debug)]
 pub struct ResponseCache {
     budget: usize,
     used: usize,
     clock: u64,
-    entries: HashMap<String, Entry>,
-    memo: HashMap<String, MemoEntry>,
+    entries: KeyMap<Entry>,
+    memo: KeyMap<MemoEntry>,
     stats: CacheStats,
 }
 
@@ -85,17 +234,18 @@ impl ResponseCache {
             budget,
             used: 0,
             clock: 0,
-            entries: HashMap::new(),
-            memo: HashMap::new(),
+            entries: KeyMap::default(),
+            memo: KeyMap::default(),
             stats: CacheStats::default(),
         }
     }
 
     /// Looks up a response by the exact raw request key (no parsing).
-    pub fn get_raw(&mut self, raw: &str) -> Option<Arc<str>> {
+    pub fn get_raw(&mut self, raw: impl Into<CacheKey>) -> Option<Arc<str>> {
+        let raw = raw.into();
         self.clock += 1;
         let stamp = self.clock;
-        let canonical = match self.memo.get_mut(raw) {
+        let canonical = match self.memo.get_mut(&raw) {
             Some(m) => {
                 m.stamp = stamp;
                 m.canonical.clone()
@@ -111,7 +261,7 @@ impl ResponseCache {
             None => {
                 // The canonical entry was evicted under this memo entry;
                 // drop the dangling pointer and fall through to a miss.
-                if let Some(m) = self.memo.remove(raw) {
+                if let Some(m) = self.memo.remove(&raw) {
                     self.used = self.used.saturating_sub(m.cost);
                 }
                 self.miss()
@@ -120,11 +270,17 @@ impl ResponseCache {
     }
 
     /// Looks up a response by canonical key (after a raw-memo miss), and
-    /// memoizes `raw` → `canonical` on a hit.
-    pub fn get_canonical(&mut self, raw: &str, canonical: &str) -> Option<Arc<str>> {
+    /// memoizes `raw` → `canonical` on a hit. The server never calls
+    /// this: a raw miss is scheduled again.
+    pub fn get_canonical(
+        &mut self,
+        raw: impl Into<CacheKey>,
+        canonical: impl Into<CacheKey>,
+    ) -> Option<Arc<str>> {
         self.clock += 1;
         let stamp = self.clock;
-        let response = match self.entries.get_mut(canonical) {
+        let canonical = canonical.into();
+        let response = match self.entries.get_mut(&canonical) {
             Some(e) => {
                 e.stamp = stamp;
                 Arc::clone(&e.response)
@@ -132,7 +288,7 @@ impl ResponseCache {
             None => return self.miss(),
         };
         self.stats.hits += 1;
-        self.memoize(raw, canonical, stamp);
+        self.memoize(raw.into(), canonical, stamp);
         Some(response)
     }
 
@@ -140,16 +296,22 @@ impl ResponseCache {
     ///
     /// An entry bigger than the whole budget is not cached at all; with a
     /// zero budget this is a no-op.
-    pub fn insert(&mut self, raw: &str, canonical: &str, response: &Arc<str>) {
+    pub fn insert(
+        &mut self,
+        raw: impl Into<CacheKey>,
+        canonical: impl Into<CacheKey>,
+        response: &Arc<str>,
+    ) {
         if self.budget == 0 {
             return;
         }
         self.clock += 1;
         let stamp = self.clock;
+        let canonical = canonical.into();
         let cost = canonical.len() + response.len() + ENTRY_OVERHEAD;
-        if cost <= self.budget && !self.entries.contains_key(canonical) {
+        if cost <= self.budget && !self.entries.contains_key(&canonical) {
             self.entries.insert(
-                canonical.to_owned(),
+                canonical.clone(),
                 Entry {
                     response: Arc::clone(response),
                     stamp,
@@ -159,7 +321,7 @@ impl ResponseCache {
             self.used += cost;
             self.stats.insertions += 1;
         }
-        self.memoize(raw, canonical, stamp);
+        self.memoize(raw.into(), canonical, stamp);
         self.evict_to_budget();
     }
 
@@ -192,18 +354,18 @@ impl ResponseCache {
     /// `(raw, canonical)` memos, each sorted oldest access first so
     /// re-inserting in order reproduces the LRU ordering.
     pub fn export(&self) -> CacheExport {
-        let mut entries: Vec<(u64, String, Arc<str>)> = self
+        let mut entries: Vec<(u64, CacheKey, Arc<str>)> = self
             .entries
             .iter()
             .map(|(k, e)| (e.stamp, k.clone(), Arc::clone(&e.response)))
             .collect();
-        entries.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        let mut memos: Vec<(u64, String, String)> = self
+        entries.sort_unstable_by(|a, b| (a.0, a.1.as_str()).cmp(&(b.0, b.1.as_str())));
+        let mut memos: Vec<(u64, CacheKey, CacheKey)> = self
             .memo
             .iter()
             .map(|(k, m)| (m.stamp, k.clone(), m.canonical.clone()))
             .collect();
-        memos.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        memos.sort_unstable_by(|a, b| (a.0, a.1.as_str()).cmp(&(b.0, b.1.as_str())));
         (
             entries.into_iter().map(|(_, k, r)| (k, r)).collect(),
             memos.into_iter().map(|(_, k, c)| (k, c)).collect(),
@@ -212,16 +374,17 @@ impl ResponseCache {
 
     /// Re-inserts a snapshotted response under its canonical key with a
     /// fresh access stamp (restore path; no raw memo).
-    pub fn restore_entry(&mut self, canonical: &str, response: &Arc<str>) {
+    pub fn restore_entry(&mut self, canonical: impl Into<CacheKey>, response: &Arc<str>) {
         if self.budget == 0 {
             return;
         }
         self.clock += 1;
         let stamp = self.clock;
+        let canonical = canonical.into();
         let cost = canonical.len() + response.len() + ENTRY_OVERHEAD;
-        if cost <= self.budget && !self.entries.contains_key(canonical) {
+        if cost <= self.budget && !self.entries.contains_key(&canonical) {
             self.entries.insert(
-                canonical.to_owned(),
+                canonical,
                 Entry {
                     response: Arc::clone(response),
                     stamp,
@@ -236,13 +399,13 @@ impl ResponseCache {
     /// Re-inserts a snapshotted raw → canonical memo entry (restore
     /// path). Memos whose canonical entry did not survive still resolve
     /// lazily to a miss, exactly like a post-eviction dangling memo.
-    pub fn restore_memo(&mut self, raw: &str, canonical: &str) {
+    pub fn restore_memo(&mut self, raw: impl Into<CacheKey>, canonical: impl Into<CacheKey>) {
         if self.budget == 0 {
             return;
         }
         self.clock += 1;
         let stamp = self.clock;
-        self.memoize(raw, canonical, stamp);
+        self.memoize(raw.into(), canonical.into(), stamp);
     }
 
     fn miss(&mut self) -> Option<Arc<str>> {
@@ -250,15 +413,23 @@ impl ResponseCache {
         None
     }
 
-    fn memoize(&mut self, raw: &str, canonical: &str, stamp: u64) {
+    /// Memoizes `raw` → `canonical`. The memo shares the text of the
+    /// cached entry's key, however `canonical` was spelled, but is charged
+    /// both keys' bytes as if they were its own: the budget, and with it
+    /// every eviction, stays what it was when each memo held copies.
+    fn memoize(&mut self, raw: CacheKey, canonical: CacheKey, stamp: u64) {
         let cost = raw.len() + canonical.len() + ENTRY_OVERHEAD;
-        if cost > self.budget || self.memo.contains_key(raw) {
+        if cost > self.budget || self.memo.contains_key(&raw) {
             return;
         }
+        let canonical = match self.entries.get_key_value(&canonical) {
+            Some((shared, _)) => shared.clone(),
+            None => canonical,
+        };
         self.memo.insert(
-            raw.to_owned(),
+            raw,
             MemoEntry {
-                canonical: canonical.to_owned(),
+                canonical,
                 stamp,
                 cost,
             },
@@ -296,14 +467,14 @@ impl ResponseCache {
         }
     }
 
-    fn remove_entry(&mut self, key: &str) {
+    fn remove_entry(&mut self, key: &CacheKey) {
         if let Some(e) = self.entries.remove(key) {
             self.used = self.used.saturating_sub(e.cost);
             self.stats.evictions += 1;
         }
     }
 
-    fn remove_memo(&mut self, key: &str) {
+    fn remove_memo(&mut self, key: &CacheKey) {
         if let Some(m) = self.memo.remove(key) {
             self.used = self.used.saturating_sub(m.cost);
             self.stats.evictions += 1;
@@ -318,6 +489,12 @@ impl ResponseCache {
 /// (up to declaration order) and ask for it the same way — so serving a
 /// cached response under this key is byte-exact, and distinct `npf`,
 /// strategy, scheduler, or `include_schedule` values can never collide.
+///
+/// Each list is written straight into the key in rank order (see
+/// [`Ranked`]): ops, procs, links and deps are sorted once by the ranks of
+/// their names, exec and comm cells follow by nested loops over those
+/// orders, and only runs of entries whose ranks tie are sorted by their
+/// bytes.
 pub fn canonical_key(
     problem: &Problem,
     scheduler: SchedulerKind,
@@ -336,108 +513,149 @@ pub fn canonical_key(
     key.push_str(if include_schedule { "1" } else { "0" });
     key.push_str("|rtc=");
     match problem.rtc() {
-        Some(t) => {
-            let _ = write!(key, "{}", t.ticks());
-        }
+        Some(t) => push_u64(&mut key, t.ticks()),
         None => key.push('-'),
     }
 
-    // Entries are ordered by their bytes. Each list also carries a rank
-    // key from its leading names (see `name_ranks`), so almost every
-    // comparison is between integers, not strings.
     let op_names: Vec<&str> = alg.ops().map(|o| alg.op(o).name()).collect();
     let proc_names: Vec<&str> = arch.procs().map(|p| arch.proc(p).name()).collect();
     let link_names: Vec<&str> = arch.links().map(|l| arch.link(l).name()).collect();
-    let src_gt = name_ranks(&op_names, b'>');
-    let dst_hash = name_ranks(&op_names, b'#');
-    let op_at = name_ranks(&op_names, b'@');
-    let proc_eq = name_ranks(&proc_names, b'=');
-    let link_eq = name_ranks(&link_names, b'=');
+    let mut runs = TieRuns::default();
 
-    let mut entries = SortedEntries::default();
     key.push_str("|alg=");
     key.push_str(alg.name());
     key.push_str("|ops:");
-    entries.append(&mut key, alg.ops(), unranked, |buf, id| {
-        let op = alg.op(id);
-        buf.push_str(op.name());
-        buf.push('/');
-        buf.push_str(op.kind().keyword());
-    });
+    let op_slash = Ranked::new(&op_names, b'/');
+    let mut list = runs.list(&mut key);
+    for &op in &op_slash.order {
+        list.push(rank_of(&[(&op_slash, op)]), |buf| {
+            let op = alg.op(OpId(op));
+            buf.push_str(op.name());
+            buf.push('/');
+            buf.push_str(op.kind().keyword());
+        });
+    }
+    list.finish();
 
     key.push_str("|deps:");
-    let dep_rank = |id| {
-        let (s, d) = alg.dep_endpoints(id);
-        rank_of(&[(&src_gt, s.index()), (&dst_hash, d.index())])
-    };
-    entries.append(&mut key, alg.deps(), dep_rank, |buf, id| {
-        let (s, d) = alg.dep_endpoints(id);
-        let _ = write!(
-            buf,
-            "{}>{}#{:?}",
-            alg.op(s).name(),
-            alg.op(d).name(),
-            alg.dep(id).size()
-        );
-    });
+    let src_gt = Ranked::new(&op_names, b'>');
+    let dst_hash = Ranked::new(&op_names, b'#');
+    let mut list = runs.list(&mut key);
+    for (rank, dep) in deps_by_rank(problem, &src_gt, &dst_hash) {
+        list.push(rank, |buf| {
+            let (s, d) = alg.dep_endpoints(dep);
+            buf.push_str(op_names[s.index()]);
+            buf.push('>');
+            buf.push_str(op_names[d.index()]);
+            buf.push('#');
+            push_f64_debug(buf, alg.dep(dep).size());
+        });
+    }
+    list.finish();
 
     key.push_str("|arch=");
     key.push_str(arch.name());
     key.push_str("|procs:");
-    entries.append(&mut key, arch.procs(), unranked, |buf, id| {
-        buf.push_str(arch.proc(id).name());
-    });
+    // A bare name sorts before every name it prefixes: the end of the
+    // entry acts as a separator below every byte.
+    let proc_bare = Ranked::new(&proc_names, 0);
+    let mut list = runs.list(&mut key);
+    for &proc in &proc_bare.order {
+        list.push(rank_of(&[(&proc_bare, proc)]), |buf| {
+            buf.push_str(proc_names[proc as usize]);
+        });
+    }
+    list.finish();
 
     key.push_str("|links:");
-    entries.append(&mut key, arch.links(), unranked, |buf, id| {
-        let l = arch.link(id);
-        let mut eps: Vec<_> = l.endpoints().iter().map(|p| arch.proc(*p).name()).collect();
-        eps.sort_unstable();
-        buf.push_str(l.name());
-        buf.push('=');
-        buf.push_str(&eps.join("+"));
+    let link_eq = Ranked::new(&link_names, b'=');
+    let mut list = runs.list(&mut key);
+    for &link in &link_eq.order {
+        list.push(rank_of(&[(&link_eq, link)]), |buf| {
+            let l = arch.link(LinkId(link));
+            let mut eps: Vec<_> = l.endpoints().iter().map(|p| arch.proc(*p).name()).collect();
+            eps.sort_unstable();
+            buf.push_str(l.name());
+            buf.push('=');
+            buf.push_str(&eps.join("+"));
+        });
+    }
+    list.finish();
+
+    // Each cell joins two labels, `op@` or `src>dst@` with `proc=` or
+    // `link=`, written once here.
+    let op_label = Labels::new(&op_names, |buf, op| {
+        buf.push_str(op);
+        buf.push('@');
     });
+    let proc_label = Labels::new(&proc_names, |buf, proc| {
+        buf.push_str(proc);
+        buf.push('=');
+    });
+    let deps: Vec<DepId> = alg.deps().collect();
+    let dep_label = Labels::new(&deps, |buf, &dep| {
+        let (s, d) = alg.dep_endpoints(dep);
+        buf.push_str(op_names[s.index()]);
+        buf.push('>');
+        buf.push_str(op_names[d.index()]);
+        buf.push('@');
+    });
+    let link_label = Labels::new(&link_names, |buf, link| {
+        buf.push_str(link);
+        buf.push('=');
+    });
+    // Room for every cell with a few digits and its comma.
+    key.reserve(
+        proc_names.len() * op_label.text.len()
+            + op_names.len() * proc_label.text.len()
+            + link_names.len() * dep_label.text.len()
+            + deps.len() * link_label.text.len()
+            + 6 * (op_names.len() * proc_names.len() + deps.len() * link_names.len())
+            + 12,
+    );
 
     key.push_str("|exec:");
-    let cells = alg
-        .ops()
-        .flat_map(|op| arch.procs().map(move |proc| (op, proc)));
-    let exec_rank =
-        |(op, proc): (OpId, ProcId)| rank_of(&[(&op_at, op.index()), (&proc_eq, proc.index())]);
-    entries.append(&mut key, cells, exec_rank, |buf, (op, proc)| {
-        buf.push_str(alg.op(op).name());
-        buf.push('@');
-        buf.push_str(arch.proc(proc).name());
-        buf.push('=');
-        match problem.exec().get(op, proc) {
-            Some(t) => push_u64(buf, t.ticks()),
-            None => buf.push_str("inf"),
+    let op_at = Ranked::new(&op_names, b'@');
+    let proc_eq = Ranked::new(&proc_names, b'=');
+    let mut list = runs.list(&mut key);
+    for ops in op_at.groups() {
+        for &proc in &proc_eq.order {
+            for &op in ops {
+                list.push(rank_of(&[(&op_at, op), (&proc_eq, proc)]), |buf| {
+                    buf.push_str(op_label.get(op));
+                    buf.push_str(proc_label.get(proc));
+                    match problem.exec().get(OpId(op), ProcId(proc)) {
+                        Some(t) => push_u64(buf, t.ticks()),
+                        None => buf.push_str("inf"),
+                    }
+                });
+            }
         }
-    });
+    }
+    list.finish();
 
     key.push_str("|comm:");
-    let cells = alg.deps().flat_map(|dep| {
-        arch.links()
-            .filter_map(move |link| problem.comm().get(dep, link).map(|t| (dep, link, t)))
-    });
-    let comm_rank = |(dep, link, _): (DepId, LinkId, Time)| {
-        let (s, d) = alg.dep_endpoints(dep);
-        rank_of(&[
-            (&src_gt, s.index()),
-            (&op_at, d.index()),
-            (&link_eq, link.index()),
-        ])
-    };
-    entries.append(&mut key, cells, comm_rank, |buf, (dep, link, t)| {
-        let (s, d) = alg.dep_endpoints(dep);
-        buf.push_str(alg.op(s).name());
-        buf.push('>');
-        buf.push_str(alg.op(d).name());
-        buf.push('@');
-        buf.push_str(arch.link(link).name());
-        buf.push('=');
-        push_u64(buf, t.ticks());
-    });
+    let deps = deps_by_rank(problem, &src_gt, &op_at);
+    let mut list = runs.list(&mut key);
+    // Parallel deps tie on their ranks: walk each such group link by link,
+    // so the cells' ranks still rise.
+    for group in deps.chunk_by(|a, b| a.0 == b.0) {
+        for &link in &link_eq.order {
+            for &(_, dep) in group {
+                let Some(t) = problem.comm().get(dep, LinkId(link)) else {
+                    continue;
+                };
+                let (s, d) = alg.dep_endpoints(dep);
+                let rank = rank_of(&[(&src_gt, s.0), (&op_at, d.0), (&link_eq, link)]);
+                list.push(rank, |buf| {
+                    buf.push_str(dep_label.get(dep.0));
+                    buf.push_str(link_label.get(link));
+                    push_u64(buf, t.ticks());
+                });
+            }
+        }
+    }
+    list.finish();
     key
 }
 
@@ -457,100 +675,222 @@ fn push_u64(buf: &mut String, mut v: u64) {
     buf.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
-/// A sort key for a list entry: the ranks of its leading names, then the
-/// entry's bytes. Rank order must agree with byte order wherever the
-/// ranks differ; entries with equal ranks compare by their bytes.
+/// Appends `v` as `{:?}` formats it. Whole numbers below 2^53 print as
+/// their digits and `.0`; this writes those directly, since dep sizes
+/// are usually whole.
+fn push_f64_debug(buf: &mut String, v: f64) {
+    if v.fract() == 0.0 && (1.0..9_007_199_254_740_992.0).contains(&v) {
+        push_u64(buf, v as u64);
+        buf.push_str(".0");
+    } else {
+        let _ = write!(buf, "{v:?}");
+    }
+}
+
+/// Short strings, one per item, in one buffer.
+struct Labels {
+    text: String,
+    /// End of each item's string in `text`.
+    ends: Vec<usize>,
+}
+
+impl Labels {
+    fn new<T>(items: &[T], mut write: impl FnMut(&mut String, &T)) -> Labels {
+        let mut labels = Labels {
+            text: String::new(),
+            ends: Vec::with_capacity(items.len()),
+        };
+        for item in items {
+            write(&mut labels.text, item);
+            labels.ends.push(labels.text.len());
+        }
+        labels
+    }
+
+    fn get(&self, i: u32) -> &str {
+        let i = i as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+}
+
+/// The rank of a list entry: the ranks of its leading names, each plus
+/// one, then zeros. Rank order must agree with the entries' byte order
+/// wherever two ranks differ; entries with equal ranks form a tie run,
+/// which only their bytes can order.
 type Rank = [u32; 3];
 
-/// The rank of an entry in a short list: its bytes alone decide.
-fn unranked<T>(_: T) -> Rank {
-    Rank::default()
-}
-
-/// Ranks `names` by the byte order of `name` followed by `sep`, the way
-/// each name leads its entries `name{sep}…`; equal names share a rank.
+/// A list of names sorted by the byte order of each name followed by
+/// `sep`, the way each name leads its entries `name{sep}…`.
 ///
-/// The rank order is the entries' byte order only if no name contains
-/// `sep` (else `A` + `@` could be a prefix of name `A@B`); then this
-/// returns `None` and the entries compare by their bytes alone.
-fn name_ranks(names: &[&str], sep: u8) -> Option<Vec<u32>> {
-    if names.iter().any(|n| n.as_bytes().contains(&sep)) {
-        return None;
-    }
-    let mut order: Vec<usize> = (0..names.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (a, b) = (names[a].as_bytes(), names[b].as_bytes());
-        let n = a.len().min(b.len());
-        // Past the common length, the shorter name continues with `sep`.
-        a[..n].cmp(&b[..n]).then_with(|| {
-            let next = |s: &[u8]| s.get(n).copied().unwrap_or(sep);
-            next(a).cmp(&next(b))
-        })
-    });
-    let mut ranks = vec![0; names.len()];
-    let mut rank = 0;
-    for (pos, &i) in order.iter().enumerate() {
-        if pos > 0 && names[i] != names[order[pos - 1]] {
-            rank += 1;
-        }
-        ranks[i] = rank;
-    }
-    Some(ranks)
+/// That order is the entries' byte order only if no name contains `sep`
+/// (else `A` + `@` could be a prefix of name `A@B`). Then every name gets
+/// a rank, equal names sharing one; otherwise none does, and the whole
+/// list is one tie run.
+struct Ranked {
+    /// Name indices in rank order.
+    order: Vec<u32>,
+    /// Rank of each name by index, when the order is the byte order.
+    ranks: Option<Vec<u32>>,
 }
 
-/// The [`Rank`] of an entry led by the given `(ranks, index)` names, in
-/// order. A name without ranks ends the key there: the names after it
-/// decide nothing until it is known to be equal, which only the bytes
-/// can tell.
-fn rank_of(names: &[(&Option<Vec<u32>>, usize)]) -> Rank {
+impl Ranked {
+    fn new(names: &[&str], sep: u8) -> Ranked {
+        // Past the common length, the shorter name continues with `sep`.
+        let cmp = |a: &[u8], b: &[u8]| {
+            let n = a.len().min(b.len());
+            a[..n].cmp(&b[..n]).then_with(|| {
+                let next = |s: &[u8]| s.get(n).copied().unwrap_or(sep);
+                next(a).cmp(&next(b))
+            })
+        };
+        // The first eight bytes of `name{sep}`, zero-padded, order the
+        // names as `cmp` does; only names that share them need `cmp`.
+        let head = |name: &[u8]| {
+            let mut bytes = [0u8; 8];
+            let n = name.len().min(8);
+            bytes[..n].copy_from_slice(&name[..n]);
+            if n < 8 {
+                bytes[n] = sep;
+            }
+            u64::from_be_bytes(bytes)
+        };
+        let mut keyed: Vec<(u64, u32)> = (0..names.len() as u32)
+            .map(|i| (head(names[i as usize].as_bytes()), i))
+            .collect();
+        keyed.sort_unstable_by(|&(ha, a), &(hb, b)| {
+            ha.cmp(&hb)
+                .then_with(|| cmp(names[a as usize].as_bytes(), names[b as usize].as_bytes()))
+        });
+        let order: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
+        if names.iter().any(|n| n.as_bytes().contains(&sep)) {
+            return Ranked { order, ranks: None };
+        }
+        let mut ranks = vec![0; names.len()];
+        let mut rank = 0;
+        for pair in order.windows(2) {
+            if names[pair[0] as usize] != names[pair[1] as usize] {
+                rank += 1;
+            }
+            ranks[pair[1] as usize] = rank;
+        }
+        Ranked {
+            order,
+            ranks: Some(ranks),
+        }
+    }
+
+    /// The order cut into runs of equal rank (one run without ranks).
+    fn groups(&self) -> impl Iterator<Item = &[u32]> {
+        let ranks = self.ranks.as_deref();
+        self.order
+            .chunk_by(move |&a, &b| ranks.is_none_or(|r| r[a as usize] == r[b as usize]))
+    }
+}
+
+/// The [`Rank`] of an entry led by the given `(names, index)`, in order. A
+/// name without ranks ends the rank there: the names after it decide
+/// nothing until it is known to be equal, which only the bytes can tell.
+fn rank_of(names: &[(&Ranked, u32)]) -> Rank {
     let mut rank = Rank::default();
-    for (slot, (ranks, i)) in rank.iter_mut().zip(names) {
-        match ranks {
-            Some(r) => *slot = r[*i] + 1,
+    for (slot, (names, i)) in rank.iter_mut().zip(names) {
+        match &names.ranks {
+            Some(r) => *slot = r[*i as usize] + 1,
             None => break,
         }
     }
     rank
 }
 
-/// Scratch space for [`canonical_key`]'s sorted lists: every entry of a
-/// list is written into one shared buffer and only the spans are sorted,
-/// so no entry gets an allocation of its own.
-#[derive(Default)]
-struct SortedEntries {
-    buf: String,
-    spans: Vec<(Rank, Range<usize>)>,
+/// The deps with their [`Rank`]s by source and destination name, sorted
+/// by rank; parallel deps are adjacent.
+fn deps_by_rank(problem: &Problem, src: &Ranked, dst: &Ranked) -> Vec<(Rank, DepId)> {
+    let alg = problem.alg();
+    let mut deps: Vec<(Rank, DepId)> = alg
+        .deps()
+        .map(|dep| {
+            let (s, d) = alg.dep_endpoints(dep);
+            (rank_of(&[(src, s.0), (dst, d.0)]), dep)
+        })
+        .collect();
+    deps.sort_unstable_by_key(|&(rank, _)| rank);
+    deps
 }
 
-impl SortedEntries {
-    /// Appends the entries `write` renders for `items` to `key`,
-    /// comma-separated in byte order — the order a sorted `Vec<String>`
-    /// of the same entries has. `rank` must be consistent with that order
-    /// (see [`Rank`]).
-    fn append<T: Copy>(
-        &mut self,
-        key: &mut String,
-        items: impl Iterator<Item = T>,
-        rank: impl Fn(T) -> Rank,
-        mut write: impl FnMut(&mut String, T),
-    ) {
-        self.buf.clear();
+/// Scratch space for the tie runs of [`canonical_key`]'s lists, shared by
+/// all of them.
+#[derive(Default)]
+struct TieRuns {
+    /// Spans of the current run's entries in the key.
+    spans: Vec<Range<usize>>,
+    /// A copy of the run while it is rewritten in byte order.
+    text: String,
+}
+
+impl TieRuns {
+    /// Starts a comma-separated list at the end of `key`.
+    fn list<'a>(&'a mut self, key: &'a mut String) -> List<'a> {
         self.spans.clear();
-        for item in items {
-            let start = self.buf.len();
-            write(&mut self.buf, item);
-            self.spans.push((rank(item), start..self.buf.len()));
+        List {
+            key,
+            runs: self,
+            first: true,
+            rank: Rank::default(),
         }
-        let buf = &self.buf;
-        self.spans.sort_unstable_by(|(ra, a), (rb, b)| {
-            ra.cmp(rb).then_with(|| buf[a.clone()].cmp(&buf[b.clone()]))
-        });
-        for (i, (_, span)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                key.push(',');
+    }
+}
+
+/// A list being written into the key: entries arrive in rank order, and
+/// each tie run is put into byte order when it ends. The result is what
+/// sorting all the entries' strings and joining them with commas gives.
+struct List<'a> {
+    key: &'a mut String,
+    runs: &'a mut TieRuns,
+    first: bool,
+    rank: Rank,
+}
+
+impl List<'_> {
+    /// Appends the entry `write` renders. `rank` must not be below the
+    /// previous entry's.
+    fn push(&mut self, rank: Rank, write: impl FnOnce(&mut String)) {
+        if rank != self.rank {
+            self.close_run();
+            self.rank = rank;
+        }
+        if !self.first {
+            self.key.push(',');
+        }
+        self.first = false;
+        let start = self.key.len();
+        write(self.key);
+        self.runs.spans.push(start..self.key.len());
+    }
+
+    /// Ends the list.
+    fn finish(mut self) {
+        self.close_run();
+    }
+
+    /// Rewrites the current run in byte order, if it has two entries or
+    /// more.
+    fn close_run(&mut self) {
+        let TieRuns { spans, text } = &mut *self.runs;
+        if spans.len() > 1 {
+            let from = spans[0].start;
+            text.clear();
+            text.push_str(&self.key[from..]);
+            let entry = |span: &Range<usize>| &text[span.start - from..span.end - from];
+            spans.sort_unstable_by(|a, b| entry(a).cmp(entry(b)));
+            self.key.truncate(from);
+            for (i, span) in spans.iter().enumerate() {
+                if i > 0 {
+                    self.key.push(',');
+                }
+                self.key.push_str(entry(span));
             }
-            key.push_str(&buf[span.clone()]);
         }
+        spans.clear();
     }
 }
 
@@ -649,6 +989,57 @@ mod tests {
             tight.get_canonical("r", "canon-0").is_some(),
             "most recently used entry survives a tight restore"
         );
+    }
+
+    #[test]
+    fn keys_with_equal_hashes_stay_distinct() {
+        let (a, b) = (
+            CacheKey::with_hash("canon-a", 7),
+            CacheKey::with_hash("canon-b", 7),
+        );
+        assert_ne!(a, b);
+        let (raw_a, raw_b) = (
+            CacheKey::with_hash("raw-a", 9),
+            CacheKey::with_hash("raw-b", 9),
+        );
+        let mut c = ResponseCache::new(64 * 1024);
+        c.insert(&raw_a, &a, &arc("response-a"));
+        c.insert(&raw_b, &b, &arc("response-b"));
+        assert_eq!((c.len(), c.memo_len()), (2, 2));
+        assert_eq!(c.get_raw(&raw_a).as_deref(), Some("response-a"));
+        assert_eq!(c.get_raw(&raw_b).as_deref(), Some("response-b"));
+        let raw_c = CacheKey::with_hash("raw-c", 9);
+        assert_eq!(c.get_canonical(&raw_c, &b).as_deref(), Some("response-b"));
+        assert_eq!(c.get_raw(&raw_c).as_deref(), Some("response-b"));
+    }
+
+    #[test]
+    fn memos_share_their_entry_key() {
+        let shared = |c: &ResponseCache| {
+            let (entries, memos) = c.export();
+            memos.iter().all(|(_, canonical)| {
+                entries
+                    .iter()
+                    .any(|(key, _)| Arc::ptr_eq(&key.text, &canonical.text))
+            })
+        };
+        let mut c = ResponseCache::new(64 * 1024);
+        c.insert("raw-a", "canon", &arc("response"));
+        // A second spelling of the same key, as a reordered spec makes.
+        c.insert("raw-b", String::from("canon"), &arc("response"));
+        assert_eq!((c.len(), c.memo_len()), (1, 2));
+        assert!(shared(&c));
+        let (entries, memos) = c.export();
+        let mut restored = ResponseCache::new(64 * 1024);
+        for (canonical, body) in &entries {
+            restored.restore_entry(canonical.as_str(), body);
+        }
+        for (raw, canonical) in &memos {
+            restored.restore_memo(raw.as_str(), canonical.as_str());
+        }
+        assert_eq!((restored.len(), restored.memo_len()), (1, 2));
+        assert!(shared(&restored));
+        assert_eq!(restored.used_bytes(), c.used_bytes());
     }
 
     /// The key as its definition states it: one `String` per entry,
@@ -783,7 +1174,10 @@ mod tests {
                 .map(|_| pool.swap_remove(next(pool.len())).to_owned())
                 .collect::<Vec<_>>()
         };
-        let mut ops = pick(&["A", "A1", "A10", "A_", "B", "Ba", "a", "T1", "T10", "T2"], 6);
+        let mut ops = pick(
+            &["A", "A1", "A10", "A_", "B", "Ba", "a", "T1", "T10", "T2"],
+            6,
+        );
         let mut procs = pick(&["P", "P1", "P10", "P_", "Q", "p"], 4);
         let mut links = pick(&["L", "L1", "L10", "L_", "M"], 4);
         match seed % 4 {
@@ -820,7 +1214,11 @@ mod tests {
         let mut exec = ftbar_model::ExecTable::new(alg.op_count(), arch.proc_count());
         for op in alg.ops() {
             for proc in arch.procs().skip(next(2)) {
-                exec.set(op, proc, Time::from_ticks([9, 10, 100, 1][next(4)]));
+                exec.set(
+                    op,
+                    proc,
+                    ftbar_model::Time::from_ticks([9, 10, 100, 1][next(4)]),
+                );
             }
         }
         let mut comm = ftbar_model::CommTable::new(alg.dep_count(), arch.link_count());
@@ -828,7 +1226,11 @@ mod tests {
             // Consecutive deps, so every parallel triple, get distinct values.
             let shift = next(3);
             for (i, dep) in alg.deps().enumerate() {
-                comm.set(dep, link, Time::from_ticks([9, 10, 100][(i + shift) % 3]));
+                comm.set(
+                    dep,
+                    link,
+                    ftbar_model::Time::from_ticks([9, 10, 100][(i + shift) % 3]),
+                );
             }
         }
         Problem::builder(alg, arch, exec, comm).build().unwrap()

@@ -51,6 +51,7 @@ use ftbar_core::json::JsonObject;
 use ftbar_core::SweepStrategy;
 use serde::Value;
 
+use crate::cache::CacheKey;
 use crate::proto::{parse_edit, render_edit};
 use crate::SchedulerKind;
 
@@ -130,8 +131,9 @@ pub struct ArtifactSeed {
     pub npf: Option<u32>,
     /// Rendering option of the base request (part of the canonical key).
     pub include_schedule: bool,
-    /// Base problem spec text, verbatim.
-    pub spec: String,
+    /// Base problem spec text, verbatim, shared by every seed of its
+    /// lineage.
+    pub spec: Arc<str>,
     /// Ordered edit chain applied on top of the base problem.
     pub edits: Vec<ProblemEdit>,
 }
@@ -182,7 +184,7 @@ impl ArtifactSeed {
             .get("spec")
             .and_then(Value::as_str)
             .ok_or("`spec` (string) is required")?
-            .to_owned();
+            .into();
         let edits = match v.get("edits") {
             Some(Value::Array(items)) => items
                 .iter()
@@ -210,9 +212,9 @@ impl ArtifactSeed {
 pub struct SnapshotData {
     /// Response-cache entries `(canonical key, rendered body)`, oldest
     /// access first so re-insertion reproduces the LRU order.
-    pub cache_entries: Vec<(String, Arc<str>)>,
+    pub cache_entries: Vec<(CacheKey, Arc<str>)>,
     /// Raw-text memo entries `(raw key, canonical key)`, oldest first.
-    pub memos: Vec<(String, String)>,
+    pub memos: Vec<(CacheKey, CacheKey)>,
     /// Poisoned raw request keys (sorted at collection time so snapshot
     /// bytes are deterministic for a given state).
     pub poisoned: Vec<String>,
@@ -398,8 +400,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Restore {
                 else {
                     break;
                 };
-                data.cache_entries
-                    .push((canonical.to_owned(), Arc::from(body)));
+                data.cache_entries.push((canonical.into(), Arc::from(body)));
             }
             KIND_MEMO => {
                 let Some((raw, canonical)) = split_prefixed(payload) else {
@@ -410,7 +411,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Restore {
                 else {
                     break;
                 };
-                data.memos.push((raw.to_owned(), canonical.to_owned()));
+                data.memos.push((raw.into(), canonical.into()));
             }
             KIND_POISONED => {
                 let Ok(raw) = std::str::from_utf8(payload) else {

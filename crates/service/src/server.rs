@@ -26,7 +26,7 @@
 //! cached bytes always equal the un-pressured direct response.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -43,7 +43,7 @@ use ftbar_core::json::JsonObject;
 use ftbar_core::reschedule::{reschedule_with_pools, RescheduleError, ScheduleArtifacts};
 use ftbar_model::Problem;
 
-use crate::cache::{canonical_key, CacheStats, ResponseCache};
+use crate::cache::{canonical_key, CacheKey, CacheStats, KeyMap, KeySet, ResponseCache};
 use crate::persist::{self, ArtifactSeed, RestoreStatus, SnapshotData, SnapshotStats};
 use crate::proto::{
     parse_request, render_error, render_ok, with_id, ErrorCode, Request, ScheduleRequest,
@@ -141,7 +141,7 @@ struct Job {
     /// problem identified by `req`, repairing from retained artifacts
     /// when possible.
     edit: Option<ProblemEdit>,
-    raw_key: String,
+    raw_key: CacheKey,
     deadline: Instant,
     depth_at_enqueue: usize,
     reply: mpsc::Sender<WorkerReply>,
@@ -192,32 +192,33 @@ struct ArtifactEntry {
 /// canonical key of the response they belong to. A reschedule request
 /// looks its parent up here; every retained FTBAR answer (schedule or
 /// repair) is inserted, evicting the oldest distinct key over capacity.
+/// The map and the FIFO share each key's text with the cache entry.
 struct ArtifactStore {
-    map: HashMap<String, ArtifactEntry>,
-    order: VecDeque<String>,
+    map: KeyMap<ArtifactEntry>,
+    order: VecDeque<CacheKey>,
     cap: usize,
 }
 
 impl ArtifactStore {
     fn new(cap: usize) -> Self {
         ArtifactStore {
-            map: HashMap::new(),
+            map: KeyMap::default(),
             order: VecDeque::new(),
             cap,
         }
     }
 
-    fn get(&self, key: &str) -> Option<Arc<ScheduleArtifacts>> {
+    fn get(&self, key: &CacheKey) -> Option<Arc<ScheduleArtifacts>> {
         self.map.get(key).map(|e| Arc::clone(&e.artifacts))
     }
 
-    fn get_seed(&self, key: &str) -> Option<ArtifactSeed> {
+    fn get_seed(&self, key: &CacheKey) -> Option<ArtifactSeed> {
         self.map.get(key).and_then(|e| e.seed.clone())
     }
 
     fn insert(
         &mut self,
-        key: String,
+        key: CacheKey,
         artifacts: Arc<ScheduleArtifacts>,
         seed: Option<ArtifactSeed>,
     ) {
@@ -312,7 +313,7 @@ pub struct ServerState {
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     artifacts: Mutex<ArtifactStore>,
-    poisoned: Mutex<HashSet<String>>,
+    poisoned: Mutex<KeySet>,
     shutdown: AtomicBool,
     started: Instant,
     counters: Counters,
@@ -332,7 +333,7 @@ impl ServerState {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             artifacts: Mutex::new(ArtifactStore::new(config.artifact_slots)),
-            poisoned: Mutex::new(HashSet::new()),
+            poisoned: Mutex::new(KeySet::default()),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             counters: Counters::default(),
@@ -402,11 +403,11 @@ impl ServerState {
                 )
             }
             Request::Schedule(req) => {
-                let raw_key = req.raw_key();
+                let raw_key = req.raw_key().into();
                 FrameOutcome::Reply(self.handle_schedule(req, None, raw_key))
             }
             Request::Reschedule(r) => {
-                let raw_key = r.raw_key();
+                let raw_key = r.raw_key().into();
                 FrameOutcome::Reply(self.handle_schedule(r.base, Some(r.edit), raw_key))
             }
         }
@@ -416,7 +417,7 @@ impl ServerState {
         &self,
         req: ScheduleRequest,
         edit: Option<ProblemEdit>,
-        raw_key: String,
+        raw_key: CacheKey,
     ) -> String {
         let id = req.id.clone();
         let id = id.as_deref();
@@ -529,7 +530,13 @@ impl ServerState {
     /// replays standalone).
     fn collect_snapshot(&self) -> SnapshotData {
         let (cache_entries, memos) = self.cache.lock().unwrap().export();
-        let mut poisoned: Vec<String> = self.poisoned.lock().unwrap().iter().cloned().collect();
+        let mut poisoned: Vec<String> = self
+            .poisoned
+            .lock()
+            .unwrap()
+            .iter()
+            .map(CacheKey::to_string)
+            .collect();
         poisoned.sort_unstable();
         let seeds = self.artifacts.lock().unwrap().export_seeds();
         SnapshotData {
@@ -634,24 +641,30 @@ impl ServerState {
             seeds_replayed: 0,
             seeds_dropped: 0,
         };
+        let SnapshotData {
+            cache_entries,
+            memos,
+            poisoned,
+            seeds,
+        } = restore.data;
         {
+            // The records are consumed as they go in: a memo's copy of its
+            // canonical key is freed once it shares its entry's.
             let mut cache = self.cache.lock().unwrap();
-            for (canonical, body) in &restore.data.cache_entries {
-                cache.restore_entry(canonical, body);
+            for (canonical, body) in cache_entries {
+                cache.restore_entry(canonical, &body);
             }
-            for (raw, canonical) in &restore.data.memos {
+            for (raw, canonical) in memos {
                 cache.restore_memo(raw, canonical);
             }
         }
-        {
-            let mut poisoned = self.poisoned.lock().unwrap();
-            for raw in restore.data.poisoned {
-                poisoned.insert(raw);
-            }
-        }
+        self.poisoned
+            .lock()
+            .unwrap()
+            .extend(poisoned.into_iter().map(CacheKey::from));
         // One arena serves every replay, as a worker's serves its jobs.
         let mut pools = EnginePools::default();
-        for seed in restore.data.seeds {
+        for seed in seeds {
             // Replay through the deterministic scheduler instead of
             // trusting serialized engine state. `catch_unwind` so an
             // adversarial snapshot can cost us artifacts, never the
@@ -785,7 +798,7 @@ fn rehydrate_seed(
     seed: &ArtifactSeed,
     config: &ServerConfig,
     pools: &mut EnginePools,
-) -> Option<(String, ScheduleArtifacts)> {
+) -> Option<(CacheKey, ScheduleArtifacts)> {
     if seed.scheduler != SchedulerKind::Ftbar || config.artifact_slots == 0 {
         return None;
     }
@@ -805,7 +818,7 @@ fn rehydrate_seed(
         &seed.strategy,
         seed.include_schedule,
     );
-    Some((canonical, artifacts))
+    Some((canonical.into(), artifacts))
 }
 
 /// Why a worker chose (or declined) the degraded path.
@@ -902,8 +915,9 @@ fn execute_job(state: &ServerState, job: &Job, pools: &mut EnginePools) -> Worke
 pub(crate) struct Computed {
     /// Rendered id-less response body (the cacheable bytes).
     pub body: String,
-    /// Canonical cache key of the problem this body answers.
-    pub canonical: String,
+    /// Canonical cache key of the problem this body answers, shared by
+    /// the cache entry, its memo and the artifact store.
+    pub canonical: CacheKey,
     /// True when the degraded (clustered) fallback ran; never cached.
     pub degraded: bool,
     /// Retained engine state for later incremental rescheduling, when
@@ -986,7 +1000,7 @@ fn render_scheduled(
     let strategy = req.strategy.unwrap_or_default().name();
     Computed {
         body: render_ok(None, &result, degraded),
-        canonical: canonical_key(problem, req.scheduler, strategy, req.include_schedule),
+        canonical: canonical_key(problem, req.scheduler, strategy, req.include_schedule).into(),
         degraded,
         artifacts: None,
         seed: None,
@@ -1017,7 +1031,7 @@ impl ArtifactSeed {
             strategy: req.strategy.unwrap_or_default().name().to_owned(),
             npf: req.npf,
             include_schedule: req.include_schedule,
-            spec: req.spec.clone(),
+            spec: req.spec.as_str().into(),
             edits,
         }
     }
@@ -1047,7 +1061,8 @@ pub(crate) fn compute_reschedule(
     // HBP keeps no artifacts, so it always takes the full-run fallback.
     let (parent, parent_seed) = if req.scheduler == SchedulerKind::Ftbar {
         let strategy = req.strategy.unwrap_or_default().name();
-        let parent_key = canonical_key(&problem, req.scheduler, strategy, req.include_schedule);
+        let parent_key =
+            canonical_key(&problem, req.scheduler, strategy, req.include_schedule).into();
         let store = state.artifacts.lock().unwrap();
         (store.get(&parent_key), store.get_seed(&parent_key))
     } else {

@@ -431,7 +431,7 @@ mod pinned_keys {
                 strategy: "adaptive".into(),
                 npf: Some(1),
                 include_schedule: true,
-                spec: spec::print_problem(&paper_example()),
+                spec: spec::print_problem(&paper_example()).into(),
                 edits: edits[..3].to_vec(),
             },
             ArtifactSeed {
@@ -467,7 +467,12 @@ mod pinned_keys {
         let body = |j: usize| format!("body-{j},{}", "b".repeat(j * 91 % 900));
         let label = |s: &str| s[..s.find([',', '|']).unwrap()].to_owned();
         let counts = |c: &ResponseCache| {
-            format!("used {} len {} memo {}", c.used_bytes(), c.len(), c.memo_len())
+            format!(
+                "used {} len {} memo {}",
+                c.used_bytes(),
+                c.len(),
+                c.memo_len()
+            )
         };
         let mut out = String::new();
         let mut rng = StdRng::seed_from_u64(29);
