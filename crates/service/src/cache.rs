@@ -58,7 +58,7 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// The key of `text`, hashed now.
-    pub fn new(text: Arc<str>) -> CacheKey {
+    fn new(text: Arc<str>) -> CacheKey {
         static STATE: OnceLock<RandomState> = OnceLock::new();
         let hash = STATE.get_or_init(RandomState::new).hash_one(&*text);
         CacheKey { text, hash }
@@ -76,12 +76,6 @@ impl CacheKey {
             text: text.into(),
             hash,
         }
-    }
-}
-
-impl From<Arc<str>> for CacheKey {
-    fn from(text: Arc<str>) -> CacheKey {
-        CacheKey::new(text)
     }
 }
 
@@ -117,18 +111,6 @@ impl PartialEq for CacheKey {
 
 impl Eq for CacheKey {}
 
-impl PartialEq<str> for CacheKey {
-    fn eq(&self, other: &str) -> bool {
-        *self.text == *other
-    }
-}
-
-impl PartialEq<&str> for CacheKey {
-    fn eq(&self, other: &&str) -> bool {
-        *self.text == **other
-    }
-}
-
 impl Hash for CacheKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
@@ -157,7 +139,7 @@ impl fmt::Display for CacheKey {
 
 /// The hasher of [`KeyMap`]s: it passes a [`CacheKey`]'s hash through.
 #[derive(Default)]
-pub struct KeyHasher(u64);
+pub(crate) struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn finish(&self) -> u64 {
@@ -174,10 +156,10 @@ impl Hasher for KeyHasher {
 }
 
 /// A map keyed by [`CacheKey`]s, which hashes no text.
-pub type KeyMap<V> = HashMap<CacheKey, V, BuildHasherDefault<KeyHasher>>;
+pub(crate) type KeyMap<V> = HashMap<CacheKey, V, BuildHasherDefault<KeyHasher>>;
 
 /// A set of [`CacheKey`]s, which hashes no text.
-pub type KeySet = HashSet<CacheKey, BuildHasherDefault<KeyHasher>>;
+pub(crate) type KeySet = HashSet<CacheKey, BuildHasherDefault<KeyHasher>>;
 
 /// Cache observability counters, reported by the `status` request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -937,7 +919,7 @@ mod tests {
         let mut c = ResponseCache::new(600);
         for i in 0..8 {
             let resp = arc(&format!("response-{i}-{}", "x".repeat(40)));
-            c.insert(&format!("raw-{i}"), &format!("canon-{i}"), &resp);
+            c.insert(format!("raw-{i}"), format!("canon-{i}"), &resp);
         }
         assert!(
             c.used_bytes() <= 600,
@@ -954,14 +936,18 @@ mod tests {
         let mut c = ResponseCache::new(64 * 1024);
         for i in 0..4 {
             let resp = arc(&format!("response-{i}"));
-            c.insert(&format!("raw-{i}"), &format!("canon-{i}"), &resp);
+            c.insert(format!("raw-{i}"), format!("canon-{i}"), &resp);
         }
         // Touch an old entry so export order differs from insert order.
         assert!(c.get_raw("raw-0").is_some());
         let (entries, memos) = c.export();
         assert_eq!(entries.len(), 4);
         assert_eq!(memos.len(), 4);
-        assert_eq!(entries.last().unwrap().0, "canon-0", "freshest last");
+        assert_eq!(
+            entries.last().unwrap().0.as_str(),
+            "canon-0",
+            "freshest last"
+        );
 
         let mut restored = ResponseCache::new(64 * 1024);
         for (canonical, body) in &entries {
@@ -974,7 +960,7 @@ mod tests {
         assert_eq!(restored.memo_len(), 4);
         for i in 0..4 {
             assert_eq!(
-                restored.get_raw(&format!("raw-{i}")).as_deref(),
+                restored.get_raw(format!("raw-{i}")).as_deref(),
                 Some(format!("response-{i}").as_str())
             );
         }

@@ -484,7 +484,7 @@ mod pinned_keys {
                 Some(b) => format!("hit {}", label(&b)),
                 None => {
                     let j = i % 17;
-                    cache.insert(&r, &canon(j), &Arc::from(body(j).as_str()));
+                    cache.insert(&r, canon(j).as_str(), &Arc::from(body(j).as_str()));
                     format!("miss, insert canon-{j}")
                 }
             };
@@ -508,7 +508,9 @@ mod pinned_keys {
             writeln!(out, "restore memo {}; {}", label(r), counts(&tight)).unwrap();
         }
         for i in 0..24 {
-            let outcome = tight.get_raw(&raw(i)).map_or("miss".into(), |b| label(&b));
+            let outcome = tight
+                .get_raw(raw(i).as_str())
+                .map_or("miss".into(), |b| label(&b));
             writeln!(out, "restored raw-{i} {outcome}; {}", counts(&tight)).unwrap();
         }
         writeln!(out, "restored stats {:?}", tight.stats()).unwrap();
