@@ -31,7 +31,7 @@
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::fmt::{self, Write};
+use std::fmt::Write;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
@@ -50,7 +50,7 @@ const ENTRY_OVERHEAD: usize = 64;
 /// keys whose hashes collide stay distinct. The hash is keyed by one
 /// process-wide [`RandomState`], so maps of these keys resist HashDoS as
 /// std's own maps do.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct CacheKey {
     text: Arc<str>,
     hash: u64,
@@ -122,18 +122,6 @@ impl Deref for CacheKey {
 
     fn deref(&self) -> &str {
         &self.text
-    }
-}
-
-impl fmt::Debug for CacheKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.text, f)
-    }
-}
-
-impl fmt::Display for CacheKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.text)
     }
 }
 
@@ -472,11 +460,12 @@ impl ResponseCache {
 /// cached response under this key is byte-exact, and distinct `npf`,
 /// strategy, scheduler, or `include_schedule` values can never collide.
 ///
-/// Each list is written straight into the key in rank order (see
-/// [`Ranked`]): ops, procs, links and deps are sorted once by the ranks of
-/// their names, exec and comm cells follow by nested loops over those
-/// orders, and only runs of entries whose ranks tie are sorted by their
-/// bytes.
+/// Each list is written straight into the key in rank order, a name's
+/// rank being its place among the names followed by the separator its
+/// entries put after it: ops, procs, links and deps are sorted once by
+/// the ranks of their names, exec and comm cells follow by nested loops
+/// over those orders, and only runs of entries whose ranks tie are
+/// sorted by their bytes (DESIGN.md §13).
 pub fn canonical_key(
     problem: &Problem,
     scheduler: SchedulerKind,
@@ -508,32 +497,24 @@ pub fn canonical_key(
     key.push_str(alg.name());
     key.push_str("|ops:");
     let op_slash = Ranked::new(&op_names, b'/');
-    let mut list = runs.list(&mut key);
-    for &op in &op_slash.order {
-        list.push(rank_of(&[(&op_slash, op)]), |buf| {
-            let op = alg.op(OpId(op));
-            buf.push_str(op.name());
-            buf.push('/');
-            buf.push_str(op.kind().keyword());
-        });
-    }
-    list.finish();
+    runs.append(&mut key, op_slash.entries(), |buf, op| {
+        buf.push_str(op_names[op as usize]);
+        buf.push('/');
+        buf.push_str(alg.op(OpId(op)).kind().keyword());
+    });
 
     key.push_str("|deps:");
-    let src_gt = Ranked::new(&op_names, b'>');
+    let src_gt = &Ranked::new(&op_names, b'>');
     let dst_hash = Ranked::new(&op_names, b'#');
-    let mut list = runs.list(&mut key);
-    for (rank, dep) in deps_by_rank(problem, &src_gt, &dst_hash) {
-        list.push(rank, |buf| {
-            let (s, d) = alg.dep_endpoints(dep);
-            buf.push_str(op_names[s.index()]);
-            buf.push('>');
-            buf.push_str(op_names[d.index()]);
-            buf.push('#');
-            push_f64_debug(buf, alg.dep(dep).size());
-        });
-    }
-    list.finish();
+    let deps = deps_by_rank(problem, src_gt, &dst_hash);
+    runs.append(&mut key, deps, |buf, dep| {
+        let (s, d) = alg.dep_endpoints(dep);
+        buf.push_str(op_names[s.index()]);
+        buf.push('>');
+        buf.push_str(op_names[d.index()]);
+        buf.push('#');
+        push_f64_debug(buf, alg.dep(dep).size());
+    });
 
     key.push_str("|arch=");
     key.push_str(arch.name());
@@ -541,28 +522,20 @@ pub fn canonical_key(
     // A bare name sorts before every name it prefixes: the end of the
     // entry acts as a separator below every byte.
     let proc_bare = Ranked::new(&proc_names, 0);
-    let mut list = runs.list(&mut key);
-    for &proc in &proc_bare.order {
-        list.push(rank_of(&[(&proc_bare, proc)]), |buf| {
-            buf.push_str(proc_names[proc as usize]);
-        });
-    }
-    list.finish();
+    runs.append(&mut key, proc_bare.entries(), |buf, proc| {
+        buf.push_str(proc_names[proc as usize]);
+    });
 
     key.push_str("|links:");
-    let link_eq = Ranked::new(&link_names, b'=');
-    let mut list = runs.list(&mut key);
-    for &link in &link_eq.order {
-        list.push(rank_of(&[(&link_eq, link)]), |buf| {
-            let l = arch.link(LinkId(link));
-            let mut eps: Vec<_> = l.endpoints().iter().map(|p| arch.proc(*p).name()).collect();
-            eps.sort_unstable();
-            buf.push_str(l.name());
-            buf.push('=');
-            buf.push_str(&eps.join("+"));
-        });
-    }
-    list.finish();
+    let link_eq = &Ranked::new(&link_names, b'=');
+    runs.append(&mut key, link_eq.entries(), |buf, link| {
+        let l = arch.link(LinkId(link));
+        let mut eps: Vec<_> = l.endpoints().iter().map(|p| arch.proc(*p).name()).collect();
+        eps.sort_unstable();
+        buf.push_str(l.name());
+        buf.push('=');
+        buf.push_str(&eps.join("+"));
+    });
 
     // Each cell joins two labels, `op@` or `src>dst@` with `proc=` or
     // `link=`, written once here.
@@ -574,8 +547,8 @@ pub fn canonical_key(
         buf.push_str(proc);
         buf.push('=');
     });
-    let deps: Vec<DepId> = alg.deps().collect();
-    let dep_label = Labels::new(&deps, |buf, &dep| {
+    let dep_ids: Vec<DepId> = alg.deps().collect();
+    let dep_label = Labels::new(&dep_ids, |buf, &dep| {
         let (s, d) = alg.dep_endpoints(dep);
         buf.push_str(op_names[s.index()]);
         buf.push('>');
@@ -586,58 +559,48 @@ pub fn canonical_key(
         buf.push_str(link);
         buf.push('=');
     });
-    // Room for every cell with a few digits and its comma.
-    key.reserve(
-        proc_names.len() * op_label.text.len()
-            + op_names.len() * proc_label.text.len()
-            + link_names.len() * dep_label.text.len()
-            + deps.len() * link_label.text.len()
-            + 6 * (op_names.len() * proc_names.len() + deps.len() * link_names.len())
-            + 12,
-    );
 
     key.push_str("|exec:");
-    let op_at = Ranked::new(&op_names, b'@');
-    let proc_eq = Ranked::new(&proc_names, b'=');
-    let mut list = runs.list(&mut key);
-    for ops in op_at.groups() {
-        for &proc in &proc_eq.order {
-            for &op in ops {
-                list.push(rank_of(&[(&op_at, op), (&proc_eq, proc)]), |buf| {
-                    buf.push_str(op_label.get(op));
-                    buf.push_str(proc_label.get(proc));
-                    match problem.exec().get(OpId(op), ProcId(proc)) {
-                        Some(t) => push_u64(buf, t.ticks()),
-                        None => buf.push_str("inf"),
-                    }
-                });
-            }
+    let op_at = &Ranked::new(&op_names, b'@');
+    let proc_eq = &Ranked::new(&proc_names, b'=');
+    // Ops that tie on their rank are walked proc by proc, so the cells'
+    // ranks still rise.
+    let cells = op_at.groups().flat_map(move |ops| {
+        proc_eq.order.iter().flat_map(move |&proc| {
+            ops.iter().map(move |&op| {
+                let rank = rank_of(&[(op_at, op), (proc_eq, proc)]);
+                (rank, (op, proc))
+            })
+        })
+    });
+    runs.append(&mut key, cells, |buf, (op, proc)| {
+        buf.push_str(op_label.get(op));
+        buf.push_str(proc_label.get(proc));
+        match problem.exec().get(OpId(op), ProcId(proc)) {
+            Some(t) => push_u64(buf, t.ticks()),
+            None => buf.push_str("inf"),
         }
-    }
-    list.finish();
+    });
 
     key.push_str("|comm:");
-    let deps = deps_by_rank(problem, &src_gt, &op_at);
-    let mut list = runs.list(&mut key);
-    // Parallel deps tie on their ranks: walk each such group link by link,
-    // so the cells' ranks still rise.
-    for group in deps.chunk_by(|a, b| a.0 == b.0) {
-        for &link in &link_eq.order {
-            for &(_, dep) in group {
-                let Some(t) = problem.comm().get(dep, LinkId(link)) else {
-                    continue;
-                };
+    let deps = deps_by_rank(problem, src_gt, op_at);
+    // Parallel deps tie on their ranks: each group of them is walked link
+    // by link, so the cells' ranks still rise.
+    let cells = deps.chunk_by(|a, b| a.0 == b.0).flat_map(move |group| {
+        link_eq.order.iter().flat_map(move |&link| {
+            group.iter().filter_map(move |&(_, dep)| {
+                let t = problem.comm().get(dep, LinkId(link))?;
                 let (s, d) = alg.dep_endpoints(dep);
-                let rank = rank_of(&[(&src_gt, s.0), (&op_at, d.0), (&link_eq, link)]);
-                list.push(rank, |buf| {
-                    buf.push_str(dep_label.get(dep.0));
-                    buf.push_str(link_label.get(link));
-                    push_u64(buf, t.ticks());
-                });
-            }
-        }
-    }
-    list.finish();
+                let rank = rank_of(&[(src_gt, s.0), (op_at, d.0), (link_eq, link)]);
+                Some((rank, (dep, link, t)))
+            })
+        })
+    });
+    runs.append(&mut key, cells, |buf, (dep, link, t)| {
+        buf.push_str(dep_label.get(dep.0));
+        buf.push_str(link_label.get(link));
+        push_u64(buf, t.ticks());
+    });
     key
 }
 
@@ -762,6 +725,11 @@ impl Ranked {
         }
     }
 
+    /// The names in rank order, as the single-name entries they lead.
+    fn entries(&self) -> impl Iterator<Item = (Rank, u32)> + '_ {
+        self.order.iter().map(|&i| (rank_of(&[(self, i)]), i))
+    }
+
     /// The order cut into runs of equal rank (one run without ranks).
     fn groups(&self) -> impl Iterator<Item = &[u32]> {
         let ranks = self.ranks.as_deref();
@@ -810,69 +778,50 @@ struct TieRuns {
 }
 
 impl TieRuns {
-    /// Starts a comma-separated list at the end of `key`.
-    fn list<'a>(&'a mut self, key: &'a mut String) -> List<'a> {
-        self.spans.clear();
-        List {
-            key,
-            runs: self,
-            first: true,
-            rank: Rank::default(),
+    /// Appends the entries `write` renders to `key`, comma-separated. They
+    /// arrive in rank order, and each run of equal ranks is put into byte
+    /// order when it ends, so the list reads as the entries' strings
+    /// sorted and joined.
+    fn append<T>(
+        &mut self,
+        key: &mut String,
+        entries: impl IntoIterator<Item = (Rank, T)>,
+        mut write: impl FnMut(&mut String, T),
+    ) {
+        let mut run = None;
+        for (i, (rank, entry)) in entries.into_iter().enumerate() {
+            if run != Some(rank) {
+                self.sort_run(key);
+                run = Some(rank);
+            }
+            if i > 0 {
+                key.push(',');
+            }
+            let start = key.len();
+            write(key, entry);
+            self.spans.push(start..key.len());
         }
-    }
-}
-
-/// A list being written into the key: entries arrive in rank order, and
-/// each tie run is put into byte order when it ends. The result is what
-/// sorting all the entries' strings and joining them with commas gives.
-struct List<'a> {
-    key: &'a mut String,
-    runs: &'a mut TieRuns,
-    first: bool,
-    rank: Rank,
-}
-
-impl List<'_> {
-    /// Appends the entry `write` renders. `rank` must not be below the
-    /// previous entry's.
-    fn push(&mut self, rank: Rank, write: impl FnOnce(&mut String)) {
-        if rank != self.rank {
-            self.close_run();
-            self.rank = rank;
-        }
-        if !self.first {
-            self.key.push(',');
-        }
-        self.first = false;
-        let start = self.key.len();
-        write(self.key);
-        self.runs.spans.push(start..self.key.len());
+        self.sort_run(key);
     }
 
-    /// Ends the list.
-    fn finish(mut self) {
-        self.close_run();
-    }
-
-    /// Rewrites the current run in byte order, if it has two entries or
-    /// more.
-    fn close_run(&mut self) {
-        let TieRuns { spans, text } = &mut *self.runs;
-        if spans.len() > 1 {
-            let from = spans[0].start;
-            text.clear();
-            text.push_str(&self.key[from..]);
+    /// Rewrites the run that ends `key` in byte order.
+    fn sort_run(&mut self, key: &mut String) {
+        if self.spans.len() > 1 {
+            let from = self.spans[0].start;
+            self.text.clear();
+            self.text.push_str(&key[from..]);
+            let text = &self.text;
             let entry = |span: &Range<usize>| &text[span.start - from..span.end - from];
-            spans.sort_unstable_by(|a, b| entry(a).cmp(entry(b)));
-            self.key.truncate(from);
-            for (i, span) in spans.iter().enumerate() {
+            self.spans.sort_unstable_by(|a, b| entry(a).cmp(entry(b)));
+            key.truncate(from);
+            for (i, span) in self.spans.iter().enumerate() {
                 if i > 0 {
-                    self.key.push(',');
+                    key.push(',');
                 }
-                self.key.push_str(entry(span));
+                key.push_str(entry(span));
             }
         }
-        spans.clear();
+        self.spans.clear();
     }
 }
 
@@ -1228,6 +1177,31 @@ mod tests {
             let p = tie_run_problem(seed);
             let key = canonical_key(&p, SchedulerKind::Ftbar, "adaptive", false);
             assert_eq!(key, reference_key(&p), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn dep_sizes_are_written_as_debug_formats_them() {
+        let sizes = [
+            1.0,
+            2.0,
+            10.0,
+            1.5,
+            0.1,
+            1e-5,
+            123_456_789.0,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            1e15,
+            1e16,
+            3.0e-300,
+            f64::MAX,
+            0.1 + 0.2,
+        ];
+        for v in sizes {
+            let mut buf = String::new();
+            push_f64_debug(&mut buf, v);
+            assert_eq!(buf, format!("{v:?}"));
         }
     }
 

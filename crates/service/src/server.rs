@@ -535,7 +535,7 @@ impl ServerState {
             .lock()
             .unwrap()
             .iter()
-            .map(CacheKey::to_string)
+            .map(|raw| raw.as_str().to_owned())
             .collect();
         poisoned.sort_unstable();
         let seeds = self.artifacts.lock().unwrap().export_seeds();
